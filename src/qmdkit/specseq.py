@@ -3,14 +3,19 @@
 A FilteredComplex is a finite chain complex whose basis elements carry a
 homological degree and a filtration level p in 1..r, with the differential
 preserving the filtration (the boundary of a level-p generator lies in the
-span of levels <= p).  Pages are computed by the cycle/boundary formula
+span of levels <= p).  Page k is defined by the cycle/boundary formula
 
     Z^k_{p,q} = {x in F_p C_{p+q} : dx in F_{p-k}}
     E^k_{p,q} = Z^k_{p,q} / (Z^{k-1}_{p-1,q+1} + d Z^{k-1}_{p+k-1,q-k+2})
 
-with the page-k differential induced by d, of bidegree (-k, k-1).  Finite
-complexes stabilize no later than page r+1; the stable page's total
-dimensions recover the homology of the underlying complex.
+with the page-k differential induced by d, of bidegree (-k, k-1).  It is
+computed from the persistence pairing instead (Edelsbrunner-Harer,
+Computational Topology, VII; Basu-Parida 2017): one column reduction in
+filtration order pairs generators, a pair whose levels differ by l gives
+a class at each end on pages 1..l and is cancelled by d_l, and unpaired
+generators survive to every page.  Finite complexes stabilize no later
+than page r+1; the stable page's total dimensions recover the homology of
+the underlying complex.
 
 Descriptors bundle local data per critical piece: an action value (which
 orders the filtration), an integer grading offset iota, and a local
@@ -23,12 +28,15 @@ common bidegree, verified by the directed-limit check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+import math
+import numbers
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .gf2 import GF2Matrix, Subspace, quotient_dim, solve_row_combination, subspace_sum
+# the last three are unused here; perfbench/tracing.py patches them on this module
+from .gf2 import GF2Matrix, quotient_dim, solve_row_combination, subspace_sum  # noqa: F401
 
 
 class FiltrationError(ValueError):
@@ -41,6 +49,10 @@ class BoundaryError(ValueError):
 
 class CrossTermError(ValueError):
     pass
+
+
+class DescriptorError(ValueError):
+    """A descriptor piece with a bad value or an unknown or duplicate name."""
 
 
 @dataclass(frozen=True)
@@ -144,6 +156,39 @@ class FilteredComplex:
             out[n] = dim_ker - d_n1.rank()
         return out
 
+    # -- persistence -------------------------------------------------------
+
+    def persistence(self) -> Tuple[List[Tuple[Generator, Generator]], List[Generator]]:
+        """Persistence pairs (x, y), x the pivot of y's reduced boundary, and
+        the unpaired generators (Edelsbrunner-Letscher-Zomorodian 2002).
+
+        Generators are sorted by (filtration, degree), so every prefix spans
+        a subcomplex.  Each boundary column is a Python-int bitset over that
+        order, reduced by its pivot (its latest generator) against the
+        columns already reduced.
+        """
+        order = sorted(self.generators, key=lambda g: (g.filtration, g.degree))
+        position = {g.name: i for i, g in enumerate(order)}
+        reduced: Dict[int, int] = {}           # pivot -> reduced column
+        pairs = []
+        for y, g in enumerate(order):
+            col = 0
+            for tname in self.boundary_names.get(g.name, ()):
+                if position[tname] >= y:
+                    raise FiltrationError(
+                        f"differential raises filtration: {g.name} (p={g.filtration}) "
+                        f"-> {tname} (p={self._gen_by_name[tname].filtration})")
+                col ^= 1 << position[tname]
+            while col:
+                x = col.bit_length() - 1
+                if x not in reduced:
+                    reduced[x] = col
+                    pairs.append((order[x], g))
+                    break
+                col ^= reduced[x]
+        paired = {g for pair in pairs for g in pair}
+        return pairs, [g for g in order if g not in paired]
+
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -169,32 +214,21 @@ def validate(fc: FilteredComplex) -> None:
 
 
 @dataclass
-class PageEntry:
-    dim: int
-    representatives: Subspace          # spanned by the chosen class representatives
-    cycle_space: Subspace
-    boundary_space: Subspace
-    rep_vectors: List[np.ndarray] = dc_field(default_factory=list)
-
-
-@dataclass
 class Page:
     k: int
-    entries: Dict[Tuple[int, int], PageEntry]
+    entries: Dict[Tuple[int, int], int]
     differentials: Dict[Tuple[int, int], GF2Matrix]
 
     def dims(self) -> Dict[Tuple[int, int], int]:
-        return {pq: e.dim for pq, e in self.entries.items() if e.dim}
+        return {pq: d for pq, d in self.entries.items() if d}
 
     def dim_at(self, p: int, q: int) -> int:
-        e = self.entries.get((p, q))
-        return e.dim if e else 0
+        return self.entries.get((p, q), 0)
 
     def total_dims(self) -> Dict[int, int]:
         out: Dict[int, int] = {}
-        for (p, q), e in self.entries.items():
-            if e.dim:
-                out[p + q] = out.get(p + q, 0) + e.dim
+        for (p, q), d in self.dims().items():
+            out[p + q] = out.get(p + q, 0) + d
         return out
 
     def to_json(self) -> dict:
@@ -205,173 +239,55 @@ class Page:
         }
 
 
-def _z_space(fc: FilteredComplex, p: int, k: int, n: int,
-             cache: Dict[Tuple[int, int, int], Subspace]) -> Subspace:
-    """Z^k at filtration p in total degree n (as a subspace of C_n)."""
-    key = (p, k, n)
-    if key in cache:
-        return cache[key]
-    dim_n = fc.dim(n)
-    if dim_n == 0:
-        sp = Subspace.zero(0)
-        cache[key] = sp
-        return sp
-    filt_n = fc.filtrations(n)
-    cols = [i for i in range(dim_n) if filt_n[i] <= p]
-    if not cols:
-        sp = Subspace.zero(dim_n)
-        cache[key] = sp
-        return sp
-    d = fc.differential(n)
-    filt_low = fc.filtrations(n - 1)
-    bad_rows = [j for j in range(fc.dim(n - 1)) if filt_low[j] > p - k]
-    if not bad_rows or d.rows == 0:
-        vectors = []
-        for c in cols:
-            v = np.zeros(dim_n, dtype=np.uint8)
-            v[c] = 1
-            vectors.append(v)
-        sp = Subspace.from_vectors(dim_n, vectors)
-        cache[key] = sp
-        return sp
-    sub = d.submatrix(row_idx=bad_rows, col_idx=cols)
-    kern = sub.kernel_basis().to_dense()
-    vectors = []
-    for row in kern:
-        v = np.zeros(dim_n, dtype=np.uint8)
-        v[cols] = row
-        vectors.append(v)
-    sp = Subspace.from_vectors(dim_n, vectors)
-    cache[key] = sp
-    return sp
-
-
-def _apply_d(fc: FilteredComplex, n: int, vectors: Iterable[np.ndarray]) -> List[np.ndarray]:
-    d = fc.differential(n)
-    return [d.mul_vector(v) for v in vectors]
-
-
-def _complement_reps(numerator: Subspace, denominator: Subspace) -> List[np.ndarray]:
-    """Representatives of numerator/denominator, deterministic in basis order."""
-    reps = []
-    acc = denominator
-    for i in range(numerator.basis.rows):
-        v = numerator.basis.to_dense()[i]
-        if not acc.contains_vector(v):
-            reps.append(v)
-            acc = subspace_sum(acc, Subspace.from_vectors(len(v), [v]))
-    return reps
-
-
 def page(fc: FilteredComplex, k: int) -> Page:
     """Page E^k with its induced differential of bidegree (-k, k-1)."""
     if k < 1:
         raise ValueError("pages are defined for k >= 1")
-    r = fc.max_filtration
-    cache: Dict[Tuple[int, int, int], Subspace] = {}
-    entries: Dict[Tuple[int, int], PageEntry] = {}
-    if fc.is_empty():
-        return Page(k, {}, {})
-    for n in fc.degrees():
-        dim_n = fc.dim(n)
-        if dim_n == 0:
-            continue
-        for p in range(1, r + 1):
-            q = n - p
-            Z = _z_space(fc, p, k, n, cache)
-            Zm = _z_space(fc, p - 1, k - 1, n, cache)
-            Bsrc = _z_space(fc, p + k - 1, k - 1, n + 1, cache)
-            bvecs = _apply_d(fc, n + 1, [Bsrc.basis.to_dense()[i]
-                                         for i in range(Bsrc.dim)]) if fc.dim(n + 1) else []
-            B = Subspace.from_vectors(dim_n, bvecs)
-            W = subspace_sum(Zm, B)
-            if not Z.contains(W):
-                # always holds for a valid filtered complex
-                raise AssertionError("cycle/boundary containment violated")
-            dim_e = quotient_dim(Z, W)
-            reps = _complement_reps(Z, W)
-            entries[(p, q)] = PageEntry(dim_e, Subspace.from_vectors(dim_n, reps),
-                                        Z, W, reps)
-
-    differentials: Dict[Tuple[int, int], GF2Matrix] = {}
-    for (p, q), entry in entries.items():
-        tgt = entries.get((p - k, q + k - 1))
-        n = p + q
-        src_dim = entry.dim
-        tgt_dim = tgt.dim if tgt else 0
-        dense = np.zeros((tgt_dim, src_dim), dtype=np.uint8)
-        if src_dim and tgt_dim:
-            basis_rows = [tgt.boundary_space.basis.to_dense()[i]
-                          for i in range(tgt.boundary_space.dim)]
-            basis_rows += list(tgt.rep_vectors)
-            mat = GF2Matrix.from_rows(basis_rows, cols=fc.dim(n - 1)) if basis_rows \
-                else GF2Matrix(0, fc.dim(n - 1))
-            for j, x in enumerate(entry.rep_vectors):
-                y = fc.differential(n).mul_vector(x)
-                if not tgt.cycle_space.contains_vector(y):
-                    raise AssertionError("page differential violates its bidegree")
-                coeff = solve_row_combination(mat, y)
-                if coeff is None:
-                    raise AssertionError("page differential failed to reduce")
-                dense[:, j] = coeff[tgt.boundary_space.dim:]
-        elif src_dim and tgt is not None:
-            # target entry vanishes: the class of d(x) must already be zero
-            for x in entry.rep_vectors:
-                y = fc.differential(n).mul_vector(x)
-                if not tgt.boundary_space.contains_vector(y):
-                    raise AssertionError("nonzero differential into an empty entry")
-        differentials[(p, q)] = GF2Matrix.from_dense(dense) if dense.size \
-            else GF2Matrix(tgt_dim, src_dim)
-
-    _assert_d_squared_zero(entries, differentials, k)
-    return Page(k, entries, differentials)
+    return _page_from_pairs(*fc.persistence(), k)
 
 
-def _assert_d_squared_zero(entries, differentials, k: int) -> None:
-    for (p, q), d1 in differentials.items():
-        up = differentials.get((p + k, q - k + 1))
-        if up is not None and d1.cols and up.rows:
-            if d1.rows and not d1.mul(up).is_zero():
-                raise AssertionError(f"d_{k} squared is nonzero at {(p, q)}")
+def _page_from_pairs(pairs: List[Tuple[Generator, Generator]],
+                     unpaired: List[Generator], k: int) -> Page:
+    """Each unpaired generator gives a class, a pair whose level gap is at
+    least k gives a class at each end, and d_k maps y's class to x's on the
+    pairs (x, y) whose gap is exactly k."""
+    live = [(x, y) for x, y in pairs if y.filtration - x.filtration >= k]
+    classes: Dict[Tuple[int, int], List[Generator]] = {}
+    for g in unpaired + [g for pair in live for g in pair]:
+        classes.setdefault((g.filtration, g.degree - g.filtration), []).append(g)
+    slot = {g: i for gens in classes.values() for i, g in enumerate(gens)}
+    dense = {(p, q): np.zeros((len(classes.get((p - k, q + k - 1), ())), len(gens)),
+                              dtype=np.uint8) for (p, q), gens in classes.items()}
+    for x, y in live:
+        if y.filtration - x.filtration == k:
+            dense[(y.filtration, y.degree - y.filtration)][slot[x], slot[y]] = 1
+    return Page(k, {pq: len(gens) for pq, gens in classes.items()},
+                {pq: GF2Matrix.from_dense(m) for pq, m in dense.items()})
 
 
 def page_dims_via_differential(pg: Page) -> Dict[Tuple[int, int], int]:
-    """E^{k+1} dimensions predicted from page k's differential (kernel/image).
-
-    Independent of the direct cycle/boundary formula; used to cross-check it.
-    """
+    """E^{k+1} dimensions predicted from page k's differential (kernel/image)."""
     out: Dict[Tuple[int, int], int] = {}
     k = pg.k
-    for (p, q), entry in pg.entries.items():
-        d_out = pg.differentials.get((p, q))
-        rank_out = d_out.rank() if d_out is not None else 0
+    for (p, q), dim in pg.entries.items():
         d_in = pg.differentials.get((p + k, q - k + 1))
-        rank_in = d_in.rank() if d_in is not None else 0
-        dim_next = entry.dim - rank_out - rank_in
-        if dim_next:
-            out[(p, q)] = dim_next
+        dim -= pg.differentials[(p, q)].rank() + (d_in.rank() if d_in is not None else 0)
+        if dim:
+            out[(p, q)] = dim
     return out
 
 
 def converge(fc: FilteredComplex) -> Tuple[int, Page]:
     """Smallest k with E^k = E^{k+1} = ... and the stable page.
 
-    Differentials of bidegree (-k, k-1) vanish identically once k exceeds
-    the filtration width, so page r+1 is already E-infinity for a complex
-    with r levels.
+    A pair with level gap l is cancelled by d_l, so the pages stop changing
+    after the widest gap; the stable page is page r+1 for r levels.
     """
     if fc.is_empty():
         return 1, Page(1, {}, {})
-    r = fc.max_filtration
-    pages = {k: page(fc, k) for k in range(1, r + 2)}
-    final = pages[r + 1]
-    final_dims = final.dims()
-    stable = r + 1
-    for k in range(1, r + 2):
-        if pages[k].dims() == final_dims:
-            stable = k
-            break
-    return stable, final
+    pairs, unpaired = fc.persistence()
+    widest = max((y.filtration - x.filtration for x, y in pairs), default=0)
+    return 1 + widest, _page_from_pairs(pairs, unpaired, fc.max_filtration + 1)
 
 
 # -- descriptors -------------------------------------------------------------
@@ -387,16 +303,53 @@ class QMDPiece:
 
     def __post_init__(self):
         if (self.betti is None) == (self.local_complex is None):
-            raise ValueError(f"piece {self.name}: provide exactly one of betti "
-                             f"or local_complex")
+            raise DescriptorError(f"piece {self.name}: provide exactly one of betti "
+                                  f"or local_complex")
+        if not isinstance(self.action, numbers.Real) or not math.isfinite(self.action):
+            raise DescriptorError(f"piece {self.name}: action must be finite, "
+                                  f"got {self.action!r}")
+        _require_int(self.iota, f"piece {self.name}: iota")
         if self.betti is not None:
-            object.__setattr__(self, "betti", tuple(int(b) for b in self.betti))
+            betti = tuple(_require_int(b, f"piece {self.name}: betti") for b in self.betti)
+            if any(b < 0 for b in betti):
+                raise DescriptorError(f"piece {self.name}: betti numbers must be >= 0, "
+                                      f"got {list(betti)}")
+            object.__setattr__(self, "betti", betti)
+        else:
+            frag = self.local_complex
+            boundary = frag.get("boundary", {}) if isinstance(frag, dict) else None
+            if not isinstance(boundary, dict):
+                raise DescriptorError(f"piece {self.name}: complex must be an object "
+                                      f"whose boundary maps names to lists")
+            names = set()
+            for g in frag["generators"]:
+                _require_int(g["degree"], f"piece {self.name}: degree of {g['name']}")
+                names.add(g["name"])
+            for src, targets in boundary.items():
+                for name in (src, *targets):
+                    if name not in names:
+                        raise DescriptorError(f"piece {self.name}: boundary names "
+                                              f"unknown generator {name}")
+
+
+def _require_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DescriptorError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
 class QMDDescriptor:
     pieces: Tuple[QMDPiece, ...]
     cross_terms: Tuple[Tuple[str, str], ...] = ()
+
+    def __post_init__(self):
+        seen = set()
+        for piece in self.pieces:
+            for name, _ in _piece_generators(piece)[0]:
+                if name in seen:
+                    raise DescriptorError(f"generator name {name} is used twice")
+                seen.add(name)
 
     def to_json(self) -> dict:
         out = {"pieces": [], "cross_terms": [{"from": a, "to": b}
@@ -417,7 +370,7 @@ class QMDDescriptor:
             pieces.append(QMDPiece(
                 name=str(entry["name"]),
                 action=float(entry["action"]),
-                iota=int(entry["iota"]),
+                iota=entry["iota"],
                 betti=tuple(entry["betti"]) if "betti" in entry else None,
                 local_complex=entry.get("complex"),
             ))
@@ -426,7 +379,7 @@ class QMDDescriptor:
         return cls(tuple(pieces), cross)
 
 
-def _piece_generators(piece: QMDPiece, p: int):
+def _piece_generators(piece: QMDPiece):
     """(name, total degree) pairs plus local boundary, shifted by iota."""
     gens: List[Tuple[str, int]] = []
     boundary: Dict[str, List[str]] = {}
@@ -460,7 +413,7 @@ def build_from_qmd(descriptor: QMDDescriptor) -> FilteredComplex:
     owner: Dict[str, QMDPiece] = {}
     for p, i in enumerate(order, start=1):
         piece = descriptor.pieces[i]
-        gens, local_boundary = _piece_generators(piece, p)
+        gens, local_boundary = _piece_generators(piece)
         for name, degree in gens:
             generators.append(Generator(name, degree, p))
             owner[name] = piece
@@ -485,7 +438,7 @@ def truncate_by_action(descriptor: QMDDescriptor, cutoff: float) -> QMDDescripto
     kept = tuple(p for p in descriptor.pieces if p.action < cutoff)
     names = set()
     for p in kept:
-        gens, _ = _piece_generators(p, 1)
+        gens, _ = _piece_generators(p)
         names.update(name for name, _ in gens)
     cross = tuple((a, b) for a, b in descriptor.cross_terms
                   if a in names and b in names)

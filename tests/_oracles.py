@@ -1,18 +1,27 @@
 """Independent oracles used by the test suite.
 
-These deliberately avoid the package's own linear algebra: ranks come
-from a naive list-of-lists elimination, eigenvalues from bisection on a
-Sturm chain of leading principal minors, and homology from the naive
-rank.  Random filtered complexes are assembled from elementary pieces
-with known homology and scrambled by a filtration-respecting change of
-basis.
+Ranks come from a naive list-of-lists elimination, eigenvalues from
+bisection on a Sturm chain of leading principal minors, and homology from
+the naive rank; these avoid the package's own linear algebra.  Random
+filtered complexes are assembled from elementary pieces with known
+homology and scrambled by a filtration-respecting change of basis.
+
+``oracle_page`` computes spectral-sequence pages by the cycle/boundary
+formula, with the subspace sums, quotients and row solves of
+``qmdkit.gf2``'s ``Subspace`` stack; the production ``qmdkit.specseq.page``
+reads them off a persistence pairing and no longer touches that stack.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field as dc_field
+from typing import Dict, Iterable, List, Tuple
+
 import numpy as np
 
-from qmdkit.specseq import FilteredComplex, Generator
+from qmdkit.gf2 import (GF2Matrix, Subspace, quotient_dim, solve_row_combination,
+                        subspace_sum)
+from qmdkit.specseq import FilteredComplex, Generator, Page
 
 
 def naive_gf2_rank(rows) -> int:
@@ -178,3 +187,155 @@ def random_filtered_complex(rng: np.random.Generator, max_gens: int = 40):
     fc = FilteredComplex(generators, boundary)
     fc.validate()
     return fc, {n: d for n, d in expected.items()}
+
+
+# -- spectral-sequence pages by the cycle/boundary formula ---------------
+
+
+@dataclass
+class OracleEntry:
+    dim: int
+    representatives: Subspace          # spanned by the chosen class representatives
+    cycle_space: Subspace
+    boundary_space: Subspace
+    rep_vectors: List[np.ndarray] = dc_field(default_factory=list)
+
+
+def _z_space(fc: FilteredComplex, p: int, k: int, n: int,
+             cache: Dict[Tuple[int, int, int], Subspace]) -> Subspace:
+    """Z^k at filtration p in total degree n (as a subspace of C_n)."""
+    key = (p, k, n)
+    if key in cache:
+        return cache[key]
+    dim_n = fc.dim(n)
+    if dim_n == 0:
+        sp = Subspace.zero(0)
+        cache[key] = sp
+        return sp
+    filt_n = fc.filtrations(n)
+    cols = [i for i in range(dim_n) if filt_n[i] <= p]
+    if not cols:
+        sp = Subspace.zero(dim_n)
+        cache[key] = sp
+        return sp
+    d = fc.differential(n)
+    filt_low = fc.filtrations(n - 1)
+    bad_rows = [j for j in range(fc.dim(n - 1)) if filt_low[j] > p - k]
+    if not bad_rows or d.rows == 0:
+        vectors = []
+        for c in cols:
+            v = np.zeros(dim_n, dtype=np.uint8)
+            v[c] = 1
+            vectors.append(v)
+        sp = Subspace.from_vectors(dim_n, vectors)
+        cache[key] = sp
+        return sp
+    sub = d.submatrix(row_idx=bad_rows, col_idx=cols)
+    kern = sub.kernel_basis().to_dense()
+    vectors = []
+    for row in kern:
+        v = np.zeros(dim_n, dtype=np.uint8)
+        v[cols] = row
+        vectors.append(v)
+    sp = Subspace.from_vectors(dim_n, vectors)
+    cache[key] = sp
+    return sp
+
+
+def _apply_d(fc: FilteredComplex, n: int, vectors: Iterable[np.ndarray]) -> List[np.ndarray]:
+    d = fc.differential(n)
+    return [d.mul_vector(v) for v in vectors]
+
+
+def _complement_reps(numerator: Subspace, denominator: Subspace) -> List[np.ndarray]:
+    """Representatives of numerator/denominator, deterministic in basis order."""
+    reps = []
+    acc = denominator
+    for i in range(numerator.basis.rows):
+        v = numerator.basis.to_dense()[i]
+        if not acc.contains_vector(v):
+            reps.append(v)
+            acc = subspace_sum(acc, Subspace.from_vectors(len(v), [v]))
+    return reps
+
+
+def oracle_page(fc: FilteredComplex, k: int) -> Page:
+    """Page E^k by the cycle/boundary formula of ``qmdkit.specseq``'s docstring.
+
+    Asserts that every d_k class lands at (p-k, q+k-1) and that d_k squares
+    to zero.
+    """
+    if k < 1:
+        raise ValueError("pages are defined for k >= 1")
+    r = fc.max_filtration
+    cache: Dict[Tuple[int, int, int], Subspace] = {}
+    entries: Dict[Tuple[int, int], OracleEntry] = {}
+    if fc.is_empty():
+        return Page(k, {}, {})
+    for n in fc.degrees():
+        dim_n = fc.dim(n)
+        if dim_n == 0:
+            continue
+        for p in range(1, r + 1):
+            q = n - p
+            Z = _z_space(fc, p, k, n, cache)
+            Zm = _z_space(fc, p - 1, k - 1, n, cache)
+            Bsrc = _z_space(fc, p + k - 1, k - 1, n + 1, cache)
+            bvecs = _apply_d(fc, n + 1, [Bsrc.basis.to_dense()[i]
+                                         for i in range(Bsrc.dim)]) if fc.dim(n + 1) else []
+            B = Subspace.from_vectors(dim_n, bvecs)
+            W = subspace_sum(Zm, B)
+            if not Z.contains(W):
+                # always holds for a valid filtered complex
+                raise AssertionError("cycle/boundary containment violated")
+            dim_e = quotient_dim(Z, W)
+            reps = _complement_reps(Z, W)
+            entries[(p, q)] = OracleEntry(dim_e, Subspace.from_vectors(dim_n, reps),
+                                          Z, W, reps)
+
+    differentials: Dict[Tuple[int, int], GF2Matrix] = {}
+    for (p, q), entry in entries.items():
+        tgt = entries.get((p - k, q + k - 1))
+        n = p + q
+        src_dim = entry.dim
+        tgt_dim = tgt.dim if tgt else 0
+        dense = np.zeros((tgt_dim, src_dim), dtype=np.uint8)
+        if src_dim and tgt_dim:
+            basis_rows = [tgt.boundary_space.basis.to_dense()[i]
+                          for i in range(tgt.boundary_space.dim)]
+            basis_rows += list(tgt.rep_vectors)
+            mat = GF2Matrix.from_rows(basis_rows, cols=fc.dim(n - 1)) if basis_rows \
+                else GF2Matrix(0, fc.dim(n - 1))
+            for j, x in enumerate(entry.rep_vectors):
+                y = fc.differential(n).mul_vector(x)
+                if not tgt.cycle_space.contains_vector(y):
+                    raise AssertionError("page differential violates its bidegree")
+                coeff = solve_row_combination(mat, y)
+                if coeff is None:
+                    raise AssertionError("page differential failed to reduce")
+                dense[:, j] = coeff[tgt.boundary_space.dim:]
+        elif src_dim and tgt is not None:
+            # target entry vanishes: the class of d(x) must already be zero
+            for x in entry.rep_vectors:
+                y = fc.differential(n).mul_vector(x)
+                if not tgt.boundary_space.contains_vector(y):
+                    raise AssertionError("nonzero differential into an empty entry")
+        differentials[(p, q)] = GF2Matrix.from_dense(dense) if dense.size \
+            else GF2Matrix(tgt_dim, src_dim)
+
+    _assert_d_squared_zero(entries, differentials, k)
+    return Page(k, {pq: e.dim for pq, e in entries.items()}, differentials)
+
+
+def _assert_d_squared_zero(entries, differentials, k: int) -> None:
+    for (p, q), d1 in differentials.items():
+        up = differentials.get((p + k, q - k + 1))
+        if up is not None and d1.cols and up.rows:
+            if d1.rows and not d1.mul(up).is_zero():
+                raise AssertionError(f"d_{k} squared is nonzero at {(p, q)}")
+
+
+def differential_ranks(pg: Page) -> Dict[Tuple[int, int], int]:
+    """Nonzero ranks of a page's d_k, keyed by source bidegree."""
+    ranks = {pq: d.rank() for pq, d in pg.differentials.items()}
+    return {pq: r for pq, r in ranks.items() if r}

@@ -27,7 +27,8 @@ from qmdkit.morse import (SubmanifoldChart, build_rho, check_qmd, construct_tau,
                           verify_thickening)
 from qmdkit.specseq import build_from_qmd, converge, directed_limit_check, page
 
-from _oracles import naive_homology_dims, random_filtered_complex
+from _oracles import (differential_ranks, naive_homology_dims, oracle_page,
+                      random_filtered_complex)
 
 SEED = int(os.environ.get("QMD_SEED", "0"))
 
@@ -196,8 +197,13 @@ def test_criterion_07_spectral_sequence_soundness():
     rng = np.random.default_rng(SEED)
     for _ in range(100):
         fc, _ = random_filtered_complex(rng, max_gens=40)
-        # page() asserts internally that d_k lands at (p-k, q+k-1) and squares
-        # to zero; a violation raises
+        # every page and d_k rank must match the cycle/boundary definition;
+        # oracle_page asserts internally that d_k lands at (p-k, q+k-1) and
+        # squares to zero, so a violation raises
+        for k in range(1, fc.max_filtration + 2):
+            got, want = page(fc, k), oracle_page(fc, k)
+            assert got.dims() == want.dims(), k
+            assert differential_ranks(got) == differential_ranks(want), k
         _, einf = converge(fc)
         graded = einf.total_dims()
         oracle = naive_homology_dims(fc)
@@ -205,7 +211,8 @@ def test_criterion_07_spectral_sequence_soundness():
             assert graded.get(n, 0) == oracle.get(n, 0)
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
-    _report("spectral-sequence soundness", f"100 random complexes in {elapsed:.1f}s")
+    _report("spectral-sequence soundness",
+            f"100 random complexes, every page against the oracle, in {elapsed:.1f}s")
 
 
 def test_criterion_08_first_page_formula():

@@ -129,6 +129,32 @@ def test_specseq_rejects_filtration_violation(tmp_path):
     assert main(["specseq", "--descriptor", path]) == 1
 
 
+def _piece(name, action, **body):
+    return {"name": name, "action": action, "iota": 0, **body}
+
+
+_V, _E = {"name": "v", "degree": 0}, {"name": "e", "degree": 1}
+
+MALFORMED_DESCRIPTORS = {
+    "unknown-boundary-name": [_piece("a", 0.0, complex={
+        "generators": [_V, _E], "boundary": {"e": ["v", "zz"]}})],
+    "duplicate-name-in-piece": [_piece("a", 0.0, complex={
+        "generators": [_V, _V, _E], "boundary": {"e": ["v"]}})],
+    "duplicate-name-across-pieces": [_piece("a", 0.0, betti=[1]),
+                                     _piece("a", 1.0, betti=[1])],
+    "nan-action-negative-betti": [_piece("a", "nan", betti=[-1])],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DESCRIPTORS))
+def test_specseq_rejects_malformed_descriptor(case, tmp_path, capsys):
+    path = _write(tmp_path, "d.json", {"pieces": MALFORMED_DESCRIPTORS[case]})
+    assert main(["specseq", "--descriptor", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
 def test_maslov_quarter_turn(tmp_path, capsys):
     a = _write(tmp_path, "a.json",
                {"times": [0.0, 1.0], "angles": [0.0, math.pi / 2]})

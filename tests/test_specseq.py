@@ -4,12 +4,14 @@ import pytest
 from qmdkit.catalog import (CATALOG_DESCRIPTORS, descriptor_annulus_kunneth,
                             descriptor_cancellation_pair, descriptor_five_piece,
                             descriptor_log_corner)
-from qmdkit.specseq import (BoundaryError, CrossTermError, FilteredComplex,
-                            FiltrationError, Generator, QMDDescriptor, QMDPiece,
-                            build_from_qmd, converge, directed_limit_check,
-                            page, page_dims_via_differential, truncate_by_action)
+from qmdkit.specseq import (BoundaryError, CrossTermError, DescriptorError,
+                            FilteredComplex, FiltrationError, Generator,
+                            QMDDescriptor, QMDPiece, build_from_qmd, converge,
+                            directed_limit_check, page,
+                            page_dims_via_differential, truncate_by_action)
 
-from _oracles import naive_homology_dims, random_filtered_complex
+from _oracles import (differential_ranks, naive_homology_dims, oracle_page,
+                      random_filtered_complex)
 
 
 def _two_gen_pair():
@@ -84,6 +86,24 @@ def test_length_two_cross_term_fires_on_page_two():
     stable, einf = converge(fc)
     assert stable == 3
     assert einf.dims() == {(2, -2): 1}
+
+
+def test_page_rejects_filtration_raise():
+    fc = FilteredComplex([Generator("x", 0, 2), Generator("y", 1, 1)],
+                         {"y": ["x"]})
+    with pytest.raises(FiltrationError):
+        page(fc, 1)
+    with pytest.raises(FiltrationError):
+        converge(fc)
+
+
+def test_catalog_pages_match_oracle():
+    for name, make in CATALOG_DESCRIPTORS.items():
+        fc = build_from_qmd(make())
+        for k in range(1, fc.max_filtration + 3):
+            got, want = page(fc, k), oracle_page(fc, k)
+            assert got.dims() == want.dims(), (name, k)
+            assert differential_ranks(got) == differential_ranks(want), (name, k)
 
 
 def test_invalid_page_index():
@@ -169,6 +189,20 @@ def test_local_complex_fragment():
     fc = build_from_qmd(desc)
     # interval: one homology class in local degree 0, shifted to total degree 1
     assert page(fc, 1).dims() == {(1, 0): 1}
+
+
+@pytest.mark.parametrize("piece", [
+    {"name": "a", "action": 0.0, "iota": 1.5, "betti": [1]},
+    {"name": "a", "action": 0.0, "iota": 0, "betti": [0.5]},
+    {"name": "a", "action": float("inf"), "iota": 0, "betti": [1]},
+    {"name": "a", "action": 0.0, "iota": 0,
+     "complex": {"generators": [{"name": "v", "degree": "0"}]}},
+    {"name": "a", "action": 0.0, "iota": 0,
+     "complex": {"generators": [{"name": "v", "degree": 0}], "boundary": ["v"]}},
+])
+def test_descriptor_rejects_bad_values(piece):
+    with pytest.raises(DescriptorError):
+        QMDDescriptor.from_json({"pieces": [piece]})
 
 
 def test_cross_term_must_decrease_action():
