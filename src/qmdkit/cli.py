@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
@@ -178,6 +179,8 @@ def cmd_specseq(args) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageFailure(f"bad descriptor: {exc}") from exc
     if args.cutoff is not None:
+        if not math.isfinite(args.cutoff):
+            raise UsageFailure("--cutoff must be a finite action")
         desc = truncate_by_action(desc, args.cutoff)
     if not desc.pieces:
         _emit({"pages": [], "stable_page": 1, "total_homology": {},

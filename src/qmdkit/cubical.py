@@ -3,29 +3,36 @@
 A GridMask is a binary image on a regular grid: one membership bit per
 top-dimensional cell, with optional periodic axes (index n identifies
 with index 0).  The complex of a mask is the closure of its included top
-cells under taking faces; cells are elementary cubes, encoded as an
-anchor vertex plus a 0/1 extent per axis.  Periodic identifications are
-realized by index arithmetic mod n, never by ghost cells, so the square
-of the boundary operator vanishes exactly.
+cells under taking faces.
 
-Homology is taken over GF(2) throughout.
+Cells are points of the doubled grid (Wagner-Chen-Vucini 2012): an axis
+of n top cells has 2n+1 doubled coordinates when open and 2n when
+periodic, top cell i sits at 2i+1, and a cell's dimension is its number
+of odd coordinates.  The closure is one dilation per axis that ORs the
+odd neighbours into the even positions; periodic axes wrap mod 2n, so
+identifications are index arithmetic, never ghost cells, and the square
+of the boundary operator vanishes exactly.  The faces of a k-cell are its
+two neighbours along each of its k odd axes.
+
+Homology is taken over GF(2) with ``gf2.reduce_columns``: each boundary
+column is a sparse set of face rows, and boundaries are reduced from the
+top dimension down with clearing (Chen-Kerber 2011): a k-cell that is the
+pivot of a reduced (k+1)-column has a column that reduces to zero, so it
+is skipped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .gf2 import GF2Matrix
+from .gf2 import reduce_columns
 
 
 class EmptyMaskError(ValueError):
     pass
-
-
-Cell = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (anchor per axis, extent bit per axis)
 
 
 @dataclass(frozen=True)
@@ -92,12 +99,25 @@ class GridMask:
         return hash((self.dims, self.periodic, self.cells.tobytes()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CubicalComplex:
+    """Cells and boundaries of a closed set of doubled-grid cells.
+
+    ``cells_by_dim[k]`` is the sorted array of flat indices, into the
+    doubled grid of shape ``grid_shape``, of the k-cells; a cell's row in
+    dimension k is its position in that array.  ``boundary[k]`` is the
+    (n_k, 2k) array of face rows of each k-cell, two per odd axis, lower
+    neighbour first; a face listed twice (a periodic axis of size 1)
+    cancels mod 2.
+    """
     dims: Tuple[int, ...]
     periodic: Tuple[bool, ...]
-    cells_by_dim: Tuple[Tuple[Cell, ...], ...]
-    boundary: Dict[int, GF2Matrix] = field(hash=False)
+    cells_by_dim: Tuple[np.ndarray, ...]
+    boundary: Dict[int, np.ndarray]
+
+    @property
+    def grid_shape(self) -> Tuple[int, ...]:
+        return _grid_shape(self.dims, self.periodic)
 
     def n_cells(self, k: int) -> int:
         if 0 <= k < len(self.cells_by_dim):
@@ -108,69 +128,77 @@ class CubicalComplex:
         return sum((-1) ** k * self.n_cells(k) for k in range(len(self.cells_by_dim)))
 
 
-def _cell_faces(cell: Cell, dims, periodic):
-    anchors, extents = cell
-    for a, e in enumerate(extents):
-        if not e:
-            continue
-        low_ext = extents[:a] + (0,) + extents[a + 1:]
-        yield (anchors, low_ext)
-        up = anchors[a] + 1
-        if periodic[a]:
-            up %= dims[a]
-        yield (anchors[:a] + (up,) + anchors[a + 1:], low_ext)
+def _grid_shape(dims, periodic) -> Tuple[int, ...]:
+    return tuple(2 * n if p else 2 * n + 1 for n, p in zip(dims, periodic))
 
 
 def build_complex(mask: GridMask) -> CubicalComplex:
-    """Closure of the included top cells with GF(2) boundary matrices."""
+    """Closure of the included top cells, with sparse face arrays."""
     if not mask.cells.any():
         raise EmptyMaskError("mask contains no cells")
     d = mask.ndim
-    dims, periodic = mask.dims, mask.periodic
+    shape = _grid_shape(mask.dims, mask.periodic)
+    grid = np.zeros(shape, dtype=bool)
+    grid[tuple(slice(1, None, 2) for _ in shape)] = mask.cells
+    for axis in range(d):
+        # before this pass only odd coordinates along `axis` are set, so the
+        # rolls fill even positions only; on an open axis the wrapped-in
+        # value comes from the even end position and is False
+        grid = grid | np.roll(grid, 1, axis) | np.roll(grid, -1, axis)
 
-    levels: List[set] = [set() for _ in range(d + 1)]
-    top_extent = (1,) * d
-    for idx in np.argwhere(mask.cells):
-        levels[d].add((tuple(int(i) for i in idx), top_extent))
-    for k in range(d, 0, -1):
-        for cell in levels[k]:
-            for face in _cell_faces(cell, dims, periodic):
-                levels[k - 1].add(face)
-
-    cells_by_dim = tuple(tuple(sorted(level)) for level in levels)
-    index = [{cell: i for i, cell in enumerate(level)} for level in cells_by_dim]
-
-    boundary: Dict[int, GF2Matrix] = {}
-    for k in range(1, d + 1):
-        n_rows = len(cells_by_dim[k - 1])
-        n_cols = len(cells_by_dim[k])
-        dense = np.zeros((n_rows, n_cols), dtype=np.uint8)
-        for j, cell in enumerate(cells_by_dim[k]):
-            for face in _cell_faces(cell, dims, periodic):
-                dense[index[k - 1][face], j] ^= 1  # repeated face cancels mod 2
-        boundary[k] = GF2Matrix.from_dense(dense) if n_cols else GF2Matrix(n_rows, 0)
-    boundary[0] = GF2Matrix(0, len(cells_by_dim[0]))
-    return CubicalComplex(dims, periodic, cells_by_dim, boundary)
+    flat = np.flatnonzero(grid)
+    coords = np.unravel_index(flat, shape) if d else ()
+    odd = [c & 1 for c in coords]
+    dim_of = np.sum(odd, axis=0) if d else np.zeros(len(flat), dtype=int)
+    strides = [int(np.prod(shape[a + 1:])) for a in range(d)]
+    row = np.empty(grid.size, dtype=np.int64)
+    cells_by_dim = []
+    boundary: Dict[int, np.ndarray] = {}
+    for k in range(d + 1):
+        sel = dim_of == k
+        cells = flat[sel]
+        row[cells] = np.arange(len(cells))
+        faces = np.empty((len(cells), 2 * k), dtype=np.int64)
+        slot = np.zeros(len(cells), dtype=np.int64)
+        for a in range(d):
+            has = np.flatnonzero(odd[a][sel])
+            c, base = coords[a][sel][has], cells[has]
+            for side, step in ((0, -1), (1, 1)):
+                neighbour = base + ((c + step) % shape[a] - c) * strides[a]
+                faces[has, 2 * slot[has] + side] = row[neighbour]
+            slot[has] += 1
+        cells_by_dim.append(cells)
+        boundary[k] = faces
+    return CubicalComplex(mask.dims, mask.periodic, tuple(cells_by_dim), boundary)
 
 
 def validate_boundary(cx: CubicalComplex) -> None:
-    """Assert boundary(k-1) @ boundary(k) == 0 for every k."""
+    """Assert boundary(k-1) @ boundary(k) == 0 for every k: every (k-2)-face
+    of a k-cell's faces is reached an even number of times."""
     for k in range(2, len(cx.cells_by_dim)):
-        if not cx.boundary[k - 1].mul(cx.boundary[k]).is_zero():
+        n_k, n_low = cx.n_cells(k), cx.n_cells(k - 2)
+        twice = cx.boundary[k - 1][cx.boundary[k]].reshape(n_k, -1)
+        keys = (np.arange(n_k)[:, None] * n_low + twice).ravel()
+        _, counts = np.unique(keys, return_counts=True)
+        if np.any(counts % 2):
             raise AssertionError(f"boundary squared is nonzero between dims {k} and {k-2}")
 
 
 def betti(cx: CubicalComplex) -> Tuple[int, ...]:
-    """betti_k = dim ker boundary_k - rank boundary_{k+1} over GF(2)."""
+    """betti_k = n_k - rank boundary_k - rank boundary_{k+1} over GF(2).
+
+    Reduces the top boundary first; a k-cell that is the pivot of a reduced
+    (k+1)-column is cleared from boundary_k, whose rank is its pivot count.
+    """
     d = len(cx.cells_by_dim) - 1
-    ranks = {k: cx.boundary[k].rank() for k in range(d + 1)}
-    out = []
-    for k in range(d + 1):
-        nk = cx.n_cells(k)
-        r_k = ranks[k] if k >= 1 else 0
-        r_k1 = ranks.get(k + 1, 0)
-        out.append(nk - r_k - r_k1)
-    return tuple(out)
+    ranks = [0] * (d + 2)
+    cleared: set = set()
+    for k in range(d, 0, -1):
+        columns = cx.boundary[k].tolist()
+        pivots = reduce_columns(col for j, col in enumerate(columns) if j not in cleared)
+        cleared = {p for p in pivots if p is not None}
+        ranks[k] = len(cleared)
+    return tuple(cx.n_cells(k) - ranks[k] - ranks[k + 1] for k in range(d + 1))
 
 
 def betti_of_mask(mask: GridMask) -> Tuple[int, ...]:

@@ -1,24 +1,63 @@
-"""Exact dense linear algebra over the two-element field.
+"""Exact linear algebra over the two-element field.
 
-Matrices are stored bit-packed, 64 columns per machine word; desk-scale
-homology computations (complexes up to ~1e5 cells) stay cache friendly
-without sparse bookkeeping.  All operations are pure: inputs are never
-mutated, so values can be shared freely between threads.
+Two representations share this module.  ``reduce_columns`` is the one
+column-reduction kernel for homology: columns are Python sets of row
+indices, each reduced by its pivot (largest row) against the pivots seen
+so far.  Cubical Betti numbers (with clearing) and the persistence
+pairing of filtered complexes both run on it, so complexes of ~1e5 cells
+and more cost memory in proportion to the entries of their reduced
+columns, not to the square of their cell count.
 
-Elimination pivots on the first nonzero entry in column order, swapping
-rows in place on a working copy.  Echelon forms, and therefore kernel and
-subspace bases, are deterministic functions of the input.
+The dense matrices are stored bit-packed, 64 columns per machine word.
+They serve the small spectral-sequence differentials of ``specseq``
+and the test oracles.  All operations are pure: inputs are never mutated,
+so values can be shared freely between threads.
+
+Dense elimination pivots on the first nonzero entry in column order,
+swapping rows in place on a working copy.  Echelon forms, and therefore
+kernel and subspace bases, are deterministic functions of the input.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 
 class GF2Error(ValueError):
     """Dimension mismatch or containment violation in a GF(2) operation."""
+
+
+def reduce_columns(columns: Iterable[Sequence[int]]) -> List[Optional[int]]:
+    """Pivot of each column after the standard reduction over GF(2).
+
+    Each column lists its row indices; a row listed twice cancels.  A
+    column is reduced by adding earlier reduced columns with its pivot
+    (its largest row) until the pivot is new or the column vanishes.
+    Returns, in order, each column's final pivot, or None for a column
+    that reduced to zero.  The pivot rows of the result are independent,
+    so the number of pivots is the rank.
+    """
+    reduced: Dict[int, Set[int]] = {}     # pivot -> reduced column
+    pivots: List[Optional[int]] = []
+    for rows in columns:
+        low = None
+        if rows:
+            col = set(rows)
+            if len(col) != len(rows):
+                col = {r for r in col if rows.count(r) % 2}
+            while col:
+                low = max(col)
+                other = reduced.get(low)
+                if other is None:
+                    reduced[low] = col
+                    break
+                col ^= other
+            else:
+                low = None
+        pivots.append(low)
+    return pivots
 
 
 def _pack_bits(bits: np.ndarray) -> np.ndarray:

@@ -74,11 +74,7 @@ class LagrangianLinePath:
         return cls((0.0, 1.0), (u, u))
 
     def value_at(self, t: float) -> float:
-        i = np.searchsorted(self.times, t, side="right") - 1
-        i = max(0, min(i, len(self.times) - 2))
-        t0, t1 = self.times[i], self.times[i + 1]
-        u0, u1 = self.lift[i], self.lift[i + 1]
-        return u0 + (u1 - u0) * (t - t0) / (t1 - t0)
+        return float(_values_at(self, np.array([t], dtype=float))[0])
 
     def reverse(self) -> "LagrangianLinePath":
         times = tuple(1.0 - t for t in reversed(self.times))
@@ -121,10 +117,18 @@ class CrossingRecord:
     contribution: Fraction
 
 
+def _values_at(g: LagrangianLinePath, ts: np.ndarray) -> np.ndarray:
+    """The lift at every time of ``ts``, linear between breakpoints."""
+    times, lift = np.asarray(g.times), np.asarray(g.lift)
+    i = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, len(times) - 2)
+    t0, t1, u0, u1 = times[i], times[i + 1], lift[i], lift[i + 1]
+    return u0 + (u1 - u0) * (ts - t0) / (t1 - t0)
+
+
 def _merged_difference(g: LagrangianLinePath, g2: LagrangianLinePath):
-    times = sorted(set(g.times) | set(g2.times))
-    diff = [g.value_at(t) - g2.value_at(t) for t in times]
-    return times, diff
+    times = np.union1d(g.times, g2.times)
+    diff = _values_at(g, times) - _values_at(g2, times)
+    return times.tolist(), diff.tolist()
 
 
 def crossings(g: LagrangianLinePath, g2: LagrangianLinePath,

@@ -35,8 +35,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-# the last three are unused here; perfbench/tracing.py patches them on this module
-from .gf2 import GF2Matrix, quotient_dim, solve_row_combination, subspace_sum  # noqa: F401
+# quotient_dim, solve_row_combination and subspace_sum are unused here;
+# perfbench/tracing.py patches them on this module
+from .gf2 import (GF2Matrix, quotient_dim, reduce_columns,  # noqa: F401
+                  solve_row_combination, subspace_sum)
 
 
 class FiltrationError(ValueError):
@@ -163,31 +165,28 @@ class FilteredComplex:
         the unpaired generators (Edelsbrunner-Letscher-Zomorodian 2002).
 
         Generators are sorted by (filtration, degree), so every prefix spans
-        a subcomplex.  Each boundary column is a Python-int bitset over that
-        order, reduced by its pivot (its latest generator) against the
-        columns already reduced.
+        a subcomplex.  Each boundary column lists its targets' positions in
+        that order and goes through ``reduce_columns``; a column's pivot is
+        its latest generator after reduction.
         """
         order = sorted(self.generators, key=lambda g: (g.filtration, g.degree))
         position = {g.name: i for i, g in enumerate(order)}
-        reduced: Dict[int, int] = {}           # pivot -> reduced column
-        pairs = []
+        columns = []
         for y, g in enumerate(order):
-            col = 0
+            col = []
             for tname in self.boundary_names.get(g.name, ()):
                 if position[tname] >= y:
                     raise FiltrationError(
                         f"differential raises filtration: {g.name} (p={g.filtration}) "
                         f"-> {tname} (p={self._gen_by_name[tname].filtration})")
-                col ^= 1 << position[tname]
-            while col:
-                x = col.bit_length() - 1
-                if x not in reduced:
-                    reduced[x] = col
-                    pairs.append((order[x], g))
-                    break
-                col ^= reduced[x]
-        paired = {g for pair in pairs for g in pair}
-        return pairs, [g for g in order if g not in paired]
+                col.append(position[tname])
+            columns.append(col)
+        pairs, paired = [], set()
+        for y, x in enumerate(reduce_columns(columns)):
+            if x is not None:
+                pairs.append((order[x], order[y]))
+                paired.update((x, y))
+        return pairs, [g for i, g in enumerate(order) if i not in paired]
 
     # -- serialization ------------------------------------------------------
 

@@ -10,6 +10,10 @@ homology and scrambled by a filtration-respecting change of basis.
 formula, with the subspace sums, quotients and row solves of
 ``qmdkit.gf2``'s ``Subspace`` stack; the production ``qmdkit.specseq.page``
 reads them off a persistence pairing and no longer touches that stack.
+
+``oracle_build_complex`` is the tuple-cell closure with dense ``GF2Matrix``
+boundaries that ``qmdkit.cubical`` used before its doubled-grid engine:
+cells are (anchor, extent) pairs and ``oracle_betti`` takes dense ranks.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
+from qmdkit.cubical import EmptyMaskError, GridMask
 from qmdkit.gf2 import (GF2Matrix, Subspace, quotient_dim, solve_row_combination,
                         subspace_sum)
 from qmdkit.specseq import FilteredComplex, Generator, Page
@@ -339,3 +344,65 @@ def differential_ranks(pg: Page) -> Dict[Tuple[int, int], int]:
     """Nonzero ranks of a page's d_k, keyed by source bidegree."""
     ranks = {pq: d.rank() for pq, d in pg.differentials.items()}
     return {pq: r for pq, r in ranks.items() if r}
+
+
+# -- cubical homology by dense boundary matrices ----------------------------------
+
+Cell = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (anchor per axis, extent bit per axis)
+
+
+@dataclass(frozen=True)
+class OracleComplex:
+    cells_by_dim: Tuple[Tuple[Cell, ...], ...]
+    boundary: Dict[int, GF2Matrix]
+
+
+def _cell_faces(cell: Cell, dims, periodic):
+    anchors, extents = cell
+    for a, e in enumerate(extents):
+        if not e:
+            continue
+        low_ext = extents[:a] + (0,) + extents[a + 1:]
+        yield (anchors, low_ext)
+        up = anchors[a] + 1
+        if periodic[a]:
+            up %= dims[a]
+        yield (anchors[:a] + (up,) + anchors[a + 1:], low_ext)
+
+
+def oracle_build_complex(mask: GridMask) -> OracleComplex:
+    """Closure of the included top cells with dense GF(2) boundary matrices."""
+    if not mask.cells.any():
+        raise EmptyMaskError("mask contains no cells")
+    d = mask.ndim
+    dims, periodic = mask.dims, mask.periodic
+
+    levels: List[set] = [set() for _ in range(d + 1)]
+    top_extent = (1,) * d
+    for idx in np.argwhere(mask.cells):
+        levels[d].add((tuple(int(i) for i in idx), top_extent))
+    for k in range(d, 0, -1):
+        for cell in levels[k]:
+            for face in _cell_faces(cell, dims, periodic):
+                levels[k - 1].add(face)
+
+    cells_by_dim = tuple(tuple(sorted(level)) for level in levels)
+    index = [{cell: i for i, cell in enumerate(level)} for level in cells_by_dim]
+
+    boundary: Dict[int, GF2Matrix] = {}
+    for k in range(1, d + 1):
+        n_rows = len(cells_by_dim[k - 1])
+        n_cols = len(cells_by_dim[k])
+        dense = np.zeros((n_rows, n_cols), dtype=np.uint8)
+        for j, cell in enumerate(cells_by_dim[k]):
+            for face in _cell_faces(cell, dims, periodic):
+                dense[index[k - 1][face], j] ^= 1  # repeated face cancels mod 2
+        boundary[k] = GF2Matrix.from_dense(dense) if n_cols else GF2Matrix(n_rows, 0)
+    return OracleComplex(cells_by_dim, boundary)
+
+
+def oracle_betti(cx: OracleComplex) -> Tuple[int, ...]:
+    """betti_k = n_k - rank boundary_k - rank boundary_{k+1}, dense ranks."""
+    d = len(cx.cells_by_dim) - 1
+    ranks = [0] + [cx.boundary[k].rank() for k in range(1, d + 1)] + [0]
+    return tuple(len(cx.cells_by_dim[k]) - ranks[k] - ranks[k + 1] for k in range(d + 1))

@@ -143,13 +143,15 @@ MALFORMED_DESCRIPTORS = {
     "duplicate-name-across-pieces": [_piece("a", 0.0, betti=[1]),
                                      _piece("a", 1.0, betti=[1])],
     "nan-action-negative-betti": [_piece("a", "nan", betti=[-1])],
+    "nan-cutoff": [_piece("a", 0.0, betti=[1])],
 }
+MALFORMED_ARGS = {"nan-cutoff": ["--cutoff", "nan"]}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_DESCRIPTORS))
 def test_specseq_rejects_malformed_descriptor(case, tmp_path, capsys):
     path = _write(tmp_path, "d.json", {"pieces": MALFORMED_DESCRIPTORS[case]})
-    assert main(["specseq", "--descriptor", path]) == 2
+    assert main(["specseq", "--descriptor", path, *MALFORMED_ARGS.get(case, [])]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err

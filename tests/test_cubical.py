@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,10 @@ import hypothesis.strategies as st
 from qmdkit.cubical import (EmptyMaskError, GridMask, betti, betti_of_mask,
                             betti_product_check, build_complex,
                             validate_boundary)
+
+from _oracles import oracle_betti, oracle_build_complex
+
+SEED = int(os.environ.get("QMD_SEED", "0"))
 
 
 def test_single_square_cell_counts():
@@ -118,3 +124,55 @@ def test_components_of_scattered_cells_add_up(n, seed):
     assert b[0] >= 1
     cx = build_complex(GridMask((n, n), (False, False), cells))
     assert cx.euler_characteristic() == sum((-1) ** k * v for k, v in enumerate(b))
+
+
+def _assert_matches_oracle(mask):
+    """Same cell counts, Betti numbers and boundaries as the dense oracle, the
+    boundaries compared through the bijection between a doubled-grid
+    coordinate c and (anchor c // 2, extent c % 2) per axis."""
+    cx, oracle = build_complex(mask), oracle_build_complex(mask)
+    validate_boundary(cx)
+    assert [cx.n_cells(k) for k in range(mask.ndim + 1)] == \
+        [len(level) for level in oracle.cells_by_dim], mask
+    assert betti(cx) == oracle_betti(oracle), mask
+    oracle_index = []
+    for k, cells in enumerate(cx.cells_by_dim):
+        position = {cell: i for i, cell in enumerate(oracle.cells_by_dim[k])}
+        coords = zip(*np.unravel_index(cells, cx.grid_shape))
+        oracle_index.append(np.array(
+            [position[(tuple(int(c) // 2 for c in cell), tuple(int(c) % 2 for c in cell))]
+             for cell in coords], dtype=int))
+    for k in range(1, mask.ndim + 1):
+        dense = np.zeros((cx.n_cells(k - 1), cx.n_cells(k)), dtype=np.int64)
+        np.add.at(dense, (oracle_index[k - 1][cx.boundary[k]], oracle_index[k][:, None]), 1)
+        assert np.array_equal(dense % 2, oracle.boundary[k].to_dense()), (mask, k)
+
+
+def test_sparse_engine_matches_dense_oracle():
+    for dims, periodic in (((1,), (True,)), ((1, 1), (True, True)), ((1, 3), (True, False)),
+                           ((2, 1, 3), (False, True, True)), ((1, 1, 1, 2), (True,) * 4)):
+        _assert_matches_oracle(GridMask.full(dims, periodic))
+    rng = np.random.default_rng(SEED + 11)
+    max_side = {1: 9, 2: 6, 3: 4, 4: 3}
+    for trial in range(120):
+        ndim = 1 + trial % 4
+        dims = tuple(int(n) for n in rng.integers(1, max_side[ndim] + 1, ndim))
+        periodic = tuple(bool(p) for p in rng.random(ndim) < 0.5)
+        cells = rng.random(dims) < rng.uniform(0.3, 0.9)
+        cells.flat[int(rng.integers(cells.size))] = True
+        _assert_matches_oracle(GridMask(dims, periodic, cells))
+
+
+def test_square_with_three_holes_at_128():
+    cells = np.ones((128, 128), bool)
+    cells[10:30, 10:40] = False
+    cells[60:61, 60:100] = False
+    cells[100:120, 20:21] = False
+    assert betti_of_mask(GridMask((128, 128), (False, False), cells)) == (1, 3, 0)
+
+
+def test_cube_with_two_cavities_at_16():
+    cells = np.ones((16, 16, 16), bool)
+    cells[2:5, 3:7, 4:6] = False
+    cells[9:13, 10:11, 8:14] = False
+    assert betti_of_mask(GridMask((16, 16, 16), (False,) * 3, cells)) == (1, 0, 2, 0)

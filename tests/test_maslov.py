@@ -9,6 +9,7 @@ from qmdkit.maslov import (CrossingRecord, LagrangianLinePath,
                            NonRegularCrossingError, PathError, concat,
                            conjugate, crossings, index_shift,
                            intersection_dim, maslov)
+from qmdkit.maslov import _merged_difference
 
 SEED = int(os.environ.get("QMD_SEED", "0"))
 
@@ -99,6 +100,25 @@ def test_crossing_records_have_nonzero_signs():
     recs = crossings(g, g2)
     assert len(recs) == 2  # levels 0.25 and 1.25 of the difference... lift passes 0 and 1
     assert all(r.sign_in != 0 or r.sign_out != 0 for r in recs)
+
+
+def _random_times(rng, n):
+    inner = np.sort(rng.random(n))
+    return (0.0, *inner.tolist(), 1.0)
+
+
+def test_merged_difference_matches_value_at_exactly():
+    rng = np.random.default_rng(SEED + 9)
+    for _ in range(60):
+        ta = _random_times(rng, int(rng.integers(0, 40)))
+        tb = _random_times(rng, int(rng.integers(0, 40)))
+        if rng.random() < 0.5:  # share some breakpoints
+            tb = tuple(sorted(set(tb) | set(ta[:: int(rng.integers(2, 5))])))
+        a = LagrangianLinePath.from_pi_units(ta, rng.normal(0.0, 3.0, len(ta)))
+        b = LagrangianLinePath.from_pi_units(tb, rng.normal(0.0, 3.0, len(tb)))
+        times, diff = _merged_difference(a, b)
+        assert times == sorted(set(a.times) | set(b.times))
+        assert diff == [a.value_at(t) - b.value_at(t) for t in times]
 
 
 # -- axioms on random pairs --------------------------------------------------
