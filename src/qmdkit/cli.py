@@ -78,10 +78,18 @@ def _parse_int_list(text: str, what: str) -> tuple:
         raise UsageFailure(f"bad {what}: {text!r}") from exc
 
 
+def _positive_float(text: str) -> float:
+    """argparse type: a finite number > 0 (nan, inf and <= 0 exit 2)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive: {text!r}")
+    return value
+
+
 def _tolerances(args, field: Optional[ScalarField] = None) -> Tolerances:
-    for name in ("grad_tol", "eig_tol", "value_tol"):
-        if getattr(args, name) is not None and getattr(args, name) <= 0:
-            raise UsageFailure(f"--{name.replace('_', '-')} must be positive")
     kw = {}
     if args.grad_tol is not None:
         kw["grad_tol"] = args.grad_tol
@@ -107,17 +115,14 @@ def cmd_analyze(args) -> int:
             else tuple(0 for _ in f.dims)
         if len(base) != f.ndim:
             raise UsageFailure("chart base must list one index per axis")
+        if not all(0 <= b < n for b, n in zip(base, f.dims)):
+            raise UsageFailure(f"chart base {list(base)} lies outside the "
+                               f"grid {list(f.dims)}")
         try:
             chart = SubmanifoldChart(axes=axes, base=base)
         except ChartError as exc:
             raise UsageFailure(str(exc)) from exc
-    try:
-        crit = detect_critical_set(f, grad_tol)
-    except NoCriticalPointsError as exc:
-        raise DomainFailure(str(exc)) from exc
-    if not (0 <= args.component < len(crit.components)):
-        raise UsageFailure(f"component index out of range "
-                           f"(found {len(crit.components)} components)")
+    crit = _critical_set(f, grad_tol, args.component)
     try:
         report = classify(f, crit, chart=chart, tau=tau, tols=tols,
                           strict=args.strict, component=args.component)
@@ -132,6 +137,18 @@ def cmd_analyze(args) -> int:
     return EXIT_OK if report.passed else EXIT_DOMAIN
 
 
+def _critical_set(f: ScalarField, grad_tol: float, component: int):
+    """The critical set of f, with `component` checked against it."""
+    try:
+        crit = detect_critical_set(f, grad_tol)
+    except NoCriticalPointsError as exc:
+        raise DomainFailure(str(exc)) from exc
+    if not (0 <= component < len(crit.components)):
+        raise UsageFailure(f"component index out of range "
+                           f"(found {len(crit.components)} components)")
+    return crit
+
+
 def _component_boxes(crit) -> list:
     out = []
     for comp in crit.components:
@@ -143,18 +160,16 @@ def _component_boxes(crit) -> list:
 
 
 def cmd_flatten(args) -> int:
-    if args.delta <= 0:
-        raise UsageFailure("--delta must be positive")
     f = _load_field(args.field)
     tols = _tolerances(args, field=f)
+    crit = _critical_set(f, tols.grad_tol, args.component)
     try:
-        crit = detect_critical_set(f, tols.grad_tol)
         shift = float(f.values[crit.components[args.component].cells].min())
         f0 = f.shift(shift)
         result = flatten(f0, args.delta, crit, tols, component=args.component)
         thick = verify_thickening(f0, crit, result.sigma, tols,
                                   component=args.component)
-    except (NoCriticalPointsError, RegularValueError, ValueError) as exc:
+    except (RegularValueError, ValueError) as exc:
         raise DomainFailure(str(exc)) from exc
     if args.out:
         _emit(result.sigma.to_json(), args.out)
@@ -249,9 +264,9 @@ def cmd_example(args) -> int:
 
 
 def _add_tol_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grad-tol", dest="grad_tol", type=float, default=None)
-    p.add_argument("--eig-tol", dest="eig_tol", type=float, default=None)
-    p.add_argument("--value-tol", dest="value_tol", type=float, default=None)
+    p.add_argument("--grad-tol", dest="grad_tol", type=_positive_float, default=None)
+    p.add_argument("--eig-tol", dest="eig_tol", type=_positive_float, default=None)
+    p.add_argument("--value-tol", dest="value_tol", type=_positive_float, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -278,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flatten", help="flattening perturbation and thickening")
     p.add_argument("--field", required=True)
-    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--delta", type=_positive_float, required=True)
     p.add_argument("--component", type=int, default=0)
     p.add_argument("--out", default=None, help="write the thickening mask here")
     p.add_argument("--out-field", dest="out_field", default=None,
@@ -297,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("maslov", help="index of two Lagrangian line paths")
     p.add_argument("--path-a", dest="path_a", required=True)
     p.add_argument("--path-b", dest="path_b", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_positive_float, default=1e-9)
     p.set_defaults(func=cmd_maslov)
 
     p = sub.add_parser("example", help="run a packaged worked example")

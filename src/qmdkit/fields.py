@@ -4,6 +4,10 @@ Fields carry per-axis spacing and periodicity.  Derivatives use central
 stencils: exact for quadratics, O(h^2) otherwise.  Nodes on a
 non-periodic boundary have no trustworthy stencil and are excluded from
 gradient/Hessian queries rather than approximated one-sidedly.
+
+`gradient` and `hessian` take every node at once from np.roll-shifted
+copies of the values; `hessian_at` is the per-node form of the same
+stencil.  `eig_sym` is numpy.linalg.eigh behind square/symmetric checks.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ class ScalarField:
         periodic = tuple(bool(p) for p in self.periodic)
         if not (len(dims) == len(spacing) == len(periodic)):
             raise ValueError("dims, spacing, periodic must have equal length")
-        if any(h <= 0 for h in spacing):
-            raise ValueError("spacing must be positive on every axis")
+        if not all(0.0 < h < np.inf for h in spacing):
+            raise ValueError("spacing must be finite and positive on every axis")
         values = np.ascontiguousarray(self.values, dtype=float).reshape(dims)
         if not np.all(np.isfinite(values)):
             raise ValueError("field values must be finite")
@@ -136,6 +140,32 @@ def gradient_magnitude(field: ScalarField) -> Tuple[np.ndarray, np.ndarray]:
     return np.sqrt((grad ** 2).sum(axis=-1)), valid
 
 
+def hessian(field: ScalarField) -> Tuple[np.ndarray, np.ndarray]:
+    """Central-difference Hessian at every node, in one pass.
+
+    Returns (H, valid) where H has shape dims + (ndim, ndim) and valid is
+    the stencil mask; H is zero-filled elsewhere.  Each entry is the same
+    expression as in `hessian_at`, on np.roll-shifted copies of the
+    values, so the two agree bit for bit at every valid node.
+    """
+    v = field.values
+    h = field.spacing
+    d = field.ndim
+    H = np.zeros(field.dims + (d, d), dtype=float)
+    up = [np.roll(v, -1, axis=a) for a in range(d)]
+    dn = [np.roll(v, 1, axis=a) for a in range(d)]
+    for a in range(d):
+        H[..., a, a] = (up[a] - 2.0 * v + dn[a]) / (h[a] * h[a])
+    for a in range(d):
+        for b in range(a + 1, d):
+            val = (np.roll(up[a], -1, axis=b) - np.roll(up[a], 1, axis=b)
+                   - np.roll(dn[a], -1, axis=b) + np.roll(dn[a], 1, axis=b))
+            H[..., a, b] = H[..., b, a] = val / (4.0 * h[a] * h[b])
+    valid = stencil_mask(field)
+    H[~valid] = 0.0
+    return H, valid
+
+
 def node_value(field: ScalarField, node: Sequence[int], offset: Sequence[int]) -> float:
     idx = []
     for a, (i, d) in enumerate(zip(node, offset)):
@@ -179,49 +209,23 @@ def hessian_at(field: ScalarField, node: Sequence[int]) -> np.ndarray:
     return H
 
 
-def eig_sym(m: np.ndarray, eig_tol: float = 1e-12) -> Tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of a symmetric matrix by cyclic Jacobi.
+def eig_sym(m: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of a symmetric matrix (numpy.linalg.eigh).
 
-    Sweeps rotate away off-diagonal mass until its Frobenius norm drops
-    below eig_tol * max(1, |m|_max).  Returns (w, V) with w ascending and
-    V[:, i] the unit eigenvector for w[i].
+    Returns (w, V) with w ascending and V[:, i] the unit eigenvector for
+    w[i].  Rejects non-square input and input that is not symmetric up to
+    1e-9 * max(1, |m|_max); the symmetric part is what gets decomposed.
     """
     A = np.array(m, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("eig_sym expects a square matrix")
-    n = A.shape[0]
-    if n == 0:
+    if A.shape[0] == 0:
         return np.zeros(0), np.zeros((0, 0))
     scale = max(1.0, float(np.abs(A).max()))
     if float(np.abs(A - A.T).max()) > 1e-9 * scale:
         raise ValueError("eig_sym expects a symmetric matrix")
-    A = 0.5 * (A + A.T)
-    V = np.eye(n)
-    target = eig_tol * scale
-    for _ in range(100):
-        off = np.sqrt(np.sum(np.tril(A, -1) ** 2) * 2.0)
-        if off <= target or n == 1:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                A = rot.T @ A @ rot
-                V = V @ rot
-    w = np.diag(A).copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], V[:, order]
+    w, V = np.linalg.eigh(0.5 * (A + A.T))
+    return w, V
 
 
 def default_grad_tol(field: ScalarField) -> float:

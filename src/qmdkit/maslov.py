@@ -53,6 +53,8 @@ class LagrangianLinePath:
         lift = tuple(float(u) for u in self.lift)
         if len(times) != len(lift) or len(times) < 2:
             raise PathError("need matching times and angles, at least two samples")
+        if not all(map(math.isfinite, times + lift)):
+            raise PathError("times and angles must be finite")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise PathError("times must be strictly increasing")
         if times[0] != 0.0 or times[-1] != 1.0:
@@ -62,6 +64,8 @@ class LagrangianLinePath:
 
     @classmethod
     def from_angles(cls, times: Sequence[float], angles_rad: Sequence[float]) -> "LagrangianLinePath":
+        if not all(map(math.isfinite, angles_rad)):
+            raise PathError("angles must be finite")
         return cls(tuple(times), tuple(_continuous_lift([a / math.pi for a in angles_rad])))
 
     @classmethod

@@ -20,19 +20,25 @@ below delta/2 and is the identity above delta; the sublevel set
 {f <= delta/2} becomes a codimension-0 thickening of C with the same
 homotopy type, which the thickening verifier checks through Betti
 numbers and discrete gradient descent.
+
+The Hessian tests visit every stencil-valid node of C.  Each checker
+takes the Hessians of all of them from one `fields.hessian` pass and
+their eigenpairs from one batched numpy.linalg.eigh; the chart terms of
+tau (dist(x, S)^4 and f o project_S) are built from per-axis arrays.
+`negative_index` and `transverse_negative_index` stay per node.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .cubical import GridMask, betti_of_mask
-from .fields import (ScalarField, eig_sym, gradient_magnitude, hessian_at,
-                     stencil_mask)
+# hessian_at/eig_sym serve the per-node functions; the benchmark tracer patches them here
+from .fields import (ScalarField, eig_sym, gradient_magnitude, hessian,
+                     hessian_at, stencil_mask)
 
 
 class NoCriticalPointsError(ValueError):
@@ -71,7 +77,7 @@ class Tolerances:
     def floor_for(self, f: "ScalarField") -> float:
         if self.hess_floor is not None:
             return self.hess_floor
-        return self.floor_factor * max(f.spacing) ** 2
+        return default_hessian_floor(f, self.floor_factor)
 
 
 @dataclass(frozen=True)
@@ -271,10 +277,13 @@ def isolating_box(component: GridMask, margin: int = 3) -> np.ndarray:
 # -- Hessian sampling helpers -------------------------------------------
 
 
-def _sample_nodes(f: ScalarField, comp: GridMask) -> List[Tuple[int, ...]]:
-    ok = stencil_mask(f)
-    return [tuple(int(v) for v in idx)
-            for idx in np.argwhere(comp.cells & ok)]
+def _node_hessians(f: ScalarField, comp: GridMask) -> Tuple[List[Tuple[int, ...]], np.ndarray]:
+    """Stencil-valid nodes of a component, in argwhere order, and the
+    (n, d, d) stack of Hessians at them, from one `hessian` pass; callers
+    take all eigenpairs with one batched np.linalg.eigh."""
+    H, valid = hessian(f)
+    sel = comp.cells & valid
+    return [tuple(int(v) for v in idx) for idx in np.argwhere(sel)], H[sel]
 
 
 def default_hessian_floor(f: ScalarField, factor: float = 4.0) -> float:
@@ -284,9 +293,15 @@ def default_hessian_floor(f: ScalarField, factor: float = 4.0) -> float:
     return factor * max(f.spacing) ** 2
 
 
-def _kernel_threshold(w: np.ndarray, eig_tol: float, floor: float = 0.0) -> float:
-    radius = float(np.abs(w).max()) if w.size else 0.0
-    return max(eig_tol * max(1.0, radius), floor)
+def _kernel_threshold(w: np.ndarray, eig_tol: float, floor: float = 0.0):
+    """Kernel threshold of a spectrum w, or one per row of a stack of spectra."""
+    radius = np.abs(w).max(axis=-1, initial=0.0)
+    return np.maximum(eig_tol * np.maximum(1.0, radius), floor)
+
+
+def _kernel_mask(w: np.ndarray, f: ScalarField, tols: Tolerances) -> np.ndarray:
+    """Per row of a stack of spectra, the eigenvalues that count as zero."""
+    return np.abs(w) < _kernel_threshold(w, tols.eig_tol, tols.floor_for(f))[:, None]
 
 
 def negative_index(f: ScalarField, node: Sequence[int], eig_tol: float,
@@ -314,15 +329,21 @@ def transverse_negative_index(f: ScalarField, node: Sequence[int],
 def index_preserved(f: ScalarField, f_check: ScalarField, crit: CriticalSet,
                     chart: SubmanifoldChart, eig_tol: float = 1e-6,
                     component: int = 0) -> bool:
-    """Transverse negative index identical before/after the perturbation."""
+    """Transverse negative index identical before/after the perturbation,
+    at every stencil-valid node of the component."""
     f.require_same_grid(f_check)
     comp = crit.components[component]
-    for node in _sample_nodes(f, comp):
-        before = transverse_negative_index(f, node, chart, eig_tol)
-        after = transverse_negative_index(f_check, node, chart, eig_tol)
-        if before != after:
-            return False
-    return True
+    off = list(chart.off_axes(f.ndim))
+    if not off:
+        return True
+    floor = default_hessian_floor(f)
+
+    def transverse_indices(g: ScalarField) -> np.ndarray:
+        _, H = _node_hessians(g, comp)
+        w = np.linalg.eigh(H[:, off][:, :, off])[0]
+        return np.sum(w < -_kernel_threshold(w, eig_tol, floor)[:, None], axis=1)
+
+    return bool(np.array_equal(transverse_indices(f), transverse_indices(f_check)))
 
 
 # -- degeneracy checkers -------------------------------------------------
@@ -403,20 +424,15 @@ def check_flattened_degenerate(f: ScalarField, crit: CriticalSet,
     cond_min, _ = _check_minimum_on_slice(f, comp, chart, box, tols, strict)
     report.details["restricted_minimum_on_c"] = cond_min
 
-    kernel_ok = True
-    floor = tols.floor_for(f)
-    for node in _sample_nodes(f, comp):
-        w, V = eig_sym(hessian_at(f, node))
-        report.sampled_nodes.append(node)
-        report.hessian_spectra.append([float(x) for x in w])
-        thresh = _kernel_threshold(w, tols.eig_tol, floor)
-        kernel_idx = np.nonzero(np.abs(w) < thresh)[0]
-        if len(kernel_idx) != chart.dim:
-            kernel_ok = False
-            continue
-        angle = _principal_alignment(V[:, kernel_idx], chart.axes, f.ndim)
-        if angle > tols.angle_tol:
-            kernel_ok = False
+    nodes, H = _node_hessians(f, comp)
+    w, V = np.linalg.eigh(H)
+    report.sampled_nodes = nodes
+    report.hessian_spectra = w.tolist()
+    kernel = _kernel_mask(w, f, tols)
+    kernel_ok = all(
+        k.sum() == chart.dim
+        and _principal_alignment(Vn[:, k], chart.axes, f.ndim) <= tols.angle_tol
+        for k, Vn in zip(kernel, V))
     report.details["hessian_kernel_equals_chart"] = kernel_ok
 
     if cond_min and kernel_ok and report.sampled_nodes:
@@ -441,27 +457,21 @@ def check_minimally_degenerate(f: ScalarField, crit: CriticalSet,
     cond_min, _ = _check_minimum_on_slice(f, comp, chart, box, tols, strict)
     report.details["restricted_minimum_on_c"] = cond_min
 
+    nodes, H = _node_hessians(f, comp)
+    w = np.linalg.eigh(H)[0]
+    report.sampled_nodes = nodes
+    report.hessian_spectra = w.tolist()
+    thresh = _kernel_threshold(w, tols.eig_tol, tols.floor_for(f))
+    n_neg = np.sum(w < -thresh[:, None], axis=1)
     psd_ok = True
-    maximal_ok = True
-    neg_counts = set()
     axes = list(chart.axes)
-    floor = tols.floor_for(f)
-    for node in _sample_nodes(f, comp):
-        H = hessian_at(f, node)
-        w, _ = eig_sym(H)
-        report.sampled_nodes.append(node)
-        report.hessian_spectra.append([float(x) for x in w])
-        thresh = _kernel_threshold(w, tols.eig_tol, floor)
-        n_neg = int(np.sum(w < -thresh))
-        neg_counts.add(n_neg)
-        if axes:
-            ws, _ = eig_sym(H[np.ix_(axes, axes)])
-            if ws.size and float(ws.min()) < -thresh:
-                psd_ok = False
-        if chart.dim != f.ndim - n_neg:
-            maximal_ok = False
+    if axes:
+        ws = np.linalg.eigh(H[:, axes][:, :, axes])[0]
+        psd_ok = not bool(np.any(ws.min(axis=1) < -thresh))
+    maximal_ok = bool(np.all(chart.dim == f.ndim - n_neg))
     report.details["hessian_psd_on_chart"] = psd_ok
     report.details["chart_dimension_maximal"] = maximal_ok
+    neg_counts = set(n_neg.tolist())
     if len(neg_counts) == 1:
         report.negative_index = neg_counts.pop()
 
@@ -489,19 +499,13 @@ def check_qmd(f: ScalarField, tau: ScalarField, crit: CriticalSet,
     report.details["tau_zero_set_equals_c"] = bool(
         np.array_equal(zero_set, comp.cells & valid))
 
-    transverse_ok = True
-    floor = tols.floor_for(f)
-    for node in _sample_nodes(f, comp):
-        w, V = eig_sym(hessian_at(tau, node))
-        thresh = _kernel_threshold(w, tols.eig_tol, floor)
-        kernel_idx = np.nonzero(np.abs(w) < thresh)[0]
-        span = np.zeros((f.ndim, len(kernel_idx) + chart.dim))
-        span[:, :len(kernel_idx)] = V[:, kernel_idx]
-        for j, a in enumerate(chart.axes):
-            span[a, len(kernel_idx) + j] = 1.0
-        if np.linalg.matrix_rank(span, tol=1e-8) != f.ndim:
-            transverse_ok = False
-    report.details["tau_kernel_transverse_to_chart"] = transverse_ok
+    _, H = _node_hessians(tau, comp)
+    w, V = np.linalg.eigh(H)
+    kernel = _kernel_mask(w, f, tols)
+    chart_span = np.eye(f.ndim)[:, list(chart.axes)]
+    report.details["tau_kernel_transverse_to_chart"] = all(
+        np.linalg.matrix_rank(np.hstack([Vn[:, k], chart_span]), tol=1e-8) == f.ndim
+        for k, Vn in zip(kernel, V))
 
     flat = check_flattened_degenerate(f.sub(tau), crit, chart, tols,
                                       strict=strict, component=component,
@@ -540,6 +544,31 @@ def _box_excess_distance(box: np.ndarray, spacing, periodic) -> np.ndarray:
     return np.sqrt(sum(g ** 2 for g in grids))
 
 
+def _chart_terms(f: ScalarField, chart: SubmanifoldChart) -> Tuple[np.ndarray, np.ndarray]:
+    """r^4 and f o project_S at every node, with r the distance to the chart.
+
+    r^2 sums the off-chart axes' squared distances in axis order, as
+    `SubmanifoldChart.distance_to` does, and each power is taken on Python
+    floats (numpy's vectorized pow may round differently), so the terms
+    match the per-node formulas bit for bit.  Both depend on few
+    coordinates and are broadcast views over the grid.
+    """
+    dims = f.dims
+    r2 = np.zeros((1,) * f.ndim)
+    proj = f.values
+    for a in chart.off_axes(f.ndim):
+        d = np.abs(np.arange(dims[a]) - chart.base[a])
+        if f.periodic[a]:
+            d = np.minimum(d, dims[a] - d)
+        shape = [1] * f.ndim
+        shape[a] = dims[a]
+        r2 = r2 + np.array([(int(k) * f.spacing[a]) ** 2 for k in d]).reshape(shape)
+        proj = np.take(proj, [chart.base[a]], axis=a)
+    r = np.sqrt(r2)
+    r4 = np.array([x ** 4 for x in r.ravel().tolist()]).reshape(r.shape)
+    return np.broadcast_to(r4, dims), np.broadcast_to(proj, dims)
+
+
 def construct_tau(f: ScalarField, crit: CriticalSet, chart: SubmanifoldChart,
                   tols: Tolerances, component: int = 0, margin: int = 3,
                   check_precondition: bool = True) -> ScalarField:
@@ -565,14 +594,7 @@ def construct_tau(f: ScalarField, crit: CriticalSet, chart: SubmanifoldChart,
     box = isolating_box(comp, margin)
     fmin = float(f.values[comp.cells].min())
 
-    dims = f.dims
-    r4 = np.zeros(dims)
-    proj_vals = np.zeros(dims)
-    for node in itertools.product(*(range(n) for n in dims)):
-        r = chart.distance_to(node, f.spacing, f.periodic, dims)
-        r4[node] = r ** 4
-        proj_vals[node] = f.values[chart.project(node)]
-
+    r4, proj_vals = _chart_terms(f, chart)
     d_box = _box_excess_distance(box, f.spacing, f.periodic)
     ramp_width = 2.0 * margin * float(np.mean(f.spacing))
     ramp = 1.0 - _smoothstep(d_box / ramp_width)
@@ -670,6 +692,23 @@ class FlattenResult:
     delta_used: float
 
 
+def _regular_delta(g: ScalarField, region: np.ndarray, delta: float,
+                   grad_tol: float, value_tol: float, max_nudges: int) -> float:
+    """delta, scanned upward in 1% steps (at most max_nudges) until delta/2
+    is a regular level of g on `region`: no stencil-valid node of the
+    region within (locally) one cell of the level has |grad g| <= grad_tol."""
+    mag, valid = gradient_magnitude(g)
+    hmax = max(g.spacing)
+    d = float(delta)
+    for _ in range(max_nudges + 1):
+        band = region & valid & (np.abs(g.values - d / 2.0)
+                                 <= mag * hmax + value_tol)
+        if not band.any() or float(mag[band].min()) > grad_tol:
+            return d
+        d *= 1.01
+    raise RegularValueError("could not nudge delta/2 onto a regular value")
+
+
 def flatten(f: ScalarField, delta: float, crit: CriticalSet, tols: Tolerances,
             component: int = 0, margin: int = 3,
             max_nudges: int = 10) -> FlattenResult:
@@ -689,36 +728,18 @@ def flatten(f: ScalarField, delta: float, crit: CriticalSet, tols: Tolerances,
     if float(f.values[box].min()) < -tols.value_tol:
         raise ValueError("f must be nonnegative on the isolating box")
 
-    mag, valid = gradient_magnitude(f)
-    hmax = max(f.spacing)
-    d = float(delta)
-    for _ in range(max_nudges + 1):
-        # nodes within (locally) one cell of the level set f = d/2
-        band = box & valid & (np.abs(f.values - d / 2.0)
-                              <= mag * hmax + tols.value_tol)
-        if not band.any() or float(mag[band].min()) > crit.grad_tol:
-            break
-        d *= 1.01
-    else:
-        raise RegularValueError("could not nudge delta/2 onto a regular value")
-
+    d = _regular_delta(f, box, delta, crit.grad_tol, tols.value_tol, max_nudges)
     rho = build_rho(d)
     f_check = f.with_values(rho(f.values))
-    sigma = GridMask(f.dims, f.periodic, (f.values <= d / 2.0) & box & valid)
+    sigma = GridMask(f.dims, f.periodic,
+                     (f.values <= d / 2.0) & box & stencil_mask(f))
     return FlattenResult(f_check, sigma, d)
-
-
-@dataclass(frozen=True)
-class FlattenChartResult:
-    f_check: ScalarField
-    sigma: GridMask
-    delta_used: float
 
 
 def flatten_along_chart(f: ScalarField, delta: float, crit: CriticalSet,
                         chart: SubmanifoldChart, tols: Tolerances,
                         component: int = 0, margin: int = 3,
-                        max_nudges: int = 10) -> FlattenChartResult:
+                        max_nudges: int = 10) -> FlattenResult:
     """Flatten the restriction of f to a lower-dimensional chart.
 
     The restriction f|_S is flattened as in `flatten`; sigma is its
@@ -741,31 +762,14 @@ def flatten_along_chart(f: ScalarField, delta: float, crit: CriticalSet,
     if float(f.values[slice_mask & box].min()) < -tols.value_tol:
         raise ValueError("f must be nonnegative on the chart slice near C")
 
-    dims = f.dims
-    proj_vals = np.zeros(dims)
-    r4 = np.zeros(dims)
-    for node in itertools.product(*(range(n) for n in dims)):
-        proj_vals[node] = f.values[chart.project(node)]
-        r4[node] = chart.distance_to(node, f.spacing, f.periodic, dims) ** 4
-
-    restricted = f.with_values(proj_vals)
-    mag, valid = gradient_magnitude(restricted)
-    hmax = max(f.spacing)
-    d = float(delta)
-    for _ in range(max_nudges + 1):
-        band = box & valid & slice_mask & (np.abs(proj_vals - d / 2.0)
-                                           <= mag * hmax + tols.value_tol)
-        if not band.any() or float(mag[band].min()) > crit.grad_tol:
-            break
-        d *= 1.01
-    else:
-        raise RegularValueError("could not nudge delta/2 onto a regular value")
-
+    r4, proj_vals = _chart_terms(f, chart)
+    d = _regular_delta(f.with_values(proj_vals), box & slice_mask, delta,
+                       crit.grad_tol, tols.value_tol, max_nudges)
     rho = build_rho(d)
     f_check = f.with_values((1.0 + r4) * rho(proj_vals))
     sigma = GridMask(f.dims, f.periodic,
                      (proj_vals <= d / 2.0) & slice_mask & box & stencil_mask(f))
-    return FlattenChartResult(f_check, sigma, d)
+    return FlattenResult(f_check, sigma, d)
 
 
 @dataclass
@@ -845,30 +849,22 @@ def classify(f: ScalarField, crit: CriticalSet, chart: Optional[SubmanifoldChart
              margin: int = 3) -> DegeneracyReport:
     """Run the degeneracy ladder and report the finest classification."""
     comp = crit.components[component]
-    nodes = _sample_nodes(f, comp)
+    nodes, H = _node_hessians(f, comp)
+    w, V = np.linalg.eigh(H)
+    kernel = _kernel_mask(w, f, tols)
+    n_kernel = kernel.sum(axis=1)
     report = DegeneracyReport("unclassified")
 
-    is_singleton = comp.count() == 1
-    morse_ok = bool(nodes) and is_singleton
+    morse_ok = bool(nodes) and comp.count() == 1 and not n_kernel.any()
     bott_axes = _component_extent_axes(comp)
     f_on_c = f.values[comp.cells]
     bott_ok = (bool(nodes)
-               and float(f_on_c.max() - f_on_c.min()) <= tols.value_tol)
-    spectra = []
-    floor = tols.floor_for(f)
-    for node in nodes:
-        w, V = eig_sym(hessian_at(f, node))
-        spectra.append([float(x) for x in w])
-        thresh = _kernel_threshold(w, tols.eig_tol, floor)
-        kernel_idx = np.nonzero(np.abs(w) < thresh)[0]
-        if len(kernel_idx) != 0:
-            morse_ok = False
-        if len(kernel_idx) != len(bott_axes):
-            bott_ok = False
-        elif bott_axes and _principal_alignment(V[:, kernel_idx], bott_axes,
-                                                f.ndim) > tols.angle_tol:
-            bott_ok = False
-    report.hessian_spectra = spectra
+               and float(f_on_c.max() - f_on_c.min()) <= tols.value_tol
+               and bool(np.all(n_kernel == len(bott_axes)))
+               and (not bott_axes or all(
+                   _principal_alignment(Vn[:, k], bott_axes, f.ndim) <= tols.angle_tol
+                   for k, Vn in zip(kernel, V))))
+    report.hessian_spectra = w.tolist()
     report.sampled_nodes = nodes
     report.details["morse"] = morse_ok
     report.details["morse_bott"] = bott_ok

@@ -14,18 +14,36 @@ reads them off a persistence pairing and no longer touches that stack.
 ``oracle_build_complex`` is the tuple-cell closure with dense ``GF2Matrix``
 boundaries that ``qmdkit.cubical`` used before its doubled-grid engine:
 cells are (anchor, extent) pairs and ``oracle_betti`` takes dense ranks.
+
+``oracle_classify``, the ``oracle_check_*`` checkers, ``oracle_index_preserved``,
+``oracle_construct_tau``, ``oracle_flatten_along_chart`` and
+``oracle_isolation_scan`` are the morse/graphlag code before the Hessian was
+taken in one pass per field: one ``hessian_at`` and ``eig_sym`` per node, the
+chart terms from a per-node loop and one ``flow_translate`` per scan step.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from qmdkit.cubical import EmptyMaskError, GridMask
+from qmdkit.fields import (ScalarField, eig_sym, gradient_magnitude, hessian_at,
+                           stencil_mask)
 from qmdkit.gf2 import (GF2Matrix, Subspace, quotient_dim, solve_row_combination,
                         subspace_sum)
+from qmdkit.graphlag import GraphSection, IsolationReport, flow_translate
+from qmdkit.morse import (ChartError, ConstructionError, CriticalSet,
+                          DegeneracyReport, FlattenResult, RegularValueError,
+                          SubmanifoldChart, TauError, Tolerances,
+                          _box_excess_distance, _check_minimum_on_slice,
+                          _component_extent_axes, _kernel_threshold,
+                          _principal_alignment, _require_contained, _smoothstep,
+                          build_rho, critical_node_mask, isolating_box,
+                          transverse_negative_index)
 from qmdkit.specseq import FilteredComplex, Generator, Page
 
 
@@ -406,3 +424,351 @@ def oracle_betti(cx: OracleComplex) -> Tuple[int, ...]:
     d = len(cx.cells_by_dim) - 1
     ranks = [0] + [cx.boundary[k].rank() for k in range(1, d + 1)] + [0]
     return tuple(len(cx.cells_by_dim[k]) - ranks[k] - ranks[k + 1] for k in range(d + 1))
+
+
+# -- per-node Hessians, per-node tau terms and the per-step isolation scan ---------
+#
+# The morse/graphlag code as it was before one `hessian` pass per field, batched
+# eigh, vectorized chart terms and the two-gradient scan: every Hessian from
+# `hessian_at`, every spectrum from `eig_sym`, tau and the chart flattening from
+# per-node `project`/`distance_to` loops, and one `flow_translate` per scan step.
+
+def _oracle_sample_nodes(f: ScalarField, comp: GridMask) -> List[Tuple[int, ...]]:
+    ok = stencil_mask(f)
+    return [tuple(int(v) for v in idx)
+            for idx in np.argwhere(comp.cells & ok)]
+
+
+def oracle_index_preserved(f: ScalarField, f_check: ScalarField, crit: CriticalSet,
+                    chart: SubmanifoldChart, eig_tol: float = 1e-6,
+                    component: int = 0) -> bool:
+    """Transverse negative index identical before/after the perturbation."""
+    f.require_same_grid(f_check)
+    comp = crit.components[component]
+    for node in _oracle_sample_nodes(f, comp):
+        before = transverse_negative_index(f, node, chart, eig_tol)
+        after = transverse_negative_index(f_check, node, chart, eig_tol)
+        if before != after:
+            return False
+    return True
+
+
+def oracle_check_flattened_degenerate(f: ScalarField, crit: CriticalSet,
+                               chart: SubmanifoldChart, tols: Tolerances,
+                               strict: bool = False, component: int = 0,
+                               margin: int = 3) -> DegeneracyReport:
+    """f|_S minimal along C and ker Hess_x f = T_x S at sampled x in C."""
+    comp = crit.components[component]
+    _require_contained(comp, chart)
+    box = isolating_box(comp, margin)
+    report = DegeneracyReport("unclassified")
+    cond_min, _ = _check_minimum_on_slice(f, comp, chart, box, tols, strict)
+    report.details["restricted_minimum_on_c"] = cond_min
+
+    kernel_ok = True
+    floor = tols.floor_for(f)
+    for node in _oracle_sample_nodes(f, comp):
+        w, V = eig_sym(hessian_at(f, node))
+        report.sampled_nodes.append(node)
+        report.hessian_spectra.append([float(x) for x in w])
+        thresh = _kernel_threshold(w, tols.eig_tol, floor)
+        kernel_idx = np.nonzero(np.abs(w) < thresh)[0]
+        if len(kernel_idx) != chart.dim:
+            kernel_ok = False
+            continue
+        angle = _principal_alignment(V[:, kernel_idx], chart.axes, f.ndim)
+        if angle > tols.angle_tol:
+            kernel_ok = False
+    report.details["hessian_kernel_equals_chart"] = kernel_ok
+
+    if cond_min and kernel_ok and report.sampled_nodes:
+        report.classification = "flattened_degenerate"
+    return report
+
+
+def oracle_check_minimally_degenerate(f: ScalarField, crit: CriticalSet,
+                               chart: SubmanifoldChart, tols: Tolerances,
+                               strict: bool = False, component: int = 0,
+                               margin: int = 3) -> DegeneracyReport:
+    """f|_S minimal along C; T_x S maximal among Hessian-nonnegative subspaces.
+
+    Maximality is tested as: Hess restricted to the chart axes has no
+    eigenvalue below -tol, and dim S equals the ambient dimension minus
+    the number of negative Hessian eigenvalues at every sampled node.
+    """
+    comp = crit.components[component]
+    _require_contained(comp, chart)
+    box = isolating_box(comp, margin)
+    report = DegeneracyReport("unclassified")
+    cond_min, _ = _check_minimum_on_slice(f, comp, chart, box, tols, strict)
+    report.details["restricted_minimum_on_c"] = cond_min
+
+    psd_ok = True
+    maximal_ok = True
+    neg_counts = set()
+    axes = list(chart.axes)
+    floor = tols.floor_for(f)
+    for node in _oracle_sample_nodes(f, comp):
+        H = hessian_at(f, node)
+        w, _ = eig_sym(H)
+        report.sampled_nodes.append(node)
+        report.hessian_spectra.append([float(x) for x in w])
+        thresh = _kernel_threshold(w, tols.eig_tol, floor)
+        n_neg = int(np.sum(w < -thresh))
+        neg_counts.add(n_neg)
+        if axes:
+            ws, _ = eig_sym(H[np.ix_(axes, axes)])
+            if ws.size and float(ws.min()) < -thresh:
+                psd_ok = False
+        if chart.dim != f.ndim - n_neg:
+            maximal_ok = False
+    report.details["hessian_psd_on_chart"] = psd_ok
+    report.details["chart_dimension_maximal"] = maximal_ok
+    if len(neg_counts) == 1:
+        report.negative_index = neg_counts.pop()
+
+    if cond_min and psd_ok and maximal_ok and report.sampled_nodes:
+        report.classification = "minimally_degenerate"
+    return report
+
+
+def oracle_check_qmd(f: ScalarField, tau: ScalarField, crit: CriticalSet,
+              chart: SubmanifoldChart, tols: Tolerances,
+              strict: bool = False, component: int = 0,
+              margin: int = 3) -> DegeneracyReport:
+    """tau >= 0 vanishing exactly on C, kernel transversality, f - tau flattened."""
+    f.require_same_grid(tau)
+    if float(tau.values.min()) < -tols.value_tol:
+        raise TauError("tau is negative beyond tolerance")
+    comp = crit.components[component]
+    report = DegeneracyReport("unclassified")
+    report.details["tau_nonnegative"] = True
+
+    # the zero set is compared on stencil-valid nodes only, consistent with
+    # the boundary policy used by detection
+    valid = stencil_mask(f)
+    zero_set = (np.abs(tau.values) <= tols.value_tol) & valid
+    report.details["tau_zero_set_equals_c"] = bool(
+        np.array_equal(zero_set, comp.cells & valid))
+
+    transverse_ok = True
+    floor = tols.floor_for(f)
+    for node in _oracle_sample_nodes(f, comp):
+        w, V = eig_sym(hessian_at(tau, node))
+        thresh = _kernel_threshold(w, tols.eig_tol, floor)
+        kernel_idx = np.nonzero(np.abs(w) < thresh)[0]
+        span = np.zeros((f.ndim, len(kernel_idx) + chart.dim))
+        span[:, :len(kernel_idx)] = V[:, kernel_idx]
+        for j, a in enumerate(chart.axes):
+            span[a, len(kernel_idx) + j] = 1.0
+        if np.linalg.matrix_rank(span, tol=1e-8) != f.ndim:
+            transverse_ok = False
+    report.details["tau_kernel_transverse_to_chart"] = transverse_ok
+
+    flat = oracle_check_flattened_degenerate(f.sub(tau), crit, chart, tols,
+                                      strict=strict, component=component,
+                                      margin=margin)
+    report.details["difference_flattened_degenerate"] = flat.passed
+    report.hessian_spectra = flat.hessian_spectra
+    report.sampled_nodes = flat.sampled_nodes
+
+    if all(report.details.values()) and report.sampled_nodes:
+        report.classification = "qmd"
+    return report
+
+
+def oracle_classify(f: ScalarField, crit: CriticalSet, chart: Optional[SubmanifoldChart] = None,
+             tau: Optional[ScalarField] = None, tols: Tolerances = Tolerances(),
+             strict: bool = False, component: int = 0,
+             margin: int = 3) -> DegeneracyReport:
+    """Run the degeneracy ladder and report the finest classification."""
+    comp = crit.components[component]
+    nodes = _oracle_sample_nodes(f, comp)
+    report = DegeneracyReport("unclassified")
+
+    is_singleton = comp.count() == 1
+    morse_ok = bool(nodes) and is_singleton
+    bott_axes = _component_extent_axes(comp)
+    f_on_c = f.values[comp.cells]
+    bott_ok = (bool(nodes)
+               and float(f_on_c.max() - f_on_c.min()) <= tols.value_tol)
+    spectra = []
+    floor = tols.floor_for(f)
+    for node in nodes:
+        w, V = eig_sym(hessian_at(f, node))
+        spectra.append([float(x) for x in w])
+        thresh = _kernel_threshold(w, tols.eig_tol, floor)
+        kernel_idx = np.nonzero(np.abs(w) < thresh)[0]
+        if len(kernel_idx) != 0:
+            morse_ok = False
+        if len(kernel_idx) != len(bott_axes):
+            bott_ok = False
+        elif bott_axes and _principal_alignment(V[:, kernel_idx], bott_axes,
+                                                f.ndim) > tols.angle_tol:
+            bott_ok = False
+    report.hessian_spectra = spectra
+    report.sampled_nodes = nodes
+    report.details["morse"] = morse_ok
+    report.details["morse_bott"] = bott_ok
+
+    flat_ok = mindeg_ok = qmd_ok = False
+    if chart is not None:
+        try:
+            flat = oracle_check_flattened_degenerate(f, crit, chart, tols, strict,
+                                              component, margin)
+            flat_ok = flat.passed
+        except ChartError:
+            flat_ok = False
+        try:
+            mindeg = oracle_check_minimally_degenerate(f, crit, chart, tols, strict,
+                                                component, margin)
+            mindeg_ok = mindeg.passed
+            report.negative_index = mindeg.negative_index
+        except ChartError:
+            mindeg_ok = False
+        if tau is not None:
+            try:
+                qmd_ok = oracle_check_qmd(f, tau, crit, chart, tols, strict,
+                                   component, margin).passed
+            except (ChartError, TauError):
+                qmd_ok = False
+    report.details["flattened_degenerate"] = flat_ok
+    report.details["minimally_degenerate"] = mindeg_ok
+    report.details["qmd"] = qmd_ok
+
+    for label, ok in (("morse", morse_ok), ("morse_bott", bott_ok),
+                      ("flattened_degenerate", flat_ok),
+                      ("minimally_degenerate", mindeg_ok), ("qmd", qmd_ok)):
+        if ok:
+            report.classification = label
+            break
+    return report
+
+
+def oracle_construct_tau(f: ScalarField, crit: CriticalSet, chart: SubmanifoldChart,
+                  tols: Tolerances, component: int = 0, margin: int = 3,
+                  check_precondition: bool = True) -> ScalarField:
+    """Auxiliary tau = dist(x, S)^4 + (f o project_S - min_C f) near C.
+
+    Away from the isolating box the data term is faded out by a
+    smoothstep and a quartic box-distance guard keeps tau positive, so
+    the zero set stays exactly C on the full grid.  The output is
+    validated against the qmd conditions before being returned.
+
+    The radial formula is well-defined whenever C lies in the chart;
+    minimal degeneracy is the guarantee that it succeeds, and
+    check_precondition=False skips that gate for callers who only need
+    the formula (the output is still validated).
+    """
+    if check_precondition:
+        pre = oracle_check_minimally_degenerate(f, crit, chart, tols,
+                                         component=component, margin=margin)
+        if not pre.passed:
+            raise ConstructionError("input is not minimally degenerate along "
+                                    "the chart")
+    comp = crit.components[component]
+    box = isolating_box(comp, margin)
+    fmin = float(f.values[comp.cells].min())
+
+    dims = f.dims
+    r4 = np.zeros(dims)
+    proj_vals = np.zeros(dims)
+    for node in itertools.product(*(range(n) for n in dims)):
+        r = chart.distance_to(node, f.spacing, f.periodic, dims)
+        r4[node] = r ** 4
+        proj_vals[node] = f.values[chart.project(node)]
+
+    d_box = _box_excess_distance(box, f.spacing, f.periodic)
+    ramp_width = 2.0 * margin * float(np.mean(f.spacing))
+    ramp = 1.0 - _smoothstep(d_box / ramp_width)
+    tau_vals = r4 + ramp * (proj_vals - fmin) + d_box ** 4
+    tau = f.with_values(tau_vals)
+
+    post = oracle_check_qmd(f, tau, crit, chart, tols, component=component, margin=margin)
+    if not post.passed:
+        failing = [k for k, v in post.details.items() if not v]
+        raise ConstructionError(f"constructed tau violates: {failing}")
+    return tau
+
+
+def oracle_flatten_along_chart(f: ScalarField, delta: float, crit: CriticalSet,
+                        chart: SubmanifoldChart, tols: Tolerances,
+                        component: int = 0, margin: int = 3,
+                        max_nudges: int = 10) -> FlattenResult:
+    """Flatten the restriction of f to a lower-dimensional chart.
+
+    The restriction f|_S is flattened as in `flatten`; sigma is its
+    sublevel set inside the chart slice.  The ambient output extends the
+    flattened restriction by the radial weight (1 + r^4) with r the
+    distance to the chart, so it agrees with rho(f|_S) on the slice.
+    The weight cannot remove fiber criticality over sigma's interior
+    (the restricted profile is flat there), so the critical set of the
+    extension is the fiber slab over sigma, which carries the same
+    homotopy type.
+    """
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    comp = crit.components[component]
+    _require_contained(comp, chart)
+    box = isolating_box(comp, margin)
+    slice_mask = chart.slice_mask(f.dims)
+    if float(np.abs(f.values[comp.cells]).max()) > tols.value_tol:
+        raise ValueError("f must vanish on C (shift by the critical value first)")
+    if float(f.values[slice_mask & box].min()) < -tols.value_tol:
+        raise ValueError("f must be nonnegative on the chart slice near C")
+
+    dims = f.dims
+    proj_vals = np.zeros(dims)
+    r4 = np.zeros(dims)
+    for node in itertools.product(*(range(n) for n in dims)):
+        proj_vals[node] = f.values[chart.project(node)]
+        r4[node] = chart.distance_to(node, f.spacing, f.periodic, dims) ** 4
+
+    restricted = f.with_values(proj_vals)
+    mag, valid = gradient_magnitude(restricted)
+    hmax = max(f.spacing)
+    d = float(delta)
+    for _ in range(max_nudges + 1):
+        band = box & valid & slice_mask & (np.abs(proj_vals - d / 2.0)
+                                           <= mag * hmax + tols.value_tol)
+        if not band.any() or float(mag[band].min()) > crit.grad_tol:
+            break
+        d *= 1.01
+    else:
+        raise RegularValueError("could not nudge delta/2 onto a regular value")
+
+    rho = build_rho(d)
+    f_check = f.with_values((1.0 + r4) * rho(proj_vals))
+    sigma = GridMask(f.dims, f.periodic,
+                     (proj_vals <= d / 2.0) & slice_mask & box & stencil_mask(f))
+    return FlattenResult(f_check, sigma, d)
+
+
+def oracle_isolation_scan(f: ScalarField, tau: ScalarField, crit: CriticalSet,
+                   chart: SubmanifoldChart, steps: int = 64,
+                   component: int = 0, margin: int = 3) -> IsolationReport:
+    """Check C stays the in-box intersection for t in [0, 1 - 1/steps].
+
+    At t = 1 the intersection need only be contained in the chart slice
+    of S (the flattened endpoint is a neighborhood in S, not C itself);
+    both facts are reported separately.
+    """
+    f.require_same_grid(tau)
+    comp = crit.components[component]
+    box = isolating_box(comp, margin)
+    section = GraphSection(f)
+    report = IsolationReport()
+    for j in range(steps):
+        t = j / steps
+        moved = flow_translate(section, tau, t)
+        near = critical_node_mask(moved.generator, crit.grad_tol) & box
+        ok = bool(np.array_equal(near, comp.cells & box))
+        report.per_t.append((t, ok))
+        if not ok and report.first_violation is None:
+            report.first_violation = t
+            report.isolated_on_scan = False
+    end = flow_translate(section, tau, 1.0)
+    near_end = critical_node_mask(end.generator, crit.grad_tol) & box
+    in_chart = chart.slice_mask(f.dims)
+    report.t1_contained_in_chart = bool((near_end <= in_chart).all())
+    return report

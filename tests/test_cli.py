@@ -157,6 +157,44 @@ def test_specseq_rejects_malformed_descriptor(case, tmp_path, capsys):
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
+def _quarter_turn_paths(tmp_path):
+    a = _write(tmp_path, "a.json",
+               {"times": [0.0, 1.0], "angles": [0.0, math.pi / 2]})
+    b = _write(tmp_path, "b.json", {"times": [0.0, 1.0], "angles": [0.0, 0.0]})
+    return ["--path-a", a, "--path-b", b]
+
+
+BAD_NUMBERS = {
+    "analyze-eig-tol-nan": ("analyze", ["--eig-tol", "nan"]),
+    "analyze-value-tol-nan": ("analyze", ["--value-tol", "nan"]),
+    "analyze-grad-tol-nan": ("analyze", ["--grad-tol", "nan"]),
+    "flatten-delta-nan": ("flatten", ["--delta", "nan"]),
+    "flatten-delta-inf": ("flatten", ["--delta", "inf"]),
+    "maslov-tol-nan": ("maslov", ["--tol", "nan"]),
+    "maslov-tol-negative": ("maslov", ["--tol", "-1"]),
+    "analyze-base-beyond-grid": ("analyze", ["--chart", "0", "--base", "16,99"]),
+    "analyze-base-negative": ("analyze", ["--chart", "0", "--base", "16,-1"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_NUMBERS))
+def test_bad_numeric_argument_is_usage_error(case, saddle_file, tmp_path, capsys):
+    command, extra = BAD_NUMBERS[case]
+    if command == "analyze":
+        argv = ["analyze", "--field", saddle_file]
+    elif command == "flatten":
+        argv = ["flatten", "--field",
+                _write(tmp_path, "f.json", field_1d_quadratic().to_json())]
+        if "--delta" not in extra:
+            argv += ["--delta", "0.08"]
+    else:
+        argv = ["maslov", *_quarter_turn_paths(tmp_path)]
+    assert main(argv + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: " in captured.err and "Traceback" not in captured.err
+
+
 def test_maslov_quarter_turn(tmp_path, capsys):
     a = _write(tmp_path, "a.json",
                {"times": [0.0, 1.0], "angles": [0.0, math.pi / 2]})

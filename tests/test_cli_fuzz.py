@@ -1,0 +1,149 @@
+"""Hypothesis fuzz over ``cli.main``: hostile numbers never crash the CLI.
+
+Small fields (at most 9 x 9) and short paths are written to a temporary
+directory and passed to ``analyze``, ``flatten`` and ``maslov`` together
+with nan, +-inf, zero, negative and out-of-grid arguments.  Every run
+must return exit code 0, 1 or 2 without an exception escaping, and print
+the same stdout when repeated.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+from hypothesis import HealthCheck, given, seed, settings, strategies as st
+
+from qmdkit.cli import main
+
+SEED = int(os.environ.get("QMD_SEED", "0"))
+
+HOSTILE = ["nan", "inf", "-inf", "0", "-0.0", "-1", "-1e-9", "1e-300", "1e300"]
+# most draws are usable values, so that runs also get past parsing
+numbers = st.one_of(st.sampled_from(["1e-9", "1e-6", "0.005", "0.02", "0.5", "2"]),
+                    st.floats(1e-9, 2.0).map(repr),
+                    st.sampled_from(HOSTILE),
+                    st.floats(allow_nan=True, allow_infinity=True).map(repr))
+usable = st.one_of(st.sampled_from(["1e-6", "0.005", "0.02", "0.5"]), numbers)
+
+
+def _spoil(draw, values):
+    """Now and then one entry replaced by nan or +-inf (one in ten fields or paths)."""
+    if values and draw(st.integers(0, 9)) == 0:
+        i = draw(st.integers(0, len(values) - 1))
+        values[i] = draw(st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+    return values
+
+components = st.sampled_from(["0"] * 6 + ["1", "-1", "3"])
+
+
+@st.composite
+def fields(draw):
+    ndim = draw(st.integers(1, 2))
+    dims = [draw(st.integers(3, 9)) for _ in range(ndim)]
+    n = 1
+    for d in dims:
+        n *= d
+    if draw(st.booleans()):
+        # a bowl about a random node, so that the analysis runs to the end
+        center = [draw(st.integers(0, d - 1)) for d in dims]
+        values = []
+        for flat in range(n):
+            idx, rest = [], flat
+            for d in reversed(dims):
+                idx.append(rest % d)
+                rest //= d
+            idx.reverse()
+            values.append(float(sum((i - c) ** 2 for i, c in zip(idx, center))))
+    else:
+        values = draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
+    spacing = [draw(st.sampled_from([0.25] * 4 + [1.0] * 4 + [0.0, -1.0, float("nan")]))
+               for _ in dims]
+    periodic = [draw(st.integers(0, 1)) for _ in dims]
+    return {"dims": dims, "spacing": spacing, "periodic": periodic,
+            "values": _spoil(draw, values)}
+
+
+@st.composite
+def paths(draw):
+    inner = draw(st.lists(st.floats(0.0, 1.0), max_size=3, unique=True))
+    times = [0.0] + sorted(inner) + [1.0]
+    if draw(st.integers(0, 9)) == 0:  # not strictly increasing, or off [0, 1]
+        times = sorted(draw(st.lists(st.floats(-1.0, 2.0), min_size=2, max_size=5)))
+    angles = draw(st.lists(st.floats(-7.0, 7.0), min_size=len(times),
+                           max_size=len(times)))
+    return {"times": times, "angles": _spoil(draw, angles)}
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def _check(argv):
+    first = _run(argv)
+    assert first[0] in (0, 1, 2)
+    assert _run(argv) == first
+
+
+def _tol_flags(draw):
+    argv = []
+    if draw(st.booleans()):
+        argv.append("--grad-tol=" + draw(usable))
+    for flag in ("--eig-tol", "--value-tol"):
+        if draw(st.integers(0, 2)) == 0:
+            argv.append(f"{flag}={draw(usable)}")
+    return argv
+
+
+@seed(SEED)
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(field=fields(), data=st.data())
+def test_analyze_survives_hostile_numbers(field, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.json")
+        with open(path, "w") as fh:
+            json.dump(field, fh)
+        argv = ["analyze", "--field", path, *_tol_flags(data.draw)]
+        if data.draw(st.booleans()):
+            axes = [a for a in range(len(field["dims"])) if data.draw(st.booleans())]
+            base = [data.draw(st.integers(-2, n + 1)) for n in field["dims"]]
+            argv += ["--chart=" + ",".join(map(str, axes)),
+                     "--base=" + ",".join(map(str, base))]
+        argv.append("--component=" + data.draw(components))
+        if data.draw(st.booleans()):
+            argv += ["--tau", path]
+        _check(argv)
+
+
+@seed(SEED)
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(field=fields(), data=st.data())
+def test_flatten_survives_hostile_numbers(field, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.json")
+        with open(path, "w") as fh:
+            json.dump(field, fh)
+        argv = ["flatten", "--field", path, "--delta=" + data.draw(usable),
+                "--component=" + data.draw(components),
+                *_tol_flags(data.draw)]
+        _check(argv)
+
+
+@seed(SEED)
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(a=paths(), b=paths(), tol=usable)
+def test_maslov_survives_hostile_numbers(a, b, tol):
+    with tempfile.TemporaryDirectory() as tmp:
+        files = []
+        for name, payload in (("a.json", a), ("b.json", b)):
+            files.append(os.path.join(tmp, name))
+            with open(files[-1], "w") as fh:
+                json.dump(payload, fh)
+        _check(["maslov", "--path-a", files[0], "--path-b", files[1], "--tol=" + tol])

@@ -1,13 +1,16 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
 from qmdkit.fields import (BoundaryNodeError, GridMismatchError, ScalarField,
                            c1_distance, default_grad_tol, eig_sym, gradient,
-                           hessian_at)
+                           hessian, hessian_at, stencil_mask)
 
 from _oracles import sturm_eigenvalues
+
+SEED = int(os.environ.get("QMD_SEED", "0"))
 
 
 def _plane(fn, n=17, lo=-1.0):
@@ -68,6 +71,23 @@ def test_periodic_axis_has_no_boundary():
     f = ScalarField.sample((n,), (h,), (True,), np.sin)
     H = hessian_at(f, (0,))
     assert H.shape == (1, 1)
+
+
+def test_hessian_field_matches_hessian_at_bit_for_bit():
+    # random 1-D to 4-D grids, axes of size 1 to 6, mixed periodicity
+    rng = np.random.default_rng(SEED)
+    for _ in range(120):
+        d = int(rng.integers(1, 5))
+        dims = tuple(int(n) for n in rng.integers(1, 7, d))
+        periodic = tuple(bool(p) for p in rng.integers(0, 2, d))
+        spacing = tuple(float(h) for h in rng.uniform(0.1, 2.0, d))
+        f = ScalarField(dims, spacing, periodic, rng.normal(size=dims))
+        H, valid = hessian(f)
+        assert H.shape == dims + (d, d)
+        assert np.array_equal(valid, stencil_mask(f))
+        assert not H[~valid].any()
+        for node in map(tuple, np.argwhere(valid)):
+            assert np.array_equal(H[node], hessian_at(f, node))
 
 
 def test_eig_diag():

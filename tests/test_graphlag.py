@@ -1,13 +1,21 @@
+import os
+
 import numpy as np
 import pytest
 
 from qmdkit.catalog import (TOLS, field_1d_quartic, field_saddle,
                             field_torus_height, tau_1d_quartic, tau_saddle,
                             torus_circle_indices)
-from qmdkit.fields import GridMismatchError, ScalarField
+from qmdkit.fields import GridMismatchError, ScalarField, gradient_magnitude
 from qmdkit.graphlag import (GraphSection, IsolationReport, flow_translate,
                              isolation_scan, zero_section_intersection)
-from qmdkit.morse import SubmanifoldChart, construct_tau, detect_critical_set
+from qmdkit.cubical import GridMask
+from qmdkit.morse import (CriticalSet, SubmanifoldChart, construct_tau,
+                          detect_critical_set)
+
+from _oracles import oracle_isolation_scan
+
+SEED = int(os.environ.get("QMD_SEED", "0"))
 
 
 def test_flow_at_time_zero_is_identity():
@@ -124,3 +132,68 @@ def test_isolation_report_json():
     report = isolation_scan(f, tau_1d_quartic(), crit, chart, steps=8)
     data = report.to_json()
     assert data["passed"] and len(data["per_t"]) == 8
+
+
+def _catalog_scan_cases():
+    torus = field_torus_height()
+    crit = detect_critical_set(torus, 1e-6)
+    _, i_min = torus_circle_indices()
+    comp = next(i for i, c in enumerate(crit.components) if c.cells[i_min, 0])
+    chart = SubmanifoldChart(axes=(0, 1), base=(0, 0))
+    return [
+        pytest.param(field_1d_quartic(), tau_1d_quartic(), SubmanifoldChart((), (16,)),
+                     1e-6, 0, id="quartic"),
+        pytest.param(field_saddle(), tau_saddle(), SubmanifoldChart((0,), (16, 16)),
+                     1e-6, 0, id="saddle"),
+        pytest.param(torus, construct_tau(torus, crit, chart, TOLS, component=comp),
+                     chart, 1e-6, comp, id="torus"),
+    ]
+
+
+def _random_scan_cases(n_cases=40):
+    """Random 1-D to 4-D fields and taus; grad_tol sits between two of f's
+    distinct gradient magnitudes, so that some valid nodes are critical."""
+    rng = np.random.default_rng(SEED)
+    cases = []
+    for i in range(n_cases):
+        ndim = 1 + i % 4
+        dims = tuple(int(n) for n in rng.integers(4, 10 if ndim < 4 else 6, ndim))
+        periodic = tuple(bool(p) for p in rng.integers(0, 2, ndim))
+        spacing = tuple(float(h) for h in rng.uniform(0.2, 1.0, ndim))
+        f = ScalarField(dims, spacing, periodic, rng.normal(size=dims))
+        tau = f.with_values(rng.uniform(0.0, 2.0, dims))
+        mag, valid = gradient_magnitude(f)
+        mag = np.unique(mag[valid])
+        k = max(1, len(mag) // 3)
+        grad_tol = 0.5 * (mag[k - 1] + mag[k]) if k < len(mag) else mag[-1] + 1.0
+        axes = tuple(a for a in range(ndim) if rng.random() < 0.5)
+        base = tuple(int(rng.integers(0, n)) for n in dims)
+        cases.append(pytest.param(f, tau, SubmanifoldChart(axes, base), float(grad_tol),
+                                  None, id=f"random-{i}"))
+    return cases
+
+
+@pytest.mark.parametrize("f,tau,chart,grad_tol,comp",
+                         _catalog_scan_cases() + _random_scan_cases())
+def test_isolation_scan_matches_per_step_oracle(f, tau, chart, grad_tol, comp):
+    crit = detect_critical_set(f, grad_tol)
+    components = range(len(crit.components)) if comp is None else [comp]
+    for c in components:
+        for steps in (64, 7):
+            fast = isolation_scan(f, tau, crit, chart, steps=steps, component=c)
+            slow = oracle_isolation_scan(f, tau, crit, chart, steps=steps, component=c)
+            assert fast.to_json() == slow.to_json()
+
+
+
+def test_isolation_scan_never_matches_a_node_without_stencil():
+    # a hand-built C holding a boundary node: no scan step can match it
+    f = field_saddle()
+    cells = np.zeros(f.dims, bool)
+    cells[16, 16] = cells[0, 16] = True
+    crit = CriticalSet((GridMask(f.dims, f.periodic, cells),), 1e-6)
+    chart = SubmanifoldChart(axes=(0,), base=(16, 16))
+    report = isolation_scan(f, tau_saddle(), crit, chart, steps=8)
+    assert report.first_violation == 0.0 and not report.isolated_on_scan
+    assert report.to_json() == oracle_isolation_scan(f, tau_saddle(), crit, chart,
+                                                     steps=8).to_json()

@@ -1,12 +1,14 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
 from qmdkit.catalog import (TOLS, field_1d_quadratic, field_1d_quartic,
                             field_corner, field_figure8_max, field_figure8_min,
-                            field_saddle, field_torus_height, tau_1d_quartic,
-                            tau_saddle, torus_circle_indices)
+                            field_figure8_perturbed, field_saddle,
+                            field_torus_height, tau_1d_quartic, tau_saddle,
+                            torus_circle_indices)
 from qmdkit.cubical import GridMask, betti_of_mask
 from qmdkit.fields import ScalarField, c1_distance
 from qmdkit.morse import (ChartError, CriticalSet, NoCriticalPointsError,
@@ -15,8 +17,15 @@ from qmdkit.morse import (ChartError, CriticalSet, NoCriticalPointsError,
                           check_minimally_degenerate, check_qmd, classify,
                           construct_tau, critical_node_mask,
                           detect_critical_set, flatten, index_preserved,
-                          isolating_box, negative_index,
+                          flatten_along_chart, isolating_box, negative_index,
                           transverse_negative_index, verify_thickening)
+
+from _oracles import (oracle_check_flattened_degenerate,
+                      oracle_check_minimally_degenerate, oracle_check_qmd,
+                      oracle_classify, oracle_construct_tau,
+                      oracle_flatten_along_chart, oracle_index_preserved)
+
+SEED = int(os.environ.get("QMD_SEED", "0"))
 
 
 def _singleton(dims, periodic, node):
@@ -388,3 +397,111 @@ def test_classify_ladder_labels():
     f = field_torus_height()
     crit = detect_critical_set(f, 1e-6)
     assert classify(f, crit, tols=TOLS).classification == "morse_bott"
+
+
+# -- batched Hessians and vectorized chart terms against the per-node code -------
+
+
+def valley_field(rng, ndim, max_n=9):
+    """Random grid with a coordinate-aligned valley through a random node.
+
+    Off the chart axes f grows like c (x - x0)^2 (1 - cos on a periodic
+    axis) with c of either sign; along them it is flat or a small quartic,
+    so C is a slice of the chart, a blob on it, or a saddle set.
+    """
+    dims = tuple(int(n) for n in rng.integers(5, max_n + 1, ndim))
+    periodic = tuple(bool(p) for p in rng.integers(0, 2, ndim))
+    axes = tuple(a for a in range(ndim) if rng.random() < 0.5)
+    base = tuple(int(rng.integers(1, n - 1)) for n in dims)
+    spacing, terms = [], []
+    for a, n in enumerate(dims):
+        h = 2.0 * math.pi / n if periodic[a] else 2.0 / (n - 1)
+        spacing.append(h)
+        x = (np.arange(n) - base[a]) * h
+        prof = 1.0 - np.cos(x) if periodic[a] else x * x
+        coef = float(rng.uniform(0.5, 2.0) * rng.choice([1.0, 1.0, -1.0]))
+        if a in axes:
+            prof, coef = prof * prof, float(rng.choice([0.0, 0.3]))
+        shape = [1] * ndim
+        shape[a] = n
+        terms.append(coef * prof.reshape(shape))
+    values = np.zeros(dims) + sum(terms)
+    return ScalarField(dims, spacing, periodic, values), SubmanifoldChart(axes, base)
+
+
+def cross_check_cases():
+    """(f, tau or None, chart) over catalog pairs and random valleys."""
+    cases = [("saddle", field_saddle(), tau_saddle(), SubmanifoldChart((0,), (16, 16))),
+             ("saddle-point-chart", field_saddle(), tau_saddle(),
+              SubmanifoldChart((), (16, 16))),
+             ("quartic", field_1d_quartic(), tau_1d_quartic(), SubmanifoldChart((), (16,))),
+             ("quartic-full-chart", field_1d_quartic(), None, SubmanifoldChart((0,), (16,))),
+             ("figure8-min", field_figure8_min(), None, SubmanifoldChart((0, 1), (16, 16))),
+             ("figure8-max", field_figure8_max(), None, SubmanifoldChart((0, 1), (16, 16))),
+             ("figure8-perturbed", field_figure8_perturbed(), None,
+              SubmanifoldChart((0,), (16, 16))),
+             ("corner", field_corner(), None, SubmanifoldChart((0, 1), (16, 16))),
+             ("torus", field_torus_height(), None, SubmanifoldChart((0, 1), (0, 0)))]
+    rng = np.random.default_rng(SEED)
+    for i in range(36):
+        ndim = 1 + i % 4
+        f, chart = valley_field(rng, ndim, max_n=7 if ndim == 4 else 9)
+        cases.append((f"valley-{i}", f, None, chart))
+    return [pytest.param(*case[1:], id=case[0]) for case in cases]
+
+
+def _outcome(fn, *args, **kwargs):
+    """A comparable record of a call: its result, or the exception it raised."""
+    try:
+        result = fn(*args, **kwargs)
+    except Exception as exc:  # compared, not swallowed
+        return ("raised", type(exc).__name__, str(exc))
+    if isinstance(result, ScalarField):
+        return ("ok", result.values.tobytes())
+    if hasattr(result, "f_check"):
+        return ("ok", result.f_check.values.tobytes(), result.sigma.cells.tobytes(),
+                result.delta_used)
+    if hasattr(result, "to_json"):
+        return ("ok", result.to_json())
+    return ("ok", result)
+
+
+@pytest.mark.parametrize("f,tau,chart", cross_check_cases())
+def test_fast_paths_match_per_node_oracle(f, tau, chart):
+    try:
+        crit = detect_critical_set(f, 1e-6)
+    except NoCriticalPointsError:
+        pytest.skip("no critical node")
+    comp = next((i for i, c in enumerate(crit.components) if c.cells[chart.base]), 0)
+    kw = dict(component=comp)
+
+    built = _outcome(construct_tau, f, crit, chart, TOLS, check_precondition=False, **kw)
+    assert built == _outcome(oracle_construct_tau, f, crit, chart, TOLS,
+                             check_precondition=False, **kw)
+    # f^2 keeps the transverse index, 2f flips it (f - 2f = -f)
+    taus = [t for t in (tau, f.with_values(f.values ** 2), f.with_values(2.0 * f.values))
+            if t is not None]
+    if built[0] == "ok":
+        taus.append(f.with_values(np.frombuffer(built[1]).reshape(f.dims)))
+
+    for strict in (False, True):
+        for fast, slow in ((check_flattened_degenerate, oracle_check_flattened_degenerate),
+                           (check_minimally_degenerate, oracle_check_minimally_degenerate)):
+            assert (_outcome(fast, f, crit, chart, TOLS, strict, **kw)
+                    == _outcome(slow, f, crit, chart, TOLS, strict, **kw))
+        for t in taus:
+            assert (_outcome(check_qmd, f, t, crit, chart, TOLS, strict, **kw)
+                    == _outcome(oracle_check_qmd, f, t, crit, chart, TOLS, strict, **kw))
+            assert (_outcome(classify, f, crit, chart, t, TOLS, strict, **kw)
+                    == _outcome(oracle_classify, f, crit, chart, t, TOLS, strict, **kw))
+    assert (_outcome(classify, f, crit, None, None, TOLS, **kw)
+            == _outcome(oracle_classify, f, crit, None, None, TOLS, **kw))
+    for t in taus:
+        assert (_outcome(index_preserved, f, f.sub(t), crit, chart, **kw)
+                == _outcome(oracle_index_preserved, f, f.sub(t), crit, chart, **kw))
+
+    f0 = f.shift(float(f.values[crit.components[comp].cells].min()))
+    for delta in (0.02, 0.2):
+        assert (_outcome(flatten_along_chart, f0, delta, crit, chart, TOLS, **kw)
+                == _outcome(oracle_flatten_along_chart, f0, delta, crit, chart, TOLS, **kw))
+
