@@ -19,7 +19,7 @@ import numpy as np
 
 from . import catalog
 from .fields import (GridMismatchError, ScalarField, c1_distance,
-                     default_grad_tol)
+                     check_difference_range, default_grad_tol)
 from .maslov import LagrangianLinePath, NonRegularCrossingError, PathError, maslov
 from .morse import (ChartError, NoCriticalPointsError, RegularValueError,
                     SubmanifoldChart, TauError, Tolerances, classify,
@@ -55,7 +55,9 @@ def _load_json(path: str) -> dict:
 def _load_field(path: str) -> ScalarField:
     data = _load_json(path)
     try:
-        return ScalarField.from_json(data)
+        field = ScalarField.from_json(data)
+        check_difference_range(field)
+        return field
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageFailure(f"bad field file {path}: {exc}") from exc
 

@@ -228,6 +228,29 @@ def eig_sym(m: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return w, V
 
 
+def check_difference_range(field: ScalarField) -> None:
+    """Raise ValueError unless every stencil output is a finite float.
+
+    Bounds what the calculus forms from values of magnitude <= m and
+    spacings in [h_lo, h_hi]: value differences (4 m), squared gradient
+    norms (ndim (m / h_lo)^2), Hessian spectra (ndim 4 m / h_lo^2), the
+    truncation floor (4 h_hi^2) and `default_grad_tol`.  m is 4 max|value|,
+    which leaves room for a shift by a critical value and for the
+    difference of two fields.  Spacing [1e300, 1] or [1e-300, 1], or values
+    near 1e300, fail it.
+    """
+    m = 4.0 * float(np.abs(field.values).max(initial=0.0))
+    h_lo, h_hi = np.float64(min(field.spacing)), np.float64(max(field.spacing))
+    d = field.ndim
+    with np.errstate(all="ignore"):
+        g = m / h_lo
+        h2 = h_lo * h_lo
+        bounds = np.array([4.0 * m, d * g * g, d * 4.0 * m / h2,
+                           4.0 * h_hi * h_hi, 10.0 * h_hi * h_hi * d * g])
+    if h2 == 0.0 or not np.isfinite(bounds).all():
+        raise ValueError("spacing and values overflow the difference stencils")
+
+
 def default_grad_tol(field: ScalarField) -> float:
     """O(h^2) stencil accuracy scaled by the field's gradient range."""
     mag, valid = gradient_magnitude(field)

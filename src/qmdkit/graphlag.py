@@ -69,7 +69,7 @@ class IsolationReport:
 
 def isolation_scan(f: ScalarField, tau: ScalarField, crit: CriticalSet,
                    chart: SubmanifoldChart, steps: int = 64,
-                   component: int = 0, margin: int = 3) -> IsolationReport:
+                   component: int = 0) -> IsolationReport:
     """Check C stays the in-box intersection for t in [0, 1 - 1/steps].
 
     At t = 1 the intersection need only be contained in the chart slice
@@ -82,7 +82,7 @@ def isolation_scan(f: ScalarField, tau: ScalarField, crit: CriticalSet,
     comp = crit.components[component]
     # only stencil-valid nodes of the box can be critical; a node of C
     # outside them (a hand-built set) is never matched
-    box = isolating_box(comp, margin)
+    box = isolating_box(comp)
     region = stencil_mask(f) & box
     c_inside = not (comp.cells & box & ~region).any()
     grad_f = gradient(f)[0][region]

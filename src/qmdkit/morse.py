@@ -19,7 +19,9 @@ The flattening perturbation replaces f by rho(f) where rho vanishes
 below delta/2 and is the identity above delta; the sublevel set
 {f <= delta/2} becomes a codimension-0 thickening of C with the same
 homotopy type, which the thickening verifier checks through Betti
-numbers and discrete gradient descent.
+numbers and discrete gradient descent.  `flatten_along_chart` applies
+rho to f|_S; `flatten` is its full-chart case, where S is the whole
+neighbourhood.
 
 The Hessian tests visit every stencil-valid node of C.  Each checker
 takes the Hessians of all of them from one `fields.hessian` pass and
@@ -31,7 +33,7 @@ tau (dist(x, S)^4 and f o project_S) are built from per-axis arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,19 +67,16 @@ class ConstructionError(RuntimeError):
     pass
 
 
+BOX_MARGIN = 3      # cells added on each side of a component's bounding box
+ANGLE_TOL = 1e-6    # radians, Hessian kernel vs chart alignment
+MAX_NUDGES = 10     # 1% raises of delta tried before RegularValueError
+
+
 @dataclass(frozen=True)
 class Tolerances:
     grad_tol: float = 1e-6
     eig_tol: float = 1e-6       # relative: |lam| < eig_tol * max(1, spectral radius)
     value_tol: float = 1e-9
-    angle_tol: float = 1e-6     # radians, eigenspace vs chart alignment
-    floor_factor: float = 4.0   # Hessian entries below floor_factor * h_max^2
-    hess_floor: Optional[float] = None  # are discretization noise; None = derive
-
-    def floor_for(self, f: "ScalarField") -> float:
-        if self.hess_floor is not None:
-            return self.hess_floor
-        return default_hessian_floor(f, self.floor_factor)
 
 
 @dataclass(frozen=True)
@@ -106,14 +105,6 @@ class SubmanifoldChart:
     def off_axes(self, ndim: int) -> Tuple[int, ...]:
         return tuple(a for a in range(ndim) if a not in self.axes)
 
-    def contains_node(self, node: Sequence[int]) -> bool:
-        return all(node[a] == self.base[a]
-                   for a in range(len(self.base)) if a not in self.axes)
-
-    def project(self, node: Sequence[int]) -> Tuple[int, ...]:
-        return tuple(node[a] if a in self.axes else self.base[a]
-                     for a in range(len(self.base)))
-
     def slice_mask(self, dims: Sequence[int]) -> np.ndarray:
         mask = np.ones(tuple(dims), dtype=bool)
         for a in range(len(dims)):
@@ -126,18 +117,6 @@ class SubmanifoldChart:
             mask[tuple(sl)] = False
         return mask
 
-    def distance_to(self, node: Sequence[int], spacing: Sequence[float],
-                    periodic: Sequence[bool], dims: Sequence[int]) -> float:
-        total = 0.0
-        for a in range(len(dims)):
-            if a in self.axes:
-                continue
-            d = abs(node[a] - self.base[a])
-            if periodic[a]:
-                d = min(d, dims[a] - d)
-            total += (d * spacing[a]) ** 2
-        return float(np.sqrt(total))
-
 
 @dataclass(frozen=True)
 class CriticalSet:
@@ -147,12 +126,6 @@ class CriticalSet:
     def component_nodes(self, i: int) -> List[Tuple[int, ...]]:
         return [tuple(int(v) for v in idx)
                 for idx in np.argwhere(self.components[i].cells)]
-
-    def union_mask(self) -> np.ndarray:
-        out = np.zeros(self.components[0].dims, dtype=bool)
-        for comp in self.components:
-            out |= comp.cells
-        return out
 
 
 @dataclass
@@ -232,15 +205,15 @@ def detect_critical_set(f: ScalarField, grad_tol: float) -> CriticalSet:
                        float(grad_tol))
 
 
-def _axis_interval(indices: np.ndarray, n: int, periodic: bool, margin: int):
+def _axis_interval(indices: np.ndarray, n: int, periodic: bool):
     """Smallest (circular) index interval covering `indices`, inflated."""
     present = np.zeros(n, dtype=bool)
     present[indices] = True
     if present.all():
         return np.ones(n, dtype=bool)
     if not periodic:
-        lo = max(0, int(indices.min()) - margin)
-        hi = min(n - 1, int(indices.max()) + margin)
+        lo = max(0, int(indices.min()) - BOX_MARGIN)
+        hi = min(n - 1, int(indices.max()) + BOX_MARGIN)
         out = np.zeros(n, dtype=bool)
         out[lo:hi + 1] = True
         return out
@@ -249,8 +222,8 @@ def _axis_interval(indices: np.ndarray, n: int, periodic: bool, margin: int):
     m = len(idx)
     strides = [((int(idx[(i + 1) % m] - idx[i]) - 1) % n + 1, i) for i in range(m)]
     stride, gi = max(strides)
-    start = int(idx[(gi + 1) % m]) - margin
-    covered = (n - stride + 1) + 2 * margin
+    start = int(idx[(gi + 1) % m]) - BOX_MARGIN
+    covered = (n - stride + 1) + 2 * BOX_MARGIN
     if covered >= n:
         return np.ones(n, dtype=bool)
     out = np.zeros(n, dtype=bool)
@@ -259,15 +232,14 @@ def _axis_interval(indices: np.ndarray, n: int, periodic: bool, margin: int):
     return out
 
 
-def isolating_box(component: GridMask, margin: int = 3) -> np.ndarray:
-    """Bounding box of a component inflated by `margin` cells, as a node mask."""
+def isolating_box(component: GridMask) -> np.ndarray:
+    """Bounding box of a component inflated by BOX_MARGIN cells, as a node mask."""
     nodes = np.argwhere(component.cells)
     if nodes.size == 0:
         raise ValueError("empty component")
     box = np.ones(component.dims, dtype=bool)
     for a, n in enumerate(component.dims):
-        keep = _axis_interval(nodes[:, a], n, component.periodic[a], margin)
-        sl = [None] * len(component.dims)
+        keep = _axis_interval(nodes[:, a], n, component.periodic[a])
         shape = [1] * len(component.dims)
         shape[a] = n
         box &= keep.reshape(shape)
@@ -286,14 +258,14 @@ def _node_hessians(f: ScalarField, comp: GridMask) -> Tuple[List[Tuple[int, ...]
     return [tuple(int(v) for v in idx) for idx in np.argwhere(sel)], H[sel]
 
 
-def default_hessian_floor(f: ScalarField, factor: float = 4.0) -> float:
+def default_hessian_floor(f: ScalarField) -> float:
     """Central second differences carry O(h^2) truncation error (2*h^2
-    exactly for a flat quartic), so eigenvalues below a few h^2 are
+    exactly for a flat quartic), so eigenvalues below 4 h_max^2 are
     indistinguishable from zero regardless of the matrix's own scale."""
-    return factor * max(f.spacing) ** 2
+    return 4.0 * max(f.spacing) ** 2
 
 
-def _kernel_threshold(w: np.ndarray, eig_tol: float, floor: float = 0.0):
+def _kernel_threshold(w: np.ndarray, eig_tol: float, floor: float):
     """Kernel threshold of a spectrum w, or one per row of a stack of spectra."""
     radius = np.abs(w).max(axis=-1, initial=0.0)
     return np.maximum(eig_tol * np.maximum(1.0, radius), floor)
@@ -301,29 +273,23 @@ def _kernel_threshold(w: np.ndarray, eig_tol: float, floor: float = 0.0):
 
 def _kernel_mask(w: np.ndarray, f: ScalarField, tols: Tolerances) -> np.ndarray:
     """Per row of a stack of spectra, the eigenvalues that count as zero."""
-    return np.abs(w) < _kernel_threshold(w, tols.eig_tol, tols.floor_for(f))[:, None]
+    return np.abs(w) < _kernel_threshold(w, tols.eig_tol, default_hessian_floor(f))[:, None]
 
 
-def negative_index(f: ScalarField, node: Sequence[int], eig_tol: float,
-                   floor: Optional[float] = None) -> int:
-    if floor is None:
-        floor = default_hessian_floor(f)
+def negative_index(f: ScalarField, node: Sequence[int], eig_tol: float) -> int:
     w, _ = eig_sym(hessian_at(f, node))
-    return int(np.sum(w < -_kernel_threshold(w, eig_tol, floor)))
+    return int(np.sum(w < -_kernel_threshold(w, eig_tol, default_hessian_floor(f))))
 
 
 def transverse_negative_index(f: ScalarField, node: Sequence[int],
-                              chart: SubmanifoldChart, eig_tol: float,
-                              floor: Optional[float] = None) -> int:
-    if floor is None:
-        floor = default_hessian_floor(f)
+                              chart: SubmanifoldChart, eig_tol: float) -> int:
     off = chart.off_axes(f.ndim)
     if not off:
         return 0
     H = hessian_at(f, node)
     sub = H[np.ix_(off, off)]
     w, _ = eig_sym(sub)
-    return int(np.sum(w < -_kernel_threshold(w, eig_tol, floor)))
+    return int(np.sum(w < -_kernel_threshold(w, eig_tol, default_hessian_floor(f))))
 
 
 def index_preserved(f: ScalarField, f_check: ScalarField, crit: CriticalSet,
@@ -350,7 +316,8 @@ def index_preserved(f: ScalarField, f_check: ScalarField, crit: CriticalSet,
 
 
 def _grid_distance_to_component(comp: GridMask) -> np.ndarray:
-    """Chebyshev-style BFS distance (in cells) from every node to the component."""
+    """BFS distance (in cells) from every node to the component: the L1
+    graph distance of one-axis steps, wrapping on periodic axes."""
     dims = comp.dims
     dist = np.full(dims, -1, dtype=int)
     frontier = [tuple(int(v) for v in idx) for idx in np.argwhere(comp.cells)]
@@ -394,9 +361,12 @@ def _check_minimum_on_slice(f: ScalarField, comp: GridMask, chart: SubmanifoldCh
 
 
 def _require_contained(comp: GridMask, chart: SubmanifoldChart):
-    for node in map(tuple, np.argwhere(comp.cells)):
-        if not chart.contains_node(node):
-            raise ChartError(f"critical component leaves the chart at node {node}")
+    off = list(chart.off_axes(len(comp.dims)))
+    nodes = np.argwhere(comp.cells)
+    outside = (nodes[:, off] != np.array(chart.base, dtype=int)[off]).any(axis=1)
+    if outside.any():
+        node = tuple(int(v) for v in nodes[outside.argmax()])
+        raise ChartError(f"critical component leaves the chart at node {node}")
 
 
 def _principal_alignment(kernel_vectors: np.ndarray, axes: Sequence[int], ndim: int) -> float:
@@ -412,14 +382,22 @@ def _principal_alignment(kernel_vectors: np.ndarray, axes: Sequence[int], ndim: 
     return float(np.arccos(np.clip(smallest_cos, -1.0, 1.0)))
 
 
+def _kernel_spans_axes(kernel: np.ndarray, V: np.ndarray, axes: Sequence[int],
+                       ndim: int) -> bool:
+    """At every node (row of `kernel`, selecting eigenvectors in V), the
+    Hessian kernel has dimension len(axes) and lies along those axes."""
+    return all(k.sum() == len(axes)
+               and _principal_alignment(Vn[:, k], axes, ndim) <= ANGLE_TOL
+               for k, Vn in zip(kernel, V))
+
+
 def check_flattened_degenerate(f: ScalarField, crit: CriticalSet,
                                chart: SubmanifoldChart, tols: Tolerances,
-                               strict: bool = False, component: int = 0,
-                               margin: int = 3) -> DegeneracyReport:
+                               strict: bool = False, component: int = 0) -> DegeneracyReport:
     """f|_S minimal along C and ker Hess_x f = T_x S at sampled x in C."""
     comp = crit.components[component]
     _require_contained(comp, chart)
-    box = isolating_box(comp, margin)
+    box = isolating_box(comp)
     report = DegeneracyReport("unclassified")
     cond_min, _ = _check_minimum_on_slice(f, comp, chart, box, tols, strict)
     report.details["restricted_minimum_on_c"] = cond_min
@@ -428,11 +406,7 @@ def check_flattened_degenerate(f: ScalarField, crit: CriticalSet,
     w, V = np.linalg.eigh(H)
     report.sampled_nodes = nodes
     report.hessian_spectra = w.tolist()
-    kernel = _kernel_mask(w, f, tols)
-    kernel_ok = all(
-        k.sum() == chart.dim
-        and _principal_alignment(Vn[:, k], chart.axes, f.ndim) <= tols.angle_tol
-        for k, Vn in zip(kernel, V))
+    kernel_ok = _kernel_spans_axes(_kernel_mask(w, f, tols), V, chart.axes, f.ndim)
     report.details["hessian_kernel_equals_chart"] = kernel_ok
 
     if cond_min and kernel_ok and report.sampled_nodes:
@@ -442,8 +416,7 @@ def check_flattened_degenerate(f: ScalarField, crit: CriticalSet,
 
 def check_minimally_degenerate(f: ScalarField, crit: CriticalSet,
                                chart: SubmanifoldChart, tols: Tolerances,
-                               strict: bool = False, component: int = 0,
-                               margin: int = 3) -> DegeneracyReport:
+                               strict: bool = False, component: int = 0) -> DegeneracyReport:
     """f|_S minimal along C; T_x S maximal among Hessian-nonnegative subspaces.
 
     Maximality is tested as: Hess restricted to the chart axes has no
@@ -452,7 +425,7 @@ def check_minimally_degenerate(f: ScalarField, crit: CriticalSet,
     """
     comp = crit.components[component]
     _require_contained(comp, chart)
-    box = isolating_box(comp, margin)
+    box = isolating_box(comp)
     report = DegeneracyReport("unclassified")
     cond_min, _ = _check_minimum_on_slice(f, comp, chart, box, tols, strict)
     report.details["restricted_minimum_on_c"] = cond_min
@@ -461,7 +434,7 @@ def check_minimally_degenerate(f: ScalarField, crit: CriticalSet,
     w = np.linalg.eigh(H)[0]
     report.sampled_nodes = nodes
     report.hessian_spectra = w.tolist()
-    thresh = _kernel_threshold(w, tols.eig_tol, tols.floor_for(f))
+    thresh = _kernel_threshold(w, tols.eig_tol, default_hessian_floor(f))
     n_neg = np.sum(w < -thresh[:, None], axis=1)
     psd_ok = True
     axes = list(chart.axes)
@@ -482,8 +455,7 @@ def check_minimally_degenerate(f: ScalarField, crit: CriticalSet,
 
 def check_qmd(f: ScalarField, tau: ScalarField, crit: CriticalSet,
               chart: SubmanifoldChart, tols: Tolerances,
-              strict: bool = False, component: int = 0,
-              margin: int = 3) -> DegeneracyReport:
+              strict: bool = False, component: int = 0) -> DegeneracyReport:
     """tau >= 0 vanishing exactly on C, kernel transversality, f - tau flattened."""
     f.require_same_grid(tau)
     if float(tau.values.min()) < -tols.value_tol:
@@ -508,8 +480,7 @@ def check_qmd(f: ScalarField, tau: ScalarField, crit: CriticalSet,
         for k, Vn in zip(kernel, V))
 
     flat = check_flattened_degenerate(f.sub(tau), crit, chart, tols,
-                                      strict=strict, component=component,
-                                      margin=margin)
+                                      strict=strict, component=component)
     report.details["difference_flattened_degenerate"] = flat.passed
     report.hessian_spectra = flat.hessian_spectra
     report.sampled_nodes = flat.sampled_nodes
@@ -547,11 +518,10 @@ def _box_excess_distance(box: np.ndarray, spacing, periodic) -> np.ndarray:
 def _chart_terms(f: ScalarField, chart: SubmanifoldChart) -> Tuple[np.ndarray, np.ndarray]:
     """r^4 and f o project_S at every node, with r the distance to the chart.
 
-    r^2 sums the off-chart axes' squared distances in axis order, as
-    `SubmanifoldChart.distance_to` does, and each power is taken on Python
-    floats (numpy's vectorized pow may round differently), so the terms
-    match the per-node formulas bit for bit.  Both depend on few
-    coordinates and are broadcast views over the grid.
+    r^2 sums the off-chart axes' squared distances in axis order, and
+    each power is taken on Python floats (numpy's vectorized pow may round
+    differently), so the terms match the per-node formulas bit for bit.
+    Both depend on few coordinates and are broadcast views over the grid.
     """
     dims = f.dims
     r2 = np.zeros((1,) * f.ndim)
@@ -570,7 +540,7 @@ def _chart_terms(f: ScalarField, chart: SubmanifoldChart) -> Tuple[np.ndarray, n
 
 
 def construct_tau(f: ScalarField, crit: CriticalSet, chart: SubmanifoldChart,
-                  tols: Tolerances, component: int = 0, margin: int = 3,
+                  tols: Tolerances, component: int = 0,
                   check_precondition: bool = True) -> ScalarField:
     """Auxiliary tau = dist(x, S)^4 + (f o project_S - min_C f) near C.
 
@@ -585,23 +555,22 @@ def construct_tau(f: ScalarField, crit: CriticalSet, chart: SubmanifoldChart,
     the formula (the output is still validated).
     """
     if check_precondition:
-        pre = check_minimally_degenerate(f, crit, chart, tols,
-                                         component=component, margin=margin)
+        pre = check_minimally_degenerate(f, crit, chart, tols, component=component)
         if not pre.passed:
             raise ConstructionError("input is not minimally degenerate along "
                                     "the chart")
     comp = crit.components[component]
-    box = isolating_box(comp, margin)
+    box = isolating_box(comp)
     fmin = float(f.values[comp.cells].min())
 
     r4, proj_vals = _chart_terms(f, chart)
     d_box = _box_excess_distance(box, f.spacing, f.periodic)
-    ramp_width = 2.0 * margin * float(np.mean(f.spacing))
+    ramp_width = 2.0 * BOX_MARGIN * float(np.mean(f.spacing))
     ramp = 1.0 - _smoothstep(d_box / ramp_width)
     tau_vals = r4 + ramp * (proj_vals - fmin) + d_box ** 4
     tau = f.with_values(tau_vals)
 
-    post = check_qmd(f, tau, crit, chart, tols, component=component, margin=margin)
+    post = check_qmd(f, tau, crit, chart, tols, component=component)
     if not post.passed:
         failing = [k for k, v in post.details.items() if not v]
         raise ConstructionError(f"constructed tau violates: {failing}")
@@ -622,13 +591,11 @@ class RhoProfile:
     required (0, 3) band, and the profile is twice differentiable.
     """
     delta: float
-    w: float = 0.2
+    w: ClassVar[float] = 0.2
 
     def __post_init__(self):
         if self.delta <= 0:
             raise ValueError("delta must be positive")
-        if not (0 < self.w < 0.5):
-            raise ValueError("transition width fraction must be in (0, 0.5)")
 
     @property
     def plateau(self) -> float:
@@ -680,8 +647,6 @@ class RhoProfile:
 
 
 def build_rho(delta: float) -> RhoProfile:
-    if delta <= 0:
-        raise ValueError("delta must be positive")
     return RhoProfile(float(delta))
 
 
@@ -693,14 +658,14 @@ class FlattenResult:
 
 
 def _regular_delta(g: ScalarField, region: np.ndarray, delta: float,
-                   grad_tol: float, value_tol: float, max_nudges: int) -> float:
-    """delta, scanned upward in 1% steps (at most max_nudges) until delta/2
+                   grad_tol: float, value_tol: float) -> float:
+    """delta, scanned upward in 1% steps (at most MAX_NUDGES) until delta/2
     is a regular level of g on `region`: no stencil-valid node of the
     region within (locally) one cell of the level has |grad g| <= grad_tol."""
     mag, valid = gradient_magnitude(g)
     hmax = max(g.spacing)
     d = float(delta)
-    for _ in range(max_nudges + 1):
+    for _ in range(MAX_NUDGES + 1):
         band = region & valid & (np.abs(g.values - d / 2.0)
                                  <= mag * hmax + value_tol)
         if not band.any() or float(mag[band].min()) > grad_tol:
@@ -710,40 +675,27 @@ def _regular_delta(g: ScalarField, region: np.ndarray, delta: float,
 
 
 def flatten(f: ScalarField, delta: float, crit: CriticalSet, tols: Tolerances,
-            component: int = 0, margin: int = 3,
-            max_nudges: int = 10) -> FlattenResult:
+            component: int = 0) -> FlattenResult:
     """Apply rho(f) and return the thickening sigma = {f <= delta/2} in the box.
 
-    Requires f >= 0 near C with minimum 0 on C (shift first).  If the
-    level delta/2 fails the regular-value check (some node on the level
-    band has |grad f| <= grad_tol), delta is scanned upward in 1% steps
-    up to max_nudges tries.
+    This is `flatten_along_chart` on the full chart: S is the whole
+    neighbourhood, r = 0 and the output is rho(f).  Requires f >= 0 near C
+    with minimum 0 on C (shift first).
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    comp = crit.components[component]
-    box = isolating_box(comp, margin)
-    if float(np.abs(f.values[comp.cells]).max()) > tols.value_tol:
-        raise ValueError("f must vanish on C (shift by the critical value first)")
-    if float(f.values[box].min()) < -tols.value_tol:
-        raise ValueError("f must be nonnegative on the isolating box")
-
-    d = _regular_delta(f, box, delta, crit.grad_tol, tols.value_tol, max_nudges)
-    rho = build_rho(d)
-    f_check = f.with_values(rho(f.values))
-    sigma = GridMask(f.dims, f.periodic,
-                     (f.values <= d / 2.0) & box & stencil_mask(f))
-    return FlattenResult(f_check, sigma, d)
+    full = SubmanifoldChart(tuple(range(f.ndim)), (0,) * f.ndim)
+    return flatten_along_chart(f, delta, crit, full, tols, component)
 
 
 def flatten_along_chart(f: ScalarField, delta: float, crit: CriticalSet,
                         chart: SubmanifoldChart, tols: Tolerances,
-                        component: int = 0, margin: int = 3,
-                        max_nudges: int = 10) -> FlattenResult:
-    """Flatten the restriction of f to a lower-dimensional chart.
+                        component: int = 0) -> FlattenResult:
+    """Flatten the restriction of f to a chart.
 
-    The restriction f|_S is flattened as in `flatten`; sigma is its
-    sublevel set inside the chart slice.  The ambient output extends the
+    The restriction f|_S is replaced by rho(f|_S); sigma is its sublevel
+    set {f|_S <= delta/2} inside the chart slice and the isolating box.
+    If the level delta/2 fails the regular-value check (some node on the
+    level band has |grad f|_S| <= grad_tol), delta is scanned upward in 1%
+    steps, MAX_NUDGES at most.  The ambient output extends the
     flattened restriction by the radial weight (1 + r^4) with r the
     distance to the chart, so it agrees with rho(f|_S) on the slice.
     The weight cannot remove fiber criticality over sigma's interior
@@ -755,7 +707,7 @@ def flatten_along_chart(f: ScalarField, delta: float, crit: CriticalSet,
         raise ValueError("delta must be positive")
     comp = crit.components[component]
     _require_contained(comp, chart)
-    box = isolating_box(comp, margin)
+    box = isolating_box(comp)
     slice_mask = chart.slice_mask(f.dims)
     if float(np.abs(f.values[comp.cells]).max()) > tols.value_tol:
         raise ValueError("f must vanish on C (shift by the critical value first)")
@@ -764,7 +716,7 @@ def flatten_along_chart(f: ScalarField, delta: float, crit: CriticalSet,
 
     r4, proj_vals = _chart_terms(f, chart)
     d = _regular_delta(f.with_values(proj_vals), box & slice_mask, delta,
-                       crit.grad_tol, tols.value_tol, max_nudges)
+                       crit.grad_tol, tols.value_tol)
     rho = build_rho(d)
     f_check = f.with_values((1.0 + r4) * rho(proj_vals))
     sigma = GridMask(f.dims, f.periodic,
@@ -809,18 +761,18 @@ def _steepest_descent(f: ScalarField, start, box, budget: int):
 
 
 def verify_thickening(f: ScalarField, crit: CriticalSet, sigma: GridMask,
-                      tols: Tolerances, component: int = 0, margin: int = 3,
-                      step_budget: Optional[int] = None) -> ThickeningReport:
-    """Betti equality of C and sigma, plus descent from sigma back into C."""
+                      tols: Tolerances, component: int = 0) -> ThickeningReport:
+    """Betti equality of C and sigma, plus descent from sigma back into C
+    (each walk at most 4 * sum(dims) steps)."""
     comp = crit.components[component]
     if not (comp.cells <= sigma.cells).all():
         raise ValueError("C must be contained in sigma")
-    box = isolating_box(comp, margin)
+    box = isolating_box(comp)
     b_c = betti_of_mask(comp)
     b_s = betti_of_mask(sigma)
     betti_match = b_c == b_s
 
-    budget = step_budget or 4 * sum(f.dims)
+    budget = 4 * sum(f.dims)
     failures = []
     for node in map(tuple, np.argwhere(sigma.cells)):
         end = _steepest_descent(f, node, box, budget)
@@ -845,25 +797,19 @@ def _component_extent_axes(comp: GridMask) -> Tuple[int, ...]:
 
 def classify(f: ScalarField, crit: CriticalSet, chart: Optional[SubmanifoldChart] = None,
              tau: Optional[ScalarField] = None, tols: Tolerances = Tolerances(),
-             strict: bool = False, component: int = 0,
-             margin: int = 3) -> DegeneracyReport:
+             strict: bool = False, component: int = 0) -> DegeneracyReport:
     """Run the degeneracy ladder and report the finest classification."""
     comp = crit.components[component]
     nodes, H = _node_hessians(f, comp)
     w, V = np.linalg.eigh(H)
     kernel = _kernel_mask(w, f, tols)
-    n_kernel = kernel.sum(axis=1)
     report = DegeneracyReport("unclassified")
 
-    morse_ok = bool(nodes) and comp.count() == 1 and not n_kernel.any()
-    bott_axes = _component_extent_axes(comp)
+    morse_ok = bool(nodes) and comp.count() == 1 and not kernel.any()
     f_on_c = f.values[comp.cells]
     bott_ok = (bool(nodes)
                and float(f_on_c.max() - f_on_c.min()) <= tols.value_tol
-               and bool(np.all(n_kernel == len(bott_axes)))
-               and (not bott_axes or all(
-                   _principal_alignment(Vn[:, k], bott_axes, f.ndim) <= tols.angle_tol
-                   for k, Vn in zip(kernel, V))))
+               and _kernel_spans_axes(kernel, V, _component_extent_axes(comp), f.ndim))
     report.hessian_spectra = w.tolist()
     report.sampled_nodes = nodes
     report.details["morse"] = morse_ok
@@ -873,13 +819,13 @@ def classify(f: ScalarField, crit: CriticalSet, chart: Optional[SubmanifoldChart
     if chart is not None:
         try:
             flat = check_flattened_degenerate(f, crit, chart, tols, strict,
-                                              component, margin)
+                                              component)
             flat_ok = flat.passed
         except ChartError:
             flat_ok = False
         try:
             mindeg = check_minimally_degenerate(f, crit, chart, tols, strict,
-                                                component, margin)
+                                                component)
             mindeg_ok = mindeg.passed
             report.negative_index = mindeg.negative_index
         except ChartError:
@@ -887,7 +833,7 @@ def classify(f: ScalarField, crit: CriticalSet, chart: Optional[SubmanifoldChart
         if tau is not None:
             try:
                 qmd_ok = check_qmd(f, tau, crit, chart, tols, strict,
-                                   component, margin).passed
+                                   component).passed
             except (ChartError, TauError):
                 qmd_ok = False
     report.details["flattened_degenerate"] = flat_ok

@@ -205,10 +205,6 @@ class FilteredComplex:
         return cls(gens, {k: list(v) for k, v in data.get("boundary", {}).items()})
 
 
-def validate(fc: FilteredComplex) -> None:
-    fc.validate()
-
-
 # -- pages -----------------------------------------------------------------
 
 

@@ -20,6 +20,8 @@ cells are (anchor, extent) pairs and ``oracle_betti`` takes dense ranks.
 ``oracle_isolation_scan`` are the morse/graphlag code before the Hessian was
 taken in one pass per field: one ``hessian_at`` and ``eig_sym`` per node, the
 chart terms from a per-node loop and one ``flow_translate`` per scan step.
+``oracle_flatten`` is the full-grid flattening body that ``qmdkit.morse.flatten``
+had before it became ``flatten_along_chart`` on the full chart.
 """
 
 from __future__ import annotations
@@ -36,14 +38,15 @@ from qmdkit.fields import (ScalarField, eig_sym, gradient_magnitude, hessian_at,
 from qmdkit.gf2 import (GF2Matrix, Subspace, quotient_dim, solve_row_combination,
                         subspace_sum)
 from qmdkit.graphlag import GraphSection, IsolationReport, flow_translate
-from qmdkit.morse import (ChartError, ConstructionError, CriticalSet,
-                          DegeneracyReport, FlattenResult, RegularValueError,
-                          SubmanifoldChart, TauError, Tolerances,
-                          _box_excess_distance, _check_minimum_on_slice,
-                          _component_extent_axes, _kernel_threshold,
-                          _principal_alignment, _require_contained, _smoothstep,
-                          build_rho, critical_node_mask, isolating_box,
-                          transverse_negative_index)
+from qmdkit.morse import (ANGLE_TOL, BOX_MARGIN, MAX_NUDGES, ChartError,
+                          ConstructionError, CriticalSet, DegeneracyReport,
+                          FlattenResult, RegularValueError, SubmanifoldChart,
+                          TauError, Tolerances, _box_excess_distance,
+                          _check_minimum_on_slice, _component_extent_axes,
+                          _kernel_threshold, _principal_alignment,
+                          _regular_delta, _require_contained, _smoothstep,
+                          build_rho, critical_node_mask, default_hessian_floor,
+                          isolating_box, transverse_negative_index)
 from qmdkit.specseq import FilteredComplex, Generator, Page
 
 
@@ -431,7 +434,26 @@ def oracle_betti(cx: OracleComplex) -> Tuple[int, ...]:
 # The morse/graphlag code as it was before one `hessian` pass per field, batched
 # eigh, vectorized chart terms and the two-gradient scan: every Hessian from
 # `hessian_at`, every spectrum from `eig_sym`, tau and the chart flattening from
-# per-node `project`/`distance_to` loops, and one `flow_translate` per scan step.
+# per-node `_project`/`_distance_to` loops, and one `flow_translate` per scan step.
+
+def _project(chart: SubmanifoldChart, node) -> Tuple[int, ...]:
+    """The node with its off-chart coordinates replaced by the chart base."""
+    return tuple(node[a] if a in chart.axes else chart.base[a]
+                 for a in range(len(chart.base)))
+
+
+def _distance_to(chart: SubmanifoldChart, node, spacing, periodic, dims) -> float:
+    """Physical distance from a node to the chart slice."""
+    total = 0.0
+    for a in range(len(dims)):
+        if a in chart.axes:
+            continue
+        d = abs(node[a] - chart.base[a])
+        if periodic[a]:
+            d = min(d, dims[a] - d)
+        total += (d * spacing[a]) ** 2
+    return float(np.sqrt(total))
+
 
 def _oracle_sample_nodes(f: ScalarField, comp: GridMask) -> List[Tuple[int, ...]]:
     ok = stencil_mask(f)
@@ -455,18 +477,17 @@ def oracle_index_preserved(f: ScalarField, f_check: ScalarField, crit: CriticalS
 
 def oracle_check_flattened_degenerate(f: ScalarField, crit: CriticalSet,
                                chart: SubmanifoldChart, tols: Tolerances,
-                               strict: bool = False, component: int = 0,
-                               margin: int = 3) -> DegeneracyReport:
+                               strict: bool = False, component: int = 0) -> DegeneracyReport:
     """f|_S minimal along C and ker Hess_x f = T_x S at sampled x in C."""
     comp = crit.components[component]
     _require_contained(comp, chart)
-    box = isolating_box(comp, margin)
+    box = isolating_box(comp)
     report = DegeneracyReport("unclassified")
     cond_min, _ = _check_minimum_on_slice(f, comp, chart, box, tols, strict)
     report.details["restricted_minimum_on_c"] = cond_min
 
     kernel_ok = True
-    floor = tols.floor_for(f)
+    floor = default_hessian_floor(f)
     for node in _oracle_sample_nodes(f, comp):
         w, V = eig_sym(hessian_at(f, node))
         report.sampled_nodes.append(node)
@@ -477,7 +498,7 @@ def oracle_check_flattened_degenerate(f: ScalarField, crit: CriticalSet,
             kernel_ok = False
             continue
         angle = _principal_alignment(V[:, kernel_idx], chart.axes, f.ndim)
-        if angle > tols.angle_tol:
+        if angle > ANGLE_TOL:
             kernel_ok = False
     report.details["hessian_kernel_equals_chart"] = kernel_ok
 
@@ -488,8 +509,7 @@ def oracle_check_flattened_degenerate(f: ScalarField, crit: CriticalSet,
 
 def oracle_check_minimally_degenerate(f: ScalarField, crit: CriticalSet,
                                chart: SubmanifoldChart, tols: Tolerances,
-                               strict: bool = False, component: int = 0,
-                               margin: int = 3) -> DegeneracyReport:
+                               strict: bool = False, component: int = 0) -> DegeneracyReport:
     """f|_S minimal along C; T_x S maximal among Hessian-nonnegative subspaces.
 
     Maximality is tested as: Hess restricted to the chart axes has no
@@ -498,7 +518,7 @@ def oracle_check_minimally_degenerate(f: ScalarField, crit: CriticalSet,
     """
     comp = crit.components[component]
     _require_contained(comp, chart)
-    box = isolating_box(comp, margin)
+    box = isolating_box(comp)
     report = DegeneracyReport("unclassified")
     cond_min, _ = _check_minimum_on_slice(f, comp, chart, box, tols, strict)
     report.details["restricted_minimum_on_c"] = cond_min
@@ -507,7 +527,7 @@ def oracle_check_minimally_degenerate(f: ScalarField, crit: CriticalSet,
     maximal_ok = True
     neg_counts = set()
     axes = list(chart.axes)
-    floor = tols.floor_for(f)
+    floor = default_hessian_floor(f)
     for node in _oracle_sample_nodes(f, comp):
         H = hessian_at(f, node)
         w, _ = eig_sym(H)
@@ -534,8 +554,7 @@ def oracle_check_minimally_degenerate(f: ScalarField, crit: CriticalSet,
 
 def oracle_check_qmd(f: ScalarField, tau: ScalarField, crit: CriticalSet,
               chart: SubmanifoldChart, tols: Tolerances,
-              strict: bool = False, component: int = 0,
-              margin: int = 3) -> DegeneracyReport:
+              strict: bool = False, component: int = 0) -> DegeneracyReport:
     """tau >= 0 vanishing exactly on C, kernel transversality, f - tau flattened."""
     f.require_same_grid(tau)
     if float(tau.values.min()) < -tols.value_tol:
@@ -552,7 +571,7 @@ def oracle_check_qmd(f: ScalarField, tau: ScalarField, crit: CriticalSet,
         np.array_equal(zero_set, comp.cells & valid))
 
     transverse_ok = True
-    floor = tols.floor_for(f)
+    floor = default_hessian_floor(f)
     for node in _oracle_sample_nodes(f, comp):
         w, V = eig_sym(hessian_at(tau, node))
         thresh = _kernel_threshold(w, tols.eig_tol, floor)
@@ -566,8 +585,7 @@ def oracle_check_qmd(f: ScalarField, tau: ScalarField, crit: CriticalSet,
     report.details["tau_kernel_transverse_to_chart"] = transverse_ok
 
     flat = oracle_check_flattened_degenerate(f.sub(tau), crit, chart, tols,
-                                      strict=strict, component=component,
-                                      margin=margin)
+                                      strict=strict, component=component)
     report.details["difference_flattened_degenerate"] = flat.passed
     report.hessian_spectra = flat.hessian_spectra
     report.sampled_nodes = flat.sampled_nodes
@@ -579,8 +597,7 @@ def oracle_check_qmd(f: ScalarField, tau: ScalarField, crit: CriticalSet,
 
 def oracle_classify(f: ScalarField, crit: CriticalSet, chart: Optional[SubmanifoldChart] = None,
              tau: Optional[ScalarField] = None, tols: Tolerances = Tolerances(),
-             strict: bool = False, component: int = 0,
-             margin: int = 3) -> DegeneracyReport:
+             strict: bool = False, component: int = 0) -> DegeneracyReport:
     """Run the degeneracy ladder and report the finest classification."""
     comp = crit.components[component]
     nodes = _oracle_sample_nodes(f, comp)
@@ -593,7 +610,7 @@ def oracle_classify(f: ScalarField, crit: CriticalSet, chart: Optional[Submanifo
     bott_ok = (bool(nodes)
                and float(f_on_c.max() - f_on_c.min()) <= tols.value_tol)
     spectra = []
-    floor = tols.floor_for(f)
+    floor = default_hessian_floor(f)
     for node in nodes:
         w, V = eig_sym(hessian_at(f, node))
         spectra.append([float(x) for x in w])
@@ -604,7 +621,7 @@ def oracle_classify(f: ScalarField, crit: CriticalSet, chart: Optional[Submanifo
         if len(kernel_idx) != len(bott_axes):
             bott_ok = False
         elif bott_axes and _principal_alignment(V[:, kernel_idx], bott_axes,
-                                                f.ndim) > tols.angle_tol:
+                                                f.ndim) > ANGLE_TOL:
             bott_ok = False
     report.hessian_spectra = spectra
     report.sampled_nodes = nodes
@@ -615,13 +632,13 @@ def oracle_classify(f: ScalarField, crit: CriticalSet, chart: Optional[Submanifo
     if chart is not None:
         try:
             flat = oracle_check_flattened_degenerate(f, crit, chart, tols, strict,
-                                              component, margin)
+                                              component)
             flat_ok = flat.passed
         except ChartError:
             flat_ok = False
         try:
             mindeg = oracle_check_minimally_degenerate(f, crit, chart, tols, strict,
-                                                component, margin)
+                                                component)
             mindeg_ok = mindeg.passed
             report.negative_index = mindeg.negative_index
         except ChartError:
@@ -629,7 +646,7 @@ def oracle_classify(f: ScalarField, crit: CriticalSet, chart: Optional[Submanifo
         if tau is not None:
             try:
                 qmd_ok = oracle_check_qmd(f, tau, crit, chart, tols, strict,
-                                   component, margin).passed
+                                   component).passed
             except (ChartError, TauError):
                 qmd_ok = False
     report.details["flattened_degenerate"] = flat_ok
@@ -646,7 +663,7 @@ def oracle_classify(f: ScalarField, crit: CriticalSet, chart: Optional[Submanifo
 
 
 def oracle_construct_tau(f: ScalarField, crit: CriticalSet, chart: SubmanifoldChart,
-                  tols: Tolerances, component: int = 0, margin: int = 3,
+                  tols: Tolerances, component: int = 0,
                   check_precondition: bool = True) -> ScalarField:
     """Auxiliary tau = dist(x, S)^4 + (f o project_S - min_C f) near C.
 
@@ -662,39 +679,64 @@ def oracle_construct_tau(f: ScalarField, crit: CriticalSet, chart: SubmanifoldCh
     """
     if check_precondition:
         pre = oracle_check_minimally_degenerate(f, crit, chart, tols,
-                                         component=component, margin=margin)
+                                         component=component)
         if not pre.passed:
             raise ConstructionError("input is not minimally degenerate along "
                                     "the chart")
     comp = crit.components[component]
-    box = isolating_box(comp, margin)
+    box = isolating_box(comp)
     fmin = float(f.values[comp.cells].min())
 
     dims = f.dims
     r4 = np.zeros(dims)
     proj_vals = np.zeros(dims)
     for node in itertools.product(*(range(n) for n in dims)):
-        r = chart.distance_to(node, f.spacing, f.periodic, dims)
+        r = _distance_to(chart, node, f.spacing, f.periodic, dims)
         r4[node] = r ** 4
-        proj_vals[node] = f.values[chart.project(node)]
+        proj_vals[node] = f.values[_project(chart, node)]
 
     d_box = _box_excess_distance(box, f.spacing, f.periodic)
-    ramp_width = 2.0 * margin * float(np.mean(f.spacing))
+    ramp_width = 2.0 * BOX_MARGIN * float(np.mean(f.spacing))
     ramp = 1.0 - _smoothstep(d_box / ramp_width)
     tau_vals = r4 + ramp * (proj_vals - fmin) + d_box ** 4
     tau = f.with_values(tau_vals)
 
-    post = oracle_check_qmd(f, tau, crit, chart, tols, component=component, margin=margin)
+    post = oracle_check_qmd(f, tau, crit, chart, tols, component=component)
     if not post.passed:
         failing = [k for k, v in post.details.items() if not v]
         raise ConstructionError(f"constructed tau violates: {failing}")
     return tau
 
 
+def oracle_flatten(f: ScalarField, delta: float, crit: CriticalSet, tols: Tolerances,
+            component: int = 0) -> FlattenResult:
+    """Apply rho(f) and return the thickening sigma = {f <= delta/2} in the box.
+
+    Requires f >= 0 near C with minimum 0 on C (shift first).  If the
+    level delta/2 fails the regular-value check (some node on the level
+    band has |grad f| <= grad_tol), delta is scanned upward in 1% steps
+    up to MAX_NUDGES tries.
+    """
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    comp = crit.components[component]
+    box = isolating_box(comp)
+    if float(np.abs(f.values[comp.cells]).max()) > tols.value_tol:
+        raise ValueError("f must vanish on C (shift by the critical value first)")
+    if float(f.values[box].min()) < -tols.value_tol:
+        raise ValueError("f must be nonnegative on the chart slice near C")
+
+    d = _regular_delta(f, box, delta, crit.grad_tol, tols.value_tol)
+    rho = build_rho(d)
+    f_check = f.with_values(rho(f.values))
+    sigma = GridMask(f.dims, f.periodic,
+                     (f.values <= d / 2.0) & box & stencil_mask(f))
+    return FlattenResult(f_check, sigma, d)
+
+
 def oracle_flatten_along_chart(f: ScalarField, delta: float, crit: CriticalSet,
                         chart: SubmanifoldChart, tols: Tolerances,
-                        component: int = 0, margin: int = 3,
-                        max_nudges: int = 10) -> FlattenResult:
+                        component: int = 0) -> FlattenResult:
     """Flatten the restriction of f to a lower-dimensional chart.
 
     The restriction f|_S is flattened as in `flatten`; sigma is its
@@ -710,7 +752,7 @@ def oracle_flatten_along_chart(f: ScalarField, delta: float, crit: CriticalSet,
         raise ValueError("delta must be positive")
     comp = crit.components[component]
     _require_contained(comp, chart)
-    box = isolating_box(comp, margin)
+    box = isolating_box(comp)
     slice_mask = chart.slice_mask(f.dims)
     if float(np.abs(f.values[comp.cells]).max()) > tols.value_tol:
         raise ValueError("f must vanish on C (shift by the critical value first)")
@@ -721,14 +763,14 @@ def oracle_flatten_along_chart(f: ScalarField, delta: float, crit: CriticalSet,
     proj_vals = np.zeros(dims)
     r4 = np.zeros(dims)
     for node in itertools.product(*(range(n) for n in dims)):
-        proj_vals[node] = f.values[chart.project(node)]
-        r4[node] = chart.distance_to(node, f.spacing, f.periodic, dims) ** 4
+        proj_vals[node] = f.values[_project(chart, node)]
+        r4[node] = _distance_to(chart, node, f.spacing, f.periodic, dims) ** 4
 
     restricted = f.with_values(proj_vals)
     mag, valid = gradient_magnitude(restricted)
     hmax = max(f.spacing)
     d = float(delta)
-    for _ in range(max_nudges + 1):
+    for _ in range(MAX_NUDGES + 1):
         band = box & valid & slice_mask & (np.abs(proj_vals - d / 2.0)
                                            <= mag * hmax + tols.value_tol)
         if not band.any() or float(mag[band].min()) > crit.grad_tol:
@@ -746,7 +788,7 @@ def oracle_flatten_along_chart(f: ScalarField, delta: float, crit: CriticalSet,
 
 def oracle_isolation_scan(f: ScalarField, tau: ScalarField, crit: CriticalSet,
                    chart: SubmanifoldChart, steps: int = 64,
-                   component: int = 0, margin: int = 3) -> IsolationReport:
+                   component: int = 0) -> IsolationReport:
     """Check C stays the in-box intersection for t in [0, 1 - 1/steps].
 
     At t = 1 the intersection need only be contained in the chart slice
@@ -755,7 +797,7 @@ def oracle_isolation_scan(f: ScalarField, tau: ScalarField, crit: CriticalSet,
     """
     f.require_same_grid(tau)
     comp = crit.components[component]
-    box = isolating_box(comp, margin)
+    box = isolating_box(comp)
     section = GraphSection(f)
     report = IsolationReport()
     for j in range(steps):

@@ -195,6 +195,34 @@ def test_bad_numeric_argument_is_usage_error(case, saddle_file, tmp_path, capsys
     assert "error: " in captured.err and "Traceback" not in captured.err
 
 
+def _bowl(spacing, scale=1.0, n=9):
+    x = np.arange(n) - n // 2
+    values = scale * (x[:, None] ** 2 + x[None, :] ** 2)
+    return {"dims": [n, n], "spacing": spacing, "periodic": [0, 0],
+            "values": values.ravel().tolist()}
+
+
+# finite, but the stencils overflow (h^2, (f / h)^2) or divide by h^2 = 0
+EXTREME_FIELDS = {
+    "spacing-1e300": _bowl([1e300, 1.0]),
+    "spacing-1e-300": _bowl([1e-300, 1.0]),
+    "values-1e300": _bowl([1.0, 1.0], 1e300 / 32),
+    "values-minus-1e300": _bowl([1.0, 1.0], -1e300 / 32),
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "flatten"])
+@pytest.mark.parametrize("case", sorted(EXTREME_FIELDS))
+def test_extreme_finite_field_is_usage_error(case, command, tmp_path, capsys):
+    argv = [command, "--field", _write(tmp_path, "f.json", EXTREME_FIELDS[case])]
+    if command == "flatten":
+        argv += ["--delta", "0.08"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: " in captured.err and "Traceback" not in captured.err
+
+
 def test_maslov_quarter_turn(tmp_path, capsys):
     a = _write(tmp_path, "a.json",
                {"times": [0.0, 1.0], "angles": [0.0, math.pi / 2]})

@@ -2,9 +2,10 @@
 
 Small fields (at most 9 x 9) and short paths are written to a temporary
 directory and passed to ``analyze``, ``flatten`` and ``maslov`` together
-with nan, +-inf, zero, negative and out-of-grid arguments.  Every run
-must return exit code 0, 1 or 2 without an exception escaping, and print
-the same stdout when repeated.
+with nan, +-inf, zero, negative and out-of-grid arguments, and spacings of
+1e300 and 1e-300.  Every run must return exit code 0, 1 or 2 without an
+exception escaping, print no NaN or Infinity, and print the same stdout
+when repeated.
 """
 
 import contextlib
@@ -58,7 +59,8 @@ def fields(draw):
             values.append(float(sum((i - c) ** 2 for i, c in zip(idx, center))))
     else:
         values = draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
-    spacing = [draw(st.sampled_from([0.25] * 4 + [1.0] * 4 + [0.0, -1.0, float("nan")]))
+    spacing = [draw(st.sampled_from([0.25] * 4 + [1.0] * 4
+                                    + [0.0, -1.0, float("nan"), 1e300, 1e-300]))
                for _ in dims]
     periodic = [draw(st.integers(0, 1)) for _ in dims]
     return {"dims": dims, "spacing": spacing, "periodic": periodic,
@@ -86,6 +88,7 @@ def _run(argv):
 def _check(argv):
     first = _run(argv)
     assert first[0] in (0, 1, 2)
+    assert "NaN" not in first[1] and "Infinity" not in first[1]
     assert _run(argv) == first
 
 

@@ -22,7 +22,7 @@ from qmdkit.morse import (ChartError, CriticalSet, NoCriticalPointsError,
 
 from _oracles import (oracle_check_flattened_degenerate,
                       oracle_check_minimally_degenerate, oracle_check_qmd,
-                      oracle_classify, oracle_construct_tau,
+                      oracle_classify, oracle_construct_tau, oracle_flatten,
                       oracle_flatten_along_chart, oracle_index_preserved)
 
 SEED = int(os.environ.get("QMD_SEED", "0"))
@@ -77,7 +77,7 @@ def test_boundary_nodes_never_detected():
 def test_isolating_box_wraps_periodic_axis():
     f = field_torus_height()
     crit = detect_critical_set(f, 1e-6)
-    box = isolating_box(crit.components[0], margin=3)
+    box = isolating_box(crit.components[0])
     assert box.all(axis=1).sum() == 7  # 1 + 2*3 theta rows, full phi circle
 
 
@@ -192,7 +192,7 @@ def test_construct_tau_saddle_formula():
     crit = detect_critical_set(f, 1e-6)
     chart = SubmanifoldChart(axes=(0,), base=(16, 16))
     tau = construct_tau(f, crit, chart, TOLS)
-    box = isolating_box(crit.components[0], 3)
+    box = isolating_box(crit.components[0])
     xs = np.linspace(-1.0, 1.0, 33)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     assert np.allclose(tau.values[box], (Y ** 4 + X ** 2)[box], atol=1e-12)
@@ -207,7 +207,7 @@ def test_construct_tau_point_chart_quartic():
     crit = detect_critical_set(f, 1e-6)
     chart = SubmanifoldChart(axes=(), base=(16,))
     tau = construct_tau(f, crit, chart, TOLS, check_precondition=False)
-    box = isolating_box(crit.components[0], 3)
+    box = isolating_box(crit.components[0])
     xs = np.linspace(-1.0, 1.0, n)
     assert np.allclose(tau.values[box], (xs ** 4)[box], atol=1e-12)
     assert check_qmd(f, tau, crit, chart, TOLS).passed
@@ -284,7 +284,7 @@ def test_flatten_no_spurious_criticals_on_band():
     res = flatten(f, 0.01, crit, TOLS)
     from qmdkit.fields import gradient_magnitude
     mag, valid = gradient_magnitude(res.f_check)
-    box = isolating_box(crit.components[0], 3)
+    box = isolating_box(crit.components[0])
     band = box & valid & (f.values > res.delta_used / 2) & (f.values < res.delta_used)
     assert (mag[band] > 0).all()
 
@@ -294,7 +294,7 @@ def test_flatten_detected_set_equals_sigma_up_to_one_cell():
     crit = detect_critical_set(f, 1e-6)
     res = flatten(f, 0.08, crit, TOLS)
     near = critical_node_mask(res.f_check, crit.grad_tol)
-    box = isolating_box(crit.components[0], 3)
+    box = isolating_box(crit.components[0])
     near &= box
 
     def dilate(m):
@@ -326,7 +326,7 @@ def test_flatten_along_chart_saddle():
     xs_full = np.linspace(-1.0, 1.0, 33)
     assert np.allclose(slice_vals, rho(xs_full ** 2), atol=1e-15)
     # fiber slab over sigma is critical: same homotopy type as sigma
-    slab = critical_node_mask(res.f_check, 1e-6) & isolating_box(crit.components[0], 3)
+    slab = critical_node_mask(res.f_check, 1e-6) & isolating_box(crit.components[0])
     assert betti_of_mask(GridMask(f.dims, f.periodic, slab)) == (1, 0, 0)
 
 
@@ -504,4 +504,6 @@ def test_fast_paths_match_per_node_oracle(f, tau, chart):
     for delta in (0.02, 0.2):
         assert (_outcome(flatten_along_chart, f0, delta, crit, chart, TOLS, **kw)
                 == _outcome(oracle_flatten_along_chart, f0, delta, crit, chart, TOLS, **kw))
+        assert (_outcome(flatten, f0, delta, crit, TOLS, **kw)
+                == _outcome(oracle_flatten, f0, delta, crit, TOLS, **kw))
 
