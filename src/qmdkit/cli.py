@@ -21,9 +21,9 @@ from . import catalog
 from .fields import (GridMismatchError, ScalarField, c1_distance,
                      check_difference_range, default_grad_tol)
 from .maslov import LagrangianLinePath, NonRegularCrossingError, PathError, maslov
-from .morse import (ChartError, NoCriticalPointsError, RegularValueError,
-                    SubmanifoldChart, TauError, Tolerances, classify,
-                    detect_critical_set, flatten, verify_thickening)
+from .morse import (ChartError, DescentEscapeError, NoCriticalPointsError,
+                    RegularValueError, SubmanifoldChart, TauError, Tolerances,
+                    classify, detect_critical_set, flatten, verify_thickening)
 from .specseq import (BoundaryError, CrossTermError, FiltrationError,
                       QMDDescriptor, build_from_qmd, converge, page,
                       truncate_by_action)
@@ -171,7 +171,7 @@ def cmd_flatten(args) -> int:
         result = flatten(f0, args.delta, crit, tols, component=args.component)
         thick = verify_thickening(f0, crit, result.sigma, tols,
                                   component=args.component)
-    except (RegularValueError, ValueError) as exc:
+    except (RegularValueError, DescentEscapeError, ValueError) as exc:
         raise DomainFailure(str(exc)) from exc
     if args.out:
         _emit(result.sigma.to_json(), args.out)

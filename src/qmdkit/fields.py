@@ -5,9 +5,11 @@ stencils: exact for quadratics, O(h^2) otherwise.  Nodes on a
 non-periodic boundary have no trustworthy stencil and are excluded from
 gradient/Hessian queries rather than approximated one-sidedly.
 
-`gradient` and `hessian` take every node at once from np.roll-shifted
-copies of the values; `hessian_at` is the per-node form of the same
-stencil.  `eig_sym` is numpy.linalg.eigh behind square/symmetric checks.
+`gradient` takes every node at once from np.roll-shifted copies of the
+values.  The Hessian stencil is written once, in `hessian_at_nodes`, which
+gathers it at a given array of nodes only; `hessian` is that gather at
+every stencil-valid node and `hessian_at` the gather at one node.
+`eig_sym` is numpy.linalg.eigh behind square/symmetric checks.
 """
 
 from __future__ import annotations
@@ -140,42 +142,55 @@ def gradient_magnitude(field: ScalarField) -> Tuple[np.ndarray, np.ndarray]:
     return np.sqrt((grad ** 2).sum(axis=-1)), valid
 
 
-def hessian(field: ScalarField) -> Tuple[np.ndarray, np.ndarray]:
-    """Central-difference Hessian at every node, in one pass.
+def hessian_at_nodes(field: ScalarField, nodes: np.ndarray) -> np.ndarray:
+    """Central-difference Hessians at the given nodes, as an (n, d, d) stack.
 
-    Returns (H, valid) where H has shape dims + (ndim, ndim) and valid is
-    the stencil mask; H is zero-filled elsewhere.  Each entry is the same
-    expression as in `hessian_at`, on np.roll-shifted copies of the
-    values, so the two agree bit for bit at every valid node.
+    `nodes` is an (n, d) integer array of stencil-valid nodes; stencil
+    values are gathered with (node + offset) % dims, so periodic axes wrap
+    and nodes on an open boundary must be filtered out by the caller.
+    Every entry is the same expression, in the same order, wherever a
+    Hessian is taken, so `hessian` and `hessian_at` agree with it bit for
+    bit.
     """
     v = field.values
     h = field.spacing
     d = field.ndim
-    H = np.zeros(field.dims + (d, d), dtype=float)
-    up = [np.roll(v, -1, axis=a) for a in range(d)]
-    dn = [np.roll(v, 1, axis=a) for a in range(d)]
+    nodes = np.asarray(nodes, dtype=np.intp).reshape(-1, d)
+    dims = np.array(field.dims, dtype=np.intp)
+
+    def at(offset) -> np.ndarray:
+        return v[tuple(((nodes + offset) % dims).T)]
+
+    H = np.zeros((len(nodes), d, d), dtype=float)
+    f0 = at(np.zeros(d, dtype=np.intp))
     for a in range(d):
-        H[..., a, a] = (up[a] - 2.0 * v + dn[a]) / (h[a] * h[a])
+        e = np.zeros(d, dtype=np.intp)
+        e[a] = 1
+        H[:, a, a] = (at(e) - 2.0 * f0 + at(-e)) / (h[a] * h[a])
     for a in range(d):
         for b in range(a + 1, d):
-            val = (np.roll(up[a], -1, axis=b) - np.roll(up[a], 1, axis=b)
-                   - np.roll(dn[a], -1, axis=b) + np.roll(dn[a], 1, axis=b))
-            H[..., a, b] = H[..., b, a] = val / (4.0 * h[a] * h[b])
+            def corner(sa, sb):
+                off = np.zeros(d, dtype=np.intp)
+                off[a], off[b] = sa, sb
+                return at(off)
+
+            val = (corner(1, 1) - corner(1, -1) - corner(-1, 1) + corner(-1, -1))
+            H[:, a, b] = H[:, b, a] = val / (4.0 * h[a] * h[b])
+    return H
+
+
+def hessian(field: ScalarField) -> Tuple[np.ndarray, np.ndarray]:
+    """Central-difference Hessian at every node.
+
+    Returns (H, valid) where H has shape dims + (ndim, ndim) and valid is
+    the stencil mask; H is `hessian_at_nodes` at the valid nodes and zero
+    elsewhere.
+    """
+    d = field.ndim
     valid = stencil_mask(field)
-    H[~valid] = 0.0
+    H = np.zeros(field.dims + (d, d), dtype=float)
+    H[valid] = hessian_at_nodes(field, np.argwhere(valid))
     return H, valid
-
-
-def node_value(field: ScalarField, node: Sequence[int], offset: Sequence[int]) -> float:
-    idx = []
-    for a, (i, d) in enumerate(zip(node, offset)):
-        j = i + d
-        if field.periodic[a]:
-            j %= field.dims[a]
-        elif not (0 <= j < field.dims[a]):
-            raise BoundaryNodeError(f"stencil leaves the grid at node {tuple(node)}")
-        idx.append(j)
-    return float(field.values[tuple(idx)])
 
 
 def hessian_at(field: ScalarField, node: Sequence[int]) -> np.ndarray:
@@ -185,28 +200,10 @@ def hessian_at(field: ScalarField, node: Sequence[int]) -> np.ndarray:
     boundary (one-sided stencils are not trusted).
     """
     node = tuple(int(i) for i in node)
-    d = field.ndim
-    h = field.spacing
-    H = np.zeros((d, d), dtype=float)
-    f0 = node_value(field, node, (0,) * d)
-    for a in range(d):
-        ea = [0] * d
-        ea[a] = 1
-        up = node_value(field, node, tuple(ea))
-        ea[a] = -1
-        dn = node_value(field, node, tuple(ea))
-        H[a, a] = (up - 2.0 * f0 + dn) / (h[a] * h[a])
-    for a in range(d):
-        for b in range(a + 1, d):
-            off = [0] * d
-
-            def corner(sa, sb):
-                off[a], off[b] = sa, sb
-                return node_value(field, node, tuple(off))
-
-            val = (corner(1, 1) - corner(1, -1) - corner(-1, 1) + corner(-1, -1))
-            H[a, b] = H[b, a] = val / (4.0 * h[a] * h[b])
-    return H
+    for i, n, p in zip(node, field.dims, field.periodic):
+        if not p and not 1 <= i <= n - 2:
+            raise BoundaryNodeError(f"stencil leaves the grid at node {node}")
+    return hessian_at_nodes(field, np.array([node], dtype=np.intp))[0]
 
 
 def eig_sym(m: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -24,10 +24,14 @@ rho to f|_S; `flatten` is its full-chart case, where S is the whole
 neighbourhood.
 
 The Hessian tests visit every stencil-valid node of C.  Each checker
-takes the Hessians of all of them from one `fields.hessian` pass and
-their eigenpairs from one batched numpy.linalg.eigh; the chart terms of
-tau (dist(x, S)^4 and f o project_S) are built from per-axis arrays.
-`negative_index` and `transverse_negative_index` stay per node.
+gathers the Hessians at those nodes alone (`fields.hessian_at_nodes`), so
+its cost follows |C| rather than the grid, and takes their eigenpairs
+from one batched numpy.linalg.eigh.  The kernel tests are batched too:
+alignment with the chart is one SVD over the stack of kernel vectors, and
+transversality one matrix_rank per distinct kernel dimension.  The chart
+terms of tau (dist(x, S)^4 and f o project_S) are built from per-axis
+arrays, and the thickening's descent walks advance together by pointer
+doubling.  `negative_index` and `transverse_negative_index` stay per node.
 """
 
 from __future__ import annotations
@@ -39,8 +43,8 @@ import numpy as np
 
 from .cubical import GridMask, betti_of_mask
 # hessian_at/eig_sym serve the per-node functions; the benchmark tracer patches them here
-from .fields import (ScalarField, eig_sym, gradient_magnitude, hessian,
-                     hessian_at, stencil_mask)
+from .fields import (ScalarField, eig_sym, gradient_magnitude, hessian_at,
+                     hessian_at_nodes, stencil_mask)
 
 
 class NoCriticalPointsError(ValueError):
@@ -251,11 +255,10 @@ def isolating_box(component: GridMask) -> np.ndarray:
 
 def _node_hessians(f: ScalarField, comp: GridMask) -> Tuple[List[Tuple[int, ...]], np.ndarray]:
     """Stencil-valid nodes of a component, in argwhere order, and the
-    (n, d, d) stack of Hessians at them, from one `hessian` pass; callers
-    take all eigenpairs with one batched np.linalg.eigh."""
-    H, valid = hessian(f)
-    sel = comp.cells & valid
-    return [tuple(int(v) for v in idx) for idx in np.argwhere(sel)], H[sel]
+    (n, d, d) stack of Hessians gathered at them alone; callers take all
+    eigenpairs with one batched np.linalg.eigh."""
+    nodes = np.argwhere(comp.cells & stencil_mask(f))
+    return list(map(tuple, nodes.tolist())), hessian_at_nodes(f, nodes)
 
 
 def default_hessian_floor(f: ScalarField) -> float:
@@ -315,25 +318,19 @@ def index_preserved(f: ScalarField, f_check: ScalarField, crit: CriticalSet,
 # -- degeneracy checkers -------------------------------------------------
 
 
-def _grid_distance_to_component(comp: GridMask) -> np.ndarray:
-    """BFS distance (in cells) from every node to the component: the L1
-    graph distance of one-axis steps, wrapping on periodic axes."""
-    dims = comp.dims
-    dist = np.full(dims, -1, dtype=int)
-    frontier = [tuple(int(v) for v in idx) for idx in np.argwhere(comp.cells)]
-    for node in frontier:
-        dist[node] = 0
-    d = 0
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for nb in _neighbors(node, dims, comp.periodic):
-                if dist[nb] < 0:
-                    dist[nb] = d + 1
-                    nxt.append(nb)
-        frontier = nxt
-        d += 1
-    return dist
+def _dilate(cells: np.ndarray, periodic: Sequence[bool]) -> np.ndarray:
+    """Nodes within one one-axis step of `cells`, wrapping on periodic axes."""
+    out = cells.copy()
+    for a, p in enumerate(periodic):
+        if p:
+            out |= np.roll(cells, 1, axis=a) | np.roll(cells, -1, axis=a)
+            continue
+        lo = [slice(None)] * cells.ndim
+        hi = [slice(None)] * cells.ndim
+        lo[a], hi[a] = slice(None, -1), slice(1, None)
+        out[tuple(hi)] |= cells[tuple(lo)]
+        out[tuple(lo)] |= cells[tuple(hi)]
+    return out
 
 
 def _check_minimum_on_slice(f: ScalarField, comp: GridMask, chart: SubmanifoldChart,
@@ -353,8 +350,7 @@ def _check_minimum_on_slice(f: ScalarField, comp: GridMask, chart: SubmanifoldCh
         no_lower = bool((f.values[others] >= fmin - tols.value_tol).all())
     cond = on_c_flat and no_lower
     if strict and cond:
-        dist = _grid_distance_to_component(comp)
-        far = others & (dist > 2)
+        far = others & ~_dilate(_dilate(comp.cells, comp.periodic), comp.periodic)
         if far.any():
             cond = bool((f.values[far] > fmin + tols.value_tol).all())
     return cond, fmin
@@ -369,26 +365,41 @@ def _require_contained(comp: GridMask, chart: SubmanifoldChart):
         raise ChartError(f"critical component leaves the chart at node {node}")
 
 
-def _principal_alignment(kernel_vectors: np.ndarray, axes: Sequence[int], ndim: int) -> float:
-    """Largest principal angle (radians) between span(kernel) and the chart axes."""
-    if kernel_vectors.shape[1] == 0:
-        return 0.0
-    E = np.zeros((ndim, len(axes)))
-    for j, a in enumerate(axes):
-        E[a, j] = 1.0
-    sv = np.linalg.svd(kernel_vectors.T @ E, compute_uv=False)
-    k = min(kernel_vectors.shape[1], len(axes))
-    smallest_cos = float(sv[k - 1]) if k >= 1 else 1.0
-    return float(np.arccos(np.clip(smallest_cos, -1.0, 1.0)))
+def _kernel_vectors(kernel: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Rows of an (n, k, d) stack: node i's k kernel eigenvectors, in
+    eigenvalue order, for nodes that all have the same kernel dimension k."""
+    rows, cols = np.nonzero(kernel)
+    return V[rows, :, cols].reshape(len(kernel), -1, V.shape[-1])
 
 
-def _kernel_spans_axes(kernel: np.ndarray, V: np.ndarray, axes: Sequence[int],
-                       ndim: int) -> bool:
+def _kernel_spans_axes(kernel: np.ndarray, V: np.ndarray, axes: Sequence[int]) -> bool:
     """At every node (row of `kernel`, selecting eigenvectors in V), the
-    Hessian kernel has dimension len(axes) and lies along those axes."""
-    return all(k.sum() == len(axes)
-               and _principal_alignment(Vn[:, k], axes, ndim) <= ANGLE_TOL
-               for k, Vn in zip(kernel, V))
+    Hessian kernel has dimension len(axes) and lies along those axes: the
+    smallest cosine of the principal angles between the two spans, read
+    off one batched SVD, is within ANGLE_TOL of 1."""
+    if not (kernel.sum(axis=1) == len(axes)).all():
+        return False
+    if not axes or not len(kernel):
+        return True
+    K = _kernel_vectors(kernel, V)
+    sv = np.linalg.svd(K[:, :, list(axes)], compute_uv=False)
+    return bool((np.arccos(np.clip(sv[:, -1], -1.0, 1.0)) <= ANGLE_TOL).all())
+
+
+def _kernel_transverse(kernel: np.ndarray, V: np.ndarray, axes: Sequence[int]) -> bool:
+    """At every node, the Hessian kernel and the chart axes together span
+    the ambient space: [kernel vectors | chart axes] has full rank, tested
+    with one batched matrix_rank per distinct kernel dimension."""
+    ndim = V.shape[-1]
+    dims = kernel.sum(axis=1)
+    for k in map(int, np.unique(dims)):
+        sel = dims == k
+        span = np.zeros((int(sel.sum()), ndim, k + len(axes)))
+        span[:, :, :k] = _kernel_vectors(kernel[sel], V[sel]).transpose(0, 2, 1)
+        span[:, np.array(axes, dtype=int), np.arange(k, k + len(axes))] = 1.0
+        if not (np.linalg.matrix_rank(span, tol=1e-8) == ndim).all():
+            return False
+    return True
 
 
 def check_flattened_degenerate(f: ScalarField, crit: CriticalSet,
@@ -406,7 +417,7 @@ def check_flattened_degenerate(f: ScalarField, crit: CriticalSet,
     w, V = np.linalg.eigh(H)
     report.sampled_nodes = nodes
     report.hessian_spectra = w.tolist()
-    kernel_ok = _kernel_spans_axes(_kernel_mask(w, f, tols), V, chart.axes, f.ndim)
+    kernel_ok = _kernel_spans_axes(_kernel_mask(w, f, tols), V, chart.axes)
     report.details["hessian_kernel_equals_chart"] = kernel_ok
 
     if cond_min and kernel_ok and report.sampled_nodes:
@@ -473,11 +484,8 @@ def check_qmd(f: ScalarField, tau: ScalarField, crit: CriticalSet,
 
     _, H = _node_hessians(tau, comp)
     w, V = np.linalg.eigh(H)
-    kernel = _kernel_mask(w, f, tols)
-    chart_span = np.eye(f.ndim)[:, list(chart.axes)]
-    report.details["tau_kernel_transverse_to_chart"] = all(
-        np.linalg.matrix_rank(np.hstack([Vn[:, k], chart_span]), tol=1e-8) == f.ndim
-        for k, Vn in zip(kernel, V))
+    report.details["tau_kernel_transverse_to_chart"] = _kernel_transverse(
+        _kernel_mask(w, f, tols), V, chart.axes)
 
     flat = check_flattened_degenerate(f.sub(tau), crit, chart, tols,
                                       strict=strict, component=component)
@@ -744,26 +752,37 @@ class ThickeningReport:
         }
 
 
-def _steepest_descent(f: ScalarField, start, box, budget: int):
-    node = tuple(start)
-    for _ in range(budget):
-        best = node
-        best_val = f.values[node]
-        for nb in _neighbors(node, f.dims, f.periodic):
-            if f.values[nb] < best_val:
-                best, best_val = nb, f.values[nb]
-        if best == node:
-            return node
-        if not box[best]:
-            raise DescentEscapeError(f"descent from {tuple(start)} left the box")
-        node = best
-    return node
+def _steepest_neighbour(f: ScalarField) -> np.ndarray:
+    """Flat index of each node's steepest-descent step: its lowest
+    neighbour if that lies strictly below it (the first such in
+    `_neighbors` order on ties), else the node itself.  Open axes have no
+    edge across the boundary."""
+    v = f.values
+    idx = np.arange(v.size).reshape(f.dims)
+    best, best_val = idx.copy(), v.copy()
+    for a in range(f.ndim):
+        for d in (-1, 1):
+            nb_val = np.roll(v, -d, axis=a)
+            lower = nb_val < best_val
+            if not f.periodic[a]:
+                edge = [slice(None)] * f.ndim
+                edge[a] = 0 if d < 0 else -1
+                lower[tuple(edge)] = False
+            best = np.where(lower, np.roll(idx, -d, axis=a), best)
+            best_val = np.where(lower, nb_val, best_val)
+    return best.ravel()
 
 
 def verify_thickening(f: ScalarField, crit: CriticalSet, sigma: GridMask,
                       tols: Tolerances, component: int = 0) -> ThickeningReport:
     """Betti equality of C and sigma, plus descent from sigma back into C
-    (each walk at most 4 * sum(dims) steps)."""
+    (each walk at most 4 * sum(dims) steps).
+
+    All walks advance together by pointer doubling over the steepest-step
+    array, with a flag for a step that leaves the isolating box carried
+    along each doubled jump; the first start in argwhere order whose walk
+    leaves the box raises DescentEscapeError.  `tols` is unused.
+    """
     comp = crit.components[component]
     if not (comp.cells <= sigma.cells).all():
         raise ValueError("C must be contained in sigma")
@@ -772,12 +791,24 @@ def verify_thickening(f: ScalarField, crit: CriticalSet, sigma: GridMask,
     b_s = betti_of_mask(sigma)
     betti_match = b_c == b_s
 
+    jump = _steepest_neighbour(f)
+    leaves = (jump != np.arange(jump.size)) & ~box.ravel()[jump]
+    starts = np.argwhere(sigma.cells)
+    pos = np.ravel_multi_index(tuple(starts.T), f.dims)
+    escaped = np.zeros(len(pos), dtype=bool)
     budget = 4 * sum(f.dims)
-    failures = []
-    for node in map(tuple, np.argwhere(sigma.cells)):
-        end = _steepest_descent(f, node, box, budget)
-        if not comp.cells[end]:
-            failures.append(node)
+    while budget:
+        if budget & 1:
+            escaped |= leaves[pos]
+            pos = jump[pos]
+        budget >>= 1
+        if budget:
+            leaves = leaves | leaves[jump]
+            jump = jump[jump]
+    if escaped.any():
+        start = tuple(starts[escaped.argmax()].tolist())
+        raise DescentEscapeError(f"descent from {start} left the box")
+    failures = list(map(tuple, starts[~comp.cells.ravel()[pos]].tolist()))
     descent_ok = not failures
     return ThickeningReport(b_c, b_s, betti_match, descent_ok,
                             betti_match and descent_ok, failures)
@@ -809,7 +840,7 @@ def classify(f: ScalarField, crit: CriticalSet, chart: Optional[SubmanifoldChart
     f_on_c = f.values[comp.cells]
     bott_ok = (bool(nodes)
                and float(f_on_c.max() - f_on_c.min()) <= tols.value_tol
-               and _kernel_spans_axes(kernel, V, _component_extent_axes(comp), f.ndim))
+               and _kernel_spans_axes(kernel, V, _component_extent_axes(comp)))
     report.hessian_spectra = w.tolist()
     report.sampled_nodes = nodes
     report.details["morse"] = morse_ok

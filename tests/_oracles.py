@@ -22,17 +22,25 @@ taken in one pass per field: one ``hessian_at`` and ``eig_sym`` per node, the
 chart terms from a per-node loop and one ``flow_translate`` per scan step.
 ``oracle_flatten`` is the full-grid flattening body that ``qmdkit.morse.flatten``
 had before it became ``flatten_along_chart`` on the full chart.
+``_principal_alignment``, ``oracle_kernel_spans_axes`` and
+``oracle_kernel_transverse`` are the per-node kernel tests (one SVD or one
+``matrix_rank`` per node) that the checkers ran before they were batched.
+
+``oracle_verify_thickening`` is ``verify_thickening`` with one Python
+``_steepest_descent`` walk per sigma node, and
+``oracle_grid_distance_to_component`` the BFS distance that strict mode read
+before it became two one-step dilations of C.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from qmdkit.cubical import EmptyMaskError, GridMask
+from qmdkit.cubical import EmptyMaskError, GridMask, betti_of_mask
 from qmdkit.fields import (ScalarField, eig_sym, gradient_magnitude, hessian_at,
                            stencil_mask)
 from qmdkit.gf2 import (GF2Matrix, Subspace, quotient_dim, solve_row_combination,
@@ -40,12 +48,13 @@ from qmdkit.gf2 import (GF2Matrix, Subspace, quotient_dim, solve_row_combination
 from qmdkit.graphlag import GraphSection, IsolationReport, flow_translate
 from qmdkit.morse import (ANGLE_TOL, BOX_MARGIN, MAX_NUDGES, ChartError,
                           ConstructionError, CriticalSet, DegeneracyReport,
-                          FlattenResult, RegularValueError, SubmanifoldChart,
-                          TauError, Tolerances, _box_excess_distance,
+                          DescentEscapeError, FlattenResult, RegularValueError,
+                          SubmanifoldChart, TauError, ThickeningReport,
+                          Tolerances, _box_excess_distance,
                           _check_minimum_on_slice, _component_extent_axes,
-                          _kernel_threshold, _principal_alignment,
-                          _regular_delta, _require_contained, _smoothstep,
-                          build_rho, critical_node_mask, default_hessian_floor,
+                          _kernel_threshold, _neighbors, _regular_delta,
+                          _require_contained, _smoothstep, build_rho,
+                          critical_node_mask, default_hessian_floor,
                           isolating_box, transverse_negative_index)
 from qmdkit.specseq import FilteredComplex, Generator, Page
 
@@ -436,6 +445,37 @@ def oracle_betti(cx: OracleComplex) -> Tuple[int, ...]:
 # `hessian_at`, every spectrum from `eig_sym`, tau and the chart flattening from
 # per-node `_project`/`_distance_to` loops, and one `flow_translate` per scan step.
 
+def _principal_alignment(kernel_vectors: np.ndarray, axes: Sequence[int], ndim: int) -> float:
+    """Largest principal angle (radians) between span(kernel) and the chart axes."""
+    if kernel_vectors.shape[1] == 0:
+        return 0.0
+    E = np.zeros((ndim, len(axes)))
+    for j, a in enumerate(axes):
+        E[a, j] = 1.0
+    sv = np.linalg.svd(kernel_vectors.T @ E, compute_uv=False)
+    k = min(kernel_vectors.shape[1], len(axes))
+    smallest_cos = float(sv[k - 1]) if k >= 1 else 1.0
+    return float(np.arccos(np.clip(smallest_cos, -1.0, 1.0)))
+
+
+def oracle_kernel_spans_axes(kernel: np.ndarray, V: np.ndarray, axes: Sequence[int],
+                             ndim: int) -> bool:
+    """At every node (row of `kernel`, selecting eigenvectors in V), the
+    Hessian kernel has dimension len(axes) and lies along those axes."""
+    return all(k.sum() == len(axes)
+               and _principal_alignment(Vn[:, k], axes, ndim) <= ANGLE_TOL
+               for k, Vn in zip(kernel, V))
+
+
+def oracle_kernel_transverse(kernel: np.ndarray, V: np.ndarray, axes: Sequence[int],
+                             ndim: int) -> bool:
+    """[kernel vectors | chart axes] has full rank at every node, one
+    matrix_rank per node."""
+    chart_span = np.eye(ndim)[:, list(axes)]
+    return all(np.linalg.matrix_rank(np.hstack([Vn[:, k], chart_span]), tol=1e-8) == ndim
+               for k, Vn in zip(kernel, V))
+
+
 def _project(chart: SubmanifoldChart, node) -> Tuple[int, ...]:
     """The node with its off-chart coordinates replaced by the chart base."""
     return tuple(node[a] if a in chart.axes else chart.base[a]
@@ -814,3 +854,69 @@ def oracle_isolation_scan(f: ScalarField, tau: ScalarField, crit: CriticalSet,
     in_chart = chart.slice_mask(f.dims)
     report.t1_contained_in_chart = bool((near_end <= in_chart).all())
     return report
+
+
+# -- per-walk steepest descent and the BFS distance to a component ----------------
+#
+# `verify_thickening` before its walks were advanced together by pointer doubling:
+# one Python walk per sigma node over `_neighbors`.  The loop yields int tuples,
+# so the escape message and the failures list print plain ints.
+
+def _steepest_descent(f: ScalarField, start, box, budget: int):
+    node = tuple(start)
+    for _ in range(budget):
+        best = node
+        best_val = f.values[node]
+        for nb in _neighbors(node, f.dims, f.periodic):
+            if f.values[nb] < best_val:
+                best, best_val = nb, f.values[nb]
+        if best == node:
+            return node
+        if not box[best]:
+            raise DescentEscapeError(f"descent from {tuple(start)} left the box")
+        node = best
+    return node
+
+
+def oracle_verify_thickening(f: ScalarField, crit: CriticalSet, sigma: GridMask,
+                             tols: Tolerances, component: int = 0) -> ThickeningReport:
+    """Betti equality of C and sigma, plus descent from sigma back into C
+    (each walk at most 4 * sum(dims) steps)."""
+    comp = crit.components[component]
+    if not (comp.cells <= sigma.cells).all():
+        raise ValueError("C must be contained in sigma")
+    box = isolating_box(comp)
+    b_c = betti_of_mask(comp)
+    b_s = betti_of_mask(sigma)
+    betti_match = b_c == b_s
+
+    budget = 4 * sum(f.dims)
+    failures = []
+    for node in (tuple(int(v) for v in idx) for idx in np.argwhere(sigma.cells)):
+        end = _steepest_descent(f, node, box, budget)
+        if not comp.cells[end]:
+            failures.append(node)
+    descent_ok = not failures
+    return ThickeningReport(b_c, b_s, betti_match, descent_ok,
+                            betti_match and descent_ok, failures)
+
+
+def oracle_grid_distance_to_component(comp: GridMask) -> np.ndarray:
+    """BFS distance (in cells) from every node to the component: the L1
+    graph distance of one-axis steps, wrapping on periodic axes."""
+    dims = comp.dims
+    dist = np.full(dims, -1, dtype=int)
+    frontier = [tuple(int(v) for v in idx) for idx in np.argwhere(comp.cells)]
+    for node in frontier:
+        dist[node] = 0
+    d = 0
+    while frontier:
+        nxt = []
+        for node in frontier:
+            for nb in _neighbors(node, dims, comp.periodic):
+                if dist[nb] < 0:
+                    dist[nb] = d + 1
+                    nxt.append(nb)
+        frontier = nxt
+        d += 1
+    return dist

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -92,6 +95,22 @@ def test_flatten_corner_fixture(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["betti_c"] == [1, 0, 0]
     assert report["betti_sigma"] == [1, 0, 0]
+
+
+def test_flatten_descent_escape_is_domain_failure(tmp_path, capsys):
+    # C = {10}, box 7..13; from the box edge x = 7 the steepest step is the
+    # dip at x = 6, outside the box
+    x = np.arange(21.0)
+    values = 0.001 * (x - 10.0) ** 2
+    values[[5, 6, 14, 15]] = -1.0
+    field = {"dims": [21], "spacing": [1.0], "periodic": [0],
+             "values": values.tolist()}
+    code = main(["flatten", "--field", _write(tmp_path, "f.json", field),
+                 "--delta", "0.02", "--grad-tol", "1e-6"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "failed: descent from (7,) left the box\n"
 
 
 def test_specseq_cancellation(tmp_path, capsys):
@@ -253,6 +272,17 @@ def test_example_list(capsys):
     assert main(["example", "--list"]) == 0
     names = capsys.readouterr().out.split()
     assert "monodromy" in names and "annulus-kunneth" in names
+
+
+def test_python_dash_m_runs_the_cli():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    paths = [os.path.join(root, "src"), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    proc = subprocess.run([sys.executable, "-m", "qmdkit", "example", "--list"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "monodromy" in proc.stdout.split()
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

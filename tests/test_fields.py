@@ -6,7 +6,7 @@ import pytest
 
 from qmdkit.fields import (BoundaryNodeError, GridMismatchError, ScalarField,
                            c1_distance, default_grad_tol, eig_sym, gradient,
-                           hessian, hessian_at, stencil_mask)
+                           hessian, hessian_at, hessian_at_nodes, stencil_mask)
 
 from _oracles import sturm_eigenvalues
 
@@ -86,8 +86,13 @@ def test_hessian_field_matches_hessian_at_bit_for_bit():
         assert H.shape == dims + (d, d)
         assert np.array_equal(valid, stencil_mask(f))
         assert not H[~valid].any()
-        for node in map(tuple, np.argwhere(valid)):
-            assert np.array_equal(H[node], hessian_at(f, node))
+        nodes = np.argwhere(valid)
+        G = hessian_at_nodes(f, nodes)
+        assert G.shape == (len(nodes), d, d)
+        assert np.array_equal(G, H[valid])
+        assert np.array_equal(hessian_at_nodes(f, nodes[::-1]), G[::-1])
+        for node, Hn in zip(map(tuple, nodes), G):
+            assert np.array_equal(Hn, hessian_at(f, node))
 
 
 def test_eig_diag():

@@ -12,7 +12,8 @@ from qmdkit.catalog import (TOLS, field_1d_quadratic, field_1d_quartic,
 from qmdkit.cubical import GridMask, betti_of_mask
 from qmdkit.fields import ScalarField, c1_distance
 from qmdkit.morse import (ChartError, CriticalSet, NoCriticalPointsError,
-                          SubmanifoldChart, Tolerances, build_rho,
+                          SubmanifoldChart, Tolerances, _dilate,
+                          _kernel_spans_axes, _kernel_transverse, build_rho,
                           check_flattened_degenerate,
                           check_minimally_degenerate, check_qmd, classify,
                           construct_tau, critical_node_mask,
@@ -23,7 +24,9 @@ from qmdkit.morse import (ChartError, CriticalSet, NoCriticalPointsError,
 from _oracles import (oracle_check_flattened_degenerate,
                       oracle_check_minimally_degenerate, oracle_check_qmd,
                       oracle_classify, oracle_construct_tau, oracle_flatten,
-                      oracle_flatten_along_chart, oracle_index_preserved)
+                      oracle_flatten_along_chart, oracle_grid_distance_to_component,
+                      oracle_index_preserved, oracle_kernel_spans_axes,
+                      oracle_kernel_transverse, oracle_verify_thickening)
 
 SEED = int(os.environ.get("QMD_SEED", "0"))
 
@@ -507,3 +510,136 @@ def test_fast_paths_match_per_node_oracle(f, tau, chart):
         assert (_outcome(flatten, f0, delta, crit, TOLS, **kw)
                 == _outcome(oracle_flatten, f0, delta, crit, TOLS, **kw))
 
+
+# -- batched kernel tests, vectorized descent, strict-mode guard band -------------
+
+
+def _eigenvector_stack(rng, n, d, axes):
+    """n orthogonal d x d matrices whose first len(axes) columns lie along
+    `axes`, turned by a small random rotation: none, well inside ANGLE_TOL,
+    near it, or well beyond it."""
+    V = np.empty((n, d, d))
+    order = list(axes) + [a for a in range(d) if a not in axes]
+    for i in range(n):
+        eps = float(rng.choice([0.0, 1e-9, 1e-6, 1e-3]))
+        Q, _ = np.linalg.qr(np.eye(d) + eps * rng.normal(size=(d, d)))
+        V[i] = Q[:, order]
+    return V
+
+
+def test_batched_kernel_tests_match_per_node_oracle():
+    rng = np.random.default_rng(SEED)
+    seen = set()
+    for _ in range(400):
+        d = int(rng.integers(1, 5))
+        n = int(rng.integers(0, 7))
+        axes = tuple(sorted(int(a) for a in
+                            rng.choice(d, size=int(rng.integers(0, d + 1)), replace=False)))
+        V = _eigenvector_stack(rng, n, d, axes)
+        if rng.random() < 0.3:  # unrelated eigenvectors
+            V = np.linalg.qr(rng.normal(size=(n, d, d)))[0]
+        kernel = np.zeros((n, d), dtype=bool)
+        kernel[:, :len(axes)] = True
+        for i in range(n):  # kernel dimension other than len(axes) at some nodes
+            if rng.random() < 0.15:
+                kernel[i] = rng.random(d) < 0.5
+        spans = _kernel_spans_axes(kernel, V, axes)
+        assert spans == oracle_kernel_spans_axes(kernel, V, axes, d)
+        transverse = _kernel_transverse(kernel, V, axes)
+        assert transverse == oracle_kernel_transverse(kernel, V, axes, d)
+        seen.add((spans, transverse))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_check_qmd_without_stencil_valid_nodes_matches_oracle():
+    f = ScalarField.sample((9,), (0.25,), (False,), lambda x: x * x)
+    tau = f.with_values(f.values ** 2)
+    crit = _singleton((9,), (False,), (0,))
+    for chart in (SubmanifoldChart((), (0,)), SubmanifoldChart((0,), (0,))):
+        for strict in (False, True):
+            fast = _outcome(check_qmd, f, tau, crit, chart, TOLS, strict)
+            assert fast == _outcome(oracle_check_qmd, f, tau, crit, chart, TOLS, strict)
+            assert fast[0] == "ok" and fast[1]["sampled_nodes"] == []
+
+
+def _spiral_field(n):
+    """A strictly decreasing walled spiral corridor on an n x n grid:
+    from the corner (0, 0), steepest descent follows the corridor."""
+    values = np.full((n, n), 10.0 * n * n)
+    path = [(0, 0)]
+    moves = [(0, 1), (1, 0), (0, -1), (-1, 0)]
+    lengths = [n - 1, n - 1, n - 1] + [m for k in range(n - 3, 0, -2) for m in (k, k)]
+    for turn, length in enumerate(lengths):
+        di, dj = moves[turn % 4]
+        for _ in range(length):
+            i, j = path[-1]
+            path.append((i + di, j + dj))
+    for k, node in enumerate(path):
+        values[node] = float(len(path) - k)
+    return ScalarField((n, n), (1.0, 1.0), (False, False), values), path
+
+
+def test_vectorized_descent_matches_per_walk_oracle():
+    rng = np.random.default_rng(SEED)
+    cases = []
+    # integer values make ties; sizes 1 and 2 on periodic axes come up often
+    for i in range(80):
+        d = int(rng.integers(1, 4))
+        dims = tuple(int(m) for m in rng.integers(1, 9, d))
+        periodic = tuple(bool(p) for p in rng.integers(0, 2, d))
+        if i % 4 == 0:
+            dims = tuple(int(rng.choice([1, 2])) if p else m
+                         for m, p in zip(dims, periodic))
+        f = ScalarField(dims, (1.0,) * d, periodic,
+                        rng.integers(0, 4, dims).astype(float))
+        comp = rng.random(dims) < float(rng.choice([0.05, 0.3, 0.9]))
+        comp.flat[int(rng.integers(comp.size))] = True
+        sigma = comp | (rng.random(dims) < 0.5)
+        cases.append((f, comp, sigma))
+    # the walk from the box edge x = 7 steps to the dip at x = 6, outside the box
+    x = np.arange(21.0)
+    values = 0.001 * (x - 10.0) ** 2
+    values[[5, 6, 14, 15]] = -1.0
+    f = ScalarField((21,), (1.0,), (False,), values)
+    cases.append((f, x == 10, np.abs(x - 10) <= 3))
+    # from x = 10 the walk leaves the box 7..13 on its fourth step and stops
+    # at the minimum x = 6 just outside it
+    f = ScalarField((21,), (1.0,), (False,), np.abs(x - 6.0))
+    cases.append((f, x == 10, x == 10))
+    # a spiral longer than the 4 * sum(dims) budget that ends in C; two far
+    # corners make the box the whole grid, so the walk from (0, 0) runs out
+    # of steps before it reaches C
+    f, path = _spiral_field(21)
+    assert len(path) > 4 * sum(f.dims) + 1
+    comp = np.zeros(f.dims, dtype=bool)
+    comp[0, 20] = comp[20, 0] = comp[path[-1]] = True
+    cases.append((f, comp, np.ones(f.dims, dtype=bool)))
+
+    outcomes = []
+    for f, comp, sigma in cases:
+        crit = CriticalSet((GridMask(f.dims, f.periodic, comp),), 1e-6)
+        sigma = GridMask(f.dims, f.periodic, sigma)
+        fast = _outcome(verify_thickening, f, crit, sigma, TOLS)
+        assert fast == _outcome(oracle_verify_thickening, f, crit, sigma, TOLS)
+        outcomes.append(fast)
+    assert {o[0] for o in outcomes[:-3]} == {"ok", "raised"}
+    assert outcomes[-3] == ("raised", "DescentEscapeError",
+                            "descent from (7,) left the box")
+    assert outcomes[-2] == ("raised", "DescentEscapeError",
+                            "descent from (10,) left the box")
+    assert outcomes[-1][0] == "ok" and [0, 0] in outcomes[-1][1]["failures"]
+
+
+def test_dilation_matches_bfs_distance():
+    rng = np.random.default_rng(SEED)
+    for _ in range(60):
+        d = int(rng.integers(1, 4))
+        dims = tuple(int(m) for m in rng.integers(1, 9, d))
+        periodic = tuple(bool(p) for p in rng.integers(0, 2, d))
+        cells = rng.random(dims) < float(rng.choice([0.02, 0.1, 0.3]))
+        cells.flat[int(rng.integers(cells.size))] = True
+        dist = oracle_grid_distance_to_component(GridMask(dims, periodic, cells))
+        near = cells
+        for k in range(4):
+            assert np.array_equal(near, dist <= k)
+            near = _dilate(near, periodic)
