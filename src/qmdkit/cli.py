@@ -5,6 +5,10 @@ deterministic: 0 on success, 1 on a domain failure (failed
 classification, broken filtration, non-regular crossing, failed
 expectation), 2 on usage or I/O errors.  Output JSON is byte-stable for
 identical inputs: keys are sorted and no timestamps are emitted.
+
+``main`` builds the argument parser on its first call and reuses it, which
+saves in-process callers (scripts, notebooks, the test suite) rebuilding
+it on every call; a one-shot ``qmdkit`` process builds it once either way.
 """
 
 from __future__ import annotations
@@ -190,6 +194,14 @@ def cmd_flatten(args) -> int:
 
 
 def cmd_specseq(args) -> int:
+    only = None
+    if args.pages != "all":
+        try:
+            only = int(args.pages)
+        except ValueError as exc:
+            raise UsageFailure("--pages takes 'all' or a page number") from exc
+        if only < 1:
+            raise UsageFailure("--pages must be >= 1")
     data = _load_json(args.descriptor)
     try:
         desc = QMDDescriptor.from_json(data)
@@ -208,15 +220,7 @@ def cmd_specseq(args) -> int:
     except (FiltrationError, BoundaryError, CrossTermError) as exc:
         raise DomainFailure(str(exc)) from exc
     stable, einf = converge(fc)
-    if args.pages == "all":
-        ks = list(range(1, fc.max_filtration + 2))
-    else:
-        try:
-            ks = [int(args.pages)]
-        except ValueError as exc:
-            raise UsageFailure("--pages takes 'all' or a page number") from exc
-        if ks[0] < 1:
-            raise UsageFailure("--pages must be >= 1")
+    ks = [only] if only else list(range(1, fc.max_filtration + 2))
     homology = fc.homology_dims()
     graded = einf.total_dims()
     payload = {
@@ -326,10 +330,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    # parse_args leaves the parser as it was (no append actions, no mutable
+    # defaults), so one parser can serve every call
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -3,15 +3,17 @@
 Two representations share this module.  ``reduce_columns`` is the one
 column-reduction kernel for homology: columns are Python sets of row
 indices, each reduced by its pivot (largest row) against the pivots seen
-so far.  Cubical Betti numbers (with clearing) and the persistence
-pairing of filtered complexes both run on it, so complexes of ~1e5 cells
-and more cost memory in proportion to the entries of their reduced
-columns, not to the square of their cell count.
+so far.  Cubical Betti numbers (with clearing), the persistence pairing
+of filtered complexes and their unfiltered homology all run on it, so
+complexes of ~1e5 cells and more cost memory in proportion to the entries
+of their reduced columns, not to the square of their cell count.
 
 The dense matrices are stored bit-packed, 64 columns per machine word.
-They serve the small spectral-sequence differentials of ``specseq``
-and the test oracles.  All operations are pure: inputs are never mutated,
-so values can be shared freely between threads.
+In the library they serve only ``Page.differentials``, the page-k
+differentials of ``specseq``; ``FilteredComplex.differential`` builds one
+on demand for the test oracles, which also use the ``Subspace`` stack.
+All operations are pure: inputs are never mutated, so values can be
+shared freely between threads.
 
 Dense elimination pivots on the first nonzero entry in column order,
 swapping rows in place on a working copy.  Echelon forms, and therefore

@@ -85,11 +85,8 @@ class FilteredComplex:
             self._by_degree[g.degree].append(g)
 
         self.boundary_names: Dict[str, Tuple[str, ...]] = {}
-        self._diff: Dict[int, GF2Matrix] = {}
         for n, gens in self._by_degree.items():
-            lower = self._by_degree.get(n - 1, [])
-            dense = np.zeros((len(lower), len(gens)), dtype=np.uint8)
-            for j, g in enumerate(gens):
+            for g in gens:
                 targets = tuple(boundary.get(g.name, ()))
                 self.boundary_names[g.name] = targets
                 for tname in targets:
@@ -100,9 +97,7 @@ class FilteredComplex:
                     if tgt.degree != n - 1:
                         raise BoundaryError(f"boundary of {g.name} (degree {n}) hits "
                                             f"{tname} of degree {tgt.degree}")
-                    dense[self._index_in_degree[tname], j] ^= 1
-            self._diff[n] = GF2Matrix.from_dense(dense) if dense.size else \
-                GF2Matrix(len(lower), len(gens))
+        self._persistence = None    # (pairs, unpaired) as tuples, once reduced
 
     # -- structure queries ----------------------------------------------
 
@@ -119,7 +114,12 @@ class FilteredComplex:
         return [g.name for g in self._by_degree.get(n, [])]
 
     def differential(self, n: int) -> GF2Matrix:
-        return self._diff.get(n, GF2Matrix(self.dim(n - 1), self.dim(n)))
+        """d_n as a dense matrix, rows and columns in generator order."""
+        dense = np.zeros((self.dim(n - 1), self.dim(n)), dtype=np.uint8)
+        for j, g in enumerate(self._by_degree.get(n, ())):
+            for tname in self.boundary_names[g.name]:
+                dense[self._index_in_degree[tname], j] ^= 1
+        return GF2Matrix.from_dense(dense) if dense.size else GF2Matrix(*dense.shape)
 
     @property
     def max_filtration(self) -> int:
@@ -140,23 +140,34 @@ class FilteredComplex:
                         f"differential raises filtration: {g.name} (p={g.filtration}) "
                         f"-> {tname} (p={tgt.filtration})")
         for n in self.degrees():
-            lower = self.differential(n)
-            lower2 = self.differential(n - 1)
-            if lower.rows and lower2.rows:
-                if not lower2.mul(lower).is_zero():
+            for g in self._by_degree[n]:
+                # d(d g) counts each path g -> t -> s once, mod 2
+                twice: set = set()
+                for tname in self.boundary_names[g.name]:
+                    for sname in self.boundary_names[tname]:
+                        twice ^= {sname}
+                if twice:
                     raise BoundaryError(f"d^2 != 0 out of degree {n}")
 
     # -- homology oracle ---------------------------------------------------
 
     def homology_dims(self) -> Dict[int, int]:
-        """Direct GF(2) homology of the unfiltered total complex."""
-        out = {}
-        for n in self.degrees():
-            d_n = self.differential(n)
-            d_n1 = self.differential(n + 1)
-            dim_ker = self.dim(n) - d_n.rank()
-            out[n] = dim_ker - d_n1.rank()
-        return out
+        """Direct GF(2) homology of the unfiltered total complex.
+
+        One ``reduce_columns`` pass over every generator in degree order,
+        ignoring the filtration: a degree-n column reduces only against
+        other degree-n columns, so rank d_n is their pivot count.
+        """
+        order = sorted(self.generators, key=lambda g: g.degree)
+        position = {g.name: i for i, g in enumerate(order)}
+        pivots = reduce_columns([position[t] for t in self.boundary_names[g.name]]
+                                for g in order)
+        rank: Dict[int, int] = {}
+        for g, pivot in zip(order, pivots):
+            if pivot is not None:
+                rank[g.degree] = rank.get(g.degree, 0) + 1
+        return {n: self.dim(n) - rank.get(n, 0) - rank.get(n + 1, 0)
+                for n in self.degrees()}
 
     # -- persistence -------------------------------------------------------
 
@@ -167,8 +178,16 @@ class FilteredComplex:
         Generators are sorted by (filtration, degree), so every prefix spans
         a subcomplex.  Each boundary column lists its targets' positions in
         that order and goes through ``reduce_columns``; a column's pivot is
-        its latest generator after reduction.
+        its latest generator after reduction.  The first call that succeeds
+        stores the result, so ``page`` and ``converge`` share one reduction
+        per complex; every call returns fresh lists.
         """
+        if self._persistence is None:
+            self._persistence = self._reduce()
+        pairs, unpaired = self._persistence
+        return list(pairs), list(unpaired)
+
+    def _reduce(self) -> Tuple[Tuple[Tuple[Generator, Generator], ...], Tuple[Generator, ...]]:
         order = sorted(self.generators, key=lambda g: (g.filtration, g.degree))
         position = {g.name: i for i, g in enumerate(order)}
         columns = []
@@ -186,7 +205,7 @@ class FilteredComplex:
             if x is not None:
                 pairs.append((order[x], order[y]))
                 paired.update((x, y))
-        return pairs, [g for i, g in enumerate(order) if i not in paired]
+        return tuple(pairs), tuple(g for i, g in enumerate(order) if i not in paired)
 
     # -- serialization ------------------------------------------------------
 
@@ -202,7 +221,12 @@ class FilteredComplex:
     def from_json(cls, data: dict) -> "FilteredComplex":
         gens = [Generator(d["name"], int(d["degree"]), int(d.get("filtration", 1)))
                 for d in data["generators"]]
-        return cls(gens, {k: list(v) for k, v in data.get("boundary", {}).items()})
+        boundary = data.get("boundary", {})
+        for name, targets in boundary.items():
+            if not isinstance(targets, list):
+                raise DescriptorError(f"boundary of {name} must be a list of "
+                                      f"generator names, got {targets!r}")
+        return cls(gens, boundary)
 
 
 # -- pages -----------------------------------------------------------------
@@ -321,6 +345,9 @@ class QMDPiece:
                 _require_int(g["degree"], f"piece {self.name}: degree of {g['name']}")
                 names.add(g["name"])
             for src, targets in boundary.items():
+                if not isinstance(targets, list):
+                    raise DescriptorError(f"piece {self.name}: boundary of {src} must be "
+                                          f"a list of generator names, got {targets!r}")
                 for name in (src, *targets):
                     if name not in names:
                         raise DescriptorError(f"piece {self.name}: boundary names "

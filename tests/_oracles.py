@@ -11,6 +11,12 @@ formula, with the subspace sums, quotients and row solves of
 ``qmdkit.gf2``'s ``Subspace`` stack; the production ``qmdkit.specseq.page``
 reads them off a persistence pairing and no longer touches that stack.
 
+``oracle_validate`` is ``FilteredComplex.validate`` as it was before it
+counted boundary-of-boundary names: d^2 = 0 by dense ``GF2Matrix``
+products.  ``random_shifted_sum`` and ``random_raw_complex`` draw complexes
+with negative degrees and degree gaps, with and without d^2 = 0, for the
+cross-checks of ``validate``, ``homology_dims`` and the stored pairing.
+
 ``oracle_build_complex`` is the tuple-cell closure with dense ``GF2Matrix``
 boundaries that ``qmdkit.cubical`` used before its doubled-grid engine:
 cells are (anchor, extent) pairs and ``oracle_betti`` takes dense ranks.
@@ -56,7 +62,7 @@ from qmdkit.morse import (ANGLE_TOL, BOX_MARGIN, MAX_NUDGES, ChartError,
                           _require_contained, _smoothstep, build_rho,
                           critical_node_mask, default_hessian_floor,
                           isolating_box, transverse_negative_index)
-from qmdkit.specseq import FilteredComplex, Generator, Page
+from qmdkit.specseq import BoundaryError, FilteredComplex, FiltrationError, Generator, Page
 
 
 def naive_gf2_rank(rows) -> int:
@@ -129,6 +135,24 @@ def naive_homology_dims(fc: FilteredComplex) -> dict:
         rank_n1 = naive_gf2_rank(d_n1) if fc.dim(n + 1) else 0
         out[n] = fc.dim(n) - rank_n - rank_n1
     return out
+
+
+def oracle_validate(fc: FilteredComplex) -> None:
+    """``FilteredComplex.validate`` by dense products: the filtration check,
+    then d_{n-1} d_n = 0 as a packed ``GF2Matrix`` product, degree by degree."""
+    filtration = {g.name: g.filtration for g in fc.generators}
+    for g in fc.generators:
+        for tname in fc.boundary_names.get(g.name, ()):
+            if filtration[tname] > g.filtration:
+                raise FiltrationError(
+                    f"differential raises filtration: {g.name} (p={g.filtration}) "
+                    f"-> {tname} (p={filtration[tname]})")
+    for n in fc.degrees():
+        lower = fc.differential(n)
+        lower2 = fc.differential(n - 1)
+        if lower.rows and lower2.rows:
+            if not lower2.mul(lower).is_zero():
+                raise BoundaryError(f"d^2 != 0 out of degree {n}")
 
 
 def _gf2_inverse(U: np.ndarray) -> np.ndarray:
@@ -222,6 +246,40 @@ def random_filtered_complex(rng: np.random.Generator, max_gens: int = 40):
     fc = FilteredComplex(generators, boundary)
     fc.validate()
     return fc, {n: d for n, d in expected.items()}
+
+
+def random_shifted_sum(rng: np.random.Generator, max_gens: int = 20) -> FilteredComplex:
+    """The direct sum of two ``random_filtered_complex`` draws, one moved to
+    negative degrees and one above a gap of at least one empty degree, so
+    d^2 = 0 and d respects the filtration."""
+    generators, boundary = [], {}
+    for tag, shift in (("lo", int(rng.integers(-7, -3))), ("hi", int(rng.integers(2, 4)))):
+        fc, _ = random_filtered_complex(rng, max_gens=max_gens)
+        for g in fc.generators:
+            generators.append(Generator(f"{tag}.{g.name}", g.degree + shift, g.filtration))
+            boundary[f"{tag}.{g.name}"] = [f"{tag}.{t}" for t in fc.boundary_names[g.name]]
+    return FilteredComplex(generators, boundary)
+
+
+def random_raw_complex(rng: np.random.Generator, max_gens: int = 20) -> FilteredComplex:
+    """Generators in degrees -3..-1 and 1..3 (0 is left empty) with random
+    levels and random boundaries one degree down, a target sometimes listed
+    twice; d^2 = 0 is left to chance.  In about half the draws every
+    boundary stays within its level, otherwise it may raise it."""
+    r = int(rng.integers(1, 5))
+    respect = bool(rng.integers(0, 2))
+    generators = [Generator(f"g{i}", int(rng.choice([-3, -2, -1, 1, 2, 3])),
+                            int(rng.integers(1, r + 1)))
+                  for i in range(int(rng.integers(1, max_gens + 1)))]
+    boundary = {}
+    for g in generators:
+        lower = [t.name for t in generators if t.degree == g.degree - 1
+                 and (t.filtration <= g.filtration or not respect)]
+        targets = [t for t in lower if rng.random() < 0.4]
+        if targets and rng.random() < 0.2:
+            targets.append(targets[0])
+        boundary[g.name] = targets
+    return FilteredComplex(generators, boundary)
 
 
 # -- spectral-sequence pages by the cycle/boundary formula ---------------

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from qmdkit.catalog import (descriptor_annulus_kunneth,
-                            descriptor_cancellation_pair, field_1d_quadratic,
-                            field_saddle, tau_saddle)
+                            descriptor_cancellation_pair, descriptor_five_piece,
+                            field_1d_quadratic, field_saddle, tau_saddle)
 from qmdkit.cli import main
 
 
@@ -163,8 +163,21 @@ MALFORMED_DESCRIPTORS = {
                                      _piece("a", 1.0, betti=[1])],
     "nan-action-negative-betti": [_piece("a", "nan", betti=[-1])],
     "nan-cutoff": [_piece("a", 0.0, betti=[1])],
+    # a string target would be read as its characters: d(xx) = y + y = 0
+    "string-boundary": [_piece("a", 0.0, complex={
+        "generators": [{"name": "xx", "degree": 1}, {"name": "y", "degree": 0}],
+        "boundary": {"xx": "yy"}})],
+    # --pages is checked before any piece is read or dropped
+    "empty-pages-word": [],
+    "empty-pages-zero": [],
+    "empty-pages-negative": [],
+    "cutoff-drops-all-pages-zero": [_piece("a", 0.0, betti=[1])],
 }
-MALFORMED_ARGS = {"nan-cutoff": ["--cutoff", "nan"]}
+MALFORMED_ARGS = {"nan-cutoff": ["--cutoff", "nan"],
+                  "empty-pages-word": ["--pages", "banana"],
+                  "empty-pages-zero": ["--pages", "0"],
+                  "empty-pages-negative": ["--pages", "-3"],
+                  "cutoff-drops-all-pages-zero": ["--cutoff", "-1", "--pages", "0"]}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_DESCRIPTORS))
@@ -287,6 +300,56 @@ def test_python_dash_m_runs_the_cli():
 
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def test_reused_parser_matches_a_fresh_one(saddle_file, tmp_path, capsys, monkeypatch):
+    """Each call of an interleaved sequence, usage errors in between and
+    optional flags on and off, gives what it gives first in a fresh parser."""
+    from qmdkit import cli
+    desc = _write(tmp_path, "d.json", descriptor_five_piece().to_json())
+    field = _write(tmp_path, "f.json", field_1d_quadratic().to_json())
+    out = str(tmp_path / "out.json")
+    saddle = ["--field", saddle_file, "--chart", "0", "--base", "16,16"]
+    calls = [
+        ["specseq", "--descriptor", desc, "--cutoff", "1.2", "--out", out],
+        ["specseq", "--descriptor", desc, "--pages", "banana"],
+        ["specseq", "--descriptor", desc],
+        ["analyze", *saddle, "--strict", "--expect", "qmd"],
+        ["frobnicate"],
+        ["analyze", *saddle],
+        ["flatten", "--field", field, "--delta", "0.08", "--out", out],
+        ["flatten", "--field", field, "--delta", "nan"],
+        ["flatten", "--field", field, "--delta", "0.08"],
+        ["maslov", *_quarter_turn_paths(tmp_path), "--tol", "1e-6"],
+        ["maslov"],
+        ["maslov", *_quarter_turn_paths(tmp_path)],
+        ["example", "monodromy", "--out", out],
+        ["example"],
+        ["example", "--list"],
+        ["specseq", "--descriptor", desc, "--pages", "2"],
+    ]
+
+    def run(argv):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        written = None
+        if os.path.exists(out):
+            with open(out) as fh:
+                written = fh.read()
+            os.remove(out)
+        return code, captured.out, captured.err, written
+
+    fresh = {}
+    for argv in calls:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        fresh[tuple(argv)] = run(argv)
+    assert {result[0] for result in fresh.values()} == {0, 1, 2}
+    monkeypatch.setattr(cli, "_PARSER", None)
+    parser = None
+    for argv in calls + calls[::-1]:
+        assert run(argv) == fresh[tuple(argv)], argv
+        parser = parser or cli._PARSER
+        assert cli._PARSER is parser
 
 
 def test_output_is_byte_identical_across_runs(saddle_file, tau_file, capsys):

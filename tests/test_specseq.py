@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,10 @@ from qmdkit.specseq import (BoundaryError, CrossTermError, DescriptorError,
                             page_dims_via_differential, truncate_by_action)
 
 from _oracles import (differential_ranks, naive_homology_dims, oracle_page,
-                      random_filtered_complex)
+                      oracle_validate, random_filtered_complex, random_raw_complex,
+                      random_shifted_sum)
+
+SEED = int(os.environ.get("QMD_SEED", "0"))
 
 
 def _two_gen_pair():
@@ -199,6 +204,10 @@ def test_local_complex_fragment():
      "complex": {"generators": [{"name": "v", "degree": "0"}]}},
     {"name": "a", "action": 0.0, "iota": 0,
      "complex": {"generators": [{"name": "v", "degree": 0}], "boundary": ["v"]}},
+    # a string target would be read as its characters: d(xx) = y + y
+    {"name": "a", "action": 0.0, "iota": 0,
+     "complex": {"generators": [{"name": "xx", "degree": 1}, {"name": "y", "degree": 0}],
+                 "boundary": {"xx": "yy"}}},
 ])
 def test_descriptor_rejects_bad_values(piece):
     with pytest.raises(DescriptorError):
@@ -274,3 +283,71 @@ def test_complex_json_roundtrip():
     again = FilteredComplex.from_json(fc.to_json())
     again.validate()
     assert page(again, 1).dims() == page(fc, 1).dims()
+
+
+def test_complex_json_rejects_string_boundary():
+    data = {"generators": [{"name": "xx", "degree": 1}, {"name": "y", "degree": 0}],
+            "boundary": {"xx": "yy"}}
+    with pytest.raises(DescriptorError):
+        FilteredComplex.from_json(data)
+
+
+# -- sparse paths against the dense oracles ----------------------------------------
+
+
+def _random_complexes(count=80):
+    rng = np.random.default_rng(SEED)
+    return [random_shifted_sum(rng) if i % 2 else random_raw_complex(rng)
+            for i in range(count)]
+
+
+def _raised(fn):
+    try:
+        fn()
+    except (BoundaryError, FiltrationError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _copy(fc):
+    return FilteredComplex(fc.generators, fc.boundary_names)
+
+
+def test_validate_matches_dense_oracle():
+    seen = set()
+    for fc in _random_complexes():
+        got = _raised(fc.validate)
+        assert got == _raised(lambda: oracle_validate(fc))
+        seen.add(got[0] if got else None)
+    assert seen == {None, BoundaryError, FiltrationError}
+
+
+def test_homology_dims_matches_naive_oracle():
+    for fc in _random_complexes():
+        assert fc.homology_dims() == naive_homology_dims(fc)
+
+
+def test_pages_after_converge_match_a_fresh_complex():
+    reduced = 0
+    for fc in _random_complexes():
+        if _raised(fc.persistence):
+            # a failed reduction stores nothing: every later call fails too
+            for call in (fc.persistence, lambda: converge(fc), lambda: page(fc, 1)):
+                assert _raised(call)[0] is FiltrationError
+            continue
+        reduced += 1
+        assert converge(fc) == converge(_copy(fc))
+        for k in range(1, fc.max_filtration + 3):
+            assert page(fc, k) == page(_copy(fc), k), k
+    assert reduced
+
+
+def test_persistence_returns_fresh_lists():
+    for fc in _random_complexes(20):
+        if _raised(fc.persistence):
+            continue
+        pairs, unpaired = fc.persistence()
+        want = (list(pairs), list(unpaired))
+        pairs.clear()
+        unpaired.append(Generator("stray", 0, 1))
+        assert fc.persistence() == want
