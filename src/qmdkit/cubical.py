@@ -14,11 +14,13 @@ identifications are index arithmetic, never ghost cells, and the square
 of the boundary operator vanishes exactly.  The faces of a k-cell are its
 two neighbours along each of its k odd axes.
 
-Homology is taken over GF(2) with ``gf2.reduce_columns``: each boundary
-column is a sparse set of face rows, and boundaries are reduced from the
-top dimension down with clearing (Chen-Kerber 2011): a k-cell that is the
+Homology is taken over GF(2) with ``gf2.reduce_faces``: each boundary is
+the (n_k, 2k) array of face rows, and boundaries are reduced from the top
+dimension down with clearing (Chen-Kerber 2011): a k-cell that is the
 pivot of a reduced (k+1)-column has a column that reduces to zero, so it
-is skipped.
+is skipped.  Nearly every remaining column is apparent, the first to list
+its largest face, and costs no column additions; only the others run
+through the set loop of ``gf2.reduce_columns``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .gf2 import reduce_columns
+from .gf2 import reduce_faces
 
 
 class EmptyMaskError(ValueError):
@@ -48,7 +50,7 @@ class GridMask:
             raise ValueError("dims and periodic must have equal length")
         if any(n < 1 for n in dims):
             raise ValueError("all axis sizes must be >= 1")
-        cells = np.ascontiguousarray(self.cells, dtype=bool).reshape(dims)
+        cells = np.array(self.cells, dtype=bool).reshape(dims)    # a copy: never a view
         cells.flags.writeable = False
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "periodic", periodic)
@@ -192,12 +194,12 @@ def betti(cx: CubicalComplex) -> Tuple[int, ...]:
     """
     d = len(cx.cells_by_dim) - 1
     ranks = [0] * (d + 2)
-    cleared: set = set()
+    cleared = np.zeros(cx.n_cells(d), dtype=bool)
     for k in range(d, 0, -1):
-        columns = cx.boundary[k].tolist()
-        pivots = reduce_columns(col for j, col in enumerate(columns) if j not in cleared)
-        cleared = {p for p in pivots if p is not None}
-        ranks[k] = len(cleared)
+        pivots = reduce_faces(cx.boundary[k][~cleared])
+        cleared = np.zeros(cx.n_cells(k - 1), dtype=bool)
+        cleared[pivots[pivots >= 0]] = True
+        ranks[k] = int(np.count_nonzero(cleared))
     return tuple(cx.n_cells(k) - ranks[k] - ranks[k + 1] for k in range(d + 1))
 
 

@@ -8,11 +8,20 @@ of filtered complexes and their unfiltered homology all run on it, so
 complexes of ~1e5 cells and more cost memory in proportion to the entries
 of their reduced columns, not to the square of their cell count.
 
+``reduce_faces`` runs the same reduction on an (n, w) array of face rows,
+as the cubical boundaries are stored.  A few vectorized passes first find
+its apparent columns (Bauer 2021, "Ripser"): a column that is the first to
+list its own largest row, and lists no row twice, is already reduced, and
+that row is its pivot, since every reduced column is a sum of earlier
+columns, none of which lists the row.  Most boundary columns of a grid
+mask are apparent.  Only the rest go through ``reduce_columns``, which
+reads an apparent column as a set the first time its pivot is looked up.
+
 The dense matrices are stored bit-packed, 64 columns per machine word.
 In the library they serve only ``Page.differentials``, the page-k
 differentials of ``specseq``; ``FilteredComplex.differential`` builds one
 on demand for the test oracles, which also use the ``Subspace`` stack.
-All operations are pure: inputs are never mutated, so values can be
+All their operations are pure: inputs are never mutated, so values can be
 shared freely between threads.
 
 Dense elimination pivots on the first nonzero entry in column order,
@@ -22,6 +31,7 @@ kernel and subspace bases, are deterministic functions of the input.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -31,7 +41,8 @@ class GF2Error(ValueError):
     """Dimension mismatch or containment violation in a GF(2) operation."""
 
 
-def reduce_columns(columns: Iterable[Sequence[int]]) -> List[Optional[int]]:
+def reduce_columns(columns: Iterable[Sequence[int]],
+                   reduced: Optional[Dict[int, Set[int]]] = None) -> List[Optional[int]]:
     """Pivot of each column after the standard reduction over GF(2).
 
     Each column lists its row indices; a row listed twice cancels.  A
@@ -40,8 +51,13 @@ def reduce_columns(columns: Iterable[Sequence[int]]) -> List[Optional[int]]:
     Returns, in order, each column's final pivot, or None for a column
     that reduced to zero.  The pivot rows of the result are independent,
     so the number of pivots is the rank.
+
+    ``reduced`` maps pivot to reduced column for columns reduced before
+    these, and receives the new ones; ``reduce_faces`` passes a mapping
+    that fills in its apparent columns as they are looked up.
     """
-    reduced: Dict[int, Set[int]] = {}     # pivot -> reduced column
+    if reduced is None:
+        reduced = {}
     pivots: List[Optional[int]] = []
     for rows in columns:
         low = None
@@ -59,6 +75,62 @@ def reduce_columns(columns: Iterable[Sequence[int]]) -> List[Optional[int]]:
             else:
                 low = None
         pivots.append(low)
+    return pivots
+
+
+def apparent_pivots(faces: np.ndarray) -> np.ndarray:
+    """Pivot of each apparent column of an (n, w) face array, -1 elsewhere.
+
+    Column j is apparent when no earlier column lists its largest row and
+    it lists no row twice; that row is then its pivot under
+    ``reduce_columns``.
+    """
+    n, w = faces.shape
+    pivots = np.full(n, -1, dtype=np.int64)
+    if n == 0 or w == 0:
+        return pivots
+    low = faces.max(axis=1)
+    first = np.full(int(low.max()) + 1, n, dtype=np.int64)
+    np.minimum.at(first, faces.ravel(), np.repeat(np.arange(n), w))
+    apparent = first[low] == np.arange(n)
+    for a, b in combinations(range(w), 2):
+        apparent &= faces[:, a] != faces[:, b]
+    pivots[apparent] = low[apparent]
+    return pivots
+
+
+class _ApparentColumns(dict):
+    """Reduced columns by pivot, reading an apparent column on first lookup."""
+
+    def __init__(self, faces: np.ndarray, pivots: np.ndarray):
+        super().__init__()
+        self.faces = faces
+        owner = np.full(int(faces.max(initial=-1)) + 1, -1, dtype=np.int64)
+        apparent = np.flatnonzero(pivots >= 0)
+        owner[pivots[apparent]] = apparent
+        self.owner = owner
+
+    def get(self, row: int) -> Optional[Set[int]]:
+        col = dict.get(self, row)
+        if col is None:
+            j = self.owner[row]
+            if j >= 0:
+                col = self[row] = set(self.faces[j].tolist())
+        return col
+
+
+def reduce_faces(faces: np.ndarray) -> np.ndarray:
+    """``reduce_columns`` on the rows of an (n, w) face array.
+
+    Returns each column's pivot as an int64 array, -1 for a column that
+    reduced to zero.  Apparent columns keep their largest row with no
+    additions; the others go through ``reduce_columns`` in order.
+    """
+    pivots = apparent_pivots(faces)
+    rest = np.flatnonzero(pivots < 0)
+    if rest.size:
+        exact = reduce_columns(faces[rest].tolist(), _ApparentColumns(faces, pivots))
+        pivots[rest] = [-1 if p is None else p for p in exact]
     return pivots
 
 

@@ -97,6 +97,9 @@ class FilteredComplex:
                     if tgt.degree != n - 1:
                         raise BoundaryError(f"boundary of {g.name} (degree {n}) hits "
                                             f"{tname} of degree {tgt.degree}")
+        for name in boundary:
+            if name not in self._gen_by_name:
+                raise BoundaryError(f"boundary given for unknown generator {name}")
         self._persistence = None    # (pairs, unpaired) as tuples, once reduced
 
     # -- structure queries ----------------------------------------------

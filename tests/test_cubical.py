@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 from qmdkit.cubical import (EmptyMaskError, GridMask, betti, betti_of_mask,
                             betti_product_check, build_complex,
                             validate_boundary)
+from qmdkit.gf2 import reduce_columns, reduce_faces
 
 from _oracles import oracle_betti, oracle_build_complex
 
@@ -101,6 +102,24 @@ def test_mask_json_roundtrip():
     assert GridMask.from_json(mask.to_json()) == mask
 
 
+def test_mask_copies_its_source_array():
+    base = np.ones((4, 4), bool)
+    mask = GridMask((4, 4), (False, False), base)
+    before = hash(mask)
+    base[1:3, 1:3] = False
+    assert hash(mask) == before and mask.count() == 16
+    assert betti_of_mask(mask) == (1, 0, 0)
+
+
+def test_mask_copies_the_base_of_a_view():
+    base = np.ones((4, 4), bool)
+    mask = GridMask((4, 4), (False, False), base[:, :])
+    before = hash(mask)
+    base[1:3, 1:3] = False
+    assert hash(mask) == before
+    assert betti_of_mask(mask) == (1, 0, 0)
+
+
 @given(st.integers(1, 4), st.integers(1, 4), st.booleans(), st.booleans(),
        st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=50, deadline=None)
@@ -176,3 +195,32 @@ def test_cube_with_two_cavities_at_16():
     cells[2:5, 3:7, 4:6] = False
     cells[9:13, 10:11, 8:14] = False
     assert betti_of_mask(GridMask((16, 16, 16), (False,) * 3, cells)) == (1, 0, 2, 0)
+
+
+def test_apparent_pass_matches_plain_reduction_on_every_boundary():
+    """Column by column, ``reduce_faces`` gives the pivots of ``reduce_columns``
+    on the columns ``betti`` feeds it, in every dimension of random masks,
+    periodic axes of size 1 and 2 and whole tori among them."""
+    rng = np.random.default_rng(SEED + 17)
+    masks = [GridMask.full(dims, (True,) * len(dims))
+             for dims in ((1,), (2,), (1, 1), (2, 2), (3, 1), (5, 4), (2, 1, 2), (3, 3, 3))]
+    max_side = {1: 9, 2: 7, 3: 4}
+    for trial in range(90):
+        ndim = 1 + trial % 3
+        dims = tuple(int(n) for n in rng.integers(1, max_side[ndim] + 1, ndim))
+        if trial % 5 == 0:
+            dims = tuple(int(n) for n in rng.integers(1, 3, ndim))
+        periodic = tuple(bool(p) for p in rng.random(ndim) < 0.5)
+        cells = rng.random(dims) < rng.uniform(0.3, 1.0)
+        cells.flat[int(rng.integers(cells.size))] = True
+        masks.append(GridMask(dims, periodic, cells))
+    for mask in masks:
+        cx = build_complex(mask)
+        cleared = np.zeros(cx.n_cells(mask.ndim), dtype=bool)
+        for k in range(mask.ndim, 0, -1):
+            fed = cx.boundary[k][~cleared]
+            pivots = reduce_faces(fed)
+            assert pivots.tolist() == [-1 if p is None else p
+                                       for p in reduce_columns(fed.tolist())], (mask, k)
+            cleared = np.zeros(cx.n_cells(k - 1), dtype=bool)
+            cleared[pivots[pivots >= 0]] = True

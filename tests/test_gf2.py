@@ -1,13 +1,18 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from qmdkit.gf2 import (GF2Error, GF2Matrix, Subspace, quotient_dim,
+from qmdkit.gf2 import (GF2Error, GF2Matrix, Subspace, apparent_pivots,
+                        quotient_dim, reduce_columns, reduce_faces,
                         solve_row_combination, subspace_intersection,
                         subspace_sum)
 
 from _oracles import naive_gf2_rank
+
+SEED = int(os.environ.get("QMD_SEED", "0"))
 
 
 def test_rank_identity():
@@ -144,3 +149,48 @@ def test_rref_is_idempotent(n, seed):
     r1, piv1 = m.rref()
     r2, piv2 = r1.rref()
     assert r1 == r2 and piv1 == piv2
+
+
+# -- apparent columns of face arrays -------------------------------------------------
+
+
+def _plain_pivots(faces):
+    return [-1 if p is None else p for p in reduce_columns(faces.tolist())]
+
+
+def test_reduce_faces_matches_reduce_columns_on_random_faces():
+    rng = np.random.default_rng(SEED + 3)
+    for trial in range(400):
+        n, w = int(rng.integers(0, 40)), int(rng.integers(0, 7))
+        faces = rng.integers(0, int(rng.integers(1, 3 * n + 2)), (n, w))
+        if n and w > 1:
+            # some columns list a row twice, some three times
+            twice = rng.random(n) < 0.2
+            faces[twice, 1] = faces[twice, 0]
+            if w > 2:
+                thrice = rng.random(n) < 0.1
+                faces[thrice, 1:3] = faces[thrice, :1]
+        assert reduce_faces(faces).tolist() == _plain_pivots(faces), faces
+        fed = faces[rng.random(n) < 0.6]
+        assert reduce_faces(fed).tolist() == _plain_pivots(fed), fed
+
+
+def test_reduce_faces_on_empty_arrays():
+    for shape in ((0, 0), (0, 3), (4, 0)):
+        faces = np.zeros(shape, dtype=np.int64)
+        assert reduce_faces(faces).tolist() == [-1] * shape[0]
+        assert apparent_pivots(faces).tolist() == [-1] * shape[0]
+
+
+def test_lookup_lands_on_apparent_columns():
+    # the boundary of a triangle: edges 01 and 12 are apparent, and edge 02
+    # reduces to zero through both of them
+    faces = np.array([[0, 1], [1, 2], [0, 2]])
+    assert apparent_pivots(faces).tolist() == [1, 2, -1]
+    assert reduce_faces(faces).tolist() == [1, 2, -1]
+    # column 1 is first to list its largest row but lists it twice, so it is
+    # not apparent and cancels to zero; column 2 adds apparent column 0 and
+    # takes row 1
+    faces = np.array([[0, 3], [2, 2], [3, 1]])
+    assert apparent_pivots(faces).tolist() == [3, -1, -1]
+    assert reduce_faces(faces).tolist() == [3, -1, 1] == _plain_pivots(faces)

@@ -285,6 +285,21 @@ def test_complex_json_roundtrip():
     assert page(again, 1).dims() == page(fc, 1).dims()
 
 
+def test_boundary_of_unknown_generator_rejected():
+    with pytest.raises(BoundaryError, match="zz"):
+        FilteredComplex([Generator("x", 0, 1)], {"zz": ["x"]})
+    # a bad target is still reported first
+    with pytest.raises(BoundaryError, match="names unknown generator w"):
+        FilteredComplex([Generator("x", 0, 1), Generator("y", 1, 1)],
+                        {"zz": ["x"], "y": ["w"]})
+
+
+def test_complex_json_rejects_boundary_of_unknown_generator():
+    data = {"generators": [{"name": "x", "degree": 0}], "boundary": {"zz": ["x"]}}
+    with pytest.raises(BoundaryError, match="zz"):
+        FilteredComplex.from_json(data)
+
+
 def test_complex_json_rejects_string_boundary():
     data = {"generators": [{"name": "xx", "degree": 1}, {"name": "y", "degree": 0}],
             "boundary": {"xx": "yy"}}
