@@ -16,7 +16,8 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
 from _oracles import (differential_ranks, naive_homology_dims,  # noqa: E402
-                      oracle_page, random_filtered_complex)
+                      oracle_differential_ranks, oracle_page,
+                      random_filtered_complex)
 
 from qmdkit.specseq import converge, page  # noqa: E402
 
@@ -39,9 +40,9 @@ def main() -> int:
             if got.dims() != want.dims():
                 print(f"instance {i}: page {k} dims {got.dims()} != oracle {want.dims()}")
                 return 1
-            if differential_ranks(got) != differential_ranks(want):
+            if differential_ranks(got) != oracle_differential_ranks(want):
                 print(f"instance {i}: d_{k} ranks {differential_ranks(got)} != "
-                      f"oracle {differential_ranks(want)}")
+                      f"oracle {oracle_differential_ranks(want)}")
                 return 1
             n_pages += 1
         stable, einf = converge(fc)

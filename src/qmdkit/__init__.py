@@ -3,8 +3,6 @@ spectral sequences, and Maslov indices on sampled data."""
 
 from .cubical import GridMask, betti, betti_of_mask, betti_product_check, build_complex
 from .fields import ScalarField, c1_distance, eig_sym, gradient, hessian, hessian_at
-from .gf2 import (GF2Matrix, Subspace, quotient_dim, subspace_intersection,
-                  subspace_sum)
 from .graphlag import GraphSection, flow_translate, isolation_scan, zero_section_intersection
 from .maslov import LagrangianLinePath, concat, conjugate, index_shift, maslov
 from .morse import (CriticalSet, DegeneracyReport, SubmanifoldChart, Tolerances,

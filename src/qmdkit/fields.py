@@ -43,7 +43,7 @@ class ScalarField:
             raise ValueError("dims, spacing, periodic must have equal length")
         if not all(0.0 < h < np.inf for h in spacing):
             raise ValueError("spacing must be finite and positive on every axis")
-        values = np.ascontiguousarray(self.values, dtype=float).reshape(dims)
+        values = np.array(self.values, dtype=float, order="C").reshape(dims)  # never a view
         if not np.all(np.isfinite(values)):
             raise ValueError("field values must be finite")
         values.flags.writeable = False

@@ -17,16 +17,17 @@ columns, none of which lists the row.  Most boundary columns of a grid
 mask are apparent.  Only the rest go through ``reduce_columns``, which
 reads an apparent column as a set the first time its pivot is looked up.
 
-The dense matrices are stored bit-packed, 64 columns per machine word.
-In the library they serve only ``Page.differentials``, the page-k
-differentials of ``specseq``; ``FilteredComplex.differential`` builds one
-on demand for the test oracles, which also use the ``Subspace`` stack.
-All their operations are pure: inputs are never mutated, so values can be
-shared freely between threads.
+``GF2Matrix`` and ``Subspace`` are a dense stack that serves only the
+test oracles (the cycle/boundary pages, dense boundary matrices and their
+products); no path of the library builds one.  A matrix holds each row as
+one Python int, entry j at bit j, so elimination is XOR of ints.  Every
+operation is pure: inputs are never mutated, so values can be shared
+freely between threads.
 
-Dense elimination pivots on the first nonzero entry in column order,
-swapping rows in place on a working copy.  Echelon forms, and therefore
-kernel and subspace bases, are deterministic functions of the input.
+Dense elimination pivots on the lowest set bit of each row and clears
+every pivot from the other rows, which gives the unique reduced echelon
+form of the row space.  Echelon forms, and therefore kernel and subspace
+bases, are deterministic functions of the input.
 """
 
 from __future__ import annotations
@@ -134,59 +135,80 @@ def reduce_faces(faces: np.ndarray) -> np.ndarray:
     return pivots
 
 
-def _pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Pack a (rows, cols) 0/1 array into (rows, ceil(cols/64)) uint64 words."""
-    bits = np.ascontiguousarray(bits, dtype=np.uint64) & np.uint64(1)
-    rows, cols = bits.shape
-    nwords = (cols + 63) // 64
-    words = np.zeros((rows, nwords), dtype=np.uint64)
-    for w in range(nwords):
-        chunk = bits[:, 64 * w : min(64 * (w + 1), cols)]
-        shifts = np.arange(chunk.shape[1], dtype=np.uint64)
-        if chunk.shape[1]:
-            words[:, w] = np.bitwise_or.reduce(chunk << shifts, axis=1)
-    return words
+def _row_from_bits(bits) -> int:
+    """A 0/1 sequence as an int row, entry j at bit j."""
+    return sum(1 << j for j in np.flatnonzero(np.asarray(bits, dtype=np.int64) & 1).tolist())
 
 
-def _unpack_bits(words: np.ndarray, cols: int) -> np.ndarray:
-    rows = words.shape[0]
-    bits = np.zeros((rows, cols), dtype=np.uint8)
-    for c in range(cols):
-        w, b = divmod(c, 64)
-        bits[:, c] = (words[:, w] >> np.uint64(b)) & np.uint64(1)
-    return bits
+def _support(row: int) -> List[int]:
+    """Indices of the set bits of an int row, in increasing order."""
+    out = []
+    while row:
+        low = row & -row
+        out.append(low.bit_length() - 1)
+        row ^= low
+    return out
+
+
+def _echelon(rows: Iterable[int], limit: int) -> Tuple[List[int], List[int]]:
+    """Reduced echelon form of int rows, pivoting on the bits below ``limit``.
+
+    Each pivot is the lowest bit of its row.  Returns the pivot rows in
+    increasing pivot order, every pivot set in its own row only, and the
+    rows that reduced to nothing below ``limit``.  With ``limit`` at the
+    row width, the pivot rows are the unique reduced echelon basis of the
+    rows' span, whatever the order of the input.
+    """
+    mask = (1 << limit) - 1
+    by_pivot: Dict[int, int] = {}
+    rest = []
+    for row in rows:
+        while row & mask:
+            low = row & -row
+            other = by_pivot.get(low)
+            if other is None:
+                by_pivot[low] = row
+                break
+            row ^= other
+        else:
+            rest.append(row)
+    pivots = sorted(by_pivot)
+    # clear each pivot from the rows above it, highest pivot first
+    for i in range(len(pivots) - 1, -1, -1):
+        row = by_pivot[pivots[i]]
+        for low in pivots[:i]:
+            if by_pivot[low] & pivots[i]:
+                by_pivot[low] ^= row
+    return [by_pivot[low] for low in pivots], rest
 
 
 class GF2Matrix:
-    """Dense bit matrix over GF(2) with row-major packed storage."""
+    """Dense bit matrix over GF(2), each row held as one Python int."""
 
-    __slots__ = ("rows", "cols", "_w")
+    __slots__ = ("rows", "cols", "_r")
 
-    def __init__(self, rows: int, cols: int, _words: Optional[np.ndarray] = None):
+    def __init__(self, rows: int, cols: int, _rows: Optional[Sequence[int]] = None):
         self.rows = int(rows)
         self.cols = int(cols)
-        nwords = (self.cols + 63) // 64
-        if _words is None:
-            _words = np.zeros((self.rows, nwords), dtype=np.uint64)
-        if _words.shape != (self.rows, nwords):
-            raise GF2Error(f"word buffer shape {_words.shape} does not match "
-                           f"{self.rows}x{self.cols}")
-        self._w = _words
+        self._r = (0,) * self.rows if _rows is None else tuple(_rows)
+        if len(self._r) != self.rows or any(r >> self.cols for r in self._r):
+            raise GF2Error(f"rows do not fit a {self.rows}x{self.cols} matrix")
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "GF2Matrix":
-        rows = [list(r) for r in rows]
+        rows = list(rows)
         if cols is None:
             cols = len(rows[0]) if rows else 0
-        bits = np.array(rows, dtype=np.uint64).reshape(len(rows), cols)
-        return cls(len(rows), cols, _pack_bits(bits))
+        if any(len(r) != cols for r in rows):
+            raise GF2Error(f"rows must all have length {cols}")
+        return cls(len(rows), cols, [_row_from_bits(r) for r in rows])
 
     @classmethod
     def from_dense(cls, arr) -> "GF2Matrix":
         arr = np.atleast_2d(np.asarray(arr))
-        return cls(arr.shape[0], arr.shape[1], _pack_bits(arr))
+        return cls(arr.shape[0], arr.shape[1], [_row_from_bits(r) for r in arr])
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "GF2Matrix":
@@ -194,42 +216,26 @@ class GF2Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "GF2Matrix":
-        return cls.from_dense(np.eye(n, dtype=np.uint8))
+        return cls(n, n, [1 << i for i in range(n)])
 
     # -- basic access -------------------------------------------------
 
     def to_dense(self) -> np.ndarray:
-        return _unpack_bits(self._w, self.cols)
-
-    def get(self, i: int, j: int) -> int:
-        w, b = divmod(j, 64)
-        return int((self._w[i, w] >> np.uint64(b)) & np.uint64(1))
-
-    def copy(self) -> "GF2Matrix":
-        return GF2Matrix(self.rows, self.cols, self._w.copy())
+        out = np.zeros((self.rows, self.cols), dtype=np.uint8)
+        for i, row in enumerate(self._r):
+            out[i, _support(row)] = 1
+        return out
 
     def is_zero(self) -> bool:
-        return not self._w.any()
-
-    def row_support(self, i: int) -> list:
-        """Column indices of the nonzero entries of row i."""
-        out = []
-        for w in range(self._w.shape[1]):
-            word = int(self._w[i, w])
-            while word:
-                low = word & -word
-                out.append(64 * w + low.bit_length() - 1)
-                word ^= low
-        return out
+        return not any(self._r)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GF2Matrix):
             return NotImplemented
-        return (self.rows == other.rows and self.cols == other.cols
-                and np.array_equal(self._w, other._w))
+        return (self.rows, self.cols, self._r) == (other.rows, other.cols, other._r)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self._w.tobytes()))
+        return hash((self.rows, self.cols, self._r))
 
     def __repr__(self) -> str:
         return f"GF2Matrix({self.rows}x{self.cols})"
@@ -239,129 +245,80 @@ class GF2Matrix:
     def vstack(self, other: "GF2Matrix") -> "GF2Matrix":
         if self.cols != other.cols:
             raise GF2Error("vstack: column count mismatch")
-        return GF2Matrix(self.rows + other.rows, self.cols,
-                         np.vstack([self._w, other._w]))
-
-    def hstack(self, other: "GF2Matrix") -> "GF2Matrix":
-        if self.rows != other.rows:
-            raise GF2Error("hstack: row count mismatch")
-        return GF2Matrix.from_dense(
-            np.hstack([self.to_dense(), other.to_dense()]))
+        return GF2Matrix(self.rows + other.rows, self.cols, self._r + other._r)
 
     def submatrix(self, row_idx: Optional[Iterable[int]] = None,
                   col_idx: Optional[Iterable[int]] = None) -> "GF2Matrix":
-        dense = self.to_dense()
-        if row_idx is not None:
-            dense = dense[np.asarray(list(row_idx), dtype=int).reshape(-1), :]
+        rows = self._r if row_idx is None else [self._r[i] for i in row_idx]
+        cols = self.cols
         if col_idx is not None:
-            dense = dense[:, np.asarray(list(col_idx), dtype=int).reshape(-1)]
-        return GF2Matrix.from_dense(dense)
-
-    def transpose(self) -> "GF2Matrix":
-        return GF2Matrix.from_dense(self.to_dense().T)
+            col_idx = list(col_idx)
+            rows = [sum(((r >> c) & 1) << k for k, c in enumerate(col_idx)) for r in rows]
+            cols = len(col_idx)
+        return GF2Matrix(len(rows), cols, rows)
 
     def mul(self, other: "GF2Matrix") -> "GF2Matrix":
         """Matrix product over GF(2)."""
         if self.cols != other.rows:
             raise GF2Error(f"mul: {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        out = np.zeros((self.rows, other._w.shape[1]), dtype=np.uint64)
-        for i in range(self.rows):
-            sel = self.row_support(i)
-            if sel:
-                out[i] = np.bitwise_xor.reduce(other._w[sel], axis=0)
+        out = []
+        for row in self._r:
+            acc = 0
+            for j in _support(row):
+                acc ^= other._r[j]
+            out.append(acc)
         return GF2Matrix(self.rows, other.cols, out)
 
     def mul_vector(self, vec: np.ndarray) -> np.ndarray:
         """Apply to a dense 0/1 column vector; returns a dense 0/1 vector."""
-        vec = np.asarray(vec, dtype=np.uint8) & 1
+        vec = np.asarray(vec)
         if vec.shape != (self.cols,):
             raise GF2Error("mul_vector: length mismatch")
-        sel = np.nonzero(vec)[0]
-        out = np.zeros(self.rows, dtype=np.uint8)
-        if sel.size:
-            dense = self.to_dense()
-            out = np.bitwise_xor.reduce(dense[:, sel], axis=1)
-        return out
+        v = _row_from_bits(vec)
+        return np.array([(r & v).bit_count() & 1 for r in self._r], dtype=np.uint8)
 
     # -- elimination --------------------------------------------------
 
-    def _echelon(self, full: bool, pivot_cols_limit: Optional[int] = None):
-        """Row echelon form on a working copy.
-
-        Returns (words, pivots).  With full=True the result is reduced
-        (entries above pivots cleared as well), which makes the output
-        basis canonical.
-        """
-        W = self._w.copy()
-        limit = self.cols if pivot_cols_limit is None else pivot_cols_limit
-        pivots = []
-        r = 0
-        for c in range(limit):
-            if r == self.rows:
-                break
-            w, b = divmod(c, 64)
-            mask = np.uint64(1) << np.uint64(b)
-            below = np.nonzero(W[r:, w] & mask)[0]
-            if below.size == 0:
-                continue
-            p = r + int(below[0])
-            if p != r:
-                W[[r, p]] = W[[p, r]]
-            if full:
-                hit = np.nonzero(W[:, w] & mask)[0]
-                hit = hit[hit != r]
-            else:
-                hit = r + 1 + np.nonzero(W[r + 1:, w] & mask)[0]
-            if hit.size:
-                W[hit] ^= W[r]
-            pivots.append(c)
-            r += 1
-        return W, pivots
-
     def rank(self) -> int:
-        _, pivots = self._echelon(full=False)
-        return len(pivots)
+        return len(_echelon(self._r, self.cols)[0])
 
     def rref(self) -> Tuple["GF2Matrix", Tuple[int, ...]]:
-        W, pivots = self._echelon(full=True)
-        return GF2Matrix(self.rows, self.cols, W), tuple(pivots)
+        """Reduced row echelon form (zero rows last) and its pivot columns."""
+        basis, _ = _echelon(self._r, self.cols)
+        rows = basis + [0] * (self.rows - len(basis))
+        return (GF2Matrix(self.rows, self.cols, rows),
+                tuple((r & -r).bit_length() - 1 for r in basis))
 
     def kernel_basis(self) -> "GF2Matrix":
         """Rows form a basis of the right null space {x : self @ x = 0}."""
-        R, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        basis = np.zeros((len(free), self.cols), dtype=np.uint8)
-        for k, fc in enumerate(free):
-            basis[k, fc] = 1
-            for i, pc in enumerate(pivots):
-                basis[k, pc] = R.get(i, fc)
-        return GF2Matrix.from_dense(basis) if free else GF2Matrix(0, self.cols)
+        basis, _ = _echelon(self._r, self.cols)
+        pivots = [(r & -r).bit_length() - 1 for r in basis]
+        free = sorted(set(range(self.cols)) - set(pivots))
+        return GF2Matrix(len(free), self.cols,
+                         [1 << fc | sum(1 << pc for pc, r in zip(pivots, basis) if r >> fc & 1)
+                          for fc in free])
 
 
 def solve_row_combination(mat: GF2Matrix, target: np.ndarray) -> Optional[np.ndarray]:
     """Find coefficients c with c @ mat == target over GF(2), or None.
 
     target is a dense 0/1 vector of length mat.cols; the result is a dense
-    0/1 vector of length mat.rows (free coefficients set to 0).
+    0/1 vector of length mat.rows.  Each row i of mat is eliminated with
+    bit mat.cols + i set above its entries, so the bits above mat.cols of
+    a reduced row record which rows of mat sum to it.
     """
-    target = np.asarray(target, dtype=np.uint8) & 1
+    target = np.asarray(target)
     if target.shape != (mat.cols,):
         raise GF2Error("solve_row_combination: target length mismatch")
-    if mat.rows == 0:
-        return np.zeros(0, dtype=np.uint8) if not target.any() else None
-    aug = mat.hstack(GF2Matrix.identity(mat.rows))
-    W, pivots = aug._echelon(full=True, pivot_cols_limit=mat.cols)
-    red_dense = _unpack_bits(W, aug.cols)
-    resid = target.copy()
-    coeff = np.zeros(mat.rows, dtype=np.uint8)
-    for i, pc in enumerate(pivots):
-        if resid[pc]:
-            row = red_dense[i]
-            resid ^= row[:mat.cols]
-            coeff ^= row[mat.cols:]
-    if resid.any():
+    basis, _ = _echelon((r | 1 << (mat.cols + i) for i, r in enumerate(mat._r)), mat.cols)
+    resid = _row_from_bits(target)
+    for row in basis:
+        if resid & row & -row:
+            resid ^= row
+    if resid & ((1 << mat.cols) - 1):
         return None
+    coeff = np.zeros(mat.rows, dtype=np.uint8)
+    coeff[_support(resid >> mat.cols)] = 1
     return coeff
 
 
@@ -376,17 +333,12 @@ class Subspace:
             basis = GF2Matrix(0, self.ambient_dim)
         if basis.cols != self.ambient_dim:
             raise GF2Error("basis width does not match ambient dimension")
-        R, pivots = basis.rref()
-        dense = R.to_dense()[: len(pivots)]
-        self.basis = GF2Matrix.from_dense(dense) if len(pivots) else GF2Matrix(0, self.ambient_dim)
+        rows, _ = _echelon(basis._r, self.ambient_dim)
+        self.basis = GF2Matrix(len(rows), self.ambient_dim, rows)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
         return cls(ambient_dim)
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, GF2Matrix.identity(ambient_dim))
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors) -> "Subspace":
@@ -399,23 +351,22 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.rows
 
+    def _reduce(self, row: int) -> int:
+        for b in self.basis._r:
+            if row & b & -b:
+                row ^= b
+        return row
+
     def contains_vector(self, vec) -> bool:
-        vec = np.asarray(vec, dtype=np.uint8) & 1
+        vec = np.asarray(vec)
         if vec.shape != (self.ambient_dim,):
             raise GF2Error("vector length does not match ambient dimension")
-        resid = vec.copy()
-        dense = self.basis.to_dense()
-        for i in range(self.basis.rows):
-            pivot = int(np.argmax(dense[i])) if dense[i].any() else -1
-            if pivot >= 0 and resid[pivot]:
-                resid ^= dense[i]
-        return not resid.any()
+        return not self._reduce(_row_from_bits(vec))
 
     def contains(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise GF2Error("ambient dimension mismatch")
-        return all(self.contains_vector(other.basis.to_dense()[i])
-                   for i in range(other.dim))
+        return not any(self._reduce(r) for r in other.basis._r)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
@@ -436,18 +387,13 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
-    """Zassenhaus: echelonize [A|A; B|0]; left-zero rows carry the intersection."""
+    """Zassenhaus: eliminate [A|A; B|0] on the left half; the rows whose
+    left half vanishes carry the intersection in their right half."""
     if a.ambient_dim != b.ambient_dim:
         raise GF2Error("subspace_intersection: ambient dimension mismatch")
     n = a.ambient_dim
-    top = a.basis.hstack(a.basis)
-    bot = b.basis.hstack(GF2Matrix(b.basis.rows, n))
-    stacked = top.vstack(bot)
-    W, _ = stacked._echelon(full=False)
-    dense = _unpack_bits(W, 2 * n)
-    inter_rows = [dense[i, n:] for i in range(dense.shape[0])
-                  if not dense[i, :n].any() and dense[i, n:].any()]
-    return Subspace.from_vectors(n, inter_rows)
+    _, rest = _echelon([r | r << n for r in a.basis._r] + list(b.basis._r), n)
+    return Subspace(n, GF2Matrix(len(rest), n, [r >> n for r in rest]))
 
 
 def quotient_dim(big: Subspace, small: Subspace) -> int:

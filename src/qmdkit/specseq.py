@@ -13,9 +13,10 @@ computed from the persistence pairing instead (Edelsbrunner-Harer,
 Computational Topology, VII; Basu-Parida 2017): one column reduction in
 filtration order pairs generators, a pair whose levels differ by l gives
 a class at each end on pages 1..l and is cancelled by d_l, and unpaired
-generators survive to every page.  Finite complexes stabilize no later
-than page r+1; the stable page's total dimensions recover the homology of
-the underlying complex.
+generators survive to every page.  So d_k is a partial identity on the
+classes, held as its (source, target) generator pairs.  Finite complexes
+stabilize no later than page r+1; the stable page's total dimensions
+recover the homology of the underlying complex.
 
 Descriptors bundle local data per critical piece: an action value (which
 orders the filtration), an integer grading offset iota, and a local
@@ -33,11 +34,9 @@ import numbers
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 # quotient_dim, solve_row_combination and subspace_sum are unused here;
 # perfbench/tracing.py patches them on this module
-from .gf2 import (GF2Matrix, quotient_dim, reduce_columns,  # noqa: F401
+from .gf2 import (quotient_dim, reduce_columns,  # noqa: F401
                   solve_row_combination, subspace_sum)
 
 
@@ -78,11 +77,9 @@ class FilteredComplex:
         if len(set(names)) != len(names):
             raise ValueError("generator names must be unique")
         self._gen_by_name = {g.name: g for g in self.generators}
-        self._index_in_degree: Dict[str, int] = {}
         self._by_degree: Dict[int, List[Generator]] = {}
         for g in self.generators:
-            self._index_in_degree[g.name] = len(self._by_degree.setdefault(g.degree, []))
-            self._by_degree[g.degree].append(g)
+            self._by_degree.setdefault(g.degree, []).append(g)
 
         self.boundary_names: Dict[str, Tuple[str, ...]] = {}
         for n, gens in self._by_degree.items():
@@ -115,14 +112,6 @@ class FilteredComplex:
 
     def generator_names(self, n: int) -> List[str]:
         return [g.name for g in self._by_degree.get(n, [])]
-
-    def differential(self, n: int) -> GF2Matrix:
-        """d_n as a dense matrix, rows and columns in generator order."""
-        dense = np.zeros((self.dim(n - 1), self.dim(n)), dtype=np.uint8)
-        for j, g in enumerate(self._by_degree.get(n, ())):
-            for tname in self.boundary_names[g.name]:
-                dense[self._index_in_degree[tname], j] ^= 1
-        return GF2Matrix.from_dense(dense) if dense.size else GF2Matrix(*dense.shape)
 
     @property
     def max_filtration(self) -> int:
@@ -237,9 +226,15 @@ class FilteredComplex:
 
 @dataclass
 class Page:
+    """Page E^k: the dimension of each bidegree (p, q), and d_k as the
+    (source, target) generator pairs leaving each bidegree that has a
+    class; a pair maps the source's class to the target's, which sits at
+    (p - k, q + k - 1).  No class is in two pairs, so the rank of d_k out
+    of (p, q) is the number of its pairs."""
+
     k: int
     entries: Dict[Tuple[int, int], int]
-    differentials: Dict[Tuple[int, int], GF2Matrix]
+    differentials: Dict[Tuple[int, int], List[Tuple[Generator, Generator]]]
 
     def dims(self) -> Dict[Tuple[int, int], int]:
         return {pq: d for pq, d in self.entries.items() if d}
@@ -274,26 +269,26 @@ def _page_from_pairs(pairs: List[Tuple[Generator, Generator]],
     least k gives a class at each end, and d_k maps y's class to x's on the
     pairs (x, y) whose gap is exactly k."""
     live = [(x, y) for x, y in pairs if y.filtration - x.filtration >= k]
-    classes: Dict[Tuple[int, int], List[Generator]] = {}
+    entries: Dict[Tuple[int, int], int] = {}
     for g in unpaired + [g for pair in live for g in pair]:
-        classes.setdefault((g.filtration, g.degree - g.filtration), []).append(g)
-    slot = {g: i for gens in classes.values() for i, g in enumerate(gens)}
-    dense = {(p, q): np.zeros((len(classes.get((p - k, q + k - 1), ())), len(gens)),
-                              dtype=np.uint8) for (p, q), gens in classes.items()}
+        pq = (g.filtration, g.degree - g.filtration)
+        entries[pq] = entries.get(pq, 0) + 1
+    differentials: Dict[Tuple[int, int], List[Tuple[Generator, Generator]]] = {
+        pq: [] for pq in entries}
     for x, y in live:
         if y.filtration - x.filtration == k:
-            dense[(y.filtration, y.degree - y.filtration)][slot[x], slot[y]] = 1
-    return Page(k, {pq: len(gens) for pq, gens in classes.items()},
-                {pq: GF2Matrix.from_dense(m) for pq, m in dense.items()})
+            differentials[(y.filtration, y.degree - y.filtration)].append((y, x))
+    return Page(k, entries, differentials)
 
 
 def page_dims_via_differential(pg: Page) -> Dict[Tuple[int, int], int]:
-    """E^{k+1} dimensions predicted from page k's differential (kernel/image)."""
+    """E^{k+1} dimensions predicted from page k's differential (kernel/image):
+    each d_k pair removes its source's class and its target's."""
     out: Dict[Tuple[int, int], int] = {}
     k = pg.k
     for (p, q), dim in pg.entries.items():
-        d_in = pg.differentials.get((p + k, q - k + 1))
-        dim -= pg.differentials[(p, q)].rank() + (d_in.rank() if d_in is not None else 0)
+        dim -= (len(pg.differentials[(p, q)])
+                + len(pg.differentials.get((p + k, q - k + 1), ())))
         if dim:
             out[(p, q)] = dim
     return out

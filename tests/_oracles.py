@@ -8,8 +8,13 @@ homology and scrambled by a filtration-respecting change of basis.
 
 ``oracle_page`` computes spectral-sequence pages by the cycle/boundary
 formula, with the subspace sums, quotients and row solves of
-``qmdkit.gf2``'s ``Subspace`` stack; the production ``qmdkit.specseq.page``
-reads them off a persistence pairing and no longer touches that stack.
+``qmdkit.gf2``'s ``Subspace`` stack; its pages hold each d_k as a
+``GF2Matrix`` in the basis of the chosen class representatives.  The
+production ``qmdkit.specseq.page`` reads pages off a persistence pairing
+and holds d_k as generator pairs; ``differential_ranks`` counts those
+pairs and ``oracle_differential_ranks`` takes the matrices' ranks.
+``oracle_differential`` is d_n of a ``FilteredComplex`` as a dense
+``GF2Matrix``, which the complex itself no longer builds.
 
 ``oracle_validate`` is ``FilteredComplex.validate`` as it was before it
 counted boundary-of-boundary names: d^2 = 0 by dense ``GF2Matrix``
@@ -125,12 +130,22 @@ def sturm_eigenvalues(A: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return np.array(eigs)
 
 
+def oracle_differential(fc: FilteredComplex, n: int) -> GF2Matrix:
+    """d_n as a dense matrix, rows and columns in generator order."""
+    row = {name: i for i, name in enumerate(fc.generator_names(n - 1))}
+    dense = np.zeros((fc.dim(n - 1), fc.dim(n)), dtype=np.uint8)
+    for j, name in enumerate(fc.generator_names(n)):
+        for tname in fc.boundary_names[name]:
+            dense[row[tname], j] ^= 1
+    return GF2Matrix.from_dense(dense)
+
+
 def naive_homology_dims(fc: FilteredComplex) -> dict:
     """GF(2) homology of the total complex via the naive rank oracle."""
     out = {}
     for n in fc.degrees():
-        d_n = fc.differential(n).to_dense().tolist()
-        d_n1 = fc.differential(n + 1).to_dense().tolist()
+        d_n = oracle_differential(fc, n).to_dense().tolist()
+        d_n1 = oracle_differential(fc, n + 1).to_dense().tolist()
         rank_n = naive_gf2_rank(d_n) if fc.dim(n) else 0
         rank_n1 = naive_gf2_rank(d_n1) if fc.dim(n + 1) else 0
         out[n] = fc.dim(n) - rank_n - rank_n1
@@ -148,8 +163,8 @@ def oracle_validate(fc: FilteredComplex) -> None:
                     f"differential raises filtration: {g.name} (p={g.filtration}) "
                     f"-> {tname} (p={filtration[tname]})")
     for n in fc.degrees():
-        lower = fc.differential(n)
-        lower2 = fc.differential(n - 1)
+        lower = oracle_differential(fc, n)
+        lower2 = oracle_differential(fc, n - 1)
         if lower.rows and lower2.rows:
             if not lower2.mul(lower).is_zero():
                 raise BoundaryError(f"d^2 != 0 out of degree {n}")
@@ -311,7 +326,7 @@ def _z_space(fc: FilteredComplex, p: int, k: int, n: int,
         sp = Subspace.zero(dim_n)
         cache[key] = sp
         return sp
-    d = fc.differential(n)
+    d = oracle_differential(fc, n)
     filt_low = fc.filtrations(n - 1)
     bad_rows = [j for j in range(fc.dim(n - 1)) if filt_low[j] > p - k]
     if not bad_rows or d.rows == 0:
@@ -336,7 +351,7 @@ def _z_space(fc: FilteredComplex, p: int, k: int, n: int,
 
 
 def _apply_d(fc: FilteredComplex, n: int, vectors: Iterable[np.ndarray]) -> List[np.ndarray]:
-    d = fc.differential(n)
+    d = oracle_differential(fc, n)
     return [d.mul_vector(v) for v in vectors]
 
 
@@ -344,8 +359,7 @@ def _complement_reps(numerator: Subspace, denominator: Subspace) -> List[np.ndar
     """Representatives of numerator/denominator, deterministic in basis order."""
     reps = []
     acc = denominator
-    for i in range(numerator.basis.rows):
-        v = numerator.basis.to_dense()[i]
+    for v in numerator.basis.to_dense():
         if not acc.contains_vector(v):
             reps.append(v)
             acc = subspace_sum(acc, Subspace.from_vectors(len(v), [v]))
@@ -374,8 +388,7 @@ def oracle_page(fc: FilteredComplex, k: int) -> Page:
             Z = _z_space(fc, p, k, n, cache)
             Zm = _z_space(fc, p - 1, k - 1, n, cache)
             Bsrc = _z_space(fc, p + k - 1, k - 1, n + 1, cache)
-            bvecs = _apply_d(fc, n + 1, [Bsrc.basis.to_dense()[i]
-                                         for i in range(Bsrc.dim)]) if fc.dim(n + 1) else []
+            bvecs = _apply_d(fc, n + 1, Bsrc.basis.to_dense()) if fc.dim(n + 1) else []
             B = Subspace.from_vectors(dim_n, bvecs)
             W = subspace_sum(Zm, B)
             if not Z.contains(W):
@@ -394,13 +407,11 @@ def oracle_page(fc: FilteredComplex, k: int) -> Page:
         tgt_dim = tgt.dim if tgt else 0
         dense = np.zeros((tgt_dim, src_dim), dtype=np.uint8)
         if src_dim and tgt_dim:
-            basis_rows = [tgt.boundary_space.basis.to_dense()[i]
-                          for i in range(tgt.boundary_space.dim)]
-            basis_rows += list(tgt.rep_vectors)
-            mat = GF2Matrix.from_rows(basis_rows, cols=fc.dim(n - 1)) if basis_rows \
-                else GF2Matrix(0, fc.dim(n - 1))
+            basis_rows = list(tgt.boundary_space.basis.to_dense()) + tgt.rep_vectors
+            mat = GF2Matrix.from_rows(basis_rows, cols=fc.dim(n - 1))
+            d = oracle_differential(fc, n)
             for j, x in enumerate(entry.rep_vectors):
-                y = fc.differential(n).mul_vector(x)
+                y = d.mul_vector(x)
                 if not tgt.cycle_space.contains_vector(y):
                     raise AssertionError("page differential violates its bidegree")
                 coeff = solve_row_combination(mat, y)
@@ -409,12 +420,12 @@ def oracle_page(fc: FilteredComplex, k: int) -> Page:
                 dense[:, j] = coeff[tgt.boundary_space.dim:]
         elif src_dim and tgt is not None:
             # target entry vanishes: the class of d(x) must already be zero
+            d = oracle_differential(fc, n)
             for x in entry.rep_vectors:
-                y = fc.differential(n).mul_vector(x)
+                y = d.mul_vector(x)
                 if not tgt.boundary_space.contains_vector(y):
                     raise AssertionError("nonzero differential into an empty entry")
-        differentials[(p, q)] = GF2Matrix.from_dense(dense) if dense.size \
-            else GF2Matrix(tgt_dim, src_dim)
+        differentials[(p, q)] = GF2Matrix.from_dense(dense)
 
     _assert_d_squared_zero(entries, differentials, k)
     return Page(k, {pq: e.dim for pq, e in entries.items()}, differentials)
@@ -429,7 +440,14 @@ def _assert_d_squared_zero(entries, differentials, k: int) -> None:
 
 
 def differential_ranks(pg: Page) -> Dict[Tuple[int, int], int]:
-    """Nonzero ranks of a page's d_k, keyed by source bidegree."""
+    """Nonzero ranks of a ``qmdkit.specseq.page``'s d_k, keyed by source
+    bidegree: the number of its generator pairs."""
+    return {pq: len(pairs) for pq, pairs in pg.differentials.items() if pairs}
+
+
+def oracle_differential_ranks(pg: Page) -> Dict[Tuple[int, int], int]:
+    """Nonzero ranks of an ``oracle_page``'s d_k matrices, keyed by source
+    bidegree."""
     ranks = {pq: d.rank() for pq, d in pg.differentials.items()}
     return {pq: r for pq, r in ranks.items() if r}
 
@@ -485,7 +503,7 @@ def oracle_build_complex(mask: GridMask) -> OracleComplex:
         for j, cell in enumerate(cells_by_dim[k]):
             for face in _cell_faces(cell, dims, periodic):
                 dense[index[k - 1][face], j] ^= 1  # repeated face cancels mod 2
-        boundary[k] = GF2Matrix.from_dense(dense) if n_cols else GF2Matrix(n_rows, 0)
+        boundary[k] = GF2Matrix.from_dense(dense)
     return OracleComplex(cells_by_dim, boundary)
 
 

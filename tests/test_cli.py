@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -7,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from qmdkit.catalog import (descriptor_annulus_kunneth,
+from qmdkit.catalog import (CATALOG_DESCRIPTORS, descriptor_annulus_kunneth,
                             descriptor_cancellation_pair, descriptor_five_piece,
                             field_1d_quadratic, field_saddle, tau_saddle)
 from qmdkit.cli import main
@@ -275,6 +276,39 @@ def test_example_monodromy(capsys):
     assert main(["example", "monodromy"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["passed"] is True
+
+
+# sha256 of the stdout of `qmdkit specseq --descriptor <catalog descriptor>
+# --pages <all|1|2>` and `qmdkit example cancellation-pair`, taken when the
+# page differentials were dense matrices; stdout must stay byte-identical
+STDOUT_SHA256 = {
+    ("cancellation-pair", "all"): "29420b065c9869617ac6071c07cc5d329a44a8e7080c467c04337f9f34cfa010",
+    ("cancellation-pair", "1"): "be15388389b48cf28c6d04f38b86ca405a9f153339fc5a35a6f895fc3bdc2fb6",
+    ("cancellation-pair", "2"): "f4d99e00907ee98ab7dd2bbd03a6f0a2ee6571e95af8cc7934af93d47bf4f8b4",
+    ("annulus-kunneth", "all"): "4c4230acfc25fea3d24f49983900a651ab48fe6e342cb947107b125d36e9640a",
+    ("annulus-kunneth", "1"): "f51be053d61fbd137dff29c7ad720c90b7fc1eec4ddf13a326df3ed5ef89330d",
+    ("annulus-kunneth", "2"): "402aebbba79a42e525f8ac041d5834e17ba8d5da427e97440aa2483dc06e5b6c",
+    ("log-corner", "all"): "9262c2f0e478d3549fb12bfe067291bcfa46818409fc020daa7a018d75ce3406",
+    ("log-corner", "1"): "e5a0f5ba05c6c5fe91b56b2ac4ef579eab437f2fa2b3c25ca6f97f0670ec93bb",
+    ("log-corner", "2"): "451c20fde32b69bfd9c49a414ab6d152790d334f3af1c9ebb4efed362d3ae337",
+    ("five-piece", "all"): "aa1327571be91c91ccae3b63f77593b055f0d47cf089aa25f26639bd1fbdcba0",
+    ("five-piece", "1"): "19bba7717a6fd8511163ef90a66de232ee86e1514b3a8189dbbe41430c26635e",
+    ("five-piece", "2"): "a1a2388a51d8b2f90f698f929dbe7403d1c4cd2759f934308c954aef8ae3ffdc",
+    ("example", "cancellation-pair"): "23536ee559e70e062a4bab290bec0ab9bcf4b8be69a810516a1cefc597a2523d",
+}
+
+
+def test_specseq_and_example_stdout_is_pinned(tmp_path, capsys):
+    got = {}
+    for name, make in CATALOG_DESCRIPTORS.items():
+        desc = _write(tmp_path, f"{name}.json", make().to_json())
+        for pages in ("all", "1", "2"):
+            assert main(["specseq", "--descriptor", desc, "--pages", pages]) == 0
+            got[(name, pages)] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert main(["example", "cancellation-pair"]) == 0
+    got[("example", "cancellation-pair")] = hashlib.sha256(
+        capsys.readouterr().out.encode()).hexdigest()
+    assert got == STDOUT_SHA256
 
 
 def test_example_unknown_name():

@@ -19,6 +19,17 @@ def _plane(fn, n=17, lo=-1.0):
                               origin=(lo, lo))
 
 
+def test_field_copies_its_source_array():
+    base = np.zeros((4, 4))
+    f = ScalarField((4, 4), (1.0, 1.0), (False, False), base)
+    view = ScalarField((4, 4), (1.0, 1.0), (False, False), base[:, :])
+    flat = ScalarField((4, 4), (1.0, 1.0), (False, False), base.ravel())
+    base[1, 1] = 5.0
+    for field in (f, view, flat):
+        assert field.values.sum() == 0.0
+        assert not np.shares_memory(field.values, base)
+
+
 def test_hessian_exact_for_quadratic():
     f = _plane(lambda x, y: x * x + y * y)
     H = hessian_at(f, (8, 8))

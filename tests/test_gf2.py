@@ -71,22 +71,32 @@ def test_ambient_mismatch_rejected():
         subspace_sum(Subspace.zero(2), Subspace.zero(3))
 
 
+def _random_shapes(rng, n, max_rows=40):
+    """The empty shapes, then n random (rows, cols): rows 0..max_rows, cols
+    0-40 or 63-130, across the 64-column edge of a machine word."""
+    yield from ((0, 0), (0, 9), (9, 0), (max_rows, 64), (max_rows, 65))
+    for _ in range(n):
+        wide = rng.random() < 0.4
+        yield (int(rng.integers(0, max_rows + 1)),
+               int(rng.integers(63, 131) if wide else rng.integers(0, 41)))
+
+
 def test_rank_nullity_on_random_matrices():
-    rng = np.random.default_rng(int(__import__("os").environ.get("QMD_SEED", "0")))
-    for _ in range(120):
-        rows = int(rng.integers(1, 41))
-        cols = int(rng.integers(1, 41))
+    rng = np.random.default_rng(SEED)
+    for rows, cols in _random_shapes(rng, 120):
         m = GF2Matrix.from_dense(rng.integers(0, 2, size=(rows, cols)))
         assert m.rank() + m.kernel_basis().rows == cols
+        assert (m.rows, m.cols) == (rows, cols)
+        assert m.to_dense().shape == (rows, cols)
 
 
 def test_rank_matches_naive_oracle():
     rng = np.random.default_rng(1)
-    for _ in range(100):
-        rows = int(rng.integers(1, 17))
-        cols = int(rng.integers(1, 17))
+    for rows, cols in _random_shapes(rng, 100, max_rows=16):
         dense = rng.integers(0, 2, size=(rows, cols))
-        assert GF2Matrix.from_dense(dense).rank() == naive_gf2_rank(dense.tolist())
+        m = GF2Matrix.from_dense(dense)
+        assert np.array_equal(m.to_dense(), dense)
+        assert m.rank() == naive_gf2_rank(dense.tolist())
 
 
 def test_dimension_formula_on_random_subspaces():
@@ -101,25 +111,26 @@ def test_dimension_formula_on_random_subspaces():
 
 def test_kernel_vectors_annihilated():
     rng = np.random.default_rng(3)
-    for _ in range(50):
-        m = GF2Matrix.from_dense(rng.integers(0, 2, size=(8, 11)))
+    for rows, cols in _random_shapes(rng, 50):
+        m = GF2Matrix.from_dense(rng.integers(0, 2, size=(rows, cols)))
         k = m.kernel_basis()
-        for i in range(k.rows):
-            assert not m.mul_vector(k.to_dense()[i]).any()
+        assert k.to_dense().shape == (cols - m.rank(), cols)
+        for vec in k.to_dense():
+            assert not m.mul_vector(vec).any()
 
 
 def test_solve_row_combination_roundtrip():
     rng = np.random.default_rng(4)
-    for _ in range(50):
-        mat = GF2Matrix.from_dense(rng.integers(0, 2, size=(6, 9)))
-        coeff = rng.integers(0, 2, size=6).astype(np.uint8)
-        target = np.zeros(9, dtype=np.uint8)
+    for rows, cols in _random_shapes(rng, 50):
+        mat = GF2Matrix.from_dense(rng.integers(0, 2, size=(rows, cols)))
+        coeff = rng.integers(0, 2, size=rows).astype(np.uint8)
+        target = np.zeros(cols, dtype=np.uint8)
         dense = mat.to_dense()
         for i in np.nonzero(coeff)[0]:
             target ^= dense[i]
         solved = solve_row_combination(mat, target)
-        assert solved is not None
-        recon = np.zeros(9, dtype=np.uint8)
+        assert solved is not None and solved.shape == (rows,)
+        recon = np.zeros(cols, dtype=np.uint8)
         for i in np.nonzero(solved)[0]:
             recon ^= dense[i]
         assert np.array_equal(recon, target)
