@@ -110,6 +110,8 @@ def _tolerances(args, field: Optional[ScalarField] = None) -> Tolerances:
 
 
 def cmd_analyze(args) -> int:
+    if args.tau and args.chart is None:
+        raise UsageFailure("--tau needs --chart: the qmd rung is read along a chart")
     f = _load_field(args.field)
     tau = _load_field(args.tau) if args.tau else None
     tols = _tolerances(args, field=f)

@@ -41,6 +41,8 @@ class ScalarField:
         periodic = tuple(bool(p) for p in self.periodic)
         if not (len(dims) == len(spacing) == len(periodic)):
             raise ValueError("dims, spacing, periodic must have equal length")
+        if any(n < 1 for n in dims):
+            raise ValueError("all axis sizes must be >= 1")
         if not all(0.0 < h < np.inf for h in spacing):
             raise ValueError("spacing must be finite and positive on every axis")
         values = np.array(self.values, dtype=float, order="C").reshape(dims)  # never a view
@@ -98,11 +100,20 @@ class ScalarField:
 
     @classmethod
     def from_json(cls, data: dict) -> "ScalarField":
-        dims = tuple(int(n) for n in data["dims"])
-        return cls(dims,
-                   tuple(float(h) for h in data["spacing"]),
-                   tuple(bool(p) for p in data["periodic"]),
-                   np.array(data["values"], dtype=float).reshape(dims))
+        """Read `to_json` output.  Each key must hold a JSON array (a string
+        would be read one character at a time), dims integers and periodic
+        flags 0, 1, true or false."""
+        dims, spacing, periodic, values = (data[k] for k in
+                                           ("dims", "spacing", "periodic", "values"))
+        if not all(isinstance(v, list) for v in (dims, spacing, periodic, values)):
+            raise ValueError("dims, spacing, periodic and values must be arrays")
+        if not all(isinstance(n, int) and not isinstance(n, bool) for n in dims):
+            raise ValueError(f"axis sizes must be integers: {dims}")
+        if not all(isinstance(p, int) and p in (0, 1) for p in periodic):
+            raise ValueError(f"periodic flags must be 0, 1, true or false: {periodic}")
+        return cls(tuple(dims), tuple(float(h) for h in spacing),
+                   tuple(bool(p) for p in periodic),
+                   np.array(values, dtype=float))
 
 
 def stencil_mask(field: ScalarField) -> np.ndarray:

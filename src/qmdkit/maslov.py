@@ -109,7 +109,10 @@ class LagrangianLinePath:
 
     @classmethod
     def from_json(cls, data: dict) -> "LagrangianLinePath":
-        return cls.from_angles(data["times"], data["angles"])
+        times, angles = data["times"], data["angles"]
+        if not (isinstance(times, list) and isinstance(angles, list)):
+            raise PathError("times and angles must be arrays")
+        return cls.from_angles(times, angles)
 
 
 @dataclass(frozen=True)

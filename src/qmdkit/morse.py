@@ -23,15 +23,18 @@ numbers and discrete gradient descent.  `flatten_along_chart` applies
 rho to f|_S; `flatten` is its full-chart case, where S is the whole
 neighbourhood.
 
-The Hessian tests visit every stencil-valid node of C.  Each checker
-gathers the Hessians at those nodes alone (`fields.hessian_at_nodes`), so
-its cost follows |C| rather than the grid, and takes their eigenpairs
-from one batched numpy.linalg.eigh.  The kernel tests are batched too:
-alignment with the chart is one SVD over the stack of kernel vectors, and
+The Hessian tests visit every stencil-valid node of C.  A sample of a
+field's Hessians is gathered at those nodes alone (`fields.hessian_at_nodes`),
+so its cost follows |C| rather than the grid, and its eigenpairs come
+from one batched numpy.linalg.eigh.  The flattened and minimally
+degenerate rungs share one body that reads both verdicts off one sample
+of f, and `classify` passes it the sample its Morse rungs read: one
+`classify` samples f once.  The kernel tests are batched too: alignment
+with the chart is one SVD over the stack of kernel vectors, and
 transversality one matrix_rank per distinct kernel dimension.  The chart
-terms of tau (dist(x, S)^4 and f o project_S) are built from per-axis
-arrays, and the thickening's descent walks advance together by pointer
-doubling.  `negative_index` and `transverse_negative_index` stay per node.
+terms of tau are built from per-axis arrays, and the thickening's descent
+walks advance together by pointer doubling.  `negative_index` and
+`transverse_negative_index` stay per node.
 """
 
 from __future__ import annotations
@@ -402,27 +405,48 @@ def _kernel_transverse(kernel: np.ndarray, V: np.ndarray, axes: Sequence[int]) -
     return True
 
 
+def _chart_rungs(f: ScalarField, crit: CriticalSet, chart: SubmanifoldChart,
+                 tols: Tolerances, strict: bool, component: int,
+                 sample: Optional[tuple] = None
+                 ) -> Tuple[DegeneracyReport, DegeneracyReport]:
+    """The flattened and the minimally degenerate report of one component,
+    both read off one Hessian sample (nodes, H, w, V) of f on C: the
+    stencil-valid nodes, their Hessians and eigenpairs.  `classify` passes
+    the sample it already holds; otherwise it is taken here."""
+    comp = crit.components[component]
+    _require_contained(comp, chart)
+    cond_min, _ = _check_minimum_on_slice(f, comp, chart, isolating_box(comp),
+                                          tols, strict)
+    if sample is None:
+        nodes, H = _node_hessians(f, comp)
+        sample = (nodes, H, *np.linalg.eigh(H))
+    nodes, H, w, V = sample
+    thresh = _kernel_threshold(w, tols.eig_tol, default_hessian_floor(f))
+    n_neg = np.sum(w < -thresh[:, None], axis=1)
+    axes = list(chart.axes)
+    psd_ok = not axes or not bool(np.any(
+        np.linalg.eigh(H[:, axes][:, :, axes])[0].min(axis=1) < -thresh))
+
+    def report(label: str, **checks: bool) -> DegeneracyReport:
+        details = {"restricted_minimum_on_c": cond_min, **checks}
+        passed = all(details.values()) and bool(nodes)
+        return DegeneracyReport(label if passed else "unclassified", details,
+                                w.tolist(), sampled_nodes=nodes)
+
+    flat = report("flattened_degenerate", hessian_kernel_equals_chart=_kernel_spans_axes(
+        np.abs(w) < thresh[:, None], V, chart.axes))
+    mindeg = report("minimally_degenerate", hessian_psd_on_chart=psd_ok,
+                    chart_dimension_maximal=bool(np.all(chart.dim == f.ndim - n_neg)))
+    if len(set(n_neg.tolist())) == 1:
+        mindeg.negative_index = int(n_neg[0])
+    return flat, mindeg
+
+
 def check_flattened_degenerate(f: ScalarField, crit: CriticalSet,
                                chart: SubmanifoldChart, tols: Tolerances,
                                strict: bool = False, component: int = 0) -> DegeneracyReport:
     """f|_S minimal along C and ker Hess_x f = T_x S at sampled x in C."""
-    comp = crit.components[component]
-    _require_contained(comp, chart)
-    box = isolating_box(comp)
-    report = DegeneracyReport("unclassified")
-    cond_min, _ = _check_minimum_on_slice(f, comp, chart, box, tols, strict)
-    report.details["restricted_minimum_on_c"] = cond_min
-
-    nodes, H = _node_hessians(f, comp)
-    w, V = np.linalg.eigh(H)
-    report.sampled_nodes = nodes
-    report.hessian_spectra = w.tolist()
-    kernel_ok = _kernel_spans_axes(_kernel_mask(w, f, tols), V, chart.axes)
-    report.details["hessian_kernel_equals_chart"] = kernel_ok
-
-    if cond_min and kernel_ok and report.sampled_nodes:
-        report.classification = "flattened_degenerate"
-    return report
+    return _chart_rungs(f, crit, chart, tols, strict, component)[0]
 
 
 def check_minimally_degenerate(f: ScalarField, crit: CriticalSet,
@@ -434,34 +458,7 @@ def check_minimally_degenerate(f: ScalarField, crit: CriticalSet,
     eigenvalue below -tol, and dim S equals the ambient dimension minus
     the number of negative Hessian eigenvalues at every sampled node.
     """
-    comp = crit.components[component]
-    _require_contained(comp, chart)
-    box = isolating_box(comp)
-    report = DegeneracyReport("unclassified")
-    cond_min, _ = _check_minimum_on_slice(f, comp, chart, box, tols, strict)
-    report.details["restricted_minimum_on_c"] = cond_min
-
-    nodes, H = _node_hessians(f, comp)
-    w = np.linalg.eigh(H)[0]
-    report.sampled_nodes = nodes
-    report.hessian_spectra = w.tolist()
-    thresh = _kernel_threshold(w, tols.eig_tol, default_hessian_floor(f))
-    n_neg = np.sum(w < -thresh[:, None], axis=1)
-    psd_ok = True
-    axes = list(chart.axes)
-    if axes:
-        ws = np.linalg.eigh(H[:, axes][:, :, axes])[0]
-        psd_ok = not bool(np.any(ws.min(axis=1) < -thresh))
-    maximal_ok = bool(np.all(chart.dim == f.ndim - n_neg))
-    report.details["hessian_psd_on_chart"] = psd_ok
-    report.details["chart_dimension_maximal"] = maximal_ok
-    neg_counts = set(n_neg.tolist())
-    if len(neg_counts) == 1:
-        report.negative_index = neg_counts.pop()
-
-    if cond_min and psd_ok and maximal_ok and report.sampled_nodes:
-        report.classification = "minimally_degenerate"
-    return report
+    return _chart_rungs(f, crit, chart, tols, strict, component)[1]
 
 
 def check_qmd(f: ScalarField, tau: ScalarField, crit: CriticalSet,
@@ -849,32 +846,21 @@ def classify(f: ScalarField, crit: CriticalSet, chart: Optional[SubmanifoldChart
     flat_ok = mindeg_ok = qmd_ok = False
     if chart is not None:
         try:
-            flat = check_flattened_degenerate(f, crit, chart, tols, strict,
-                                              component)
-            flat_ok = flat.passed
-        except ChartError:
-            flat_ok = False
-        try:
-            mindeg = check_minimally_degenerate(f, crit, chart, tols, strict,
-                                                component)
-            mindeg_ok = mindeg.passed
+            flat, mindeg = _chart_rungs(f, crit, chart, tols, strict, component,
+                                        (nodes, H, w, V))
+            flat_ok, mindeg_ok = flat.passed, mindeg.passed
             report.negative_index = mindeg.negative_index
         except ChartError:
-            mindeg_ok = False
+            pass
         if tau is not None:
             try:
                 qmd_ok = check_qmd(f, tau, crit, chart, tols, strict,
                                    component).passed
             except (ChartError, TauError):
-                qmd_ok = False
-    report.details["flattened_degenerate"] = flat_ok
-    report.details["minimally_degenerate"] = mindeg_ok
-    report.details["qmd"] = qmd_ok
-
-    for label, ok in (("morse", morse_ok), ("morse_bott", bott_ok),
-                      ("flattened_degenerate", flat_ok),
-                      ("minimally_degenerate", mindeg_ok), ("qmd", qmd_ok)):
-        if ok:
-            report.classification = label
-            break
+                pass
+    report.details.update(flattened_degenerate=flat_ok, minimally_degenerate=mindeg_ok,
+                          qmd=qmd_ok)
+    # details holds the rungs in ladder order: the first that passes is the finest
+    report.classification = next((rung for rung, ok in report.details.items() if ok),
+                                 "unclassified")
     return report

@@ -256,6 +256,52 @@ def test_extreme_finite_field_is_usage_error(case, command, tmp_path, capsys):
     assert "error: " in captured.err and "Traceback" not in captured.err
 
 
+def _with(payload, **changes):
+    return {**payload, **changes}
+
+
+# each once read without complaint: "33" and [3.5, 3] as dims (3, 3), "00" as
+# two periodic axes (bool("0") is True); a zero axis crashed in stencil_mask
+# and a -1 axis was inferred by reshape
+MALFORMED_FIELDS = {
+    "dims-zero": {"dims": [0], "spacing": [1.0], "periodic": [0], "values": []},
+    "dims-negative": _with(_bowl([1.0, 1.0], n=3), dims=[3, -1], values=[0.0, 1.0, 2.0]),
+    "dims-string": _with(_bowl([1.0, 1.0], n=3), dims="33"),
+    "dims-fraction": _with(_bowl([1.0, 1.0], n=3), dims=[3.5, 3]),
+    "periodic-string": _with(_bowl([1.0, 1.0], n=3), periodic="00"),
+    "periodic-two": _with(_bowl([1.0, 1.0], n=3), periodic=[2, 0]),
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "flatten"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_FIELDS))
+def test_malformed_field_file_is_usage_error(case, command, tmp_path, capsys):
+    argv = [command, "--field", _write(tmp_path, "f.json", MALFORMED_FIELDS[case])]
+    if command == "flatten":
+        argv += ["--delta", "0.08"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: " in captured.err and "Traceback" not in captured.err
+
+
+def test_maslov_string_times_is_usage_error(tmp_path, capsys):
+    a = _write(tmp_path, "a.json", {"times": "01", "angles": [0.0, math.pi / 2]})
+    b = _write(tmp_path, "b.json", {"times": [0.0, 1.0], "angles": [0.0, 0.0]})
+    assert main(["maslov", "--path-a", a, "--path-b", b]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_analyze_tau_without_chart_is_usage_error(saddle_file, tau_file, tmp_path, capsys):
+    # classify reads tau only along a chart; a tau on another grid was ignored too
+    other = _write(tmp_path, "other.json", field_1d_quadratic().to_json())
+    for tau in (tau_file, other):
+        assert main(["analyze", "--field", saddle_file, "--tau", tau]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
+
 def test_maslov_quarter_turn(tmp_path, capsys):
     a = _write(tmp_path, "a.json",
                {"times": [0.0, 1.0], "angles": [0.0, math.pi / 2]})
@@ -279,8 +325,13 @@ def test_example_monodromy(capsys):
 
 
 # sha256 of the stdout of `qmdkit specseq --descriptor <catalog descriptor>
-# --pages <all|1|2>` and `qmdkit example cancellation-pair`, taken when the
-# page differentials were dense matrices; stdout must stay byte-identical
+# --pages <all|1|2>` and `qmdkit example <name>`, stdout that must stay
+# byte-identical.  The specseq and cancellation-pair hashes were taken when
+# the page differentials were dense matrices; the degeneracy-ladder examples'
+# hashes when each chart rung sampled f's Hessians on its own.  None of these
+# outputs prints a float, so the pins do not depend on LAPACK rounding.
+PINNED_EXAMPLES = ("cancellation-pair", "torus-height", "saddle-qmd", "genus2-figure8",
+                   "flattened-mask", "corner-smoothing", "quartic-flow")
 STDOUT_SHA256 = {
     ("cancellation-pair", "all"): "29420b065c9869617ac6071c07cc5d329a44a8e7080c467c04337f9f34cfa010",
     ("cancellation-pair", "1"): "be15388389b48cf28c6d04f38b86ca405a9f153339fc5a35a6f895fc3bdc2fb6",
@@ -295,6 +346,12 @@ STDOUT_SHA256 = {
     ("five-piece", "1"): "19bba7717a6fd8511163ef90a66de232ee86e1514b3a8189dbbe41430c26635e",
     ("five-piece", "2"): "a1a2388a51d8b2f90f698f929dbe7403d1c4cd2759f934308c954aef8ae3ffdc",
     ("example", "cancellation-pair"): "23536ee559e70e062a4bab290bec0ab9bcf4b8be69a810516a1cefc597a2523d",
+    ("example", "torus-height"): "70315607efa0591e8dd5eb3a174185aac2d15bb40cb39fe3a902711793601cf7",
+    ("example", "saddle-qmd"): "05372b13e80058ad55bccfab0dc5be9c353991126878ae915f7c572b690823a0",
+    ("example", "genus2-figure8"): "42515b48b023b7e0d733f8e8c741616b432d41b63e5777cfdb714f6cf6e4e45a",
+    ("example", "flattened-mask"): "eff70530f4389d237e8608ebc6e6e72427c96720b09a466f6157eb7eca2c9b79",
+    ("example", "corner-smoothing"): "6598a0ee9f6f9dfc45c99cde2c8973e9d1190e23456a3d1a349d11c34be4b6dc",
+    ("example", "quartic-flow"): "bb70b56f3fbe6122ace207116fc7e4f5263ca50f5acf5ba342436a05535a48bf",
 }
 
 
@@ -305,9 +362,9 @@ def test_specseq_and_example_stdout_is_pinned(tmp_path, capsys):
         for pages in ("all", "1", "2"):
             assert main(["specseq", "--descriptor", desc, "--pages", pages]) == 0
             got[(name, pages)] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert main(["example", "cancellation-pair"]) == 0
-    got[("example", "cancellation-pair")] = hashlib.sha256(
-        capsys.readouterr().out.encode()).hexdigest()
+    for name in PINNED_EXAMPLES:
+        assert main(["example", name]) == 0
+        got[("example", name)] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert got == STDOUT_SHA256
 
 

@@ -402,6 +402,24 @@ def test_classify_ladder_labels():
     assert classify(f, crit, tols=TOLS).classification == "morse_bott"
 
 
+def test_classify_with_chart_gathers_hessians_once(monkeypatch):
+    """Both chart rungs read the sample classify takes of f's Hessians."""
+    from qmdkit import morse
+    calls = []
+    gather = morse.hessian_at_nodes
+
+    def counted(field, nodes):
+        calls.append(len(nodes))
+        return gather(field, nodes)
+
+    f = field_saddle()
+    crit = detect_critical_set(f, TOLS.grad_tol)
+    monkeypatch.setattr(morse, "hessian_at_nodes", counted)
+    report = classify(f, crit, SubmanifoldChart((0,), (16, 16)), tols=TOLS)
+    assert report.details["minimally_degenerate"] and report.negative_index == 1
+    assert len(calls) == 1
+
+
 # -- batched Hessians and vectorized chart terms against the per-node code -------
 
 
