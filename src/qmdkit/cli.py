@@ -114,6 +114,8 @@ def cmd_analyze(args) -> int:
         raise UsageFailure("--tau needs --chart: the qmd rung is read along a chart")
     f = _load_field(args.field)
     tau = _load_field(args.tau) if args.tau else None
+    if tau is not None and not f.same_grid(tau):
+        raise UsageFailure(f"{args.tau} lies on another grid than {args.field}")
     tols = _tolerances(args, field=f)
     grad_tol = tols.grad_tol
     chart = None
@@ -246,7 +248,7 @@ def cmd_maslov(args) -> int:
     try:
         a = LagrangianLinePath.from_json(_load_json(args.path_a))
         b = LagrangianLinePath.from_json(_load_json(args.path_b))
-    except (KeyError, TypeError, PathError) as exc:
+    except (KeyError, TypeError, OverflowError, PathError) as exc:
         raise UsageFailure(f"bad path file: {exc}") from exc
     try:
         idx = maslov(a, b, tol=args.tol)

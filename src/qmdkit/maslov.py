@@ -12,6 +12,14 @@ construction.  Crossings with vanishing one-sided relative velocity are
 rejected rather than silently perturbed.
 
 All indices are exact fractions with denominator 1 or 2.
+
+Cost: a pair with n merged breakpoints takes one sort of the merged
+breakpoints (``np.union1d``), a few linear numpy passes over them (the
+difference, slopes, near-integer and tangential tests, the integer levels
+of each segment) and one ``CrossingRecord`` per crossing found.  Building
+a path from angles is linear too: the lift is a running sum checked
+against the step rule, with a Python step per breakpoint only from the
+first half-turn tie that the sum resolves the other way.
 """
 
 from __future__ import annotations
@@ -33,13 +41,25 @@ class PathError(ValueError):
 
 
 def _continuous_lift(raw_pi_units: Sequence[float]) -> List[float]:
-    """Resolve mod-1 jumps by picking the representative nearest the previous value."""
-    lift = [float(raw_pi_units[0])]
-    for u in raw_pi_units[1:]:
-        u = float(u)
-        k = round(lift[-1] - u)
-        lift.append(u + k)
-    return lift
+    """Resolve mod-1 jumps by picking the representative nearest the previous value.
+
+    Step i shifts u[i] by round(lift[i-1] - u[i]).  The running sum of
+    round(u[i-1] - u[i]) gives the same shifts except at half-turn ties,
+    where round's half-to-even reads the running shift's parity (and float
+    rounding of lift - u can flip a tie).  So the sum is checked against the
+    step rule in one pass, and the steps from the first disagreement on are
+    taken one at a time.
+    """
+    u = np.asarray(raw_pi_units, dtype=float)
+    shift = np.cumsum(np.round(u[:-1] - u[1:]))
+    lift = np.concatenate((u[:1], u[1:] + shift))
+    wrong = np.flatnonzero(np.round(lift[:-1] - u[1:]) != shift)
+    if not wrong.size:
+        return lift.tolist()
+    out = lift[:wrong[0] + 1].tolist()
+    for v in u[wrong[0] + 1:].tolist():
+        out.append(v + round(out[-1] - v))
+    return out
 
 
 @dataclass(frozen=True)
@@ -49,13 +69,14 @@ class LagrangianLinePath:
     lift: Tuple[float, ...]
 
     def __post_init__(self):
-        times = tuple(float(t) for t in self.times)
-        lift = tuple(float(u) for u in self.lift)
+        times = tuple(map(float, self.times))
+        lift = tuple(map(float, self.lift))
         if len(times) != len(lift) or len(times) < 2:
             raise PathError("need matching times and angles, at least two samples")
-        if not all(map(math.isfinite, times + lift)):
+        t = np.array(times)
+        if not (np.isfinite(t).all() and np.isfinite(lift).all()):
             raise PathError("times and angles must be finite")
-        if any(b <= a for a, b in zip(times, times[1:])):
+        if not (t[1:] > t[:-1]).all():
             raise PathError("times must be strictly increasing")
         if times[0] != 0.0 or times[-1] != 1.0:
             raise PathError("paths are parameterized over [0, 1]")
@@ -64,9 +85,10 @@ class LagrangianLinePath:
 
     @classmethod
     def from_angles(cls, times: Sequence[float], angles_rad: Sequence[float]) -> "LagrangianLinePath":
-        if not all(map(math.isfinite, angles_rad)):
+        angles = np.asarray(angles_rad, dtype=float)
+        if not np.isfinite(angles).all():
             raise PathError("angles must be finite")
-        return cls(tuple(times), tuple(_continuous_lift([a / math.pi for a in angles_rad])))
+        return cls(tuple(times), tuple(_continuous_lift(angles / math.pi)))
 
     @classmethod
     def from_pi_units(cls, times: Sequence[float], lift: Sequence[float]) -> "LagrangianLinePath":
@@ -112,6 +134,10 @@ class LagrangianLinePath:
         times, angles = data["times"], data["angles"]
         if not (isinstance(times, list) and isinstance(angles, list)):
             raise PathError("times and angles must be arrays")
+        # checked before numpy, which reads "0.5" and true as numbers and
+        # fails on a nested list with a bare ValueError
+        if not {int, float}.issuperset(map(type, times + angles)):
+            raise PathError("times and angles must be arrays of numbers")
         return cls.from_angles(times, angles)
 
 
@@ -124,6 +150,10 @@ class CrossingRecord:
     contribution: Fraction
 
 
+# a record's contribution, (sign_in + sign_out) / 2, keyed by the sum
+_HALVES = {v: Fraction(v, 2) for v in range(-2, 3)}
+
+
 def _values_at(g: LagrangianLinePath, ts: np.ndarray) -> np.ndarray:
     """The lift at every time of ``ts``, linear between breakpoints."""
     times, lift = np.asarray(g.times), np.asarray(g.lift)
@@ -133,11 +163,13 @@ def _values_at(g: LagrangianLinePath, ts: np.ndarray) -> np.ndarray:
 
 
 def _merged_difference(g: LagrangianLinePath, g2: LagrangianLinePath):
+    """The merged breakpoints of the pair and the lifted difference there."""
     times = np.union1d(g.times, g2.times)
-    diff = _values_at(g, times) - _values_at(g2, times)
-    return times.tolist(), diff.tolist()
+    return times, _values_at(g, times) - _values_at(g2, times)
 
 
+# inf slopes (from tiny time steps) are valid and compare as the floats did
+@np.errstate(all="ignore")
 def crossings(g: LagrangianLinePath, g2: LagrangianLinePath,
               tol: float = 1e-9) -> List[CrossingRecord]:
     """Crossing records of the pair, or NonRegularCrossingError.
@@ -148,50 +180,60 @@ def crossings(g: LagrangianLinePath, g2: LagrangianLinePath,
     crossings at all (constant intersection dimension).
     """
     times, diff = _merged_difference(g, g2)
+    finite = np.isfinite(diff)
+    if not finite.all():
+        # the difference overflowed: fail as round() does on inf and nan
+        round(float(diff[np.argmin(finite)]))
     m = len(times) - 1
-    slopes = [(diff[i + 1] - diff[i]) / (times[i + 1] - times[i]) for i in range(m)]
+    slopes = (diff[1:] - diff[:-1]) / (times[1:] - times[:-1])
+    sign = np.sign(slopes).astype(int)
+    flat = np.abs(slopes) <= tol
 
-    near_int = [abs(d - round(d)) <= tol for d in diff]
-    if all(near_int) and all(abs(s) <= tol for s in slopes):
-        if len(set(round(d) for d in diff)) != 1:
+    near_int = np.abs(diff - np.round(diff)) <= tol
+    if near_int.all() and flat.all():
+        if np.unique(np.round(diff)).size != 1:
             raise NonRegularCrossingError("difference hops between integer levels")
         return []
 
-    records: List[CrossingRecord] = []
-    for j, (t, d) in enumerate(zip(times, diff)):
-        if not near_int[j]:
-            continue
-        s_in = slopes[j - 1] if j > 0 else None
-        s_out = slopes[j] if j < m else None
-        for s in (s_in, s_out):
-            if s is not None and abs(s) <= tol:
-                raise NonRegularCrossingError(
-                    f"tangential crossing at t={t}: relative angular velocity "
-                    f"below tolerance; perturb the paths")
-        si = int(np.sign(s_in)) if s_in is not None else 0
-        so = int(np.sign(s_out)) if s_out is not None else 0
-        contribution = Fraction(si + so, 2)
-        records.append(CrossingRecord(t, j == 0 or j == m, si, so, contribution))
+    # breakpoint crossings, with the one-sided slopes in and out; the ends
+    # of [0, 1] miss one side
+    tangential = near_int & (np.append(False, flat) | np.append(flat, False))
+    if tangential.any():
+        t = float(times[np.argmax(tangential)])
+        raise NonRegularCrossingError(
+            f"tangential crossing at t={t}: relative angular velocity "
+            f"below tolerance; perturb the paths")
+    at = np.flatnonzero(near_int)
 
-    for i in range(m):
-        lo, hi = sorted((diff[i], diff[i + 1]))
-        k_first = math.ceil(lo - tol)
-        k_last = math.floor(hi + tol)
-        for k in range(k_first, k_last + 1):
-            if abs(diff[i] - k) <= tol or abs(diff[i + 1] - k) <= tol:
-                continue  # breakpoint crossing, already recorded
-            s = slopes[i]
-            t_star = times[i] + (k - diff[i]) / s
-            records.append(CrossingRecord(t_star, False, int(np.sign(s)),
-                                          int(np.sign(s)), Fraction(int(np.sign(s)))))
-    records.sort(key=lambda r: r.time)
-    return records
+    # interior crossings: every integer level k strictly inside a segment,
+    # one entry per (segment, k), in segment order and then k order
+    lo, hi = np.minimum(diff[:-1], diff[1:]), np.maximum(diff[:-1], diff[1:])
+    k_first = np.ceil(lo - tol)
+    counts = (np.floor(hi + tol) - k_first + 1).astype(np.int64)
+    seg = np.repeat(np.arange(m), counts)
+    k = k_first[seg] + (np.arange(seg.size) - np.repeat(np.cumsum(counts) - counts, counts))
+    d0, d1, s = diff[seg], diff[seg + 1], slopes[seg]
+    interior = ~((np.abs(d0 - k) <= tol) | (np.abs(d1 - k) <= tol))
+    seg, k, d0, s = seg[interior], k[interior], d0[interior], s[interior]
+    if (s == 0).any():  # a flat segment just over tol from a level
+        raise ZeroDivisionError("float division by zero")
+    t_star = times[seg] + (k - d0) / s
+
+    # stable, so equal times keep breakpoint records before interior ones
+    time = np.concatenate((times[at], t_star))
+    order = np.argsort(time, kind="stable")
+    endpoint = np.concatenate(((at == 0) | (at == m), np.zeros(len(seg), bool)))
+    sign_in = np.concatenate((np.append(0, sign)[at], sign[seg]))
+    sign_out = np.concatenate((np.append(sign, 0)[at], sign[seg]))
+    return [CrossingRecord(t, e, si, so, _HALVES[si + so]) for t, e, si, so in
+            zip(time[order].tolist(), endpoint[order].tolist(),
+                sign_in[order].tolist(), sign_out[order].tolist())]
 
 
 def maslov(g: LagrangianLinePath, g2: LagrangianLinePath,
            tol: float = 1e-9) -> Fraction:
     """Relative index: signed interior crossings plus half endpoint crossings."""
-    return sum((r.contribution for r in crossings(g, g2, tol)), Fraction(0))
+    return Fraction(sum(r.sign_in + r.sign_out for r in crossings(g, g2, tol)), 2)
 
 
 def concat(g1: LagrangianLinePath, g2: LagrangianLinePath,

@@ -41,12 +41,18 @@ had before it became ``flatten_along_chart`` on the full chart.
 ``_steepest_descent`` walk per sigma node, and
 ``oracle_grid_distance_to_component`` the BFS distance that strict mode read
 before it became two one-step dilations of C.
+
+``oracle_crossings``, ``oracle_continuous_lift`` and ``oracle_maslov`` are the
+Maslov crossing search and angle lift with one Python step per breakpoint, as
+``qmdkit.maslov`` had them before they became numpy passes.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,6 +63,8 @@ from qmdkit.fields import (ScalarField, eig_sym, gradient_magnitude, hessian_at,
 from qmdkit.gf2 import (GF2Matrix, Subspace, quotient_dim, solve_row_combination,
                         subspace_sum)
 from qmdkit.graphlag import GraphSection, IsolationReport, flow_translate
+from qmdkit.maslov import (CrossingRecord, LagrangianLinePath,
+                           NonRegularCrossingError, _values_at)
 from qmdkit.morse import (ANGLE_TOL, BOX_MARGIN, MAX_NUDGES, ChartError,
                           ConstructionError, CriticalSet, DegeneracyReport,
                           DescentEscapeError, FlattenResult, RegularValueError,
@@ -996,3 +1004,70 @@ def oracle_grid_distance_to_component(comp: GridMask) -> np.ndarray:
         frontier = nxt
         d += 1
     return dist
+
+
+# -- Maslov crossings and lifts, one Python step per breakpoint -----------------
+#
+# `qmdkit.maslov.crossings` and `_continuous_lift` before they became numpy
+# passes, with the merged difference as lists of floats, as `_merged_difference`
+# returned it then.
+
+def oracle_continuous_lift(raw_pi_units: Sequence[float]) -> List[float]:
+    """Resolve mod-1 jumps by picking the representative nearest the previous value."""
+    lift = [float(raw_pi_units[0])]
+    for u in raw_pi_units[1:]:
+        u = float(u)
+        k = round(lift[-1] - u)
+        lift.append(u + k)
+    return lift
+
+
+def oracle_crossings(g: LagrangianLinePath, g2: LagrangianLinePath,
+                     tol: float = 1e-9) -> List[CrossingRecord]:
+    """Crossing records of the pair, or NonRegularCrossingError."""
+    merged = np.union1d(g.times, g2.times)
+    times = merged.tolist()
+    diff = (_values_at(g, merged) - _values_at(g2, merged)).tolist()
+    m = len(times) - 1
+    slopes = [(diff[i + 1] - diff[i]) / (times[i + 1] - times[i]) for i in range(m)]
+
+    near_int = [abs(d - round(d)) <= tol for d in diff]
+    if all(near_int) and all(abs(s) <= tol for s in slopes):
+        if len(set(round(d) for d in diff)) != 1:
+            raise NonRegularCrossingError("difference hops between integer levels")
+        return []
+
+    records: List[CrossingRecord] = []
+    for j, (t, d) in enumerate(zip(times, diff)):
+        if not near_int[j]:
+            continue
+        s_in = slopes[j - 1] if j > 0 else None
+        s_out = slopes[j] if j < m else None
+        for s in (s_in, s_out):
+            if s is not None and abs(s) <= tol:
+                raise NonRegularCrossingError(
+                    f"tangential crossing at t={t}: relative angular velocity "
+                    f"below tolerance; perturb the paths")
+        si = int(np.sign(s_in)) if s_in is not None else 0
+        so = int(np.sign(s_out)) if s_out is not None else 0
+        contribution = Fraction(si + so, 2)
+        records.append(CrossingRecord(t, j == 0 or j == m, si, so, contribution))
+
+    for i in range(m):
+        lo, hi = sorted((diff[i], diff[i + 1]))
+        k_first = math.ceil(lo - tol)
+        k_last = math.floor(hi + tol)
+        for k in range(k_first, k_last + 1):
+            if abs(diff[i] - k) <= tol or abs(diff[i + 1] - k) <= tol:
+                continue  # breakpoint crossing, already recorded
+            s = slopes[i]
+            t_star = times[i] + (k - diff[i]) / s
+            records.append(CrossingRecord(t_star, False, int(np.sign(s)),
+                                          int(np.sign(s)), Fraction(int(np.sign(s)))))
+    records.sort(key=lambda r: r.time)
+    return records
+
+
+def oracle_maslov(g: LagrangianLinePath, g2: LagrangianLinePath,
+                  tol: float = 1e-9) -> Fraction:
+    return sum((r.contribution for r in oracle_crossings(g, g2, tol)), Fraction(0))

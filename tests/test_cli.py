@@ -285,10 +285,35 @@ def test_malformed_field_file_is_usage_error(case, command, tmp_path, capsys):
     assert "error: " in captured.err and "Traceback" not in captured.err
 
 
-def test_maslov_string_times_is_usage_error(tmp_path, capsys):
-    a = _write(tmp_path, "a.json", {"times": "01", "angles": [0.0, math.pi / 2]})
+# path files hold at least two JSON numbers within float range in each array
+# (numpy would read "0.5" or true as a number)
+MALFORMED_PATHS = {
+    "times-not-array": {"times": "01", "angles": [0.0, math.pi / 2]},
+    "time-not-number": {"times": [0, "x", 1], "angles": [0.0, 0.5, 1.0]},
+    "time-numeric-string": {"times": [0, "0.5", 1], "angles": [0.0, 0.5, 1.0]},
+    "time-bool": {"times": [0, True], "angles": [0.0, 0.5]},
+    "time-nested": {"times": [0, [0.5], 1], "angles": [0.0, 0.5, 1.0]},
+    "angle-numeric-string": {"times": [0, 1], "angles": [0.0, "0.5"]},
+    "empty": {"times": [], "angles": []},
+    "time-huge-int": {"times": [0, 10 ** 400, 1], "angles": [0.0, 0.5, 1.0]},
+    "angle-huge-int": {"times": [0, 1], "angles": [0, 10 ** 400]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PATHS))
+def test_malformed_path_file_is_usage_error(case, tmp_path, capsys):
+    a = _write(tmp_path, "a.json", MALFORMED_PATHS[case])
     b = _write(tmp_path, "b.json", {"times": [0.0, 1.0], "angles": [0.0, 0.0]})
     assert main(["maslov", "--path-a", a, "--path-b", b]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_analyze_tau_on_another_grid_is_usage_error(saddle_file, tmp_path, capsys):
+    other = _write(tmp_path, "other.json", field_1d_quadratic().to_json())
+    argv = ["analyze", "--field", saddle_file, "--tau", other,
+            "--chart", "0", "--base", "16,16"]
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
 

@@ -1,5 +1,6 @@
 import math
 import os
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,9 @@ from qmdkit.maslov import (CrossingRecord, LagrangianLinePath,
                            NonRegularCrossingError, PathError, concat,
                            conjugate, crossings, index_shift,
                            intersection_dim, maslov)
-from qmdkit.maslov import _merged_difference
+from qmdkit.maslov import _continuous_lift, _merged_difference
+
+from _oracles import oracle_continuous_lift, oracle_crossings, oracle_maslov
 
 SEED = int(os.environ.get("QMD_SEED", "0"))
 
@@ -94,6 +97,16 @@ def test_tangential_crossing_rejected():
         maslov(g, g2)
 
 
+def test_hop_between_integer_levels_rejected():
+    # with tol 0.4 both ends are near an integer and the segment is flat,
+    # but the ends are near different integers
+    g = LagrangianLinePath.from_pi_units((0.0, 1.0), (0.4, 0.6))
+    g2 = LagrangianLinePath.constant(0.0)
+    with pytest.raises(NonRegularCrossingError, match="hops between integer levels"):
+        maslov(g, g2, tol=0.4)
+    assert crossings(g, g2, tol=0.35) == oracle_crossings(g, g2, tol=0.35) == []
+
+
 def test_crossing_records_have_nonzero_signs():
     g = LagrangianLinePath.from_pi_units((0.0, 1.0), (-0.3, 1.3))
     g2 = LagrangianLinePath.constant(0.25)
@@ -116,9 +129,112 @@ def test_merged_difference_matches_value_at_exactly():
             tb = tuple(sorted(set(tb) | set(ta[:: int(rng.integers(2, 5))])))
         a = LagrangianLinePath.from_pi_units(ta, rng.normal(0.0, 3.0, len(ta)))
         b = LagrangianLinePath.from_pi_units(tb, rng.normal(0.0, 3.0, len(tb)))
-        times, diff = _merged_difference(a, b)
+        times, diff = (x.tolist() for x in _merged_difference(a, b))
         assert times == sorted(set(a.times) | set(b.times))
         assert diff == [a.value_at(t) - b.value_at(t) for t in times]
+
+
+# -- numpy passes against the per-breakpoint loops ----------------------------
+
+
+def _grid_pair(rng):
+    """1/8-grid lifts: crossings at breakpoints, tangential rejections and
+    stretches parallel to the other path."""
+    n = int(rng.integers(2, 12))
+    times = np.linspace(0.0, 1.0, n)
+    lift = rng.integers(-16, 17, n) / 8
+    if rng.random() < 0.3:  # a stretch parallel to the other path
+        return times, lift, times, lift + rng.integers(-2, 3) / 2
+    m = int(rng.integers(2, 12))
+    return times, lift, np.linspace(0.0, 1.0, m), rng.integers(-16, 17, m) / 8
+
+
+def _walk_pair(rng):
+    """Random walks of the lift as in the benchmark's paths workload, on
+    shared or disjoint breakpoints."""
+    def walk(times):
+        steps = rng.uniform(-0.45, 0.45, len(times) - 1)
+        return np.cumsum(np.concatenate([[rng.uniform(0, 1)], steps]))
+
+    def breakpoints():
+        inner = np.unique(rng.random(int(rng.integers(0, 200))))
+        return np.concatenate([[0.0], inner[inner > 0.0], [1.0]])
+    ta = breakpoints()
+    tb = ta if rng.random() < 0.5 else breakpoints()
+    return ta, walk(ta), tb, walk(tb)
+
+
+def _near_level_pair(rng, tol):
+    """Differences within 2 tol of the integer levels, often flat: tangential
+    crossings on either side of a breakpoint, hops between neighbouring
+    levels, and flat stretches at the float nearest a level +- tol."""
+    n = int(rng.integers(2, 8))
+    level = np.cumsum(rng.integers(-1, 2, n)) if rng.random() < 0.5 else np.full(n, rng.integers(-3, 4))
+    off = rng.choice([-2.0, -1.05, -1.0, -0.95, 0.0, 0.95, 1.0, 1.05, 2.0], n)
+    if rng.random() < 0.5:
+        off[:] = off[0]
+    times = np.linspace(0.0, 1.0, n)
+    return times, level + off * tol, np.array([0.0, 1.0]), np.zeros(2)
+
+
+def _outcome(fn, *args):
+    """Each record's fields with their types, or the error's type and message."""
+    try:
+        return [tuple((type(v), v) for v in vars(r).values()) for r in fn(*args)]
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_crossings_match_per_breakpoint_oracle():
+    rng = np.random.default_rng(SEED + 10)
+    raised = 0
+    for trial in range(900):
+        tol = float(rng.choice([1e-9, 1e-3, 0.13, 0.4]))
+        if trial % 3 == 2:
+            ta, ua, tb, ub = _near_level_pair(rng, tol)
+        else:
+            ta, ua, tb, ub = (_grid_pair if trial % 3 else _walk_pair)(rng)
+        a = LagrangianLinePath.from_pi_units(ta, ua)
+        b = LagrangianLinePath.from_pi_units(tb, ub)
+        want = _outcome(oracle_crossings, a, b, tol)
+        assert _outcome(crossings, a, b, tol) == want
+        if isinstance(want, tuple):
+            raised += 1
+        else:
+            index = maslov(a, b, tol)
+            assert isinstance(index, Fraction) and index == oracle_maslov(a, b, tol)
+    assert 0 < raised < 900
+
+
+def test_continuous_lift_matches_step_rule():
+    assert _continuous_lift([0.75, 0.0, 0.5]) == [0.75, 1.0, 0.5]
+    assert oracle_continuous_lift([0.75, 0.0, 0.5]) == [0.75, 1.0, 0.5]
+    rng = np.random.default_rng(SEED + 11)
+    for _ in range(300):
+        n = int(rng.integers(1, 60))
+        if rng.random() < 0.5:  # quarter-turn grid: half-turn ties everywhere
+            raw = (rng.integers(0, 4, n) / 4).tolist()
+        else:  # angles read mod pi, as from_angles gets them
+            raw = (rng.uniform(-40.0, 40.0, n) % 1.0).tolist()
+        got = _continuous_lift(raw)
+        assert got == oracle_continuous_lift(raw)
+        assert all(type(u) is float for u in got)
+
+
+def test_tiny_time_step_warns_nothing():
+    # a subnormal step overflows the slope to inf (a 1e-300 step would need a
+    # jump of 1e8 half-turns); the loop took that silently.  Its crossing
+    # lands at t = 0.0, tied with the endpoint crossing, which stays first.
+    times = (0.0, 1e-310, 0.5, 1.0)
+    a = LagrangianLinePath.from_pi_units(times, (1.0, 2.3, 2.5, 2.7))
+    b = LagrangianLinePath.constant(0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        recs = crossings(a, b)
+        index = maslov(a, b)
+    assert recs == oracle_crossings(a, b)
+    assert [(r.time, r.endpoint) for r in recs] == [(0.0, True), (0.0, False)]
+    assert index == oracle_maslov(a, b) == Fraction(3, 2)
 
 
 # -- axioms on random pairs --------------------------------------------------
