@@ -179,14 +179,6 @@ def _ramp(s: np.ndarray, a: float, b: float) -> np.ndarray:
     return np.maximum(s - b, 0.0) ** 4 + np.maximum(a - s, 0.0) ** 4
 
 
-def field_cylinder_hamiltonian(n_s: int = 9, n_t: int = 16) -> ScalarField:
-    """One-cylinder profile: plateau on [0.5, 1.5], radial growth outside."""
-    h_s = 2.0 / (n_s - 1)
-    h_t = 2.0 * math.pi / n_t
-    return ScalarField.sample((n_s, n_t), (h_s, h_t), (False, True),
-                              lambda s, t: _ramp(s, 0.5, 1.5))
-
-
 def field_annulus_pair_hamiltonian(n_s: int = 9, n_t: int = 4) -> ScalarField:
     """Split Hamiltonian H1(s1) + H2(s2) on cylinder x cylinder."""
     h_s = 2.0 / (n_s - 1)

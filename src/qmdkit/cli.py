@@ -68,11 +68,14 @@ def _load_field(path: str) -> ScalarField:
 
 def _emit(payload: dict, out: Optional[str]) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise UsageFailure(f"cannot write {out}: {exc}") from exc
 
 
 def _parse_int_list(text: str, what: str) -> tuple:

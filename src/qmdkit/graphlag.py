@@ -29,10 +29,6 @@ class GraphSection:
     """Lagrangian graph of d(generator) over the chart; exact by construction."""
     generator: ScalarField
 
-    def section_values(self) -> np.ndarray:
-        grad, _ = gradient(self.generator)
-        return grad
-
 
 def flow_translate(l: GraphSection, tau: ScalarField, t: float) -> GraphSection:
     """Time-t fiber translation: the graph of d(f - t*tau)."""

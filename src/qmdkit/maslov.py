@@ -177,13 +177,12 @@ def crossings(g: LagrangianLinePath, g2: LagrangianLinePath,
     The pair crosses wherever the lifted angle difference passes through
     an integer (the lines coincide there).  A path pair whose difference
     is identically one integer never leaves the diagonal and reports no
-    crossings at all (constant intersection dimension).
+    crossings at all (constant intersection dimension).  A difference that
+    is not finite (lifts near the float range) raises PathError.
     """
     times, diff = _merged_difference(g, g2)
-    finite = np.isfinite(diff)
-    if not finite.all():
-        # the difference overflowed: fail as round() does on inf and nan
-        round(float(diff[np.argmin(finite)]))
+    if not np.isfinite(diff).all():
+        raise PathError("the lifted angle difference of the pair is not finite")
     m = len(times) - 1
     slopes = (diff[1:] - diff[:-1]) / (times[1:] - times[:-1])
     sign = np.sign(slopes).astype(int)
@@ -206,17 +205,17 @@ def crossings(g: LagrangianLinePath, g2: LagrangianLinePath,
     at = np.flatnonzero(near_int)
 
     # interior crossings: every integer level k strictly inside a segment,
-    # one entry per (segment, k), in segment order and then k order
+    # one entry per (segment, k), in segment order and then k order; the
+    # range test drops levels that float slop in the tol bounds lets in
     lo, hi = np.minimum(diff[:-1], diff[1:]), np.maximum(diff[:-1], diff[1:])
     k_first = np.ceil(lo - tol)
     counts = (np.floor(hi + tol) - k_first + 1).astype(np.int64)
     seg = np.repeat(np.arange(m), counts)
     k = k_first[seg] + (np.arange(seg.size) - np.repeat(np.cumsum(counts) - counts, counts))
     d0, d1, s = diff[seg], diff[seg + 1], slopes[seg]
-    interior = ~((np.abs(d0 - k) <= tol) | (np.abs(d1 - k) <= tol))
+    interior = (~((np.abs(d0 - k) <= tol) | (np.abs(d1 - k) <= tol))
+                & (lo[seg] < k) & (k < hi[seg]))
     seg, k, d0, s = seg[interior], k[interior], d0[interior], s[interior]
-    if (s == 0).any():  # a flat segment just over tol from a level
-        raise ZeroDivisionError("float division by zero")
     t_star = times[seg] + (k - d0) / s
 
     # stable, so equal times keep breakpoint records before interior ones

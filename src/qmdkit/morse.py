@@ -23,13 +23,16 @@ numbers and discrete gradient descent.  `flatten_along_chart` applies
 rho to f|_S; `flatten` is its full-chart case, where S is the whole
 neighbourhood.
 
-The Hessian tests visit every stencil-valid node of C.  A sample of a
-field's Hessians is gathered at those nodes alone (`fields.hessian_at_nodes`),
-so its cost follows |C| rather than the grid, and its eigenpairs come
-from one batched numpy.linalg.eigh.  The flattened and minimally
+The Hessian tests visit every stencil-valid node of C.  Every rung reads
+a field's Hessians from one sampler, `_spectra`: it gathers them at those
+nodes alone (`fields.hessian_at_nodes`), so its cost follows |C| rather
+than the grid, takes their eigenpairs with one batched numpy.linalg.eigh
+and each node's kernel threshold.  The flattened and minimally
 degenerate rungs share one body that reads both verdicts off one sample
 of f, and `classify` passes it the sample its Morse rungs read: one
-`classify` samples f once.  The kernel tests are batched too: alignment
+`classify` samples f once, and `check_qmd` samples tau once.
+`index_preserved` gathers only the off-chart blocks of both fields at the
+same nodes.  The kernel tests are batched too: alignment
 with the chart is one SVD over the stack of kernel vectors, and
 transversality one matrix_rank per distinct kernel dimension.  The chart
 terms of tau are built from per-axis arrays, and the thickening's descent
@@ -256,14 +259,6 @@ def isolating_box(component: GridMask) -> np.ndarray:
 # -- Hessian sampling helpers -------------------------------------------
 
 
-def _node_hessians(f: ScalarField, comp: GridMask) -> Tuple[List[Tuple[int, ...]], np.ndarray]:
-    """Stencil-valid nodes of a component, in argwhere order, and the
-    (n, d, d) stack of Hessians gathered at them alone; callers take all
-    eigenpairs with one batched np.linalg.eigh."""
-    nodes = np.argwhere(comp.cells & stencil_mask(f))
-    return list(map(tuple, nodes.tolist())), hessian_at_nodes(f, nodes)
-
-
 def default_hessian_floor(f: ScalarField) -> float:
     """Central second differences carry O(h^2) truncation error (2*h^2
     exactly for a flat quartic), so eigenvalues below 4 h_max^2 are
@@ -277,9 +272,16 @@ def _kernel_threshold(w: np.ndarray, eig_tol: float, floor: float):
     return np.maximum(eig_tol * np.maximum(1.0, radius), floor)
 
 
-def _kernel_mask(w: np.ndarray, f: ScalarField, tols: Tolerances) -> np.ndarray:
-    """Per row of a stack of spectra, the eigenvalues that count as zero."""
-    return np.abs(w) < _kernel_threshold(w, tols.eig_tol, default_hessian_floor(f))[:, None]
+def _spectra(g: ScalarField, comp: GridMask, eig_tol: float):
+    """The Hessian sample of g on a component, (nodes, H, w, V, thresh):
+    the stencil-valid nodes in argwhere order, the (n, d, d) Hessians
+    gathered at them alone, their eigenpairs from one batched
+    np.linalg.eigh, and each node's kernel threshold."""
+    nodes = np.argwhere(comp.cells & stencil_mask(g))
+    H = hessian_at_nodes(g, nodes)
+    w, V = np.linalg.eigh(H)
+    return (list(map(tuple, nodes.tolist())), H, w, V,
+            _kernel_threshold(w, eig_tol, default_hessian_floor(g)))
 
 
 def negative_index(f: ScalarField, node: Sequence[int], eig_tol: float) -> int:
@@ -304,15 +306,14 @@ def index_preserved(f: ScalarField, f_check: ScalarField, crit: CriticalSet,
     """Transverse negative index identical before/after the perturbation,
     at every stencil-valid node of the component."""
     f.require_same_grid(f_check)
-    comp = crit.components[component]
     off = list(chart.off_axes(f.ndim))
     if not off:
         return True
+    nodes = np.argwhere(crit.components[component].cells & stencil_mask(f))
     floor = default_hessian_floor(f)
 
     def transverse_indices(g: ScalarField) -> np.ndarray:
-        _, H = _node_hessians(g, comp)
-        w = np.linalg.eigh(H[:, off][:, :, off])[0]
+        w = np.linalg.eigh(hessian_at_nodes(g, nodes)[:, off][:, :, off])[0]
         return np.sum(w < -_kernel_threshold(w, eig_tol, floor)[:, None], axis=1)
 
     return bool(np.array_equal(transverse_indices(f), transverse_indices(f_check)))
@@ -406,22 +407,15 @@ def _kernel_transverse(kernel: np.ndarray, V: np.ndarray, axes: Sequence[int]) -
 
 
 def _chart_rungs(f: ScalarField, crit: CriticalSet, chart: SubmanifoldChart,
-                 tols: Tolerances, strict: bool, component: int,
-                 sample: Optional[tuple] = None
+                 tols: Tolerances, strict: bool, component: int, sample: tuple
                  ) -> Tuple[DegeneracyReport, DegeneracyReport]:
     """The flattened and the minimally degenerate report of one component,
-    both read off one Hessian sample (nodes, H, w, V) of f on C: the
-    stencil-valid nodes, their Hessians and eigenpairs.  `classify` passes
-    the sample it already holds; otherwise it is taken here."""
+    both read off one `_spectra` sample of f on C."""
     comp = crit.components[component]
     _require_contained(comp, chart)
     cond_min, _ = _check_minimum_on_slice(f, comp, chart, isolating_box(comp),
                                           tols, strict)
-    if sample is None:
-        nodes, H = _node_hessians(f, comp)
-        sample = (nodes, H, *np.linalg.eigh(H))
-    nodes, H, w, V = sample
-    thresh = _kernel_threshold(w, tols.eig_tol, default_hessian_floor(f))
+    nodes, H, w, V, thresh = sample
     n_neg = np.sum(w < -thresh[:, None], axis=1)
     axes = list(chart.axes)
     psd_ok = not axes or not bool(np.any(
@@ -446,7 +440,8 @@ def check_flattened_degenerate(f: ScalarField, crit: CriticalSet,
                                chart: SubmanifoldChart, tols: Tolerances,
                                strict: bool = False, component: int = 0) -> DegeneracyReport:
     """f|_S minimal along C and ker Hess_x f = T_x S at sampled x in C."""
-    return _chart_rungs(f, crit, chart, tols, strict, component)[0]
+    return _chart_rungs(f, crit, chart, tols, strict, component,
+                        _spectra(f, crit.components[component], tols.eig_tol))[0]
 
 
 def check_minimally_degenerate(f: ScalarField, crit: CriticalSet,
@@ -458,7 +453,8 @@ def check_minimally_degenerate(f: ScalarField, crit: CriticalSet,
     eigenvalue below -tol, and dim S equals the ambient dimension minus
     the number of negative Hessian eigenvalues at every sampled node.
     """
-    return _chart_rungs(f, crit, chart, tols, strict, component)[1]
+    return _chart_rungs(f, crit, chart, tols, strict, component,
+                        _spectra(f, crit.components[component], tols.eig_tol))[1]
 
 
 def check_qmd(f: ScalarField, tau: ScalarField, crit: CriticalSet,
@@ -479,10 +475,9 @@ def check_qmd(f: ScalarField, tau: ScalarField, crit: CriticalSet,
     report.details["tau_zero_set_equals_c"] = bool(
         np.array_equal(zero_set, comp.cells & valid))
 
-    _, H = _node_hessians(tau, comp)
-    w, V = np.linalg.eigh(H)
+    _, _, w, V, thresh = _spectra(tau, comp, tols.eig_tol)
     report.details["tau_kernel_transverse_to_chart"] = _kernel_transverse(
-        _kernel_mask(w, f, tols), V, chart.axes)
+        np.abs(w) < thresh[:, None], V, chart.axes)
 
     flat = check_flattened_degenerate(f.sub(tau), crit, chart, tols,
                                       strict=strict, component=component)
@@ -828,9 +823,9 @@ def classify(f: ScalarField, crit: CriticalSet, chart: Optional[SubmanifoldChart
              strict: bool = False, component: int = 0) -> DegeneracyReport:
     """Run the degeneracy ladder and report the finest classification."""
     comp = crit.components[component]
-    nodes, H = _node_hessians(f, comp)
-    w, V = np.linalg.eigh(H)
-    kernel = _kernel_mask(w, f, tols)
+    sample = _spectra(f, comp, tols.eig_tol)
+    nodes, _, w, V, thresh = sample
+    kernel = np.abs(w) < thresh[:, None]
     report = DegeneracyReport("unclassified")
 
     morse_ok = bool(nodes) and comp.count() == 1 and not kernel.any()
@@ -847,7 +842,7 @@ def classify(f: ScalarField, crit: CriticalSet, chart: Optional[SubmanifoldChart
     if chart is not None:
         try:
             flat, mindeg = _chart_rungs(f, crit, chart, tols, strict, component,
-                                        (nodes, H, w, V))
+                                        sample)
             flat_ok, mindeg_ok = flat.passed, mindeg.passed
             report.negative_index = mindeg.negative_index
         except ChartError:

@@ -77,23 +77,18 @@ class FilteredComplex:
         if len(set(names)) != len(names):
             raise ValueError("generator names must be unique")
         self._gen_by_name = {g.name: g for g in self.generators}
-        self._by_degree: Dict[int, List[Generator]] = {}
-        for g in self.generators:
-            self._by_degree.setdefault(g.degree, []).append(g)
-
         self.boundary_names: Dict[str, Tuple[str, ...]] = {}
-        for n, gens in self._by_degree.items():
-            for g in gens:
-                targets = tuple(boundary.get(g.name, ()))
-                self.boundary_names[g.name] = targets
-                for tname in targets:
-                    tgt = self._gen_by_name.get(tname)
-                    if tgt is None:
-                        raise BoundaryError(f"boundary of {g.name} names unknown "
-                                            f"generator {tname}")
-                    if tgt.degree != n - 1:
-                        raise BoundaryError(f"boundary of {g.name} (degree {n}) hits "
-                                            f"{tname} of degree {tgt.degree}")
+        for g in self.generators:
+            targets = tuple(boundary.get(g.name, ()))
+            self.boundary_names[g.name] = targets
+            for tname in targets:
+                tgt = self._gen_by_name.get(tname)
+                if tgt is None:
+                    raise BoundaryError(f"boundary of {g.name} names unknown "
+                                        f"generator {tname}")
+                if tgt.degree != g.degree - 1:
+                    raise BoundaryError(f"boundary of {g.name} (degree {g.degree}) hits "
+                                        f"{tname} of degree {tgt.degree}")
         for name in boundary:
             if name not in self._gen_by_name:
                 raise BoundaryError(f"boundary given for unknown generator {name}")
@@ -102,16 +97,16 @@ class FilteredComplex:
     # -- structure queries ----------------------------------------------
 
     def degrees(self) -> List[int]:
-        return sorted(self._by_degree)
+        return sorted({g.degree for g in self.generators})
 
     def dim(self, n: int) -> int:
-        return len(self._by_degree.get(n, []))
+        return sum(g.degree == n for g in self.generators)
 
     def filtrations(self, n: int) -> List[int]:
-        return [g.filtration for g in self._by_degree.get(n, [])]
+        return [g.filtration for g in self.generators if g.degree == n]
 
     def generator_names(self, n: int) -> List[str]:
-        return [g.name for g in self._by_degree.get(n, [])]
+        return [g.name for g in self.generators if g.degree == n]
 
     @property
     def max_filtration(self) -> int:
@@ -124,22 +119,33 @@ class FilteredComplex:
 
     def validate(self) -> None:
         """Assert d*d = 0 and that d never raises the filtration level."""
-        for g in self.generators:
-            for tname in self.boundary_names.get(g.name, ()):
+        self._check_filtration(self.generators)
+        for g in sorted(self.generators, key=lambda g: g.degree):
+            # d(d g) counts each path g -> t -> s once, mod 2
+            twice: set = set()
+            for tname in self.boundary_names[g.name]:
+                for sname in self.boundary_names[tname]:
+                    twice ^= {sname}
+            if twice:
+                raise BoundaryError(f"d^2 != 0 out of degree {g.degree}")
+
+    def _check_filtration(self, order: Iterable[Generator]) -> None:
+        """FiltrationError at the first boundary entry, walking `order`,
+        whose target sits at a higher level than its source."""
+        for g in order:
+            for tname in self.boundary_names[g.name]:
                 tgt = self._gen_by_name[tname]
                 if tgt.filtration > g.filtration:
                     raise FiltrationError(
                         f"differential raises filtration: {g.name} (p={g.filtration}) "
                         f"-> {tname} (p={tgt.filtration})")
-        for n in self.degrees():
-            for g in self._by_degree[n]:
-                # d(d g) counts each path g -> t -> s once, mod 2
-                twice: set = set()
-                for tname in self.boundary_names[g.name]:
-                    for sname in self.boundary_names[tname]:
-                        twice ^= {sname}
-                if twice:
-                    raise BoundaryError(f"d^2 != 0 out of degree {n}")
+
+    def _pivots(self, order: Sequence[Generator]) -> List[Optional[int]]:
+        """``reduce_columns`` over the boundary columns of `order`, each
+        listing its targets' positions in `order`."""
+        position = {g.name: i for i, g in enumerate(order)}
+        return reduce_columns([position[t] for t in self.boundary_names[g.name]]
+                              for g in order)
 
     # -- homology oracle ---------------------------------------------------
 
@@ -151,11 +157,8 @@ class FilteredComplex:
         other degree-n columns, so rank d_n is their pivot count.
         """
         order = sorted(self.generators, key=lambda g: g.degree)
-        position = {g.name: i for i, g in enumerate(order)}
-        pivots = reduce_columns([position[t] for t in self.boundary_names[g.name]]
-                                for g in order)
         rank: Dict[int, int] = {}
-        for g, pivot in zip(order, pivots):
+        for g, pivot in zip(order, self._pivots(order)):
             if pivot is not None:
                 rank[g.degree] = rank.get(g.degree, 0) + 1
         return {n: self.dim(n) - rank.get(n, 0) - rank.get(n + 1, 0)
@@ -167,12 +170,14 @@ class FilteredComplex:
         """Persistence pairs (x, y), x the pivot of y's reduced boundary, and
         the unpaired generators (Edelsbrunner-Letscher-Zomorodian 2002).
 
-        Generators are sorted by (filtration, degree), so every prefix spans
-        a subcomplex.  Each boundary column lists its targets' positions in
-        that order and goes through ``reduce_columns``; a column's pivot is
-        its latest generator after reduction.  The first call that succeeds
-        stores the result, so ``page`` and ``converge`` share one reduction
-        per complex; every call returns fresh lists.
+        Generators are sorted by (filtration, degree); a boundary target
+        sits one degree lower, so every prefix spans a subcomplex unless an
+        entry raises the level, and the first such entry in that order
+        raises FiltrationError.  Each boundary column lists its targets'
+        positions in that order and goes through ``reduce_columns``; a
+        column's pivot is its latest generator after reduction.  The first
+        call that succeeds stores the result, so ``page`` and ``converge``
+        share one reduction per complex; every call returns fresh lists.
         """
         if self._persistence is None:
             self._persistence = self._reduce()
@@ -181,19 +186,9 @@ class FilteredComplex:
 
     def _reduce(self) -> Tuple[Tuple[Tuple[Generator, Generator], ...], Tuple[Generator, ...]]:
         order = sorted(self.generators, key=lambda g: (g.filtration, g.degree))
-        position = {g.name: i for i, g in enumerate(order)}
-        columns = []
-        for y, g in enumerate(order):
-            col = []
-            for tname in self.boundary_names.get(g.name, ()):
-                if position[tname] >= y:
-                    raise FiltrationError(
-                        f"differential raises filtration: {g.name} (p={g.filtration}) "
-                        f"-> {tname} (p={self._gen_by_name[tname].filtration})")
-                col.append(position[tname])
-            columns.append(col)
+        self._check_filtration(order)
         pairs, paired = [], set()
-        for y, x in enumerate(reduce_columns(columns)):
+        for y, x in enumerate(self._pivots(order)):
             if x is not None:
                 pairs.append((order[x], order[y]))
                 paired.update((x, y))

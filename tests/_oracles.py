@@ -64,7 +64,7 @@ from qmdkit.gf2 import (GF2Matrix, Subspace, quotient_dim, solve_row_combination
                         subspace_sum)
 from qmdkit.graphlag import GraphSection, IsolationReport, flow_translate
 from qmdkit.maslov import (CrossingRecord, LagrangianLinePath,
-                           NonRegularCrossingError, _values_at)
+                           NonRegularCrossingError, PathError, _values_at)
 from qmdkit.morse import (ANGLE_TOL, BOX_MARGIN, MAX_NUDGES, ChartError,
                           ConstructionError, CriticalSet, DegeneracyReport,
                           DescentEscapeError, FlattenResult, RegularValueError,
@@ -1028,6 +1028,8 @@ def oracle_crossings(g: LagrangianLinePath, g2: LagrangianLinePath,
     merged = np.union1d(g.times, g2.times)
     times = merged.tolist()
     diff = (_values_at(g, merged) - _values_at(g2, merged)).tolist()
+    if not all(math.isfinite(d) for d in diff):
+        raise PathError("the lifted angle difference of the pair is not finite")
     m = len(times) - 1
     slopes = [(diff[i + 1] - diff[i]) / (times[i + 1] - times[i]) for i in range(m)]
 
@@ -1060,6 +1062,8 @@ def oracle_crossings(g: LagrangianLinePath, g2: LagrangianLinePath,
         for k in range(k_first, k_last + 1):
             if abs(diff[i] - k) <= tol or abs(diff[i + 1] - k) <= tol:
                 continue  # breakpoint crossing, already recorded
+            if not lo < k < hi:
+                continue  # admitted by float slop in the tol bounds
             s = slopes[i]
             t_star = times[i] + (k - diff[i]) / s
             records.append(CrossingRecord(t_star, False, int(np.sign(s)),

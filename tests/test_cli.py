@@ -343,6 +343,17 @@ def test_maslov_tangential_crossing_fails(tmp_path):
     assert main(["maslov", "--path-a", a, "--path-b", b]) == 1
 
 
+def test_maslov_flat_stretch_next_to_a_level_crosses_nothing(tmp_path, capsys):
+    # the difference stays at the float just beyond 1 + tol: the bounds
+    # ceil(lo - tol)..floor(hi + tol) admit level 1, which the flat stretch
+    # never reaches
+    angle = 3.141592656731386
+    a = _write(tmp_path, "a.json", {"times": [0, 1], "angles": [angle, angle]})
+    b = _write(tmp_path, "b.json", {"times": [0, 1], "angles": [0, 0]})
+    assert main(["maslov", "--path-a", a, "--path-b", b]) == 0
+    assert capsys.readouterr() == ("0\n", "")
+
+
 def test_example_monodromy(capsys):
     assert main(["example", "monodromy"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -391,6 +402,31 @@ def test_specseq_and_example_stdout_is_pinned(tmp_path, capsys):
         assert main(["example", name]) == 0
         got[("example", name)] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert got == STDOUT_SHA256
+
+
+# every flag that names an output file, before the path; "{...}" names an input
+OUT_FLAGS = {
+    "analyze-out": ["analyze", "--field", "{field}", "--out"],
+    "flatten-out": ["flatten", "--field", "{field}", "--delta", "0.08", "--out"],
+    "flatten-out-field": ["flatten", "--field", "{field}", "--delta", "0.08", "--out-field"],
+    "specseq-out": ["specseq", "--descriptor", "{descriptor}", "--out"],
+    "example-out": ["example", "monodromy", "--out"],
+}
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+@pytest.mark.parametrize("case", sorted(OUT_FLAGS))
+def test_unwritable_out_path_is_usage_error(case, target, tmp_path, capsys):
+    inputs = {"field": _write(tmp_path, "f.json", field_1d_quadratic().to_json()),
+              "descriptor": _write(tmp_path, "d.json",
+                                   descriptor_cancellation_pair().to_json())}
+    out = str(tmp_path / "missing" / "x.json") if target == "missing-directory" \
+        else str(tmp_path)
+    argv = [arg.format(**inputs) for arg in OUT_FLAGS[case]] + [out]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
 
 
 def test_example_unknown_name():

@@ -206,6 +206,18 @@ def test_crossings_match_per_breakpoint_oracle():
     assert 0 < raised < 900
 
 
+def test_non_finite_difference_is_path_error():
+    # the difference overflows to inf at t = 1; a lift spanning the float
+    # range makes it nan at t = 0 (an inf slope times a zero step); the
+    # oracle evaluates the lifts without silencing numpy's overflow warnings
+    for ua, ub in (((0.0, 1e308), (0.0, -1e308)), ((-1e308, 1e308), (0.0, 0.0))):
+        a = LagrangianLinePath.from_pi_units((0.0, 1.0), ua)
+        b = LagrangianLinePath.from_pi_units((0.0, 1.0), ub)
+        for fn in (crossings, oracle_crossings, maslov):
+            with pytest.raises(PathError), np.errstate(all="ignore"):
+                fn(a, b)
+
+
 def test_continuous_lift_matches_step_rule():
     assert _continuous_lift([0.75, 0.0, 0.5]) == [0.75, 1.0, 0.5]
     assert oracle_continuous_lift([0.75, 0.0, 0.5]) == [0.75, 1.0, 0.5]
