@@ -14,10 +14,12 @@ it on every call; a one-shot ``qmdkit`` process builds it once either way.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
-from typing import Optional
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,16 +68,42 @@ def _load_field(path: str) -> ScalarField:
         raise UsageFailure(f"bad field file {path}: {exc}") from exc
 
 
+def _dumps(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def _emit(payload: dict, out: Optional[str]) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if not out:
-        sys.stdout.write(text)
-        return
-    try:
-        with open(out, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise UsageFailure(f"cannot write {out}: {exc}") from exc
+    if out:
+        _write_files([(payload, out)])
+    else:
+        sys.stdout.write(_dumps(payload))
+
+
+def _write_files(outputs: Sequence[Tuple[dict, str]]) -> None:
+    """Write each payload to its path.  Every path is opened before any is
+    written, in append mode so that nothing is truncated yet: a path that
+    cannot be opened removes the files this call created and leaves the
+    others as they were."""
+    with contextlib.ExitStack() as stack:
+        handles, created = [], []
+        for _, out in outputs:
+            new = not os.path.lexists(out)
+            try:
+                handles.append(stack.enter_context(open(out, "a")))
+            except OSError as exc:
+                stack.close()
+                for path in created:
+                    os.remove(path)
+                raise UsageFailure(f"cannot write {out}: {exc}") from exc
+            if new:
+                created.append(out)
+        for (payload, out), fh in zip(outputs, handles):
+            try:
+                fh.truncate(0)
+                fh.write(_dumps(payload))
+                fh.flush()
+            except OSError as exc:
+                raise UsageFailure(f"cannot write {out}: {exc}") from exc
 
 
 def _parse_int_list(text: str, what: str) -> tuple:
@@ -184,10 +212,12 @@ def cmd_flatten(args) -> int:
                                   component=args.component)
     except (RegularValueError, DescentEscapeError, ValueError) as exc:
         raise DomainFailure(str(exc)) from exc
+    outputs = []
     if args.out:
-        _emit(result.sigma.to_json(), args.out)
+        outputs.append((result.sigma.to_json(), args.out))
     if args.out_field:
-        _emit(result.f_check.to_json(), args.out_field)
+        outputs.append((result.f_check.to_json(), args.out_field))
+    _write_files(outputs)
     payload = {
         "delta_used": result.delta_used,
         "shift": shift,

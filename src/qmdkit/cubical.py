@@ -14,6 +14,18 @@ identifications are index arithmetic, never ghost cells, and the square
 of the boundary operator vanishes exactly.  The faces of a k-cell are its
 two neighbours along each of its k odd axes.
 
+``build_complex`` works in whole-array passes, one per cell type: the
+cells whose odd axes are those where tau in {0,1}^d is 1 are the set
+entries of the strided view ``grid[tau_0::2, tau_1::2, ...]``, and their
+faces along an odd axis are the entries of the row-number grid (each
+cell's row within its dimension) on the even views just below and just
+above it on that axis, the upper one rolled by one on a periodic axis.
+Each type's face rows are scattered to its cells' own rows, so a cell's
+faces keep the order lower neighbour first, odd axes ascending.  Open
+axes are first cropped to the mask's bounding box, so the cost follows
+the mask and not the grid; the cell indices are then translated back to
+the full doubled grid, which keeps their sorted order.
+
 Homology is taken over GF(2) with ``gf2.reduce_faces``: each boundary is
 the (n_k, 2k) array of face rows, and boundaries are reduced from the top
 dimension down with clearing (Chen-Kerber 2011): a k-cell that is the
@@ -25,6 +37,7 @@ through the set loop of ``gf2.reduce_columns``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
@@ -134,44 +147,73 @@ def _grid_shape(dims, periodic) -> Tuple[int, ...]:
     return tuple(2 * n if p else 2 * n + 1 for n, p in zip(dims, periodic))
 
 
+def _along(axis: int, step: slice, at: Sequence[slice]) -> Tuple[slice, ...]:
+    """The view `at` with its slice on `axis` replaced by `step`."""
+    return tuple(step if a == axis else s for a, s in enumerate(at))
+
+
 def build_complex(mask: GridMask) -> CubicalComplex:
     """Closure of the included top cells, with sparse face arrays."""
     if not mask.cells.any():
         raise EmptyMaskError("mask contains no cells")
-    d = mask.ndim
-    shape = _grid_shape(mask.dims, mask.periodic)
+    d, periodic = mask.ndim, mask.periodic
+    crop = []
+    for a in range(d):
+        if periodic[a]:
+            crop.append(slice(None))
+        else:
+            hit = np.flatnonzero(mask.cells.any(axis=tuple(b for b in range(d) if b != a)))
+            crop.append(slice(int(hit[0]), int(hit[-1]) + 1))
+    cells = mask.cells[tuple(crop)]
+    shape = _grid_shape(cells.shape, periodic)
+    whole = (slice(None),) * d
     grid = np.zeros(shape, dtype=bool)
-    grid[tuple(slice(1, None, 2) for _ in shape)] = mask.cells
-    for axis in range(d):
-        # before this pass only odd coordinates along `axis` are set, so the
-        # rolls fill even positions only; on an open axis the wrapped-in
-        # value comes from the even end position and is False
-        grid = grid | np.roll(grid, 1, axis) | np.roll(grid, -1, axis)
+    grid[tuple(slice(1, None, 2) for _ in shape)] = cells
+    for a in range(d):
+        # only odd coordinates along `a` are set yet: OR each into its two
+        # even neighbours, the upper one wrapping to 0 on a periodic axis
+        odd = grid[_along(a, slice(1, None, 2), whole)]
+        grid[_along(a, slice(0, -1, 2), whole)] |= odd
+        if periodic[a]:
+            grid[_along(a, slice(0, None, 2), whole)] |= np.roll(odd, 1, a)
+        else:
+            grid[_along(a, slice(2, None, 2), whole)] |= odd
 
-    flat = np.flatnonzero(grid)
-    coords = np.unravel_index(flat, shape) if d else ()
-    odd = [c & 1 for c in coords]
-    dim_of = np.sum(odd, axis=0) if d else np.zeros(len(flat), dtype=int)
-    strides = [int(np.prod(shape[a + 1:])) for a in range(d)]
-    row = np.empty(grid.size, dtype=np.int64)
+    level = np.zeros(shape, dtype=np.int8)
+    for a in range(d):
+        level[_along(a, slice(1, None, 2), whole)] += 1
+    level[~grid] = -1
+    row = np.empty(shape, dtype=np.int64)
     cells_by_dim = []
-    boundary: Dict[int, np.ndarray] = {}
     for k in range(d + 1):
-        sel = dim_of == k
-        cells = flat[sel]
-        row[cells] = np.arange(len(cells))
-        faces = np.empty((len(cells), 2 * k), dtype=np.int64)
-        slot = np.zeros(len(cells), dtype=np.int64)
-        for a in range(d):
-            has = np.flatnonzero(odd[a][sel])
-            c, base = coords[a][sel][has], cells[has]
-            for side, step in ((0, -1), (1, 1)):
-                neighbour = base + ((c + step) % shape[a] - c) * strides[a]
-                faces[has, 2 * slot[has] + side] = row[neighbour]
-            slot[has] += 1
-        cells_by_dim.append(cells)
-        boundary[k] = faces
-    return CubicalComplex(mask.dims, mask.periodic, tuple(cells_by_dim), boundary)
+        at = np.flatnonzero(level == k)
+        row.reshape(-1)[at] = np.arange(len(at))
+        cells_by_dim.append(at)
+    boundary = {k: np.empty((len(c), 2 * k), dtype=np.int64) for k, c in enumerate(cells_by_dim)}
+
+    for tau in itertools.product((0, 1), repeat=d):
+        axes = [a for a in range(d) if tau[a]]
+        if not axes:
+            continue
+        at = tuple(slice(t, None, 2) for t in tau)
+        sel = grid[at]
+        own = row[at][sel]
+        faces = boundary[len(axes)]
+        for j, a in enumerate(axes):
+            faces[:, 2 * j][own] = row[_along(a, slice(0, -1, 2), at)][sel]
+            if periodic[a]:
+                upper = np.roll(row[_along(a, slice(0, None, 2), at)], -1, a)
+            else:
+                upper = row[_along(a, slice(2, None, 2), at)]
+            faces[:, 2 * j + 1][own] = upper[sel]
+
+    if cells.shape != mask.dims:
+        # back to the full grid: a translation, so each level stays sorted
+        full = _grid_shape(mask.dims, periodic)
+        cells_by_dim = [np.ravel_multi_index(tuple(c + 2 * (s.start or 0) for c, s in
+                                                   zip(np.unravel_index(at, shape), crop)), full)
+                        for at in cells_by_dim]
+    return CubicalComplex(mask.dims, periodic, tuple(cells_by_dim), boundary)
 
 
 def validate_boundary(cx: CubicalComplex) -> None:

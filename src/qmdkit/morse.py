@@ -173,36 +173,52 @@ def critical_node_mask(f: ScalarField, grad_tol: float) -> np.ndarray:
     return (mag < grad_tol) & valid
 
 
-def _neighbors(node, dims, periodic):
-    for a in range(len(dims)):
-        for d in (-1, 1):
-            j = node[a] + d
-            if periodic[a]:
-                j %= dims[a]
-            elif not (0 <= j < dims[a]):
-                continue
-            yield node[:a] + (j,) + node[a + 1:]
-
-
 def connected_components(mask: np.ndarray, periodic: Sequence[bool]) -> List[np.ndarray]:
+    """Components of `mask` under axis adjacency (wrapping on periodic axes),
+    each a boolean array, ordered by their least flat index.
+
+    A union-find in array passes: every edge between two masked axis
+    neighbours hooks the larger of its two roots to the smaller, then
+    pointer jumping makes each node point at its root; this repeats until
+    no edge joins two roots.  A root only ever moves to a smaller index,
+    so each component ends rooted at its least flat index.
+    """
     dims = mask.shape
-    seen = np.zeros(dims, dtype=bool)
+    index = np.arange(mask.size).reshape(dims)
+    u, v = [], []
+    for a in range(mask.ndim):
+        if periodic[a]:
+            both = mask & np.roll(mask, -1, a)
+            u.append(index[both])
+            v.append(np.roll(index, -1, a)[both])
+        else:
+            lower = tuple(slice(0, -1) if b == a else slice(None) for b in range(mask.ndim))
+            upper = tuple(slice(1, None) if b == a else slice(None) for b in range(mask.ndim))
+            both = mask[lower] & mask[upper]
+            u.append(index[lower][both])
+            v.append(index[upper][both])
+    u = np.concatenate(u) if u else np.zeros(0, dtype=np.int64)
+    v = np.concatenate(v) if v else np.zeros(0, dtype=np.int64)
+    parent = index.reshape(-1).copy()
+    while True:
+        ru, rv = parent[u], parent[v]
+        split = ru != rv
+        if not split.any():
+            break
+        np.minimum.at(parent, np.maximum(ru, rv)[split], np.minimum(ru, rv)[split])
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+    nodes = np.flatnonzero(mask)
+    nodes = nodes[np.argsort(parent[nodes], kind="stable")]
+    _, starts = np.unique(parent[nodes], return_index=True)
     comps = []
-    for start in map(tuple, np.argwhere(mask)):
-        if seen[start]:
-            continue
-        comp = np.zeros(dims, dtype=bool)
-        stack = [start]
-        seen[start] = True
-        while stack:
-            node = stack.pop()
-            comp[node] = True
-            for nb in _neighbors(node, dims, periodic):
-                if mask[nb] and not seen[nb]:
-                    seen[nb] = True
-                    stack.append(nb)
-        comps.append(comp)
-    comps.sort(key=lambda c: tuple(int(v) for v in np.argwhere(c)[0]))
+    for lo, hi in zip(starts, list(starts[1:]) + [len(nodes)]):
+        comp = np.zeros(mask.size, dtype=bool)
+        comp[nodes[lo:hi]] = True
+        comps.append(comp.reshape(dims))
     return comps
 
 
@@ -746,9 +762,9 @@ class ThickeningReport:
 
 def _steepest_neighbour(f: ScalarField) -> np.ndarray:
     """Flat index of each node's steepest-descent step: its lowest
-    neighbour if that lies strictly below it (the first such in
-    `_neighbors` order on ties), else the node itself.  Open axes have no
-    edge across the boundary."""
+    neighbour if that lies strictly below it (on ties the first such in
+    the order axis 0 down, axis 0 up, axis 1 down, ...), else the node
+    itself.  Open axes have no edge across the boundary."""
     v = f.values
     idx = np.arange(v.size).reshape(f.dims)
     best, best_val = idx.copy(), v.copy()

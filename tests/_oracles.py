@@ -25,6 +25,9 @@ cross-checks of ``validate``, ``homology_dims`` and the stored pairing.
 ``oracle_build_complex`` is the tuple-cell closure with dense ``GF2Matrix``
 boundaries that ``qmdkit.cubical`` used before its doubled-grid engine:
 cells are (anchor, extent) pairs and ``oracle_betti`` takes dense ranks.
+``oracle_doubled_grid_complex`` is ``qmdkit.cubical.build_complex`` before its
+passes per cell type, with per-cell index arithmetic over the full doubled
+grid: the exact reference for the arrays the builder returns.
 
 ``oracle_classify``, the ``oracle_check_*`` checkers, ``oracle_index_preserved``,
 ``oracle_construct_tau``, ``oracle_flatten_along_chart`` and
@@ -36,6 +39,9 @@ had before it became ``flatten_along_chart`` on the full chart.
 ``_principal_alignment``, ``oracle_kernel_spans_axes`` and
 ``oracle_kernel_transverse`` are the per-node kernel tests (one SVD or one
 ``matrix_rank`` per node) that the checkers ran before they were batched.
+
+``oracle_connected_components`` is the depth-first labelling that
+``qmdkit.morse.connected_components`` ran before its union-find.
 
 ``oracle_verify_thickening`` is ``verify_thickening`` with one Python
 ``_steepest_descent`` walk per sigma node, and
@@ -57,7 +63,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from qmdkit.cubical import EmptyMaskError, GridMask, betti_of_mask
+from qmdkit.cubical import (CubicalComplex, EmptyMaskError, GridMask, _grid_shape,
+                            betti_of_mask)
 from qmdkit.fields import (ScalarField, eig_sym, gradient_magnitude, hessian_at,
                            stencil_mask)
 from qmdkit.gf2 import (GF2Matrix, Subspace, quotient_dim, solve_row_combination,
@@ -71,7 +78,7 @@ from qmdkit.morse import (ANGLE_TOL, BOX_MARGIN, MAX_NUDGES, ChartError,
                           SubmanifoldChart, TauError, ThickeningReport,
                           Tolerances, _box_excess_distance,
                           _check_minimum_on_slice, _component_extent_axes,
-                          _kernel_threshold, _neighbors, _regular_delta,
+                          _kernel_threshold, _regular_delta,
                           _require_contained, _smoothstep, build_rho,
                           critical_node_mask, default_hessian_floor,
                           isolating_box, transverse_negative_index)
@@ -522,6 +529,52 @@ def oracle_betti(cx: OracleComplex) -> Tuple[int, ...]:
     return tuple(len(cx.cells_by_dim[k]) - ranks[k] - ranks[k + 1] for k in range(d + 1))
 
 
+# -- the doubled-grid builder with per-cell index arithmetic ----------------------
+#
+# `qmdkit.cubical.build_complex` before its passes per cell type: one coordinate
+# array over every cell of the full doubled grid, a modulo per axis and a 2-D
+# fancy-index scatter per axis and side.  Its output is the exact reference.
+
+def oracle_doubled_grid_complex(mask: GridMask) -> CubicalComplex:
+    """Closure of the included top cells, with sparse face arrays."""
+    if not mask.cells.any():
+        raise EmptyMaskError("mask contains no cells")
+    d = mask.ndim
+    shape = _grid_shape(mask.dims, mask.periodic)
+    grid = np.zeros(shape, dtype=bool)
+    grid[tuple(slice(1, None, 2) for _ in shape)] = mask.cells
+    for axis in range(d):
+        # before this pass only odd coordinates along `axis` are set, so the
+        # rolls fill even positions only; on an open axis the wrapped-in
+        # value comes from the even end position and is False
+        grid = grid | np.roll(grid, 1, axis) | np.roll(grid, -1, axis)
+
+    flat = np.flatnonzero(grid)
+    coords = np.unravel_index(flat, shape) if d else ()
+    odd = [c & 1 for c in coords]
+    dim_of = np.sum(odd, axis=0) if d else np.zeros(len(flat), dtype=int)
+    strides = [int(np.prod(shape[a + 1:])) for a in range(d)]
+    row = np.empty(grid.size, dtype=np.int64)
+    cells_by_dim = []
+    boundary: Dict[int, np.ndarray] = {}
+    for k in range(d + 1):
+        sel = dim_of == k
+        cells = flat[sel]
+        row[cells] = np.arange(len(cells))
+        faces = np.empty((len(cells), 2 * k), dtype=np.int64)
+        slot = np.zeros(len(cells), dtype=np.int64)
+        for a in range(d):
+            has = np.flatnonzero(odd[a][sel])
+            c, base = coords[a][sel][has], cells[has]
+            for side, step in ((0, -1), (1, 1)):
+                neighbour = base + ((c + step) % shape[a] - c) * strides[a]
+                faces[has, 2 * slot[has] + side] = row[neighbour]
+            slot[has] += 1
+        cells_by_dim.append(cells)
+        boundary[k] = faces
+    return CubicalComplex(mask.dims, mask.periodic, tuple(cells_by_dim), boundary)
+
+
 # -- per-node Hessians, per-node tau terms and the per-step isolation scan ---------
 #
 # The morse/graphlag code as it was before one `hessian` pass per field, batched
@@ -938,6 +991,44 @@ def oracle_isolation_scan(f: ScalarField, tau: ScalarField, crit: CriticalSet,
     in_chart = chart.slice_mask(f.dims)
     report.t1_contained_in_chart = bool((near_end <= in_chart).all())
     return report
+
+
+# -- component labelling by depth-first search ------------------------------------
+#
+# `qmdkit.morse.connected_components` before it became a union-find in array
+# passes: one Python DFS over `_neighbors`, one generator per node.
+
+def _neighbors(node, dims, periodic):
+    for a in range(len(dims)):
+        for d in (-1, 1):
+            j = node[a] + d
+            if periodic[a]:
+                j %= dims[a]
+            elif not (0 <= j < dims[a]):
+                continue
+            yield node[:a] + (j,) + node[a + 1:]
+
+
+def oracle_connected_components(mask: np.ndarray, periodic: Sequence[bool]) -> List[np.ndarray]:
+    dims = mask.shape
+    seen = np.zeros(dims, dtype=bool)
+    comps = []
+    for start in map(tuple, np.argwhere(mask)):
+        if seen[start]:
+            continue
+        comp = np.zeros(dims, dtype=bool)
+        stack = [start]
+        seen[start] = True
+        while stack:
+            node = stack.pop()
+            comp[node] = True
+            for nb in _neighbors(node, dims, periodic):
+                if mask[nb] and not seen[nb]:
+                    seen[nb] = True
+                    stack.append(nb)
+        comps.append(comp)
+    comps.sort(key=lambda c: tuple(int(v) for v in np.argwhere(c)[0]))
+    return comps
 
 
 # -- per-walk steepest descent and the BFS distance to a component ----------------

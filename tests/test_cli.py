@@ -429,6 +429,27 @@ def test_unwritable_out_path_is_usage_error(case, target, tmp_path, capsys):
     assert captured.err.startswith(f"error: cannot write {out}: ")
 
 
+@pytest.mark.parametrize("existing", [False, True])
+def test_flatten_with_one_unwritable_output_writes_neither(existing, tmp_path, capsys):
+    """`--out` is writable and `--out-field` is not: exit 2 before either file
+    is written, so no new file is left and an existing one keeps its bytes."""
+    field = _write(tmp_path, "f.json", field_1d_quadratic().to_json())
+    sigma = tmp_path / "sigma.json"
+    if existing:
+        sigma.write_text("old\n")
+    bad = str(tmp_path / "missing" / "x.json")
+    assert main(["flatten", "--field", field, "--delta", "0.08",
+                 "--out", str(sigma), "--out-field", bad]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {bad}: ")
+    assert "Traceback" not in captured.err
+    if existing:
+        assert sigma.read_text() == "old\n"
+    else:
+        assert not sigma.exists()
+
+
 def test_example_unknown_name():
     assert main(["example", "definitely-not-a-case"]) == 2
 

@@ -10,7 +10,7 @@ from qmdkit.cubical import (EmptyMaskError, GridMask, betti, betti_of_mask,
                             validate_boundary)
 from qmdkit.gf2 import reduce_columns, reduce_faces
 
-from _oracles import oracle_betti, oracle_build_complex
+from _oracles import oracle_betti, oracle_build_complex, oracle_doubled_grid_complex
 
 SEED = int(os.environ.get("QMD_SEED", "0"))
 
@@ -180,6 +180,60 @@ def test_sparse_engine_matches_dense_oracle():
         cells = rng.random(dims) < rng.uniform(0.3, 0.9)
         cells.flat[int(rng.integers(cells.size))] = True
         _assert_matches_oracle(GridMask(dims, periodic, cells))
+
+
+def _assert_same_arrays(mask):
+    cx, ref = build_complex(mask), oracle_doubled_grid_complex(mask)
+    assert len(cx.cells_by_dim) == len(ref.cells_by_dim), mask
+    assert cx.boundary.keys() == ref.boundary.keys(), mask
+    pairs = list(zip(cx.cells_by_dim, ref.cells_by_dim))
+    pairs += [(cx.boundary[k], ref.boundary[k]) for k in ref.boundary]
+    for got, want in pairs:
+        assert got.dtype == want.dtype and got.shape == want.shape, mask
+        assert np.array_equal(got, want), mask
+
+
+def test_per_type_builder_matches_per_cell_builder():
+    """``build_complex`` returns the arrays of the per-cell builder it replaced:
+    the same cells and face rows in the same slots, so every pivot agrees."""
+    masks = [GridMask((), (), True)]
+    for dims in ((1,), (2,), (1, 1), (2, 1), (1, 2, 2), (3, 3, 3), (2, 1, 2, 1)):
+        masks.append(GridMask.full(dims, (True,) * len(dims)))
+    rng = np.random.default_rng(SEED + 23)
+    max_side = {1: 12, 2: 9, 3: 6, 4: 3}
+    for trial in range(240):
+        ndim = 1 + trial % 4
+        dims = tuple(int(n) for n in rng.integers(1, max_side[ndim] + 1, ndim))
+        if trial % 6 == 0:
+            dims = tuple(int(n) for n in rng.integers(1, 3, ndim))
+        periodic = tuple(bool(p) for p in rng.random(ndim) < 0.4)
+        kind = trial % 4
+        if kind == 0:
+            cells = rng.random(dims) < rng.uniform(0.2, 0.9)
+        else:
+            # a random box, so the crop has margins to remove: anywhere
+            # (kind 1), from the low end of every axis (2), or spanning
+            # axis 0 end to end (3)
+            lo = [int(rng.integers(0, n)) for n in dims]
+            hi = [int(rng.integers(l, n)) + 1 for l, n in zip(lo, dims)]
+            if kind == 2:
+                lo = [0] * ndim
+            if kind == 3:
+                lo[0], hi[0] = 0, dims[0]
+            cells = np.zeros(dims, bool)
+            box = tuple(slice(l, h) for l, h in zip(lo, hi))
+            cells[box] = rng.random(cells[box].shape) < rng.uniform(0.5, 1.0)
+        if trial % 8 == 1:
+            cells = np.zeros(dims, bool)
+        cells.flat[int(rng.integers(cells.size))] = True
+        masks.append(GridMask(dims, periodic, cells))
+    for n in (9, 17):
+        small = np.zeros((n, n, n), bool)
+        small[n // 2 - 1:n // 2 + 2, n // 2, n // 2 - 2:n // 2 + 1] = True
+        masks.append(GridMask(small.shape, (False,) * 3, small))
+        masks.append(GridMask(small.shape, (False, True, False), small))
+    for mask in masks:
+        _assert_same_arrays(mask)
 
 
 def test_square_with_three_holes_at_128():

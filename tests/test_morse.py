@@ -16,14 +16,15 @@ from qmdkit.morse import (ChartError, CriticalSet, NoCriticalPointsError,
                           _kernel_spans_axes, _kernel_transverse, build_rho,
                           check_flattened_degenerate,
                           check_minimally_degenerate, check_qmd, classify,
-                          construct_tau, critical_node_mask,
+                          connected_components, construct_tau, critical_node_mask,
                           detect_critical_set, flatten, index_preserved,
                           flatten_along_chart, isolating_box, negative_index,
                           transverse_negative_index, verify_thickening)
 
 from _oracles import (oracle_check_flattened_degenerate,
                       oracle_check_minimally_degenerate, oracle_check_qmd,
-                      oracle_classify, oracle_construct_tau, oracle_flatten,
+                      oracle_classify, oracle_connected_components,
+                      oracle_construct_tau, oracle_flatten,
                       oracle_flatten_along_chart, oracle_grid_distance_to_component,
                       oracle_index_preserved, oracle_kernel_spans_axes,
                       oracle_kernel_transverse, oracle_verify_thickening)
@@ -75,6 +76,22 @@ def test_boundary_nodes_never_detected():
     mask = critical_node_mask(f, 1e-6)
     assert not mask[0, :].any() and not mask[:, 0].any()
     assert not mask[-1, :].any() and not mask[:, -1].any()
+
+
+def test_union_find_components_match_dfs_oracle():
+    """Component for component and in the same order, on random 1-3-D masks
+    with open and periodic axes, sizes 1 and 2 among them, and the empty mask."""
+    rng = np.random.default_rng(SEED + 5)
+    for trial in range(300):
+        d = 1 + trial % 3
+        dims = tuple(int(m) for m in rng.integers(1, (3 if trial % 5 == 0 else 12) + 1, d))
+        periodic = tuple(bool(p) for p in rng.integers(0, 2, d))
+        mask = rng.random(dims) < float(rng.choice([0.0, 0.1, 0.3, 0.5, 0.7, 1.0]))
+        got = connected_components(mask, periodic)
+        want = oracle_connected_components(mask, periodic)
+        assert len(got) == len(want), (mask, periodic)
+        for a, b in zip(got, want):
+            assert a.dtype == bool and np.array_equal(a, b), (mask, periodic)
 
 
 def test_isolating_box_wraps_periodic_axis():
