@@ -26,13 +26,30 @@ axes are first cropped to the mask's bounding box, so the cost follows
 the mask and not the grid; the cell indices are then translated back to
 the full doubled grid, which keeps their sorted order.
 
-Homology is taken over GF(2) with ``gf2.reduce_faces``: each boundary is
-the (n_k, 2k) array of face rows, and boundaries are reduced from the top
-dimension down with clearing (Chen-Kerber 2011): a k-cell that is the
-pivot of a reduced (k+1)-column has a column that reduces to zero, so it
-is skipped.  Nearly every remaining column is apparent, the first to list
-its largest face, and costs no column additions; only the others run
-through the set loop of ``gf2.reduce_columns``.
+Homology is taken over GF(2), and a boundary is reduced only where its
+pivots are needed.  Three exact facts give the other ranks:
+
+(a) rank boundary_1 = n_0 - b_0 over any field, and b_0 is the number of
+    roots after one union-find (``join``) over the (n_1, 2) vertex rows of
+    boundary_1; an edge that lists one vertex twice (a periodic axis of
+    size 1) is a zero column and joins nothing.
+(b) For d >= 2, rank boundary_d = n_d - b_d, and b_d is 1 exactly when
+    every axis is periodic and the mask is full.  A mod-2 d-cycle that
+    holds a top cell holds the other top coface of each of its faces
+    (itself, on a periodic axis of size 1); a face at the end of an open
+    axis has none.  The top cells are connected across faces, so the one
+    nonzero d-cycle possible is the sum of every top cell of the d-torus,
+    its fundamental class.
+(c) The boundaries between, boundary_k for 2 <= k < d, are reduced with
+    ``gf2.reduce_faces`` from the top down with clearing (Chen-Kerber
+    2011): a k-cell that is the pivot of a reduced (k+1)-column has a
+    column that reduces to zero, so it is skipped.  Clearing any subset of
+    the true pivots is sound, so boundary_d is not reduced at all: the
+    pivots of its apparent columns (``gf2.apparent_pivots``), which are
+    true pivots, clear boundary_{d-1}.
+
+So a 1-D or 2-D mask needs no column reduction, and a 3-D mask one
+apparent pass on boundary_3 and one reduction of boundary_2.
 """
 
 from __future__ import annotations
@@ -43,7 +60,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .gf2 import reduce_faces
+from .gf2 import apparent_pivots, reduce_faces
 
 
 class EmptyMaskError(ValueError):
@@ -228,21 +245,55 @@ def validate_boundary(cx: CubicalComplex) -> None:
             raise AssertionError(f"boundary squared is nonzero between dims {k} and {k-2}")
 
 
+def join(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Root of each of n nodes once u[i] is joined with v[i] for every i:
+    the least node of its component.
+
+    A union-find in array passes: every pair that joins two roots hooks the
+    larger to the smaller, then pointer jumping makes each node point at its
+    root; this repeats until no pair joins two roots.  A root only ever
+    moves to a smaller index, so each component ends rooted at its least
+    node.  ``u`` and ``v`` are only read.
+    """
+    parent = np.arange(n)
+    while True:
+        ru, rv = parent[u], parent[v]
+        split = ru != rv
+        if not split.any():
+            return parent
+        np.minimum.at(parent, np.maximum(ru, rv)[split], np.minimum(ru, rv)[split])
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+
+
 def betti(cx: CubicalComplex) -> Tuple[int, ...]:
     """betti_k = n_k - rank boundary_k - rank boundary_{k+1} over GF(2).
 
-    Reduces the top boundary first; a k-cell that is the pivot of a reduced
-    (k+1)-column is cleared from boundary_k, whose rank is its pivot count.
+    rank boundary_1 = n_0 - b_0, with b_0 the roots of a union-find over the
+    edges; for d >= 2, rank boundary_d = n_d - 1 on a whole torus and n_d
+    otherwise; boundary_{d-1} down to boundary_2 are reduced with clearing,
+    boundary_{d-1} cleared by the apparent pivots of boundary_d alone.
     """
     d = len(cx.cells_by_dim) - 1
+    n = [cx.n_cells(k) for k in range(d + 1)]
     ranks = [0] * (d + 2)
-    cleared = np.zeros(cx.n_cells(d), dtype=bool)
-    for k in range(d, 0, -1):
-        pivots = reduce_faces(cx.boundary[k][~cleared])
-        cleared = np.zeros(cx.n_cells(k - 1), dtype=bool)
-        cleared[pivots[pivots >= 0]] = True
-        ranks[k] = int(np.count_nonzero(cleared))
-    return tuple(cx.n_cells(k) - ranks[k] - ranks[k + 1] for k in range(d + 1))
+    if d >= 1:
+        roots = join(n[0], cx.boundary[1][:, 0], cx.boundary[1][:, 1])
+        ranks[1] = n[0] - int(np.count_nonzero(roots == np.arange(n[0])))
+    if d >= 2:
+        whole = all(cx.periodic) and n[d] == int(np.prod(cx.dims))
+        ranks[d] = n[d] - int(whole)
+    if d >= 3:
+        pivots = apparent_pivots(cx.boundary[d])
+        for k in range(d - 1, 1, -1):
+            cleared = np.zeros(n[k], dtype=bool)
+            cleared[pivots[pivots >= 0]] = True
+            pivots = reduce_faces(cx.boundary[k][~cleared])
+            ranks[k] = int(np.count_nonzero(pivots >= 0))
+    return tuple(n[k] - ranks[k] - ranks[k + 1] for k in range(d + 1))
 
 
 def betti_of_mask(mask: GridMask) -> Tuple[int, ...]:

@@ -3,10 +3,12 @@
 Two representations share this module.  ``reduce_columns`` is the one
 column-reduction kernel for homology: columns are Python sets of row
 indices, each reduced by its pivot (largest row) against the pivots seen
-so far.  Cubical Betti numbers (with clearing), the persistence pairing
-of filtered complexes and their unfiltered homology all run on it, so
-complexes of ~1e5 cells and more cost memory in proportion to the entries
-of their reduced columns, not to the square of their cell count.
+so far.  The boundaries that cubical Betti numbers still reduce (those
+strictly between the bottom and the top dimension, with clearing), the
+persistence pairing of filtered complexes and their unfiltered homology
+all run on it, so complexes of ~1e5 cells and more cost memory in
+proportion to the entries of their reduced columns, not to the square of
+their cell count.
 
 ``reduce_faces`` runs the same reduction on an (n, w) array of face rows,
 as the cubical boundaries are stored.  A few vectorized passes first find

@@ -47,7 +47,7 @@ from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cubical import GridMask, betti_of_mask
+from .cubical import GridMask, betti_of_mask, join
 # hessian_at/eig_sym serve the per-node functions; the benchmark tracer patches them here
 from .fields import (ScalarField, eig_sym, gradient_magnitude, hessian_at,
                      hessian_at_nodes, stencil_mask)
@@ -177,11 +177,8 @@ def connected_components(mask: np.ndarray, periodic: Sequence[bool]) -> List[np.
     """Components of `mask` under axis adjacency (wrapping on periodic axes),
     each a boolean array, ordered by their least flat index.
 
-    A union-find in array passes: every edge between two masked axis
-    neighbours hooks the larger of its two roots to the smaller, then
-    pointer jumping makes each node point at its root; this repeats until
-    no edge joins two roots.  A root only ever moves to a smaller index,
-    so each component ends rooted at its least flat index.
+    One ``cubical.join`` over the edges between masked axis neighbours
+    roots each component at its least flat index.
     """
     dims = mask.shape
     index = np.arange(mask.size).reshape(dims)
@@ -199,18 +196,7 @@ def connected_components(mask: np.ndarray, periodic: Sequence[bool]) -> List[np.
             v.append(index[upper][both])
     u = np.concatenate(u) if u else np.zeros(0, dtype=np.int64)
     v = np.concatenate(v) if v else np.zeros(0, dtype=np.int64)
-    parent = index.reshape(-1).copy()
-    while True:
-        ru, rv = parent[u], parent[v]
-        split = ru != rv
-        if not split.any():
-            break
-        np.minimum.at(parent, np.maximum(ru, rv)[split], np.minimum(ru, rv)[split])
-        while True:
-            jumped = parent[parent]
-            if np.array_equal(jumped, parent):
-                break
-            parent = jumped
+    parent = join(mask.size, u, v)
     nodes = np.flatnonzero(mask)
     nodes = nodes[np.argsort(parent[nodes], kind="stable")]
     _, starts = np.unique(parent[nodes], return_index=True)

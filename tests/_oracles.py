@@ -28,6 +28,10 @@ cells are (anchor, extent) pairs and ``oracle_betti`` takes dense ranks.
 ``oracle_doubled_grid_complex`` is ``qmdkit.cubical.build_complex`` before its
 passes per cell type, with per-cell index arithmetic over the full doubled
 grid: the exact reference for the arrays the builder returns.
+``oracle_reduction_betti`` is ``qmdkit.cubical.betti`` before it read the
+bottom rank off a union-find and the top rank off the fundamental class:
+every boundary reduced with ``reduce_faces`` from the top down, with
+clearing by the full pivots of the boundary above.
 
 ``oracle_classify``, the ``oracle_check_*`` checkers, ``oracle_index_preserved``,
 ``oracle_construct_tau``, ``oracle_flatten_along_chart`` and
@@ -67,8 +71,8 @@ from qmdkit.cubical import (CubicalComplex, EmptyMaskError, GridMask, _grid_shap
                             betti_of_mask)
 from qmdkit.fields import (ScalarField, eig_sym, gradient_magnitude, hessian_at,
                            stencil_mask)
-from qmdkit.gf2 import (GF2Matrix, Subspace, quotient_dim, solve_row_combination,
-                        subspace_sum)
+from qmdkit.gf2 import (GF2Matrix, Subspace, quotient_dim, reduce_faces,
+                        solve_row_combination, subspace_sum)
 from qmdkit.graphlag import GraphSection, IsolationReport, flow_translate
 from qmdkit.maslov import (CrossingRecord, LagrangianLinePath,
                            NonRegularCrossingError, PathError, _values_at)
@@ -573,6 +577,29 @@ def oracle_doubled_grid_complex(mask: GridMask) -> CubicalComplex:
         cells_by_dim.append(cells)
         boundary[k] = faces
     return CubicalComplex(mask.dims, mask.periodic, tuple(cells_by_dim), boundary)
+
+
+# -- Betti numbers by reducing every boundary -------------------------------------
+#
+# `qmdkit.cubical.betti` before it reduced only the boundaries whose pivots it
+# needs: every boundary through `reduce_faces`, the top one first, each cleared
+# by the full pivots of the one above.
+
+def oracle_reduction_betti(cx: CubicalComplex) -> Tuple[int, ...]:
+    """betti_k = n_k - rank boundary_k - rank boundary_{k+1} over GF(2).
+
+    Reduces the top boundary first; a k-cell that is the pivot of a reduced
+    (k+1)-column is cleared from boundary_k, whose rank is its pivot count.
+    """
+    d = len(cx.cells_by_dim) - 1
+    ranks = [0] * (d + 2)
+    cleared = np.zeros(cx.n_cells(d), dtype=bool)
+    for k in range(d, 0, -1):
+        pivots = reduce_faces(cx.boundary[k][~cleared])
+        cleared = np.zeros(cx.n_cells(k - 1), dtype=bool)
+        cleared[pivots[pivots >= 0]] = True
+        ranks[k] = int(np.count_nonzero(cleared))
+    return tuple(cx.n_cells(k) - ranks[k] - ranks[k + 1] for k in range(d + 1))
 
 
 # -- per-node Hessians, per-node tau terms and the per-step isolation scan ---------

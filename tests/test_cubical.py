@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from qmdkit import cubical
 from qmdkit.cubical import (EmptyMaskError, GridMask, betti, betti_of_mask,
-                            betti_product_check, build_complex,
+                            betti_product_check, build_complex, join,
                             validate_boundary)
-from qmdkit.gf2 import reduce_columns, reduce_faces
+from qmdkit.gf2 import apparent_pivots, reduce_columns, reduce_faces
 
-from _oracles import oracle_betti, oracle_build_complex, oracle_doubled_grid_complex
+from _oracles import (oracle_betti, oracle_build_complex, oracle_doubled_grid_complex,
+                      oracle_reduction_betti)
 
 SEED = int(os.environ.get("QMD_SEED", "0"))
 
@@ -253,7 +255,8 @@ def test_cube_with_two_cavities_at_16():
 
 def test_apparent_pass_matches_plain_reduction_on_every_boundary():
     """Column by column, ``reduce_faces`` gives the pivots of ``reduce_columns``
-    on the columns ``betti`` feeds it, in every dimension of random masks,
+    on the columns of the full top-down reduction with clearing
+    (``oracle_reduction_betti``), in every dimension of random masks,
     periodic axes of size 1 and 2 and whole tori among them."""
     rng = np.random.default_rng(SEED + 17)
     masks = [GridMask.full(dims, (True,) * len(dims))
@@ -278,3 +281,125 @@ def test_apparent_pass_matches_plain_reduction_on_every_boundary():
                                        for p in reduce_columns(fed.tolist())], (mask, k)
             cleared = np.zeros(cx.n_cells(k - 1), dtype=bool)
             cleared[pivots[pivots >= 0]] = True
+
+
+def _betti_masks(seed):
+    """Random 0-4-D masks with open and periodic axes, sizes 1 and 2 among
+    them, whole tori and tori with one hole."""
+    rng = np.random.default_rng(seed)
+    masks = [GridMask((), (), True)]
+    for dims in ((1,), (2,), (5,), (1, 1), (1, 2), (2, 2), (4, 3), (2, 1, 2), (3, 3, 3),
+                 (1, 2, 1, 2), (3, 2, 2, 3)):
+        whole = GridMask.full(dims, (True,) * len(dims))
+        masks.append(whole)
+        if whole.count() > 1:
+            holed = whole.cells.copy()
+            holed.flat[int(rng.integers(holed.size))] = False
+            masks.append(GridMask(dims, whole.periodic, holed))
+    max_side = {1: 9, 2: 6, 3: 4, 4: 3}
+    for trial in range(160):
+        ndim = 1 + trial % 4
+        dims = tuple(int(n) for n in rng.integers(1, max_side[ndim] + 1, ndim))
+        if trial % 5 == 0:
+            dims = tuple(int(n) for n in rng.integers(1, 3, ndim))
+        periodic = tuple(bool(p) for p in rng.random(ndim) < 0.5)
+        cells = rng.random(dims) < rng.uniform(0.3, 1.0)
+        if trial % 6 == 1:
+            periodic = (True,) * ndim
+            cells = np.ones(dims, bool)
+            cells.flat[int(rng.integers(cells.size))] = False
+        cells.flat[int(rng.integers(cells.size))] = True
+        masks.append(GridMask(dims, periodic, cells))
+    return masks
+
+
+def test_betti_matches_the_reduction_and_dense_oracles():
+    """``betti`` equals every boundary reduced with clearing and the dense
+    ranks of the tuple-cell complex."""
+    for mask in _betti_masks(SEED + 29):
+        cx = build_complex(mask)
+        assert betti(cx) == oracle_reduction_betti(cx) == \
+            oracle_betti(oracle_build_complex(mask)), mask
+
+
+def test_union_find_gives_the_rank_of_the_bottom_boundary():
+    """rank boundary_1 = n_0 - b_0, b_0 the roots of ``join`` over the edges."""
+    for mask in _betti_masks(SEED + 31):
+        if mask.ndim == 0:
+            continue
+        cx = build_complex(mask)
+        edges = cx.boundary[1]
+        b0 = len(np.unique(join(cx.n_cells(0), edges[:, 0], edges[:, 1])))
+        rank = sum(p is not None for p in reduce_columns(edges.tolist()))
+        assert rank == cx.n_cells(0) - b0, mask
+
+
+def test_top_rank_is_the_cells_less_the_fundamental_class():
+    """rank boundary_d = n_d - 1 on a whole torus and n_d otherwise."""
+    for mask in _betti_masks(SEED + 37):
+        d = mask.ndim
+        if d < 2:
+            continue
+        cx = build_complex(mask)
+        whole = all(mask.periodic) and bool(mask.cells.all())
+        rank = int(np.count_nonzero(reduce_faces(cx.boundary[d]) >= 0))
+        assert rank == cx.n_cells(d) - whole, mask
+
+
+def test_apparent_clearing_keeps_the_rank_of_full_clearing():
+    """Clearing boundary_{d-1} by the apparent pivots of boundary_d alone
+    gives the same rank as clearing it by all of its pivots."""
+    for mask in _betti_masks(SEED + 41):
+        d = mask.ndim
+        if d < 2:
+            continue
+        cx = build_complex(mask)
+        ranks = []
+        for pivots in (apparent_pivots(cx.boundary[d]), reduce_faces(cx.boundary[d])):
+            cleared = np.zeros(cx.n_cells(d - 1), dtype=bool)
+            cleared[pivots[pivots >= 0]] = True
+            ranks.append(int(np.count_nonzero(reduce_faces(cx.boundary[d - 1][~cleared]) >= 0)))
+        assert ranks[0] == ranks[1], mask
+
+
+def _holed(dims, periodic, holes):
+    cells = np.ones(dims, bool)
+    for hole in holes:
+        cells[hole] = False
+    return GridMask(dims, periodic, cells)
+
+
+def test_betti_reduces_no_column_below_three_dimensions(monkeypatch):
+    def refuse(faces):
+        raise AssertionError("a boundary was reduced")
+    monkeypatch.setattr(cubical, "reduce_faces", refuse)
+    monkeypatch.setattr(cubical, "apparent_pivots", refuse)
+    assert betti_of_mask(GridMask.full((9,), (True,))) == (1, 1)
+    assert betti_of_mask(_holed((12, 12), (False, False),
+                                [np.s_[2:4, 2:5], np.s_[7:9, 6:10]])) == (1, 2, 0)
+    assert betti_of_mask(_holed((8, 10), (True, True), [np.s_[3, 4]])) == (1, 2, 0)
+    assert betti_of_mask(GridMask.full((8, 10), (True, True))) == (1, 2, 1)
+
+
+def test_betti_reduces_one_boundary_in_three_dimensions(monkeypatch):
+    calls = []
+
+    def counted(faces):
+        calls.append(len(faces))
+        return reduce_faces(faces)
+    monkeypatch.setattr(cubical, "reduce_faces", counted)
+    mask = _holed((10, 10, 10), (False, True, False), [np.s_[2:4, 2:4, 2:4], np.s_[6, 6:8, 6]])
+    assert betti_of_mask(mask) == (1, 1, 2, 0)
+    assert len(calls) == 1
+
+
+def test_whole_torus_at_256_squared():
+    assert betti_of_mask(GridMask.full((256, 256), (True, True))) == (1, 2, 1)
+
+
+def test_whole_three_torus_at_32_cubed():
+    assert betti_of_mask(GridMask.full((32, 32, 32), (True,) * 3)) == (1, 3, 3, 1)
+
+
+def test_torus_with_one_hole_at_128_squared():
+    assert betti_of_mask(_holed((128, 128), (True, True), [np.s_[40:50, 60:75]])) == (1, 2, 0)
