@@ -6,9 +6,11 @@ non-periodic boundary have no trustworthy stencil and are excluded from
 gradient/Hessian queries rather than approximated one-sidedly.
 
 `gradient` takes every node at once from np.roll-shifted copies of the
-values.  The Hessian stencil is written once, in `hessian_at_nodes`, which
-gathers it at a given array of nodes only; `hessian` is that gather at
-every stencil-valid node and `hessian_at` the gather at one node.
+values; `gradient_at_nodes` gathers the same stencil at given nodes only,
+for callers whose work is local to a box.  The Hessian stencil is written
+once, in `hessian_at_nodes`, which gathers it at a given array of nodes
+only; `hessian` is that gather at every stencil-valid node and
+`hessian_at` the gather at one node.
 `eig_sym` is numpy.linalg.eigh behind square/symmetric checks.
 """
 
@@ -146,6 +148,28 @@ def gradient(field: ScalarField) -> Tuple[np.ndarray, np.ndarray]:
     valid = stencil_mask(field)
     grad[~valid] = 0.0
     return grad, valid
+
+
+def gradient_at_nodes(field: ScalarField, nodes: np.ndarray) -> np.ndarray:
+    """Central-difference gradients at the given nodes, as an (n, d) array.
+
+    `nodes` is an (n, d) integer array of stencil-valid nodes, gathered
+    with (node +- e_a) % dims as in `hessian_at_nodes`.  Each entry is
+    `gradient`'s expression in the same order, so the two agree bit for
+    bit at every stencil-valid node.
+    """
+    v = field.values
+    d = field.ndim
+    nodes = np.asarray(nodes, dtype=np.intp).reshape(-1, d)
+    dims = np.array(field.dims, dtype=np.intp)
+    grad = np.empty((len(nodes), d), dtype=float)
+    for a in range(d):
+        e = np.zeros(d, dtype=np.intp)
+        e[a] = 1
+        fwd = v[tuple(((nodes + e) % dims).T)]
+        bwd = v[tuple(((nodes - e) % dims).T)]
+        grad[:, a] = (fwd - bwd) / (2.0 * field.spacing[a])
+    return grad
 
 
 def gradient_magnitude(field: ScalarField) -> Tuple[np.ndarray, np.ndarray]:

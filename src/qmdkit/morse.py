@@ -21,7 +21,8 @@ below delta/2 and is the identity above delta; the sublevel set
 homotopy type, which the thickening verifier checks through Betti
 numbers and discrete gradient descent.  `flatten_along_chart` applies
 rho to f|_S; `flatten` is its full-chart case, where S is the whole
-neighbourhood.
+neighbourhood.  The regular-value check and the thickening's descent
+work on the isolating box (and sigma) only, not on the grid.
 
 The Hessian tests visit every stencil-valid node of C.  Every rung reads
 a field's Hessians from one sampler, `_spectra`: it gathers them at those
@@ -49,8 +50,8 @@ import numpy as np
 
 from .cubical import GridMask, betti_of_mask, join
 # hessian_at/eig_sym serve the per-node functions; the benchmark tracer patches them here
-from .fields import (ScalarField, eig_sym, gradient_magnitude, hessian_at,
-                     hessian_at_nodes, stencil_mask)
+from .fields import (ScalarField, eig_sym, gradient_at_nodes, gradient_magnitude,
+                     hessian_at, hessian_at_nodes, stencil_mask)
 
 
 class NoCriticalPointsError(ValueError):
@@ -635,11 +636,16 @@ class RhoProfile:
         return out
 
     def __call__(self, x) -> np.ndarray:
+        """0 at x <= delta/2, x at x >= delta; `_P` runs on the band between
+        (and on NaN) only."""
         x = np.asarray(x, dtype=float)
         half = self.delta / 2.0
-        u = np.clip(2.0 * x / self.delta - 1.0, 0.0, 1.0)
-        mid_val = half * self._P(u)
-        return np.where(x <= half, 0.0, np.where(x >= self.delta, x, mid_val))
+        out = np.where(x >= self.delta, x, 0.0)
+        band = ~((x <= half) | (x >= self.delta))
+        if band.any():
+            u = np.clip(2.0 * x[band] / self.delta - 1.0, 0.0, 1.0)
+            out[band] = half * self._P(u)
+        return out
 
     def deriv(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -663,13 +669,15 @@ def _regular_delta(g: ScalarField, region: np.ndarray, delta: float,
                    grad_tol: float, value_tol: float) -> float:
     """delta, scanned upward in 1% steps (at most MAX_NUDGES) until delta/2
     is a regular level of g on `region`: no stencil-valid node of the
-    region within (locally) one cell of the level has |grad g| <= grad_tol."""
-    mag, valid = gradient_magnitude(g)
+    region within (locally) one cell of the level has |grad g| <= grad_tol.
+    |grad g| is gathered at those nodes alone."""
+    nodes = region & stencil_mask(g)
+    mag = np.sqrt((gradient_at_nodes(g, np.argwhere(nodes)) ** 2).sum(axis=-1))
+    values = g.values[nodes]
     hmax = max(g.spacing)
     d = float(delta)
     for _ in range(MAX_NUDGES + 1):
-        band = region & valid & (np.abs(g.values - d / 2.0)
-                                 <= mag * hmax + value_tol)
+        band = np.abs(values - d / 2.0) <= mag * hmax + value_tol
         if not band.any() or float(mag[band].min()) > grad_tol:
             return d
         d *= 1.01
@@ -697,9 +705,12 @@ def flatten_along_chart(f: ScalarField, delta: float, crit: CriticalSet,
     set {f|_S <= delta/2} inside the chart slice and the isolating box.
     If the level delta/2 fails the regular-value check (some node on the
     level band has |grad f|_S| <= grad_tol), delta is scanned upward in 1%
-    steps, MAX_NUDGES at most.  The ambient output extends the
-    flattened restriction by the radial weight (1 + r^4) with r the
-    distance to the chart, so it agrees with rho(f|_S) on the slice.
+    steps, MAX_NUDGES at most; the check gathers |grad f|_S| at the
+    stencil-valid nodes of the box's slice only.  The ambient output
+    covers the grid (rho's transition polynomial runs on its band only)
+    and extends the flattened restriction by the radial weight
+    (1 + r^4) with r the distance to the chart, so it agrees with
+    rho(f|_S) on the slice.
     The weight cannot remove fiber criticality over sigma's interior
     (the restricted profile is flat there), so the critical set of the
     extension is the fiber slab over sigma, which carries the same
@@ -746,25 +757,25 @@ class ThickeningReport:
         }
 
 
-def _steepest_neighbour(f: ScalarField) -> np.ndarray:
-    """Flat index of each node's steepest-descent step: its lowest
-    neighbour if that lies strictly below it (on ties the first such in
-    the order axis 0 down, axis 0 up, axis 1 down, ...), else the node
-    itself.  Open axes have no edge across the boundary."""
-    v = f.values
-    idx = np.arange(v.size).reshape(f.dims)
-    best, best_val = idx.copy(), v.copy()
-    for a in range(f.ndim):
+def _steepest_neighbour(f: ScalarField, flat: np.ndarray) -> np.ndarray:
+    """Flat index of the steepest-descent step of each node in `flat` (flat
+    indices): its lowest neighbour if that lies strictly below it (on ties
+    the first such in the order axis 0 down, axis 0 up, axis 1 down, ...),
+    else the node itself.  Open axes have no edge across the boundary: the
+    step there is clipped back onto the node, which is never lower."""
+    v = f.values.ravel()
+    coords = np.unravel_index(flat, f.dims)
+    strides = np.cumprod((1,) + f.dims[:0:-1])[::-1]
+    best, best_val = flat.copy(), v[flat]
+    for a, (n, stride) in enumerate(zip(f.dims, strides)):
         for d in (-1, 1):
-            nb_val = np.roll(v, -d, axis=a)
+            c = (coords[a] + d) % n if f.periodic[a] else np.clip(coords[a] + d, 0, n - 1)
+            nb = flat + (c - coords[a]) * stride
+            nb_val = v[nb]
             lower = nb_val < best_val
-            if not f.periodic[a]:
-                edge = [slice(None)] * f.ndim
-                edge[a] = 0 if d < 0 else -1
-                lower[tuple(edge)] = False
-            best = np.where(lower, np.roll(idx, -d, axis=a), best)
+            best = np.where(lower, nb, best)
             best_val = np.where(lower, nb_val, best_val)
-    return best.ravel()
+    return best
 
 
 def verify_thickening(f: ScalarField, crit: CriticalSet, sigma: GridMask,
@@ -775,7 +786,11 @@ def verify_thickening(f: ScalarField, crit: CriticalSet, sigma: GridMask,
     All walks advance together by pointer doubling over the steepest-step
     array, with a flag for a step that leaves the isolating box carried
     along each doubled jump; the first start in argwhere order whose walk
-    leaves the box raises DescentEscapeError.  `tols` is unused.
+    leaves the box raises DescentEscapeError.  A walk that has not left
+    the box stays in box | sigma, so the steps and the doubling run over
+    those nodes only; a step out of the box is flagged and then held in
+    place, since the walk has escaped whatever it does next.  `tols` is
+    unused.
     """
     comp = crit.components[component]
     if not (comp.cells <= sigma.cells).all():
@@ -785,10 +800,13 @@ def verify_thickening(f: ScalarField, crit: CriticalSet, sigma: GridMask,
     b_s = betti_of_mask(sigma)
     betti_match = b_c == b_s
 
-    jump = _steepest_neighbour(f)
-    leaves = (jump != np.arange(jump.size)) & ~box.ravel()[jump]
+    nodes = np.flatnonzero(box | sigma.cells)
+    step = _steepest_neighbour(f, nodes)
+    leaves = (step != nodes) & ~box.ravel()[step]
+    # nodes is sorted, and every step that stays in the box lands in it
+    jump = np.where(leaves, np.arange(len(nodes)), np.searchsorted(nodes, step))
     starts = np.argwhere(sigma.cells)
-    pos = np.ravel_multi_index(tuple(starts.T), f.dims)
+    pos = np.searchsorted(nodes, np.ravel_multi_index(tuple(starts.T), f.dims))
     escaped = np.zeros(len(pos), dtype=bool)
     budget = 4 * sum(f.dims)
     while budget:
@@ -802,7 +820,7 @@ def verify_thickening(f: ScalarField, crit: CriticalSet, sigma: GridMask,
     if escaped.any():
         start = tuple(starts[escaped.argmax()].tolist())
         raise DescentEscapeError(f"descent from {start} left the box")
-    failures = list(map(tuple, starts[~comp.cells.ravel()[pos]].tolist()))
+    failures = list(map(tuple, starts[~comp.cells.ravel()[nodes[pos]]].tolist()))
     descent_ok = not failures
     return ThickeningReport(b_c, b_s, betti_match, descent_ok,
                             betti_match and descent_ok, failures)

@@ -39,7 +39,11 @@ clearing by the full pivots of the boundary above.
 taken in one pass per field: one ``hessian_at`` and ``eig_sym`` per node, the
 chart terms from a per-node loop and one ``flow_translate`` per scan step.
 ``oracle_flatten`` is the full-grid flattening body that ``qmdkit.morse.flatten``
-had before it became ``flatten_along_chart`` on the full chart.
+had before it became ``flatten_along_chart`` on the full chart, with its own
+whole-grid nudge loop; both flattening oracles apply ``oracle_rho``, the
+whole-array ``RhoProfile.__call__`` that evaluated the transition profile at
+every node, not on its band only.  ``oracle_isolation_scan`` takes a whole-grid
+gradient per step, with no filter.
 ``_principal_alignment``, ``oracle_kernel_spans_axes`` and
 ``oracle_kernel_transverse`` are the per-node kernel tests (one SVD or one
 ``matrix_rank`` per node) that the checkers ran before they were batched.
@@ -79,11 +83,10 @@ from qmdkit.maslov import (CrossingRecord, LagrangianLinePath,
 from qmdkit.morse import (ANGLE_TOL, BOX_MARGIN, MAX_NUDGES, ChartError,
                           ConstructionError, CriticalSet, DegeneracyReport,
                           DescentEscapeError, FlattenResult, RegularValueError,
-                          SubmanifoldChart, TauError, ThickeningReport,
-                          Tolerances, _box_excess_distance,
+                          RhoProfile, SubmanifoldChart, TauError,
+                          ThickeningReport, Tolerances, _box_excess_distance,
                           _check_minimum_on_slice, _component_extent_axes,
-                          _kernel_threshold, _regular_delta,
-                          _require_contained, _smoothstep, build_rho,
+                          _kernel_threshold, _require_contained, _smoothstep,
                           critical_node_mask, default_hessian_floor,
                           isolating_box, transverse_negative_index)
 from qmdkit.specseq import BoundaryError, FilteredComplex, FiltrationError, Generator, Page
@@ -912,6 +915,16 @@ def oracle_construct_tau(f: ScalarField, crit: CriticalSet, chart: SubmanifoldCh
     return tau
 
 
+def oracle_rho(delta: float, x) -> np.ndarray:
+    """rho_delta(x) with the transition profile evaluated at every x."""
+    rho = RhoProfile(float(delta))
+    x = np.asarray(x, dtype=float)
+    half = rho.delta / 2.0
+    u = np.clip(2.0 * x / rho.delta - 1.0, 0.0, 1.0)
+    mid_val = half * rho._P(u)
+    return np.where(x <= half, 0.0, np.where(x >= rho.delta, x, mid_val))
+
+
 def oracle_flatten(f: ScalarField, delta: float, crit: CriticalSet, tols: Tolerances,
             component: int = 0) -> FlattenResult:
     """Apply rho(f) and return the thickening sigma = {f <= delta/2} in the box.
@@ -930,9 +943,19 @@ def oracle_flatten(f: ScalarField, delta: float, crit: CriticalSet, tols: Tolera
     if float(f.values[box].min()) < -tols.value_tol:
         raise ValueError("f must be nonnegative on the chart slice near C")
 
-    d = _regular_delta(f, box, delta, crit.grad_tol, tols.value_tol)
-    rho = build_rho(d)
-    f_check = f.with_values(rho(f.values))
+    mag, valid = gradient_magnitude(f)
+    hmax = max(f.spacing)
+    d = float(delta)
+    for _ in range(MAX_NUDGES + 1):
+        band = box & valid & (np.abs(f.values - d / 2.0)
+                              <= mag * hmax + tols.value_tol)
+        if not band.any() or float(mag[band].min()) > crit.grad_tol:
+            break
+        d *= 1.01
+    else:
+        raise RegularValueError("could not nudge delta/2 onto a regular value")
+
+    f_check = f.with_values(oracle_rho(d, f.values))
     sigma = GridMask(f.dims, f.periodic,
                      (f.values <= d / 2.0) & box & stencil_mask(f))
     return FlattenResult(f_check, sigma, d)
@@ -983,8 +1006,7 @@ def oracle_flatten_along_chart(f: ScalarField, delta: float, crit: CriticalSet,
     else:
         raise RegularValueError("could not nudge delta/2 onto a regular value")
 
-    rho = build_rho(d)
-    f_check = f.with_values((1.0 + r4) * rho(proj_vals))
+    f_check = f.with_values((1.0 + r4) * oracle_rho(d, proj_vals))
     sigma = GridMask(f.dims, f.periodic,
                      (proj_vals <= d / 2.0) & slice_mask & box & stencil_mask(f))
     return FlattenResult(f_check, sigma, d)

@@ -6,7 +6,8 @@ import pytest
 
 from qmdkit.fields import (BoundaryNodeError, GridMismatchError, ScalarField,
                            c1_distance, default_grad_tol, eig_sym, gradient,
-                           hessian, hessian_at, hessian_at_nodes, stencil_mask)
+                           gradient_at_nodes, hessian, hessian_at,
+                           hessian_at_nodes, stencil_mask)
 
 from _oracles import sturm_eigenvalues
 
@@ -146,6 +147,30 @@ def test_gradient_of_linear_field_is_exact():
     g, valid = gradient(f)
     assert np.allclose(g[valid][:, 0], 3.0)
     assert np.allclose(g[valid][:, 1], -2.0)
+
+
+def test_gradient_at_nodes_matches_gradient_bit_for_bit():
+    # random 1-D to 4-D grids with open and periodic axes; every fourth has
+    # periodic axes of size 1 or 2, whose stencils meet the node itself
+    rng = np.random.default_rng(SEED)
+    sizes = set()
+    for i in range(120):
+        d = int(rng.integers(1, 5))
+        periodic = tuple(bool(p) for p in rng.integers(0, 2, d))
+        dims = tuple(int(n) for n in rng.integers(1, 7, d))
+        if i % 4 == 0:
+            dims = tuple(int(rng.choice([1, 2])) if p else n
+                         for n, p in zip(dims, periodic))
+        sizes.update(n for n, p in zip(dims, periodic) if p)
+        spacing = tuple(float(h) for h in rng.uniform(0.1, 2.0, d))
+        f = ScalarField(dims, spacing, periodic, rng.normal(size=dims))
+        grad, valid = gradient(f)
+        nodes = np.argwhere(valid)
+        G = gradient_at_nodes(f, nodes)
+        assert G.shape == (len(nodes), d)
+        assert G.tobytes() == grad[valid].tobytes()
+        assert gradient_at_nodes(f, nodes[::-1]).tobytes() == G[::-1].tobytes()
+    assert {1, 2} <= sizes
 
 
 def test_c1_distance_to_self_is_zero():

@@ -27,7 +27,8 @@ from _oracles import (oracle_check_flattened_degenerate,
                       oracle_construct_tau, oracle_flatten,
                       oracle_flatten_along_chart, oracle_grid_distance_to_component,
                       oracle_index_preserved, oracle_kernel_spans_axes,
-                      oracle_kernel_transverse, oracle_verify_thickening)
+                      oracle_kernel_transverse, oracle_rho,
+                      oracle_verify_thickening)
 
 SEED = int(os.environ.get("QMD_SEED", "0"))
 
@@ -257,6 +258,29 @@ def test_rho_clauses_exact():
     assert float(rho(2 * delta)) == 2 * delta
 
 
+def _same_bits(a, b) -> bool:
+    return (type(a) is type(b) and np.shape(a) == np.shape(b)
+            and np.asarray(a).tobytes() == np.asarray(b).tobytes())
+
+
+def test_rho_on_its_band_matches_whole_array_oracle():
+    rng = np.random.default_rng(SEED)
+    for delta in [0.08, 0.02, 1.0, 3e-7] + [float(x) for x in rng.uniform(1e-3, 5.0, 8)]:
+        rho = build_rho(delta)
+        edges = []
+        for x in (delta / 2.0, delta):
+            edges += [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+        xs = np.array(edges + [0.0, -0.0, -delta, -1e300, 1e300]
+                      + list(np.linspace(-delta, 2.0 * delta, 301)))
+        assert _same_bits(rho(xs), oracle_rho(delta, xs))
+        grid = rng.uniform(-delta, 2.0 * delta, (7, 9))
+        assert _same_bits(rho(grid), oracle_rho(delta, grid))
+        for x in xs[:12]:
+            assert _same_bits(rho(float(x)), oracle_rho(delta, float(x)))
+            assert _same_bits(rho(np.array(x)), oracle_rho(delta, np.array(x)))
+        assert _same_bits(rho(np.zeros(0)), oracle_rho(delta, np.zeros(0)))
+
+
 def test_rho_derivative_band():
     rho = build_rho(0.08)
     xs = np.linspace(0.04, 0.08, 10001)[1:-1]
@@ -467,8 +491,18 @@ def valley_field(rng, ndim, max_n=9):
     return ScalarField(dims, spacing, periodic, values), SubmanifoldChart(axes, base)
 
 
+def _plateau_field():
+    """x^2 capped at 0.01 on 33 nodes: C is the node x = 0, and the cap's
+    flat nodes inside its box sit on the level delta/2 of delta = 0.02, so
+    flattening at 0.02 nudges delta once."""
+    h = 1.0 / 16.0
+    x = (np.arange(33) - 16) * h
+    return ScalarField((33,), (h,), (False,), np.minimum(x * x, 0.01))
+
+
 def cross_check_cases():
-    """(f, tau or None, chart) over catalog pairs and random valleys."""
+    """(f, tau or None, chart, nudges) over catalog pairs and random valleys;
+    `nudges` marks a case whose flattening at delta = 0.02 must nudge."""
     cases = [("saddle", field_saddle(), tau_saddle(), SubmanifoldChart((0,), (16, 16))),
              ("saddle-point-chart", field_saddle(), tau_saddle(),
               SubmanifoldChart((), (16, 16))),
@@ -479,13 +513,15 @@ def cross_check_cases():
              ("figure8-perturbed", field_figure8_perturbed(), None,
               SubmanifoldChart((0,), (16, 16))),
              ("corner", field_corner(), None, SubmanifoldChart((0, 1), (16, 16))),
-             ("torus", field_torus_height(), None, SubmanifoldChart((0, 1), (0, 0)))]
+             ("torus", field_torus_height(), None, SubmanifoldChart((0, 1), (0, 0))),
+             ("plateau-nudge", _plateau_field(), None, SubmanifoldChart((0,), (16,)))]
     rng = np.random.default_rng(SEED)
     for i in range(36):
         ndim = 1 + i % 4
         f, chart = valley_field(rng, ndim, max_n=7 if ndim == 4 else 9)
         cases.append((f"valley-{i}", f, None, chart))
-    return [pytest.param(*case[1:], id=case[0]) for case in cases]
+    return [pytest.param(*case[1:], case[0].endswith("nudge"), id=case[0])
+            for case in cases]
 
 
 def _outcome(fn, *args, **kwargs):
@@ -504,8 +540,8 @@ def _outcome(fn, *args, **kwargs):
     return ("ok", result)
 
 
-@pytest.mark.parametrize("f,tau,chart", cross_check_cases())
-def test_fast_paths_match_per_node_oracle(f, tau, chart):
+@pytest.mark.parametrize("f,tau,chart,nudges", cross_check_cases())
+def test_fast_paths_match_per_node_oracle(f, tau, chart, nudges):
     try:
         crit = detect_critical_set(f, 1e-6)
     except NoCriticalPointsError:
@@ -542,8 +578,10 @@ def test_fast_paths_match_per_node_oracle(f, tau, chart):
     for delta in (0.02, 0.2):
         assert (_outcome(flatten_along_chart, f0, delta, crit, chart, TOLS, **kw)
                 == _outcome(oracle_flatten_along_chart, f0, delta, crit, chart, TOLS, **kw))
-        assert (_outcome(flatten, f0, delta, crit, TOLS, **kw)
-                == _outcome(oracle_flatten, f0, delta, crit, TOLS, **kw))
+        flat = _outcome(flatten, f0, delta, crit, TOLS, **kw)
+        assert flat == _outcome(oracle_flatten, f0, delta, crit, TOLS, **kw)
+        if nudges and delta == 0.02:
+            assert flat[0] == "ok" and flat[3] > delta
 
 
 # -- batched kernel tests, vectorized descent, strict-mode guard band -------------
@@ -631,8 +669,41 @@ def test_vectorized_descent_matches_per_walk_oracle():
         comp.flat[int(rng.integers(comp.size))] = True
         sigma = comp | (rng.random(dims) < 0.5)
         cases.append((f, comp, sigma))
-    # the walk from the box edge x = 7 steps to the dip at x = 6, outside the box
+    # one-node C on larger grids, so that the box is smaller than the grid,
+    # and sigma nodes anywhere: walks start outside the box, step out of it,
+    # into it, and across a periodic seam
+    for i in range(40):
+        d = int(rng.integers(1, 4))
+        dims = tuple(int(m) for m in rng.integers(9, 15, d))
+        periodic = tuple(bool(p) for p in rng.integers(0, 2, d))
+        centre = tuple(int(rng.integers(m)) for m in dims)
+        values = rng.integers(0, 3, dims) * float(rng.choice([0.0, 0.4]))
+        for a, (m, c, p) in enumerate(zip(dims, centre, periodic)):
+            k = np.abs(np.arange(m) - c)
+            if p:
+                k = np.minimum(k, m - k)
+            values = values + k.reshape([m if b == a else 1 for b in range(d)])
+        f = ScalarField(dims, (1.0,) * d, periodic, values)
+        comp = np.zeros(dims, dtype=bool)
+        comp[centre] = True
+        cases.append((f, comp, comp | (rng.random(dims) < 0.2)))
+    n_random = len(cases)
+    # hand-built sigma around C = {10}, whose box is 7..13; the dip at 2 is
+    # outside it
     x = np.arange(21.0)
+    v = np.abs(x - 10.0)
+    v[2] = -1.0
+    f = ScalarField((21,), (1.0,), (False,), v)
+    cases.append((f, x == 10, np.isin(x, [10, 2])))      # stays put outside the box
+    cases.append((f, x == 10, np.isin(x, [10, 2, 3])))   # steps within sigma minus the box
+    cases.append((f, x == 10, np.isin(x, [10, 6, 14])))  # steps into the box
+    # C = {0} on a 20-node circle: the box 17..3 wraps the seam
+    y = np.arange(20.0)
+    v = np.minimum(y, 20.0 - y)
+    cases.append((ScalarField((20,), (1.0,), (True,), v), y == 0, np.isin(y, [0, 4, 16])))
+    v[15] = -1.0
+    cases.append((ScalarField((20,), (1.0,), (True,), v), y == 0, np.isin(y, [0, 16])))
+    # the walk from the box edge x = 7 steps to the dip at x = 6, outside the box
     values = 0.001 * (x - 10.0) ** 2
     values[[5, 6, 14, 15]] = -1.0
     f = ScalarField((21,), (1.0,), (False,), values)
@@ -657,7 +728,14 @@ def test_vectorized_descent_matches_per_walk_oracle():
         fast = _outcome(verify_thickening, f, crit, sigma, TOLS)
         assert fast == _outcome(oracle_verify_thickening, f, crit, sigma, TOLS)
         outcomes.append(fast)
-    assert {o[0] for o in outcomes[:-3]} == {"ok", "raised"}
+    assert {o[0] for o in outcomes[:80]} == {"ok", "raised"}
+    assert {o[0] for o in outcomes[80:n_random]} == {"ok", "raised"}
+    stay, within, into, seam_in, seam_out = outcomes[n_random:n_random + 5]
+    assert stay[0] == "ok" and stay[1]["failures"] == [[2]]
+    assert within == ("raised", "DescentEscapeError", "descent from (3,) left the box")
+    assert into[0] == seam_in[0] == "ok"
+    assert into[1]["descent_reached_c"] and seam_in[1]["descent_reached_c"]
+    assert seam_out == ("raised", "DescentEscapeError", "descent from (16,) left the box")
     assert outcomes[-3] == ("raised", "DescentEscapeError",
                             "descent from (7,) left the box")
     assert outcomes[-2] == ("raised", "DescentEscapeError",
