@@ -22,8 +22,7 @@ import numpy as np
 # gradient is unused here but the benchmark tracer patches it by this name
 # (ROADMAP item 1b retires that patching)
 from .fields import ScalarField, gradient, gradient_at_nodes, stencil_mask  # noqa: F401
-from .morse import (CriticalSet, SubmanifoldChart, detect_critical_set,
-                    isolating_box)
+from .morse import CriticalSet, SubmanifoldChart, detect_critical_set
 
 
 @dataclass(frozen=True)
@@ -106,7 +105,7 @@ def isolation_scan(f: ScalarField, tau: ScalarField, crit: CriticalSet,
     comp = crit.components[component]
     # only stencil-valid nodes of the box can be critical; a node of C
     # outside them (a hand-built set) is never matched
-    box = isolating_box(comp)
+    box = crit.box(component)
     region = stencil_mask(f) & box
     c_inside = not (comp.cells & box & ~region).any()
     nodes = np.argwhere(region)

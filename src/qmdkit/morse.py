@@ -13,7 +13,8 @@ The degeneracy ladder, from most to least rigid:
 The companion submanifold S is restricted to coordinate-aligned charts:
 S = {off-chart coordinates frozen to a base node}.  A minimally
 degenerate pair (C, S) always admits a compliant tau, built here as
-tau = dist(x, S)^4 + f(project_S(x)) - min_C f near C.
+tau = dist(x, S)^4 + f(project_S(x)) - min_C f near C and certified by
+`check_qmd` alone, with no minimal-degeneracy gate.
 
 The flattening perturbation replaces f by rho(f) where rho vanishes
 below delta/2 and is the identity above delta; the sublevel set
@@ -22,7 +23,8 @@ homotopy type, which the thickening verifier checks through Betti
 numbers and discrete gradient descent.  `flatten_along_chart` applies
 rho to f|_S; `flatten` is its full-chart case, where S is the whole
 neighbourhood.  The regular-value check and the thickening's descent
-work on the isolating box (and sigma) only, not on the grid.
+work on the isolating box (and sigma) only, not on the grid; each
+component's box is built once and kept by its `CriticalSet.box`.
 
 The Hessian tests visit every stencil-valid node of C.  Every rung reads
 a field's Hessians from one sampler, `_spectra`: it gathers them at those
@@ -37,8 +39,8 @@ same nodes.  The kernel tests are batched too: alignment
 with the chart is one SVD over the stack of kernel vectors, and
 transversality one matrix_rank per distinct kernel dimension.  The chart
 terms of tau are built from per-axis arrays, and the thickening's descent
-walks advance together by pointer doubling.  `negative_index` and
-`transverse_negative_index` stay per node.
+walks advance together by pointer doubling.  `transverse_negative_index`
+stays per node; `negative_index` is its point-chart case.
 """
 
 from __future__ import annotations
@@ -133,6 +135,16 @@ class SubmanifoldChart:
 class CriticalSet:
     components: Tuple[GridMask, ...]
     grad_tol: float
+    _boxes: Dict[int, np.ndarray] = dc_field(default_factory=dict, init=False,
+                                             repr=False, compare=False)
+
+    def box(self, i: int) -> np.ndarray:
+        """Component i's isolating box, built on first use and kept (read-only)."""
+        if i not in self._boxes:
+            box = isolating_box(self.components[i])
+            box.flags.writeable = False
+            self._boxes[i] = box
+        return self._boxes[i]
 
     def component_nodes(self, i: int) -> List[Tuple[int, ...]]:
         return [tuple(int(v) for v in idx)
@@ -222,26 +234,17 @@ def _axis_interval(indices: np.ndarray, n: int, periodic: bool):
     """Smallest (circular) index interval covering `indices`, inflated."""
     present = np.zeros(n, dtype=bool)
     present[indices] = True
-    if present.all():
-        return np.ones(n, dtype=bool)
+    idx = np.flatnonzero(present)
+    out = np.zeros(n, dtype=bool)
     if not periodic:
-        lo = max(0, int(indices.min()) - BOX_MARGIN)
-        hi = min(n - 1, int(indices.max()) + BOX_MARGIN)
-        out = np.zeros(n, dtype=bool)
-        out[lo:hi + 1] = True
+        out[max(0, idx[0] - BOX_MARGIN):idx[-1] + BOX_MARGIN + 1] = True
         return out
     # periodic: cover the complement of the largest circular run of absences
-    idx = np.sort(np.unique(indices))
-    m = len(idx)
-    strides = [((int(idx[(i + 1) % m] - idx[i]) - 1) % n + 1, i) for i in range(m)]
-    stride, gi = max(strides)
-    start = int(idx[(gi + 1) % m]) - BOX_MARGIN
-    covered = (n - stride + 1) + 2 * BOX_MARGIN
-    if covered >= n:
-        return np.ones(n, dtype=bool)
-    out = np.zeros(n, dtype=bool)
-    for k in range(covered):
-        out[(start + k) % n] = True
+    # (the last such run on ties); gaps[i] is the step from idx[i] to the next
+    gaps = np.diff(idx, append=idx[0] + n)
+    gi = len(gaps) - 1 - int(np.argmax(gaps[::-1]))
+    covered = min(n, n - int(gaps[gi]) + 1 + 2 * BOX_MARGIN)
+    out[(idx[(gi + 1) % len(idx)] - BOX_MARGIN + np.arange(covered)) % n] = True
     return out
 
 
@@ -288,8 +291,8 @@ def _spectra(g: ScalarField, comp: GridMask, eig_tol: float):
 
 
 def negative_index(f: ScalarField, node: Sequence[int], eig_tol: float) -> int:
-    w, _ = eig_sym(hessian_at(f, node))
-    return int(np.sum(w < -_kernel_threshold(w, eig_tol, default_hessian_floor(f))))
+    """The transverse index at the point chart, whose off-axes are every axis."""
+    return transverse_negative_index(f, node, SubmanifoldChart((), node), eig_tol)
 
 
 def transverse_negative_index(f: ScalarField, node: Sequence[int],
@@ -341,7 +344,7 @@ def _dilate(cells: np.ndarray, periodic: Sequence[bool]) -> np.ndarray:
 
 
 def _check_minimum_on_slice(f: ScalarField, comp: GridMask, chart: SubmanifoldChart,
-                            box: np.ndarray, tols: Tolerances, strict: bool):
+                            box: np.ndarray, tols: Tolerances, strict: bool) -> bool:
     """f restricted to the chart slice attains its minimum on C (within tolerance).
 
     In strict mode, slice nodes farther than 2 cells from C must exceed
@@ -360,7 +363,7 @@ def _check_minimum_on_slice(f: ScalarField, comp: GridMask, chart: SubmanifoldCh
         far = others & ~_dilate(_dilate(comp.cells, comp.periodic), comp.periodic)
         if far.any():
             cond = bool((f.values[far] > fmin + tols.value_tol).all())
-    return cond, fmin
+    return cond
 
 
 def _require_contained(comp: GridMask, chart: SubmanifoldChart):
@@ -416,8 +419,8 @@ def _chart_rungs(f: ScalarField, crit: CriticalSet, chart: SubmanifoldChart,
     both read off one `_spectra` sample of f on C."""
     comp = crit.components[component]
     _require_contained(comp, chart)
-    cond_min, _ = _check_minimum_on_slice(f, comp, chart, isolating_box(comp),
-                                          tols, strict)
+    cond_min = _check_minimum_on_slice(f, comp, chart, crit.box(component),
+                                       tols, strict)
     nodes, H, w, V, thresh = sample
     n_neg = np.sum(w < -thresh[:, None], axis=1)
     axes = list(chart.axes)
@@ -543,27 +546,20 @@ def _chart_terms(f: ScalarField, chart: SubmanifoldChart) -> Tuple[np.ndarray, n
 
 
 def construct_tau(f: ScalarField, crit: CriticalSet, chart: SubmanifoldChart,
-                  tols: Tolerances, component: int = 0,
-                  check_precondition: bool = True) -> ScalarField:
+                  tols: Tolerances, component: int = 0) -> ScalarField:
     """Auxiliary tau = dist(x, S)^4 + (f o project_S - min_C f) near C.
 
     Away from the isolating box the data term is faded out by a
     smoothstep and a quartic box-distance guard keeps tau positive, so
-    the zero set stays exactly C on the full grid.  The output is
-    validated against the qmd conditions before being returned.
+    the zero set stays exactly C on the full grid.
 
-    The radial formula is well-defined whenever C lies in the chart;
-    minimal degeneracy is the guarantee that it succeeds, and
-    check_precondition=False skips that gate for callers who only need
-    the formula (the output is still validated).
+    The output is returned only if `check_qmd`, the definition of a
+    compliant tau, passes it; else ConstructionError names the failing
+    conditions (or check_qmd's TauError or ChartError propagates).
+    Minimal degeneracy guarantees a pass but is not checked first.
     """
-    if check_precondition:
-        pre = check_minimally_degenerate(f, crit, chart, tols, component=component)
-        if not pre.passed:
-            raise ConstructionError("input is not minimally degenerate along "
-                                    "the chart")
     comp = crit.components[component]
-    box = isolating_box(comp)
+    box = crit.box(component)
     fmin = float(f.values[comp.cells].min())
 
     r4, proj_vals = _chart_terms(f, chart)
@@ -720,7 +716,7 @@ def flatten_along_chart(f: ScalarField, delta: float, crit: CriticalSet,
         raise ValueError("delta must be positive")
     comp = crit.components[component]
     _require_contained(comp, chart)
-    box = isolating_box(comp)
+    box = crit.box(component)
     slice_mask = chart.slice_mask(f.dims)
     if float(np.abs(f.values[comp.cells]).max()) > tols.value_tol:
         raise ValueError("f must vanish on C (shift by the critical value first)")
@@ -795,7 +791,7 @@ def verify_thickening(f: ScalarField, crit: CriticalSet, sigma: GridMask,
     comp = crit.components[component]
     if not (comp.cells <= sigma.cells).all():
         raise ValueError("C must be contained in sigma")
-    box = isolating_box(comp)
+    box = crit.box(component)
     b_c = betti_of_mask(comp)
     b_s = betti_of_mask(sigma)
     betti_match = b_c == b_s

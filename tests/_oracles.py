@@ -49,7 +49,9 @@ gradient per step, with no filter.
 ``matrix_rank`` per node) that the checkers ran before they were batched.
 
 ``oracle_connected_components`` is the depth-first labelling that
-``qmdkit.morse.connected_components`` ran before its union-find.
+``qmdkit.morse.connected_components`` ran before its union-find, and
+``oracle_axis_interval`` the per-index loop over a periodic axis that
+``qmdkit.morse._axis_interval`` ran before it became numpy passes.
 
 ``oracle_verify_thickening`` is ``verify_thickening`` with one Python
 ``_steepest_descent`` walk per sigma node, and
@@ -690,7 +692,7 @@ def oracle_check_flattened_degenerate(f: ScalarField, crit: CriticalSet,
     _require_contained(comp, chart)
     box = isolating_box(comp)
     report = DegeneracyReport("unclassified")
-    cond_min, _ = _check_minimum_on_slice(f, comp, chart, box, tols, strict)
+    cond_min = _check_minimum_on_slice(f, comp, chart, box, tols, strict)
     report.details["restricted_minimum_on_c"] = cond_min
 
     kernel_ok = True
@@ -727,7 +729,7 @@ def oracle_check_minimally_degenerate(f: ScalarField, crit: CriticalSet,
     _require_contained(comp, chart)
     box = isolating_box(comp)
     report = DegeneracyReport("unclassified")
-    cond_min, _ = _check_minimum_on_slice(f, comp, chart, box, tols, strict)
+    cond_min = _check_minimum_on_slice(f, comp, chart, box, tols, strict)
     report.details["restricted_minimum_on_c"] = cond_min
 
     psd_ok = True
@@ -1078,6 +1080,33 @@ def oracle_connected_components(mask: np.ndarray, periodic: Sequence[bool]) -> L
         comps.append(comp)
     comps.sort(key=lambda c: tuple(int(v) for v in np.argwhere(c)[0]))
     return comps
+
+
+def oracle_axis_interval(indices: np.ndarray, n: int, periodic: bool) -> np.ndarray:
+    """Smallest (circular) index interval covering `indices`, inflated."""
+    present = np.zeros(n, dtype=bool)
+    present[indices] = True
+    if present.all():
+        return np.ones(n, dtype=bool)
+    if not periodic:
+        lo = max(0, int(indices.min()) - BOX_MARGIN)
+        hi = min(n - 1, int(indices.max()) + BOX_MARGIN)
+        out = np.zeros(n, dtype=bool)
+        out[lo:hi + 1] = True
+        return out
+    # periodic: cover the complement of the largest circular run of absences
+    idx = np.sort(np.unique(indices))
+    m = len(idx)
+    strides = [((int(idx[(i + 1) % m] - idx[i]) - 1) % n + 1, i) for i in range(m)]
+    stride, gi = max(strides)
+    start = int(idx[(gi + 1) % m]) - BOX_MARGIN
+    covered = (n - stride + 1) + 2 * BOX_MARGIN
+    if covered >= n:
+        return np.ones(n, dtype=bool)
+    out = np.zeros(n, dtype=bool)
+    for k in range(covered):
+        out[(start + k) % n] = True
+    return out
 
 
 # -- per-walk steepest descent and the BFS distance to a component ----------------

@@ -12,7 +12,7 @@ from qmdkit.catalog import (TOLS, field_1d_quadratic, field_1d_quartic,
 from qmdkit.cubical import GridMask, betti_of_mask
 from qmdkit.fields import ScalarField, c1_distance
 from qmdkit.morse import (ChartError, CriticalSet, NoCriticalPointsError,
-                          SubmanifoldChart, Tolerances, _dilate,
+                          SubmanifoldChart, Tolerances, _axis_interval, _dilate,
                           _kernel_spans_axes, _kernel_transverse, build_rho,
                           check_flattened_degenerate,
                           check_minimally_degenerate, check_qmd, classify,
@@ -21,7 +21,7 @@ from qmdkit.morse import (ChartError, CriticalSet, NoCriticalPointsError,
                           flatten_along_chart, isolating_box, negative_index,
                           transverse_negative_index, verify_thickening)
 
-from _oracles import (oracle_check_flattened_degenerate,
+from _oracles import (oracle_axis_interval, oracle_check_flattened_degenerate,
                       oracle_check_minimally_degenerate, oracle_check_qmd,
                       oracle_classify, oracle_connected_components,
                       oracle_construct_tau, oracle_flatten,
@@ -100,6 +100,67 @@ def test_isolating_box_wraps_periodic_axis():
     crit = detect_critical_set(f, 1e-6)
     box = isolating_box(crit.components[0])
     assert box.all(axis=1).sum() == 7  # 1 + 2*3 theta rows, full phi circle
+
+
+def test_axis_interval_matches_loop_oracle():
+    """The numpy interval equals the per-index loop on open and periodic
+    axes of 1-40 cells: random index sets, one index, full axes, runs
+    across the seam and evenly spaced sets, whose largest gaps tie."""
+    rng = np.random.default_rng(SEED + 7)
+    for trial in range(2000):
+        n = int(rng.integers(1, 41))
+        kind = trial % 5
+        if kind == 0:
+            idx = rng.integers(0, n, int(rng.integers(1, n + 1)))
+        elif kind == 1:
+            idx = rng.integers(0, n, 1)
+        elif kind == 2:
+            idx = rng.permutation(n)
+        elif kind == 3:
+            idx = (int(rng.integers(0, n)) + np.arange(int(rng.integers(1, n + 1)))) % n
+        else:
+            step = int(rng.integers(1, n + 1))
+            idx = (np.arange(0, n, step) + int(rng.integers(0, n))) % n
+        for periodic in (False, True):
+            assert np.array_equal(_axis_interval(idx, n, periodic),
+                                  oracle_axis_interval(idx, n, periodic)), (idx, n, periodic)
+
+
+def test_critical_set_keeps_each_box_read_only():
+    f = field_torus_height()
+    crit = detect_critical_set(f, 1e-6)
+    for i, comp in enumerate(crit.components):
+        box = crit.box(i)
+        assert crit.box(i) is box and not box.flags.writeable
+        assert np.array_equal(box, isolating_box(comp))
+    with pytest.raises(ValueError):
+        box[0, 0] = True
+    # the kept boxes take no part in equality
+    assert crit == CriticalSet(crit.components, crit.grad_tol)
+    hand = _singleton((9, 9), (False, True), (4, 0))
+    assert np.array_equal(hand.box(0), isolating_box(hand.components[0]))
+
+
+def test_field_job_builds_its_box_once_and_runs_no_gate(monkeypatch):
+    """The call sequence of a benchmark fields job builds the component's
+    box once, and construct_tau runs no minimal-degeneracy check."""
+    from qmdkit import graphlag, morse
+    calls = {"isolating_box": 0, "check_minimally_degenerate": 0}
+    for name in calls:
+        def counted(*args, _raw=getattr(morse, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _raw(*args, **kwargs)
+        monkeypatch.setattr(morse, name, counted)
+    f = field_figure8_min()
+    crit = detect_critical_set(f, TOLS.grad_tol)
+    chart = SubmanifoldChart((0, 1), (16, 16))
+    tau = construct_tau(f, crit, chart, TOLS)
+    report = classify(f, crit, chart=chart, tau=tau, tols=TOLS)
+    scan = graphlag.isolation_scan(f, tau, crit, chart, steps=64)
+    flat = flatten(f, 0.005, crit, TOLS)
+    thick = verify_thickening(f, crit, flat.sigma, TOLS)
+    assert report.details["qmd"] and scan.passed and thick.passed
+    assert calls == {"isolating_box": 1, "check_minimally_degenerate": 0}
 
 
 # -- degeneracy checkers --------------------------------------------------
@@ -221,13 +282,14 @@ def test_construct_tau_saddle_formula():
 
 
 def test_construct_tau_point_chart_quartic():
-    # radial construction at a point chart: tau = x^4
+    # radial construction at a point chart: tau = x^4.  x^2 is not minimally
+    # degenerate along a point chart, but its tau passes the qmd certificate
     n = 33
     h = 2.0 / (n - 1)
     f = ScalarField.sample((n,), (h,), (False,), lambda x: x * x, origin=(-1.0,))
     crit = detect_critical_set(f, 1e-6)
     chart = SubmanifoldChart(axes=(), base=(16,))
-    tau = construct_tau(f, crit, chart, TOLS, check_precondition=False)
+    tau = construct_tau(f, crit, chart, TOLS)
     box = isolating_box(crit.components[0])
     xs = np.linspace(-1.0, 1.0, n)
     assert np.allclose(tau.values[box], (xs ** 4)[box], atol=1e-12)
@@ -549,7 +611,7 @@ def test_fast_paths_match_per_node_oracle(f, tau, chart, nudges):
     comp = next((i for i, c in enumerate(crit.components) if c.cells[chart.base]), 0)
     kw = dict(component=comp)
 
-    built = _outcome(construct_tau, f, crit, chart, TOLS, check_precondition=False, **kw)
+    built = _outcome(construct_tau, f, crit, chart, TOLS, **kw)
     assert built == _outcome(oracle_construct_tau, f, crit, chart, TOLS,
                              check_precondition=False, **kw)
     # f^2 keeps the transverse index, 2f flips it (f - 2f = -f)
