@@ -28,7 +28,7 @@ from .fields import (GridMismatchError, ScalarField, c1_distance,
                      check_difference_range, default_grad_tol)
 from .maslov import LagrangianLinePath, NonRegularCrossingError, PathError, maslov
 from .morse import (ChartError, DescentEscapeError, NoCriticalPointsError,
-                    RegularValueError, SubmanifoldChart, TauError, Tolerances,
+                    RegularValueError, SubmanifoldChart, Tolerances,
                     classify, detect_critical_set, flatten, verify_thickening)
 from .specseq import (BoundaryError, CrossTermError, FiltrationError,
                       QMDDescriptor, build_from_qmd, converge, page,
@@ -167,7 +167,7 @@ def cmd_analyze(args) -> int:
     try:
         report = classify(f, crit, chart=chart, tau=tau, tols=tols,
                           strict=args.strict, component=args.component)
-    except (ChartError, TauError, GridMismatchError) as exc:
+    except (ChartError, GridMismatchError) as exc:
         raise DomainFailure(str(exc)) from exc
     payload = report.to_json()
     payload["n_components"] = len(crit.components)

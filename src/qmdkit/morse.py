@@ -64,10 +64,6 @@ class ChartError(ValueError):
     pass
 
 
-class TauError(ValueError):
-    pass
-
-
 class RegularValueError(RuntimeError):
     """delta/2 could not be nudged onto a regular value."""
 
@@ -466,13 +462,12 @@ def check_minimally_degenerate(f: ScalarField, crit: CriticalSet,
 def check_qmd(f: ScalarField, tau: ScalarField, crit: CriticalSet,
               chart: SubmanifoldChart, tols: Tolerances,
               strict: bool = False, component: int = 0) -> DegeneracyReport:
-    """tau >= 0 vanishing exactly on C, kernel transversality, f - tau flattened."""
+    """tau >= 0 vanishing exactly on C, kernel transversality, f - tau
+    flattened, each a report detail; ChartError if C leaves the chart."""
     f.require_same_grid(tau)
-    if float(tau.values.min()) < -tols.value_tol:
-        raise TauError("tau is negative beyond tolerance")
     comp = crit.components[component]
     report = DegeneracyReport("unclassified")
-    report.details["tau_nonnegative"] = True
+    report.details["tau_nonnegative"] = float(tau.values.min()) >= -tols.value_tol
 
     # the zero set is compared on stencil-valid nodes only, consistent with
     # the boundary policy used by detection
@@ -555,8 +550,8 @@ def construct_tau(f: ScalarField, crit: CriticalSet, chart: SubmanifoldChart,
 
     The output is returned only if `check_qmd`, the definition of a
     compliant tau, passes it; else ConstructionError names the failing
-    conditions (or check_qmd's TauError or ChartError propagates).
-    Minimal degeneracy guarantees a pass but is not checked first.
+    conditions, and check_qmd's ChartError propagates if C leaves the
+    chart.  Minimal degeneracy guarantees a pass but is not checked first.
     """
     comp = crit.components[component]
     box = crit.box(component)
@@ -867,7 +862,7 @@ def classify(f: ScalarField, crit: CriticalSet, chart: Optional[SubmanifoldChart
             try:
                 qmd_ok = check_qmd(f, tau, crit, chart, tols, strict,
                                    component).passed
-            except (ChartError, TauError):
+            except ChartError:
                 pass
     report.details.update(flattened_degenerate=flat_ok, minimally_degenerate=mindeg_ok,
                           qmd=qmd_ok)

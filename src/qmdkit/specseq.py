@@ -31,8 +31,9 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 # quotient_dim, solve_row_combination and subspace_sum are unused here;
 # perfbench/tracing.py patches them on this module
@@ -77,10 +78,10 @@ class FilteredComplex:
         if len(set(names)) != len(names):
             raise ValueError("generator names must be unique")
         self._gen_by_name = {g.name: g for g in self.generators}
-        self.boundary_names: Dict[str, Tuple[str, ...]] = {}
+        boundary_names: Dict[str, Tuple[str, ...]] = {}
         for g in self.generators:
             targets = tuple(boundary.get(g.name, ()))
-            self.boundary_names[g.name] = targets
+            boundary_names[g.name] = targets
             for tname in targets:
                 tgt = self._gen_by_name.get(tname)
                 if tgt is None:
@@ -92,6 +93,8 @@ class FilteredComplex:
         for name in boundary:
             if name not in self._gen_by_name:
                 raise BoundaryError(f"boundary given for unknown generator {name}")
+        # read-only, since persistence() keeps its pairing once computed
+        self.boundary_names: Mapping[str, Tuple[str, ...]] = MappingProxyType(boundary_names)
         self._persistence = None    # (pairs, unpaired) as tuples, once reduced
 
     # -- structure queries ----------------------------------------------
@@ -307,44 +310,61 @@ def converge(fc: FilteredComplex) -> Tuple[int, Page]:
 
 @dataclass(frozen=True)
 class QMDPiece:
+    """One piece of a descriptor: a finite real action (not a bool), an
+    integer iota, and Betti numbers or a local complex.  The walk that
+    validates it also fills `generators`, its (name, total degree) pairs,
+    and `boundary`, its local differential: names take the prefix
+    ``<piece>/`` (b_m gives ``h<m>.0``, ``h<m>.1``, ...) and degrees shift
+    by iota.  Neither takes part in construction, equality or repr."""
+
     name: str
     action: float
     iota: int
     betti: Optional[Tuple[int, ...]] = None
     local_complex: Optional[dict] = None
+    generators: Tuple[Tuple[str, int], ...] = field(init=False, repr=False, compare=False)
+    boundary: Dict[str, Tuple[str, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.betti is None) == (self.local_complex is None):
             raise DescriptorError(f"piece {self.name}: provide exactly one of betti "
                                   f"or local_complex")
-        if not isinstance(self.action, numbers.Real) or not math.isfinite(self.action):
+        if (isinstance(self.action, bool) or not isinstance(self.action, numbers.Real)
+                or not -math.inf < self.action < math.inf):
             raise DescriptorError(f"piece {self.name}: action must be finite, "
                                   f"got {self.action!r}")
         _require_int(self.iota, f"piece {self.name}: iota")
+        expanded: Dict[str, Tuple[str, ...]] = {}
         if self.betti is not None:
             betti = tuple(_require_int(b, f"piece {self.name}: betti") for b in self.betti)
             if any(b < 0 for b in betti):
                 raise DescriptorError(f"piece {self.name}: betti numbers must be >= 0, "
                                       f"got {list(betti)}")
             object.__setattr__(self, "betti", betti)
+            gens = [(f"{self.name}/h{m}.{i}", m + self.iota)
+                    for m, b in enumerate(betti) for i in range(b)]
         else:
             frag = self.local_complex
             boundary = frag.get("boundary", {}) if isinstance(frag, dict) else None
             if not isinstance(boundary, dict):
                 raise DescriptorError(f"piece {self.name}: complex must be an object "
                                       f"whose boundary maps names to lists")
-            names = set()
+            rename, gens = {}, []
             for g in frag["generators"]:
-                _require_int(g["degree"], f"piece {self.name}: degree of {g['name']}")
-                names.add(g["name"])
+                degree = _require_int(g["degree"], f"piece {self.name}: degree of {g['name']}")
+                rename[g["name"]] = f"{self.name}/{g['name']}"
+                gens.append((rename[g["name"]], degree + self.iota))
             for src, targets in boundary.items():
                 if not isinstance(targets, list):
                     raise DescriptorError(f"piece {self.name}: boundary of {src} must be "
                                           f"a list of generator names, got {targets!r}")
                 for name in (src, *targets):
-                    if name not in names:
+                    if name not in rename:
                         raise DescriptorError(f"piece {self.name}: boundary names "
                                               f"unknown generator {name}")
+                expanded[rename[src]] = tuple(rename[t] for t in targets)
+        object.__setattr__(self, "generators", tuple(gens))
+        object.__setattr__(self, "boundary", expanded)
 
 
 def _require_int(value, what: str) -> int:
@@ -361,10 +381,13 @@ class QMDDescriptor:
     def __post_init__(self):
         seen = set()
         for piece in self.pieces:
-            for name, _ in _piece_generators(piece)[0]:
+            for name, _ in piece.generators:
                 if name in seen:
                     raise DescriptorError(f"generator name {name} is used twice")
                 seen.add(name)
+        for src, dst in self.cross_terms:
+            if src not in seen or dst not in seen:
+                raise DescriptorError(f"cross term {src} -> {dst} names unknown generators")
 
     def to_json(self) -> dict:
         out = {"pieces": [], "cross_terms": [{"from": a, "to": b}
@@ -384,7 +407,7 @@ class QMDDescriptor:
         for entry in data["pieces"]:
             pieces.append(QMDPiece(
                 name=str(entry["name"]),
-                action=float(entry["action"]),
+                action=entry["action"],
                 iota=entry["iota"],
                 betti=tuple(entry["betti"]) if "betti" in entry else None,
                 local_complex=entry.get("complex"),
@@ -394,55 +417,31 @@ class QMDDescriptor:
         return cls(tuple(pieces), cross)
 
 
-def _piece_generators(piece: QMDPiece):
-    """(name, total degree) pairs plus local boundary, shifted by iota."""
-    gens: List[Tuple[str, int]] = []
-    boundary: Dict[str, List[str]] = {}
-    if piece.betti is not None:
-        for m, b in enumerate(piece.betti):
-            for i in range(b):
-                gens.append((f"{piece.name}/h{m}.{i}", m + piece.iota))
-    else:
-        frag = piece.local_complex
-        rename = {g["name"]: f"{piece.name}/{g['name']}" for g in frag["generators"]}
-        for g in frag["generators"]:
-            gens.append((rename[g["name"]], int(g["degree"]) + piece.iota))
-        for src, targets in frag.get("boundary", {}).items():
-            boundary[rename[src]] = [rename[t] for t in targets]
-    return gens, boundary
-
-
 def build_from_qmd(descriptor: QMDDescriptor) -> FilteredComplex:
     """Assemble the filtered total complex of a descriptor.
 
     Pieces are sorted by action (stable, so ties keep input order and get
-    distinct consecutive levels); piece p's local degree-m generators sit
-    in total degree m + iota_p at filtration p.  Cross terms become
-    off-block differential entries and must point to strictly
-    lower-action pieces, dropping total degree by exactly one.
+    distinct consecutive levels); piece p's expanded generators, a local
+    degree-m one in total degree m + iota_p, sit at filtration p.  Cross
+    terms, whose names the descriptor has already checked, become off-block
+    differential entries; CrossTermError unless each points to a strictly
+    lower-action piece and drops total degree by exactly one.
     """
-    order = sorted(range(len(descriptor.pieces)),
-                   key=lambda i: descriptor.pieces[i].action)
     generators: List[Generator] = []
-    boundary: Dict[str, List[str]] = {}
+    boundary: Dict[str, Tuple[str, ...]] = {}
     owner: Dict[str, QMDPiece] = {}
-    for p, i in enumerate(order, start=1):
-        piece = descriptor.pieces[i]
-        gens, local_boundary = _piece_generators(piece)
-        for name, degree in gens:
+    for p, piece in enumerate(sorted(descriptor.pieces, key=lambda pc: pc.action), start=1):
+        for name, degree in piece.generators:
             generators.append(Generator(name, degree, p))
             owner[name] = piece
-        for src, targets in local_boundary.items():
-            boundary.setdefault(src, []).extend(targets)
+        boundary.update(piece.boundary)
     gen_degree = {g.name: g.degree for g in generators}
     for src, dst in descriptor.cross_terms:
-        if src not in owner or dst not in owner:
-            raise CrossTermError(f"cross term {src} -> {dst} names unknown generators")
         if owner[dst].action >= owner[src].action:
             raise CrossTermError(f"cross term {src} -> {dst} does not decrease action")
         if gen_degree[dst] != gen_degree[src] - 1:
             raise CrossTermError(f"cross term {src} -> {dst} must drop degree by 1")
-        boundary.setdefault(src, []).append(dst)
+        boundary[src] = (*boundary.get(src, ()), dst)
     fc = FilteredComplex(generators, boundary)
     fc.validate()
     return fc
@@ -451,10 +450,7 @@ def build_from_qmd(descriptor: QMDDescriptor) -> FilteredComplex:
 def truncate_by_action(descriptor: QMDDescriptor, cutoff: float) -> QMDDescriptor:
     """Keep pieces with action < cutoff and cross terms among them."""
     kept = tuple(p for p in descriptor.pieces if p.action < cutoff)
-    names = set()
-    for p in kept:
-        gens, _ = _piece_generators(p)
-        names.update(name for name, _ in gens)
+    names = {name for p in kept for name, _ in p.generators}
     cross = tuple((a, b) for a, b in descriptor.cross_terms
                   if a in names and b in names)
     return QMDDescriptor(kept, cross)

@@ -85,8 +85,8 @@ from qmdkit.maslov import (CrossingRecord, LagrangianLinePath,
 from qmdkit.morse import (ANGLE_TOL, BOX_MARGIN, MAX_NUDGES, ChartError,
                           ConstructionError, CriticalSet, DegeneracyReport,
                           DescentEscapeError, FlattenResult, RegularValueError,
-                          RhoProfile, SubmanifoldChart, TauError,
-                          ThickeningReport, Tolerances, _box_excess_distance,
+                          RhoProfile, SubmanifoldChart, ThickeningReport,
+                          Tolerances, _box_excess_distance,
                           _check_minimum_on_slice, _component_extent_axes,
                           _kernel_threshold, _require_contained, _smoothstep,
                           critical_node_mask, default_hessian_floor,
@@ -766,11 +766,9 @@ def oracle_check_qmd(f: ScalarField, tau: ScalarField, crit: CriticalSet,
               strict: bool = False, component: int = 0) -> DegeneracyReport:
     """tau >= 0 vanishing exactly on C, kernel transversality, f - tau flattened."""
     f.require_same_grid(tau)
-    if float(tau.values.min()) < -tols.value_tol:
-        raise TauError("tau is negative beyond tolerance")
     comp = crit.components[component]
     report = DegeneracyReport("unclassified")
-    report.details["tau_nonnegative"] = True
+    report.details["tau_nonnegative"] = float(tau.values.min()) >= -tols.value_tol
 
     # the zero set is compared on stencil-valid nodes only, consistent with
     # the boundary policy used by detection
@@ -856,7 +854,7 @@ def oracle_classify(f: ScalarField, crit: CriticalSet, chart: Optional[Submanifo
             try:
                 qmd_ok = oracle_check_qmd(f, tau, crit, chart, tols, strict,
                                    component).passed
-            except (ChartError, TauError):
+            except ChartError:
                 qmd_ok = False
     report.details["flattened_degenerate"] = flat_ok
     report.details["minimally_degenerate"] = mindeg_ok

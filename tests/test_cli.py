@@ -173,17 +173,30 @@ MALFORMED_DESCRIPTORS = {
     "empty-pages-zero": [],
     "empty-pages-negative": [],
     "cutoff-drops-all-pages-zero": [_piece("a", 0.0, betti=[1])],
+    # an action is a JSON number, not a string or a boolean read as one
+    "action-string": [_piece("a", "1.5", betti=[1])],
+    "action-bool": [_piece("a", True, betti=[1])],
+    # a cross term is checked against the whole descriptor, so a cutoff
+    # between the pieces, which drops it, does not hide the typo
+    "cross-term-unknown-name": [_piece("a", 0.0, betti=[1]), _piece("b", 1.0, betti=[1])],
+    "cross-term-unknown-name-cutoff": [_piece("a", 0.0, betti=[1]),
+                                       _piece("b", 1.0, betti=[1])],
 }
+_TYPO = [{"from": "b/h0.0", "to": "a/h0.9"}]
+MALFORMED_CROSS_TERMS = {"cross-term-unknown-name": _TYPO,
+                         "cross-term-unknown-name-cutoff": _TYPO}
 MALFORMED_ARGS = {"nan-cutoff": ["--cutoff", "nan"],
                   "empty-pages-word": ["--pages", "banana"],
                   "empty-pages-zero": ["--pages", "0"],
                   "empty-pages-negative": ["--pages", "-3"],
-                  "cutoff-drops-all-pages-zero": ["--cutoff", "-1", "--pages", "0"]}
+                  "cutoff-drops-all-pages-zero": ["--cutoff", "-1", "--pages", "0"],
+                  "cross-term-unknown-name-cutoff": ["--cutoff", "0.5"]}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_DESCRIPTORS))
 def test_specseq_rejects_malformed_descriptor(case, tmp_path, capsys):
-    path = _write(tmp_path, "d.json", {"pieces": MALFORMED_DESCRIPTORS[case]})
+    path = _write(tmp_path, "d.json", {"pieces": MALFORMED_DESCRIPTORS[case],
+                                       "cross_terms": MALFORMED_CROSS_TERMS.get(case, [])})
     assert main(["specseq", "--descriptor", path, *MALFORMED_ARGS.get(case, [])]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -3,9 +3,12 @@
 Small fields (at most 9 x 9) and short paths are written to a temporary
 directory and passed to ``analyze``, ``flatten`` and ``maslov`` together
 with nan, +-inf, zero, negative and out-of-grid arguments, and spacings of
-1e300 and 1e-300.  Every run must return exit code 0, 1 or 2 without an
-exception escaping, print no NaN or Infinity, and print the same stdout
-when repeated.
+1e300 and 1e-300.  Small descriptors go to ``specseq`` with ``--pages``
+and ``--cutoff``; now and then a value in them is a string, a boolean,
+null, a nested list or nan, an action has 400 digits, a name is unknown
+or used twice, or a boundary is not a list.  Every run must return exit
+code 0, 1 or 2 without an exception escaping, print no NaN or Infinity,
+and print the same stdout when repeated.
 """
 
 import contextlib
@@ -150,3 +153,65 @@ def test_maslov_survives_hostile_numbers(a, b, tol):
             with open(files[-1], "w") as fh:
                 json.dump(payload, fh)
         _check(["maslov", "--path-a", files[0], "--path-b", files[1], "--tol=" + tol])
+
+
+HOSTILE_VALUES = st.sampled_from(["1.5", "", True, False, None, [], [[0]], {},
+                                  float("nan"), float("inf")])
+
+
+def _mostly(valid, hostile=HOSTILE_VALUES):
+    """`valid`, or one time in ten a hostile JSON value."""
+    return st.integers(0, 9).flatmap(lambda i: hostile if i == 0 else valid)
+
+
+LOCAL_NAMES = ["v", "w", "e", "zz"]
+# pieces are named a, b, c (now and then a again, or a hostile name), so
+# these names exist when their pieces do; x/h0.0 never does
+CROSS_NAMES = ["a/h0.0", "a/h1.0", "b/h0.0", "b/h1.0", "b/e", "c/v", "c/e", "x/h0.0"]
+
+
+@st.composite
+def pieces(draw, name):
+    entry = {"name": draw(_mostly(st.just(name), st.one_of(HOSTILE_VALUES, st.just("a")))),
+             # an integer too large for a float is still a finite action
+             "action": draw(_mostly(st.sampled_from([-1.5, 0, 0.5, 1.0, 2.0]),
+                                    st.one_of(HOSTILE_VALUES, st.just(10 ** 400)))),
+             "iota": draw(_mostly(st.integers(-1, 2)))}
+    if draw(st.booleans()):
+        # Betti numbers stay small: a piece expands b_m into b_m generators
+        entry["betti"] = draw(_mostly(st.lists(_mostly(st.integers(0, 2)), max_size=3)))
+    else:
+        gens = st.fixed_dictionaries({"name": _mostly(st.sampled_from(LOCAL_NAMES[:3])),
+                                      "degree": _mostly(st.integers(0, 1))})
+        targets = _mostly(st.lists(st.sampled_from(LOCAL_NAMES), max_size=3))
+        entry["complex"] = {
+            "generators": draw(_mostly(st.lists(gens, max_size=4))),
+            "boundary": draw(_mostly(st.dictionaries(st.sampled_from(LOCAL_NAMES[:3]),
+                                                     targets, max_size=3)))}
+    return entry
+
+
+@st.composite
+def descriptors(draw):
+    term = st.fixed_dictionaries({"from": _mostly(st.sampled_from(CROSS_NAMES)),
+                                  "to": _mostly(st.sampled_from(CROSS_NAMES))})
+    count = draw(st.integers(0, 3))
+    return {"pieces": draw(_mostly(st.tuples(*(pieces(n) for n in "abc"[:count])))),
+            "cross_terms": draw(_mostly(st.lists(term, max_size=2)))}
+
+
+@seed(SEED)
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(desc=descriptors(), data=st.data())
+def test_specseq_survives_hostile_descriptors(desc, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.json")
+        with open(path, "w") as fh:
+            json.dump(desc, fh)
+        argv = ["specseq", "--descriptor", path,
+                "--pages=" + data.draw(st.sampled_from(["all", "all", "1", "2", "0", "x"]))]
+        if data.draw(st.booleans()):
+            argv.append("--cutoff=" + data.draw(st.sampled_from(
+                ["0.25", "0.75", "1.5", "-2", "nan", "inf", "1e400"])))
+        _check(argv)

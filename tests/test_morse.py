@@ -11,9 +11,10 @@ from qmdkit.catalog import (TOLS, field_1d_quadratic, field_1d_quartic,
                             torus_circle_indices)
 from qmdkit.cubical import GridMask, betti_of_mask
 from qmdkit.fields import ScalarField, c1_distance
-from qmdkit.morse import (ChartError, CriticalSet, NoCriticalPointsError,
-                          SubmanifoldChart, Tolerances, _axis_interval, _dilate,
-                          _kernel_spans_axes, _kernel_transverse, build_rho,
+from qmdkit.morse import (ChartError, ConstructionError, CriticalSet,
+                          NoCriticalPointsError, SubmanifoldChart, Tolerances,
+                          _axis_interval, _dilate, _kernel_spans_axes,
+                          _kernel_transverse, build_rho,
                           check_flattened_degenerate,
                           check_minimally_degenerate, check_qmd, classify,
                           connected_components, construct_tau, critical_node_mask,
@@ -216,6 +217,16 @@ def test_qmd_fails_for_zero_tau():
     assert not report.details["tau_zero_set_equals_c"]
 
 
+def test_qmd_reports_negative_tau_without_raising():
+    f = field_saddle()
+    crit = detect_critical_set(f, 1e-6)
+    chart = SubmanifoldChart(axes=(0,), base=(16, 16))
+    negative = tau_saddle().with_values(-tau_saddle().values)
+    report = check_qmd(f, negative, crit, chart, TOLS)
+    assert report.details["tau_nonnegative"] is False
+    assert not report.passed
+
+
 def test_mindeg_saddle_along_x_axis():
     f = field_saddle()
     crit = detect_critical_set(f, 1e-6)
@@ -304,6 +315,17 @@ def test_construct_tau_torus_minimum():
     chart = SubmanifoldChart(axes=(0, 1), base=(0, 0))
     tau = construct_tau(f, crit, chart, TOLS, component=comp)
     assert check_qmd(f, tau, crit, chart, TOLS, component=comp).passed
+
+
+def test_construct_tau_without_a_compliant_tau_is_a_construction_error():
+    # along the saddle's full chart the formula's tau dips below zero: no
+    # compliant tau is built, and that is reported one way
+    f = field_saddle()
+    crit = detect_critical_set(f, 1e-6)
+    chart = SubmanifoldChart(axes=(0, 1), base=(16, 16))
+    with pytest.raises(ConstructionError,
+                       match=r"\['tau_nonnegative', 'tau_zero_set_equals_c'\]"):
+        construct_tau(f, crit, chart, TOLS)
 
 
 # -- rho and flattening ------------------------------------------------------

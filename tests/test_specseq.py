@@ -214,6 +214,8 @@ def test_local_complex_fragment():
     {"name": "a", "action": 0.0, "iota": 0,
      "complex": {"generators": [{"name": "xx", "degree": 1}, {"name": "y", "degree": 0}],
                  "boundary": {"xx": "yy"}}},
+    {"name": "a", "action": "1.5", "iota": 0, "betti": [1]},
+    {"name": "a", "action": True, "iota": 0, "betti": [1]},
 ])
 def test_descriptor_rejects_bad_values(piece):
     with pytest.raises(DescriptorError):
@@ -236,6 +238,28 @@ def test_cross_term_must_drop_degree():
         cross_terms=(("b/h0.0", "a/h0.0"),))
     with pytest.raises(CrossTermError):
         build_from_qmd(desc)
+
+
+def test_cross_term_to_unknown_name_is_a_descriptor_error():
+    pieces = (QMDPiece("a", action=0.0, iota=0, betti=(1,)),
+              QMDPiece("b", action=1.0, iota=1, betti=(1,)))
+    with pytest.raises(DescriptorError, match="a/h0.9"):
+        QMDDescriptor(pieces, cross_terms=(("b/h0.0", "a/h0.9"),))
+    with pytest.raises(DescriptorError, match="zz"):
+        QMDDescriptor(pieces, cross_terms=(("zz", "a/h0.0"),))
+
+
+def test_piece_expands_itself_once():
+    piece = QMDPiece("a", action=0.5, iota=2, local_complex={
+        "generators": [{"name": "v", "degree": 0}, {"name": "e", "degree": 1}],
+        "boundary": {"e": ["v", "v"]}})
+    assert piece.generators == (("a/v", 2), ("a/e", 3))
+    assert piece.boundary == {"a/e": ("a/v", "a/v")}
+    assert QMDPiece("b", 0.0, -1, betti=(2, 1)).generators == (
+        ("b/h0.0", -1), ("b/h0.1", -1), ("b/h1.0", 0))
+    # derived fields take no part in construction, equality or repr
+    twin = QMDPiece("a", action=0.5, iota=2, local_complex=piece.local_complex)
+    assert twin == piece and "a/e" not in repr(piece)
 
 
 def test_action_ties_get_consecutive_levels():
@@ -332,6 +356,15 @@ def _raised(fn):
 
 def _copy(fc):
     return FilteredComplex(fc.generators, fc.boundary_names)
+
+
+def test_boundary_names_are_read_only():
+    fc = _two_gen_pair()
+    want = converge(fc)
+    with pytest.raises(TypeError):
+        fc.boundary_names["x"] = ()
+    assert all(isinstance(t, tuple) for t in fc.boundary_names.values())
+    assert converge(fc) == want == converge(_copy(fc))
 
 
 def test_validate_matches_dense_oracle():
