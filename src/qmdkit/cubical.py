@@ -24,7 +24,10 @@ Each type's face rows are scattered to its cells' own rows, so a cell's
 faces keep the order lower neighbour first, odd axes ascending.  Open
 axes are first cropped to the mask's bounding box, so the cost follows
 the mask and not the grid; the cell indices are then translated back to
-the full doubled grid, which keeps their sorted order.
+the full doubled grid, which keeps their sorted order.  Periodic axes are
+not cropped there, but ``betti_of_mask`` first cuts each periodic axis
+open at an empty slab of the mask, which gives an isomorphic complex that
+the build does crop.
 
 Homology is taken over GF(2), and a boundary is reduced only where its
 pivots are needed.  Three exact facts give the other ranks:
@@ -297,6 +300,30 @@ def betti(cx: CubicalComplex) -> Tuple[int, ...]:
 
 
 def betti_of_mask(mask: GridMask) -> Tuple[int, ...]:
+    """Betti numbers of the mask's complex, with each periodic axis that the
+    mask leaves an empty slab on cut open there first.
+
+    No cell of the closure lies inside an empty top slab, and the two
+    hyperplanes that bound it carry only faces of the slab on their far
+    side, so no face joins the two sides of the gap.  Rolling the axis
+    until the gap sits at index 0 and calling it open therefore gives an
+    isomorphic complex, which ``build_complex`` crops to the mask like any
+    open axis; the roll starts the largest run of empty slabs (the first
+    on ties) at 0, so the crop drops all of it.
+    """
+    cells, periodic = mask.cells, list(mask.periodic)
+    for a, n in enumerate(mask.dims):
+        if not periodic[a]:
+            continue
+        present = np.flatnonzero(cells.any(axis=tuple(b for b in range(mask.ndim) if b != a)))
+        if len(present) in (0, n):
+            continue
+        # gaps[i] is the step from present[i] to the next present slab
+        gaps = np.diff(present, append=present[0] + n)
+        cells = np.roll(cells, -int(present[np.argmax(gaps)] + 1), axis=a)
+        periodic[a] = False
+    if tuple(periodic) != mask.periodic:
+        mask = GridMask(mask.dims, tuple(periodic), cells)
     return betti(build_complex(mask))
 
 

@@ -10,7 +10,11 @@ values; `gradient_at_nodes` gathers the same stencil at given nodes only,
 for callers whose work is local to a box.  The Hessian stencil is written
 once, in `hessian_at_nodes`, which gathers it at a given array of nodes
 only; `hessian` is that gather at every stencil-valid node and
-`hessian_at` the gather at one node.
+`hessian_at` the gather at one node.  Both gathers read the raveled
+values by flat index: each node's index is computed once, and each
+stencil point is that index plus one flat step per axis and sign (a
+constant +-stride on an open axis, a per-node wrapped step on a periodic
+one), so no coordinate array is formed per stencil offset.
 `eig_sym` is numpy.linalg.eigh behind square/symmetric checks.
 """
 
@@ -150,25 +154,35 @@ def gradient(field: ScalarField) -> Tuple[np.ndarray, np.ndarray]:
     return grad, valid
 
 
+def _flat_stencil(field: ScalarField, nodes: np.ndarray):
+    """Flat index of each of the (n, d) stencil-valid `nodes` into the
+    values, and per axis the flat steps (up, down) to (node +- e_a) % dims.
+
+    On an open axis the steps are +-stride, one integer for every node,
+    since a stencil-valid node is not on that axis's boundary; on a
+    periodic axis they are per-node arrays that wrap."""
+    nodes = np.asarray(nodes, dtype=np.intp).reshape(-1, field.ndim) % field.dims
+    strides = np.cumprod((1,) + field.dims[:0:-1], dtype=np.intp)[::-1]
+    steps = []
+    for c, n, p, stride in zip(nodes.T, field.dims, field.periodic, strides):
+        steps.append((((c + 1) % n - c) * stride, ((c - 1) % n - c) * stride) if p
+                     else (stride, -stride))
+    return nodes @ strides, steps
+
+
 def gradient_at_nodes(field: ScalarField, nodes: np.ndarray) -> np.ndarray:
     """Central-difference gradients at the given nodes, as an (n, d) array.
 
     `nodes` is an (n, d) integer array of stencil-valid nodes, gathered
-    with (node +- e_a) % dims as in `hessian_at_nodes`.  Each entry is
-    `gradient`'s expression in the same order, so the two agree bit for
-    bit at every stencil-valid node.
+    by flat index as in `hessian_at_nodes`.  Each entry is `gradient`'s
+    expression in the same order, so the two agree bit for bit at every
+    stencil-valid node.
     """
-    v = field.values
-    d = field.ndim
-    nodes = np.asarray(nodes, dtype=np.intp).reshape(-1, d)
-    dims = np.array(field.dims, dtype=np.intp)
-    grad = np.empty((len(nodes), d), dtype=float)
-    for a in range(d):
-        e = np.zeros(d, dtype=np.intp)
-        e[a] = 1
-        fwd = v[tuple(((nodes + e) % dims).T)]
-        bwd = v[tuple(((nodes - e) % dims).T)]
-        grad[:, a] = (fwd - bwd) / (2.0 * field.spacing[a])
+    v = field.values.ravel()
+    flat, steps = _flat_stencil(field, nodes)
+    grad = np.empty((len(flat), field.ndim), dtype=float)
+    for a, (up, down) in enumerate(steps):
+        grad[:, a] = (v[flat + up] - v[flat + down]) / (2.0 * field.spacing[a])
     return grad
 
 
@@ -181,35 +195,25 @@ def hessian_at_nodes(field: ScalarField, nodes: np.ndarray) -> np.ndarray:
     """Central-difference Hessians at the given nodes, as an (n, d, d) stack.
 
     `nodes` is an (n, d) integer array of stencil-valid nodes; stencil
-    values are gathered with (node + offset) % dims, so periodic axes wrap
-    and nodes on an open boundary must be filtered out by the caller.
-    Every entry is the same expression, in the same order, wherever a
-    Hessian is taken, so `hessian` and `hessian_at` agree with it bit for
-    bit.
+    values are gathered by flat index, each node's own plus its flat steps
+    to (node +- e_a) % dims, so periodic axes wrap and nodes on an open
+    boundary must be filtered out by the caller.  Every entry is the same
+    expression, in the same order, wherever a Hessian is taken, so
+    `hessian` and `hessian_at` agree with it bit for bit.
     """
-    v = field.values
+    v = field.values.ravel()
     h = field.spacing
     d = field.ndim
-    nodes = np.asarray(nodes, dtype=np.intp).reshape(-1, d)
-    dims = np.array(field.dims, dtype=np.intp)
-
-    def at(offset) -> np.ndarray:
-        return v[tuple(((nodes + offset) % dims).T)]
-
-    H = np.zeros((len(nodes), d, d), dtype=float)
-    f0 = at(np.zeros(d, dtype=np.intp))
-    for a in range(d):
-        e = np.zeros(d, dtype=np.intp)
-        e[a] = 1
-        H[:, a, a] = (at(e) - 2.0 * f0 + at(-e)) / (h[a] * h[a])
+    flat, steps = _flat_stencil(field, nodes)
+    H = np.zeros((len(flat), d, d), dtype=float)
+    f0 = v[flat]
+    for a, (up, down) in enumerate(steps):
+        H[:, a, a] = (v[flat + up] - 2.0 * f0 + v[flat + down]) / (h[a] * h[a])
     for a in range(d):
         for b in range(a + 1, d):
-            def corner(sa, sb):
-                off = np.zeros(d, dtype=np.intp)
-                off[a], off[b] = sa, sb
-                return at(off)
-
-            val = (corner(1, 1) - corner(1, -1) - corner(-1, 1) + corner(-1, -1))
+            (ua, da), (ub, db) = steps[a], steps[b]
+            val = (v[flat + ua + ub] - v[flat + ua + db] - v[flat + da + ub]
+                   + v[flat + da + db])
             H[:, a, b] = H[:, b, a] = val / (4.0 * h[a] * h[b])
     return H
 

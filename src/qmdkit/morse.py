@@ -33,7 +33,7 @@ than the grid, takes their eigenpairs with one batched numpy.linalg.eigh
 and each node's kernel threshold.  The flattened and minimally
 degenerate rungs share one body that reads both verdicts off one sample
 of f, and `classify` passes it the sample its Morse rungs read: one
-`classify` samples f once, and `check_qmd` samples tau once.
+`classify` samples f once, and `check_qmd` samples tau at most once.
 `index_preserved` gathers only the off-chart blocks of both fields at the
 same nodes.  The kernel tests are batched too: alignment
 with the chart is one SVD over the stack of kernel vectors, and
@@ -41,6 +41,16 @@ transversality one matrix_rank per distinct kernel dimension.  The chart
 terms of tau are built from per-axis arrays, and the thickening's descent
 walks advance together by pointer doubling.  `transverse_negative_index`
 stays per node; `negative_index` is its point-chart case.
+
+A full chart (every axis a chart axis) settles three checks by exact
+facts, so they sample or scan nothing.  tau's Hessian kernel is
+transverse to it at every node: the chart axes span R^n alone, so
+[K | I] has singular values >= 1 whatever the kernel vectors K, and
+`check_qmd` takes no Hessian of tau (also where C has no stencil-valid
+node, where the per-node test passes vacuously).  The Hessian restricted
+to its axes is the Hessian itself, so the minimally degenerate rung's PSD
+test reads the spectra the sample already holds.  And C lies in it, so
+`_require_contained` returns at once.
 """
 
 from __future__ import annotations
@@ -364,6 +374,8 @@ def _check_minimum_on_slice(f: ScalarField, comp: GridMask, chart: SubmanifoldCh
 
 def _require_contained(comp: GridMask, chart: SubmanifoldChart):
     off = list(chart.off_axes(len(comp.dims)))
+    if not off:
+        return
     nodes = np.argwhere(comp.cells)
     outside = (nodes[:, off] != np.array(chart.base, dtype=int)[off]).any(axis=1)
     if outside.any():
@@ -420,8 +432,12 @@ def _chart_rungs(f: ScalarField, crit: CriticalSet, chart: SubmanifoldChart,
     nodes, H, w, V, thresh = sample
     n_neg = np.sum(w < -thresh[:, None], axis=1)
     axes = list(chart.axes)
-    psd_ok = not axes or not bool(np.any(
-        np.linalg.eigh(H[:, axes][:, :, axes])[0].min(axis=1) < -thresh))
+    psd_ok = True
+    if axes:
+        # on the full chart the restricted Hessians are H itself, with spectra w
+        full = chart.axes == tuple(range(f.ndim))
+        w_chart = w if full else np.linalg.eigh(H[:, axes][:, :, axes])[0]
+        psd_ok = not bool(np.any(w_chart.min(axis=1) < -thresh))
 
     def report(label: str, **checks: bool) -> DegeneracyReport:
         details = {"restricted_minimum_on_c": cond_min, **checks}
@@ -463,7 +479,8 @@ def check_qmd(f: ScalarField, tau: ScalarField, crit: CriticalSet,
               chart: SubmanifoldChart, tols: Tolerances,
               strict: bool = False, component: int = 0) -> DegeneracyReport:
     """tau >= 0 vanishing exactly on C, kernel transversality, f - tau
-    flattened, each a report detail; ChartError if C leaves the chart."""
+    flattened, each a report detail; ChartError if C leaves the chart.
+    Transversality to a full chart holds without sampling tau."""
     f.require_same_grid(tau)
     comp = crit.components[component]
     report = DegeneracyReport("unclassified")
@@ -476,9 +493,12 @@ def check_qmd(f: ScalarField, tau: ScalarField, crit: CriticalSet,
     report.details["tau_zero_set_equals_c"] = bool(
         np.array_equal(zero_set, comp.cells & valid))
 
-    _, _, w, V, thresh = _spectra(tau, comp, tols.eig_tol)
-    report.details["tau_kernel_transverse_to_chart"] = _kernel_transverse(
-        np.abs(w) < thresh[:, None], V, chart.axes)
+    # the full chart's axes span R^n alone: [K | I] has singular values >= 1
+    transverse = chart.axes == tuple(range(f.ndim))
+    if not transverse:
+        _, _, w, V, thresh = _spectra(tau, comp, tols.eig_tol)
+        transverse = _kernel_transverse(np.abs(w) < thresh[:, None], V, chart.axes)
+    report.details["tau_kernel_transverse_to_chart"] = transverse
 
     flat = check_flattened_degenerate(f.sub(tau), crit, chart, tols,
                                       strict=strict, component=component)

@@ -57,6 +57,11 @@ class DescriptorError(ValueError):
     """A descriptor piece with a bad value or an unknown or duplicate name."""
 
 
+# most generators one piece's Betti numbers may expand into; far above any
+# real descriptor, it stops a huge Betti number before any name is built
+MAX_GENERATORS = 10 ** 6
+
+
 @dataclass(frozen=True)
 class Generator:
     name: str
@@ -310,8 +315,9 @@ def converge(fc: FilteredComplex) -> Tuple[int, Page]:
 
 @dataclass(frozen=True)
 class QMDPiece:
-    """One piece of a descriptor: a finite real action (not a bool), an
-    integer iota, and Betti numbers or a local complex.  The walk that
+    """One piece of a descriptor: a string name, a finite real action (not
+    a bool), an integer iota, and Betti numbers (at most MAX_GENERATORS in
+    all) or a local complex with string generator names.  The walk that
     validates it also fills `generators`, its (name, total degree) pairs,
     and `boundary`, its local differential: names take the prefix
     ``<piece>/`` (b_m gives ``h<m>.0``, ``h<m>.1``, ...) and degrees shift
@@ -326,6 +332,7 @@ class QMDPiece:
     boundary: Dict[str, Tuple[str, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _require_str(self.name, "piece name")
         if (self.betti is None) == (self.local_complex is None):
             raise DescriptorError(f"piece {self.name}: provide exactly one of betti "
                                   f"or local_complex")
@@ -340,6 +347,9 @@ class QMDPiece:
             if any(b < 0 for b in betti):
                 raise DescriptorError(f"piece {self.name}: betti numbers must be >= 0, "
                                       f"got {list(betti)}")
+            if sum(betti) > MAX_GENERATORS:
+                raise DescriptorError(f"piece {self.name}: Betti numbers expand into more "
+                                      f"than {MAX_GENERATORS} generators")
             object.__setattr__(self, "betti", betti)
             gens = [(f"{self.name}/h{m}.{i}", m + self.iota)
                     for m, b in enumerate(betti) for i in range(b)]
@@ -351,6 +361,7 @@ class QMDPiece:
                                       f"whose boundary maps names to lists")
             rename, gens = {}, []
             for g in frag["generators"]:
+                _require_str(g["name"], f"piece {self.name}: generator name")
                 degree = _require_int(g["degree"], f"piece {self.name}: degree of {g['name']}")
                 rename[g["name"]] = f"{self.name}/{g['name']}"
                 gens.append((rename[g["name"]], degree + self.iota))
@@ -373,6 +384,11 @@ def _require_int(value, what: str) -> int:
     return int(value)
 
 
+def _require_str(value, what: str) -> None:
+    if not isinstance(value, str):
+        raise DescriptorError(f"{what} must be a string, got {value!r}")
+
+
 @dataclass(frozen=True)
 class QMDDescriptor:
     pieces: Tuple[QMDPiece, ...]
@@ -386,6 +402,8 @@ class QMDDescriptor:
                     raise DescriptorError(f"generator name {name} is used twice")
                 seen.add(name)
         for src, dst in self.cross_terms:
+            _require_str(src, "cross term name")
+            _require_str(dst, "cross term name")
             if src not in seen or dst not in seen:
                 raise DescriptorError(f"cross term {src} -> {dst} names unknown generators")
 
@@ -406,13 +424,13 @@ class QMDDescriptor:
         pieces = []
         for entry in data["pieces"]:
             pieces.append(QMDPiece(
-                name=str(entry["name"]),
+                name=entry["name"],
                 action=entry["action"],
                 iota=entry["iota"],
                 betti=tuple(entry["betti"]) if "betti" in entry else None,
                 local_complex=entry.get("complex"),
             ))
-        cross = tuple((str(c["from"]), str(c["to"]))
+        cross = tuple((c["from"], c["to"])
                       for c in data.get("cross_terms", ()))
         return cls(tuple(pieces), cross)
 

@@ -48,6 +48,10 @@ gradient per step, with no filter.
 ``oracle_kernel_transverse`` are the per-node kernel tests (one SVD or one
 ``matrix_rank`` per node) that the checkers ran before they were batched.
 
+``oracle_hessian_at_nodes`` and ``oracle_gradient_at_nodes`` are the node
+gathers of ``qmdkit.fields`` before they read the values by flat index: one
+((nodes + offset) % dims) coordinate gather per stencil offset.
+
 ``oracle_connected_components`` is the depth-first labelling that
 ``qmdkit.morse.connected_components`` ran before its union-find, and
 ``oracle_axis_interval`` the per-index loop over a periodic axis that
@@ -1040,6 +1044,40 @@ def oracle_isolation_scan(f: ScalarField, tau: ScalarField, crit: CriticalSet,
     in_chart = chart.slice_mask(f.dims)
     report.t1_contained_in_chart = bool((near_end <= in_chart).all())
     return report
+
+
+# -- stencil gathers by wrapped coordinates --------------------------------------------
+
+
+def _oracle_at(field: ScalarField, nodes: np.ndarray, offset) -> np.ndarray:
+    nodes = np.asarray(nodes, dtype=np.intp).reshape(-1, field.ndim)
+    return field.values[tuple(((nodes + offset) % np.array(field.dims, dtype=np.intp)).T)]
+
+
+def oracle_gradient_at_nodes(field: ScalarField, nodes: np.ndarray) -> np.ndarray:
+    d = field.ndim
+    grad = np.empty((len(np.reshape(nodes, (-1, d))), d), dtype=float)
+    for a, e in enumerate(np.eye(d, dtype=np.intp)):
+        grad[:, a] = ((_oracle_at(field, nodes, e) - _oracle_at(field, nodes, -e))
+                      / (2.0 * field.spacing[a]))
+    return grad
+
+
+def oracle_hessian_at_nodes(field: ScalarField, nodes: np.ndarray) -> np.ndarray:
+    h, d = field.spacing, field.ndim
+    eye = np.eye(d, dtype=np.intp)
+    f0 = _oracle_at(field, nodes, 0 * eye[0])
+    H = np.zeros((len(f0), d, d), dtype=float)
+    for a in range(d):
+        H[:, a, a] = ((_oracle_at(field, nodes, eye[a]) - 2.0 * f0
+                       + _oracle_at(field, nodes, -eye[a])) / (h[a] * h[a]))
+        for b in range(a + 1, d):
+            def corner(sa, sb):
+                return _oracle_at(field, nodes, sa * eye[a] + sb * eye[b])
+
+            val = corner(1, 1) - corner(1, -1) - corner(-1, 1) + corner(-1, -1)
+            H[:, a, b] = H[:, b, a] = val / (4.0 * h[a] * h[b])
+    return H
 
 
 # -- component labelling by depth-first search ------------------------------------

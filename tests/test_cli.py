@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -201,6 +202,50 @@ def test_specseq_rejects_malformed_descriptor(case, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+def _named_descriptor(position, name):
+    """A valid descriptor, cross term a/e -> b/h0.0 included, with `name`
+    put in one of its four name positions."""
+    piece_a = _piece("a", 1.0, complex={"generators": [_V, _E], "boundary": {}})
+    piece_b = _piece("b", 0.0, betti=[1])
+    term = {"from": "a/e", "to": "b/h0.0"}
+    if position == "piece":
+        piece_b["name"] = name
+    elif position == "generator":
+        piece_a["complex"]["generators"][1] = {"name": name, "degree": 1}
+    else:
+        term[position] = name
+    return {"pieces": [piece_a, piece_b], "cross_terms": [term]}
+
+
+NON_STRING_NAMES = {"null": None, "list": ["b"], "int": 5, "bool": True}
+
+
+@pytest.mark.parametrize("value", sorted(NON_STRING_NAMES))
+@pytest.mark.parametrize("position", ["piece", "generator", "from", "to"])
+def test_specseq_rejects_non_string_names(position, value, tmp_path, capsys):
+    path = _write(tmp_path, "d.json", _named_descriptor(position, NON_STRING_NAMES[value]))
+    assert main(["specseq", "--descriptor", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert "must be a string" in captured.err
+
+
+def test_specseq_accepts_the_string_named_descriptor(tmp_path, capsys):
+    path = _write(tmp_path, "d.json", _named_descriptor("piece", "b"))
+    assert main(["specseq", "--descriptor", path]) == 0
+    assert json.loads(capsys.readouterr().out)["total_homology"] == {"0": 1, "1": 0}
+
+
+def test_specseq_rejects_a_huge_betti_number_at_once(tmp_path, capsys):
+    path = _write(tmp_path, "d.json", {"pieces": [_piece("a", 0.0, betti=[1, 10 ** 400])]})
+    start = time.perf_counter()
+    assert main(["specseq", "--descriptor", path]) == 2
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == "" and "generators" in captured.err
 
 
 def _quarter_turn_paths(tmp_path):

@@ -5,10 +5,10 @@ directory and passed to ``analyze``, ``flatten`` and ``maslov`` together
 with nan, +-inf, zero, negative and out-of-grid arguments, and spacings of
 1e300 and 1e-300.  Small descriptors go to ``specseq`` with ``--pages``
 and ``--cutoff``; now and then a value in them is a string, a boolean,
-null, a nested list or nan, an action has 400 digits, a name is unknown
-or used twice, or a boundary is not a list.  Every run must return exit
-code 0, 1 or 2 without an exception escaping, print no NaN or Infinity,
-and print the same stdout when repeated.
+null, a nested list or nan, an action or a Betti number has 400 digits,
+a name is unknown or used twice, or a boundary is not a list.  Every run
+must return exit code 0, 1 or 2 without an exception escaping, print no
+NaN or Infinity, and print the same stdout when repeated.
 """
 
 import contextlib
@@ -178,8 +178,11 @@ def pieces(draw, name):
                                     st.one_of(HOSTILE_VALUES, st.just(10 ** 400)))),
              "iota": draw(_mostly(st.integers(-1, 2)))}
     if draw(st.booleans()):
-        # Betti numbers stay small: a piece expands b_m into b_m generators
-        entry["betti"] = draw(_mostly(st.lists(_mostly(st.integers(0, 2)), max_size=3)))
+        # a piece expands b_m into b_m generators, so usable Betti numbers
+        # stay small; a 400-digit one must be refused before any is named
+        entry["betti"] = draw(_mostly(st.lists(
+            _mostly(st.integers(0, 2), st.one_of(HOSTILE_VALUES, st.just(10 ** 400))),
+            max_size=3)))
     else:
         gens = st.fixed_dictionaries({"name": _mostly(st.sampled_from(LOCAL_NAMES[:3])),
                                       "degree": _mostly(st.integers(0, 1))})

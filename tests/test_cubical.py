@@ -403,3 +403,43 @@ def test_whole_three_torus_at_32_cubed():
 
 def test_torus_with_one_hole_at_128_squared():
     assert betti_of_mask(_holed((128, 128), (True, True), [np.s_[40:50, 60:75]])) == (1, 2, 0)
+
+
+def test_betti_of_mask_cuts_periodic_axes_open_at_a_gap():
+    """``betti_of_mask`` equals ``betti`` of the periodic complex and the
+    reduction oracle on random 1-D to 4-D masks whose periodic axes have
+    runs of empty slabs (some across the seam) or none."""
+    rng = np.random.default_rng(SEED + 43)
+    max_side = {1: 9, 2: 7, 3: 5, 4: 3}
+    seen = set()
+    for trial in range(200):
+        ndim = 1 + trial % 4
+        dims = tuple(int(n) for n in rng.integers(1, max_side[ndim] + 1, ndim))
+        periodic = tuple(bool(p) for p in rng.random(ndim) < 0.7)
+        cells = rng.random(dims) < rng.uniform(0.3, 1.0)
+        for a in range(ndim):
+            if rng.random() < 0.5:
+                run = (int(rng.integers(dims[a])) + np.arange(rng.integers(dims[a]))) % dims[a]
+                cells[(slice(None),) * a + (run,)] = False
+        cells.flat[int(rng.integers(cells.size))] = True
+        mask = GridMask(dims, periodic, cells)
+        gaps = [p and not cells.any(axis=tuple(b for b in range(ndim) if b != a)).all()
+                for a, p in enumerate(periodic)]
+        seen.add(any(gaps))
+        cx = build_complex(mask)
+        assert betti_of_mask(mask) == betti(cx) == oracle_reduction_betti(cx), mask
+    assert seen == {False, True}
+
+
+def test_small_mask_in_a_large_torus_is_cut_open(monkeypatch):
+    """A 3x5 ring across the seam of a 256^2 torus is built on open axes."""
+    cells = np.zeros((256, 256), dtype=bool)
+    cells[np.ix_([255, 0, 1], range(100, 105))] = True
+    cells[0, 102] = False
+    mask = GridMask((256, 256), (True, True), cells)
+    built = []
+    monkeypatch.setattr(cubical, "build_complex",
+                        lambda m: built.append(m.periodic) or build_complex(m))
+    cx = build_complex(mask)
+    assert betti_of_mask(mask) == betti(cx) == oracle_reduction_betti(cx) == (1, 1, 0)
+    assert built == [(False, False)]

@@ -9,7 +9,7 @@ from qmdkit.fields import (BoundaryNodeError, GridMismatchError, ScalarField,
                            gradient_at_nodes, hessian, hessian_at,
                            hessian_at_nodes, stencil_mask)
 
-from _oracles import sturm_eigenvalues
+from _oracles import oracle_gradient_at_nodes, oracle_hessian_at_nodes, sturm_eigenvalues
 
 SEED = int(os.environ.get("QMD_SEED", "0"))
 
@@ -85,24 +85,47 @@ def test_periodic_axis_has_no_boundary():
     assert H.shape == (1, 1)
 
 
-def test_hessian_field_matches_hessian_at_bit_for_bit():
-    # random 1-D to 4-D grids, axes of size 1 to 6, mixed periodicity
-    rng = np.random.default_rng(SEED)
-    for _ in range(120):
+def _gather_grids(rng):
+    """Random 1-D to 4-D grids, axes of size 1 to 6 and mixed periodicity;
+    every fourth has periodic axes of size 1 or 2, whose stencils meet the
+    node itself.  Asserts that 4-D grids with mixed axes, periodic axes of
+    size 1 and 2 and grids with no stencil-valid node all occur."""
+    seen = set()
+    for i in range(120):
         d = int(rng.integers(1, 5))
-        dims = tuple(int(n) for n in rng.integers(1, 7, d))
         periodic = tuple(bool(p) for p in rng.integers(0, 2, d))
+        dims = tuple(int(n) for n in rng.integers(1, 7, d))
+        if i % 4 == 0:
+            dims = tuple(int(rng.choice([1, 2])) if p else n
+                         for n, p in zip(dims, periodic))
         spacing = tuple(float(h) for h in rng.uniform(0.1, 2.0, d))
         f = ScalarField(dims, spacing, periodic, rng.normal(size=dims))
+        seen.update(n for n, p in zip(dims, periodic) if p)
+        if d == 4 and len(set(periodic)) == 2:
+            seen.add("4-D mixed")
+        if not stencil_mask(f).any():
+            seen.add("no valid node")
+        yield f
+    assert {1, 2, "4-D mixed", "no valid node"} <= seen
+
+
+def test_hessian_field_matches_hessian_at_bit_for_bit():
+    """`hessian`, `hessian_at` and the flat-index gather agree with each
+    other and with the coordinate gather they replaced, at any node order
+    and on an empty node array."""
+    for f in _gather_grids(np.random.default_rng(SEED)):
+        d = f.ndim
         H, valid = hessian(f)
-        assert H.shape == dims + (d, d)
+        assert H.shape == f.dims + (d, d)
         assert np.array_equal(valid, stencil_mask(f))
         assert not H[~valid].any()
         nodes = np.argwhere(valid)
         G = hessian_at_nodes(f, nodes)
         assert G.shape == (len(nodes), d, d)
+        assert G.tobytes() == oracle_hessian_at_nodes(f, nodes).tobytes()
         assert np.array_equal(G, H[valid])
         assert np.array_equal(hessian_at_nodes(f, nodes[::-1]), G[::-1])
+        assert hessian_at_nodes(f, np.zeros((0, d), dtype=int)).shape == (0, d, d)
         for node, Hn in zip(map(tuple, nodes), G):
             assert np.array_equal(Hn, hessian_at(f, node))
 
@@ -150,27 +173,17 @@ def test_gradient_of_linear_field_is_exact():
 
 
 def test_gradient_at_nodes_matches_gradient_bit_for_bit():
-    # random 1-D to 4-D grids with open and periodic axes; every fourth has
-    # periodic axes of size 1 or 2, whose stencils meet the node itself
-    rng = np.random.default_rng(SEED)
-    sizes = set()
-    for i in range(120):
-        d = int(rng.integers(1, 5))
-        periodic = tuple(bool(p) for p in rng.integers(0, 2, d))
-        dims = tuple(int(n) for n in rng.integers(1, 7, d))
-        if i % 4 == 0:
-            dims = tuple(int(rng.choice([1, 2])) if p else n
-                         for n, p in zip(dims, periodic))
-        sizes.update(n for n, p in zip(dims, periodic) if p)
-        spacing = tuple(float(h) for h in rng.uniform(0.1, 2.0, d))
-        f = ScalarField(dims, spacing, periodic, rng.normal(size=dims))
+    """The flat-index gather equals `gradient` and the coordinate gather it
+    replaced, at any node order and on an empty node array."""
+    for f in _gather_grids(np.random.default_rng(SEED + 1)):
         grad, valid = gradient(f)
         nodes = np.argwhere(valid)
         G = gradient_at_nodes(f, nodes)
-        assert G.shape == (len(nodes), d)
+        assert G.shape == (len(nodes), f.ndim)
         assert G.tobytes() == grad[valid].tobytes()
+        assert G.tobytes() == oracle_gradient_at_nodes(f, nodes).tobytes()
         assert gradient_at_nodes(f, nodes[::-1]).tobytes() == G[::-1].tobytes()
-    assert {1, 2} <= sizes
+        assert gradient_at_nodes(f, np.zeros((0, f.ndim), dtype=int)).shape == (0, f.ndim)
 
 
 def test_c1_distance_to_self_is_zero():

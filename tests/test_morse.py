@@ -545,6 +545,28 @@ def test_classify_with_chart_gathers_hessians_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("axes,gathers", [((0, 1), 1), ((0,), 2), ((), 2)])
+def test_check_qmd_samples_tau_off_the_full_chart_only(axes, gathers, monkeypatch):
+    """A full chart settles tau's kernel transversality without tau's
+    Hessians; only f - tau is sampled.  Reports match the oracle."""
+    from qmdkit import morse
+    calls = []
+    gather = morse.hessian_at_nodes
+
+    def counted(field, nodes):
+        calls.append(len(nodes))
+        return gather(field, nodes)
+
+    f, tau = field_saddle(), tau_saddle()
+    crit = detect_critical_set(f, TOLS.grad_tol)
+    chart = SubmanifoldChart(axes, (16, 16))
+    expected = oracle_check_qmd(f, tau, crit, chart, TOLS).to_json()
+    monkeypatch.setattr(morse, "hessian_at_nodes", counted)
+    report = check_qmd(f, tau, crit, chart, TOLS)
+    assert report.to_json() == expected
+    assert len(calls) == gathers
+
+
 # -- batched Hessians and vectorized chart terms against the per-node code -------
 
 
