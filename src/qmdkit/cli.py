@@ -26,7 +26,7 @@ import numpy as np
 from . import catalog
 from .fields import (GridMismatchError, ScalarField, c1_distance,
                      check_difference_range, default_grad_tol)
-from .maslov import LagrangianLinePath, NonRegularCrossingError, PathError, maslov
+from .maslov import LagrangianLinePath, NonRegularCrossingError, maslov
 from .morse import (ChartError, DescentEscapeError, NoCriticalPointsError,
                     RegularValueError, SubmanifoldChart, Tolerances,
                     classify, detect_critical_set, flatten, verify_thickening)
@@ -50,22 +50,35 @@ class DomainFailure(Exception):
     pass
 
 
-def _load_json(path: str) -> dict:
+def _read_input(path: str, what: str, parse):
+    """``parse`` applied to the JSON object in the file at ``path``.  A file
+    that cannot be read or decoded is a usage error, and so is one whose top
+    level is no object, that lacks a key or that ``parse`` rejects; these
+    name ``what`` and the path."""
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            data = json.load(fh)
+    # ValueError: bad JSON or bad UTF-8; RecursionError: arrays nested too deep
+    except (OSError, ValueError, RecursionError) as exc:
         raise UsageFailure(f"cannot read {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise UsageFailure(f"bad {what} {path}: expected a JSON object")
+    try:
+        return parse(data)
+    except KeyError as exc:
+        raise UsageFailure(f"bad {what} {path}: missing key {exc.args[0]!r}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UsageFailure(f"bad {what} {path}: {exc}") from exc
+
+
+def _parse_field(data: dict) -> ScalarField:
+    field = ScalarField.from_json(data)
+    check_difference_range(field)
+    return field
 
 
 def _load_field(path: str) -> ScalarField:
-    data = _load_json(path)
-    try:
-        field = ScalarField.from_json(data)
-        check_difference_range(field)
-        return field
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageFailure(f"bad field file {path}: {exc}") from exc
+    return _read_input(path, "field file", _parse_field)
 
 
 def _dumps(payload: dict) -> str:
@@ -239,11 +252,7 @@ def cmd_specseq(args) -> int:
             raise UsageFailure("--pages takes 'all' or a page number") from exc
         if only < 1:
             raise UsageFailure("--pages must be >= 1")
-    data = _load_json(args.descriptor)
-    try:
-        desc = QMDDescriptor.from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageFailure(f"bad descriptor: {exc}") from exc
+    desc = _read_input(args.descriptor, "descriptor file", QMDDescriptor.from_json)
     if args.cutoff is not None:
         if not math.isfinite(args.cutoff):
             raise UsageFailure("--cutoff must be a finite action")
@@ -278,11 +287,8 @@ _GRADING_NOTE = ("p = piece rank in action order; a local degree-m class of "
 
 
 def cmd_maslov(args) -> int:
-    try:
-        a = LagrangianLinePath.from_json(_load_json(args.path_a))
-        b = LagrangianLinePath.from_json(_load_json(args.path_b))
-    except (KeyError, TypeError, OverflowError, PathError) as exc:
-        raise UsageFailure(f"bad path file: {exc}") from exc
+    a = _read_input(args.path_a, "--path-a file", LagrangianLinePath.from_json)
+    b = _read_input(args.path_b, "--path-b file", LagrangianLinePath.from_json)
     try:
         idx = maslov(a, b, tol=args.tol)
     except NonRegularCrossingError as exc:

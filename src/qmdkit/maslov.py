@@ -13,13 +13,16 @@ rejected rather than silently perturbed.
 
 All indices are exact fractions with denominator 1 or 2.
 
-Cost: a pair with n merged breakpoints takes one sort of the merged
-breakpoints (``np.union1d``), a few linear numpy passes over them (the
-difference, slopes, near-integer and tangential tests, the integer levels
-of each segment) and one ``CrossingRecord`` per crossing found.  Building
-a path from angles is linear too: the lift is a running sum checked
-against the step rule, with a Python step per breakpoint only from the
-first half-turn tie that the sum resolves the other way.
+Cost: a path holds its breakpoints and lift once, as read-only float64
+arrays, which every pass reads as they are.  A pair with n merged
+breakpoints takes one sort of the merged breakpoints (``np.union1d``), a
+few linear numpy passes over them (the difference, slopes, near-integer
+and tangential tests, the integer levels of each segment) and one sort of
+the crossings found.  ``maslov`` sums the crossing signs from those
+arrays; only ``crossings`` builds one ``CrossingRecord`` per crossing.
+Building a path from angles is linear too: the lift is a running sum
+checked against the step rule, with a Python step per breakpoint only
+from the first half-turn tie that the sum resolves the other way.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -40,7 +43,7 @@ class PathError(ValueError):
     pass
 
 
-def _continuous_lift(raw_pi_units: Sequence[float]) -> List[float]:
+def _continuous_lift(raw_pi_units: Sequence[float]) -> np.ndarray:
     """Resolve mod-1 jumps by picking the representative nearest the previous value.
 
     Step i shifts u[i] by round(lift[i-1] - u[i]).  The running sum of
@@ -55,44 +58,60 @@ def _continuous_lift(raw_pi_units: Sequence[float]) -> List[float]:
     lift = np.concatenate((u[:1], u[1:] + shift))
     wrong = np.flatnonzero(np.round(lift[:-1] - u[1:]) != shift)
     if not wrong.size:
-        return lift.tolist()
+        return lift
     out = lift[:wrong[0] + 1].tolist()
     for v in u[wrong[0] + 1:].tolist():
         out.append(v + round(out[-1] - v))
-    return out
+    return np.array(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LagrangianLinePath:
-    """Piecewise-linear path of lines, lift stored in units of pi."""
-    times: Tuple[float, ...]
-    lift: Tuple[float, ...]
+    """Piecewise-linear path of lines, lift stored in units of pi.
+
+    ``times`` and ``lift`` are read-only 1-D float64 arrays, copied from
+    the input (never a view of the caller's array)."""
+    times: np.ndarray
+    lift: np.ndarray
 
     def __post_init__(self):
-        times = tuple(map(float, self.times))
-        lift = tuple(map(float, self.lift))
+        times = np.array(self.times, dtype=float)    # a copy: never a view
+        lift = np.array(self.lift, dtype=float)
+        if times.ndim != 1 or lift.ndim != 1:
+            raise PathError("times and angles must be 1-D sequences of numbers")
         if len(times) != len(lift) or len(times) < 2:
             raise PathError("need matching times and angles, at least two samples")
-        t = np.array(times)
-        if not (np.isfinite(t).all() and np.isfinite(lift).all()):
+        if not (np.isfinite(times).all() and np.isfinite(lift).all()):
             raise PathError("times and angles must be finite")
-        if not (t[1:] > t[:-1]).all():
+        if not (times[1:] > times[:-1]).all():
             raise PathError("times must be strictly increasing")
         if times[0] != 0.0 or times[-1] != 1.0:
             raise PathError("paths are parameterized over [0, 1]")
+        times.flags.writeable = False
+        lift.flags.writeable = False
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "lift", lift)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LagrangianLinePath):
+            return NotImplemented
+        return (np.array_equal(self.times, other.times)
+                and np.array_equal(self.lift, other.lift))
+
+    def __hash__(self):
+        # + 0.0 turns -0.0 into 0.0, which it equals
+        return hash(((self.times + 0.0).tobytes(), (self.lift + 0.0).tobytes()))
 
     @classmethod
     def from_angles(cls, times: Sequence[float], angles_rad: Sequence[float]) -> "LagrangianLinePath":
         angles = np.asarray(angles_rad, dtype=float)
         if not np.isfinite(angles).all():
             raise PathError("angles must be finite")
-        return cls(tuple(times), tuple(_continuous_lift(angles / math.pi)))
+        return cls(times, _continuous_lift(angles / math.pi))
 
     @classmethod
     def from_pi_units(cls, times: Sequence[float], lift: Sequence[float]) -> "LagrangianLinePath":
-        return cls(tuple(times), tuple(float(u) for u in lift))
+        return cls(times, lift)
 
     @classmethod
     def constant(cls, angle_rad: float) -> "LagrangianLinePath":
@@ -103,31 +122,26 @@ class LagrangianLinePath:
         return float(_values_at(self, np.array([t], dtype=float))[0])
 
     def reverse(self) -> "LagrangianLinePath":
-        times = tuple(1.0 - t for t in reversed(self.times))
-        return LagrangianLinePath(times, tuple(reversed(self.lift)))
+        return LagrangianLinePath(1.0 - self.times[::-1], self.lift[::-1])
 
     def refine(self, k: int) -> "LagrangianLinePath":
         """Subdivide each segment into k equal pieces (same geometric path)."""
-        times: List[float] = []
-        lift: List[float] = []
-        for i in range(len(self.times) - 1):
-            for j in range(k):
-                s = j / k
-                times.append(self.times[i] * (1 - s) + self.times[i + 1] * s)
-                lift.append(self.lift[i] * (1 - s) + self.lift[i + 1] * s)
-        times.append(self.times[-1])
-        lift.append(self.lift[-1])
-        return LagrangianLinePath(tuple(times), tuple(lift))
+        s = np.arange(k) / k
+
+        def subdivide(x):
+            return np.append((x[:-1, None] * (1 - s) + x[1:, None] * s).ravel(), x[-1])
+        return LagrangianLinePath(subdivide(self.times), subdivide(self.lift))
 
     def reparameterize(self, new_times: Sequence[float]) -> "LagrangianLinePath":
-        new_times = tuple(float(t) for t in new_times)
+        new_times = np.asarray(new_times, dtype=float)
         if len(new_times) != len(self.times):
             raise PathError("reparameterization must keep the sample count")
         return LagrangianLinePath(new_times, self.lift)
 
     def to_json(self) -> dict:
-        return {"times": list(self.times),
-                "angles": [(u % 1.0) * math.pi for u in self.lift]}
+        # tolist: the JSON holds Python floats, the only numbers from_json reads
+        return {"times": self.times.tolist(),
+                "angles": ((self.lift % 1.0) * math.pi).tolist()}
 
     @classmethod
     def from_json(cls, data: dict) -> "LagrangianLinePath":
@@ -138,7 +152,7 @@ class LagrangianLinePath:
         # fails on a nested list with a bare ValueError
         if not {int, float}.issuperset(map(type, times + angles)):
             raise PathError("times and angles must be arrays of numbers")
-        return cls.from_angles(times, angles)
+        return cls.from_angles(np.array(times, dtype=float), np.array(angles, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -156,7 +170,7 @@ _HALVES = {v: Fraction(v, 2) for v in range(-2, 3)}
 
 def _values_at(g: LagrangianLinePath, ts: np.ndarray) -> np.ndarray:
     """The lift at every time of ``ts``, linear between breakpoints."""
-    times, lift = np.asarray(g.times), np.asarray(g.lift)
+    times, lift = g.times, g.lift
     i = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, len(times) - 2)
     t0, t1, u0, u1 = times[i], times[i + 1], lift[i], lift[i + 1]
     return u0 + (u1 - u0) * (ts - t0) / (t1 - t0)
@@ -170,16 +184,9 @@ def _merged_difference(g: LagrangianLinePath, g2: LagrangianLinePath):
 
 # inf slopes (from tiny time steps) are valid and compare as the floats did
 @np.errstate(all="ignore")
-def crossings(g: LagrangianLinePath, g2: LagrangianLinePath,
-              tol: float = 1e-9) -> List[CrossingRecord]:
-    """Crossing records of the pair, or NonRegularCrossingError.
-
-    The pair crosses wherever the lifted angle difference passes through
-    an integer (the lines coincide there).  A path pair whose difference
-    is identically one integer never leaves the diagonal and reports no
-    crossings at all (constant intersection dimension).  A difference that
-    is not finite (lifts near the float range) raises PathError.
-    """
+def _crossing_arrays(g: LagrangianLinePath, g2: LagrangianLinePath, tol: float):
+    """The pair's crossings as arrays (time, endpoint, sign_in, sign_out),
+    sorted by time, or the error ``crossings`` raises."""
     times, diff = _merged_difference(g, g2)
     if not np.isfinite(diff).all():
         raise PathError("the lifted angle difference of the pair is not finite")
@@ -192,7 +199,8 @@ def crossings(g: LagrangianLinePath, g2: LagrangianLinePath,
     if near_int.all() and flat.all():
         if np.unique(np.round(diff)).size != 1:
             raise NonRegularCrossingError("difference hops between integer levels")
-        return []
+        none = np.zeros(0, int)
+        return times[:0], np.zeros(0, bool), none, none
 
     # breakpoint crossings, with the one-sided slopes in and out; the ends
     # of [0, 1] miss one side
@@ -218,21 +226,35 @@ def crossings(g: LagrangianLinePath, g2: LagrangianLinePath,
     seg, k, d0, s = seg[interior], k[interior], d0[interior], s[interior]
     t_star = times[seg] + (k - d0) / s
 
-    # stable, so equal times keep breakpoint records before interior ones
+    # stable, so equal times keep breakpoint crossings before interior ones
     time = np.concatenate((times[at], t_star))
     order = np.argsort(time, kind="stable")
     endpoint = np.concatenate(((at == 0) | (at == m), np.zeros(len(seg), bool)))
     sign_in = np.concatenate((np.append(0, sign)[at], sign[seg]))
     sign_out = np.concatenate((np.append(sign, 0)[at], sign[seg]))
+    return time[order], endpoint[order], sign_in[order], sign_out[order]
+
+
+def crossings(g: LagrangianLinePath, g2: LagrangianLinePath,
+              tol: float = 1e-9) -> List[CrossingRecord]:
+    """Crossing records of the pair, or NonRegularCrossingError.
+
+    The pair crosses wherever the lifted angle difference passes through
+    an integer (the lines coincide there).  A path pair whose difference
+    is identically one integer never leaves the diagonal and reports no
+    crossings at all (constant intersection dimension).  A difference that
+    is not finite (lifts near the float range) raises PathError.
+    """
+    time, endpoint, sign_in, sign_out = _crossing_arrays(g, g2, tol)
     return [CrossingRecord(t, e, si, so, _HALVES[si + so]) for t, e, si, so in
-            zip(time[order].tolist(), endpoint[order].tolist(),
-                sign_in[order].tolist(), sign_out[order].tolist())]
+            zip(time.tolist(), endpoint.tolist(), sign_in.tolist(), sign_out.tolist())]
 
 
 def maslov(g: LagrangianLinePath, g2: LagrangianLinePath,
            tol: float = 1e-9) -> Fraction:
     """Relative index: signed interior crossings plus half endpoint crossings."""
-    return Fraction(sum(r.sign_in + r.sign_out for r in crossings(g, g2, tol)), 2)
+    _, _, sign_in, sign_out = _crossing_arrays(g, g2, tol)
+    return Fraction(int(sign_in.sum() + sign_out.sum()), 2)
 
 
 def concat(g1: LagrangianLinePath, g2: LagrangianLinePath,
@@ -242,9 +264,9 @@ def concat(g1: LagrangianLinePath, g2: LagrangianLinePath,
     k = round(gap)
     if abs(gap - k) > tol:
         raise PathError("concatenation endpoints are distinct lines")
-    times = [0.5 * t for t in g1.times] + [0.5 + 0.5 * t for t in g2.times[1:]]
-    lift = list(g1.lift) + [u + k for u in g2.lift[1:]]
-    return LagrangianLinePath(tuple(times), tuple(lift))
+    times = np.concatenate((0.5 * g1.times, 0.5 + 0.5 * g2.times[1:]))
+    lift = np.concatenate((g1.lift, g2.lift[1:] + float(k)))
+    return LagrangianLinePath(times, lift)
 
 
 def conjugate(g: LagrangianLinePath, m: np.ndarray,
@@ -259,10 +281,10 @@ def conjugate(g: LagrangianLinePath, m: np.ndarray,
     if m.shape != (2, 2) or abs(float(np.linalg.det(m)) - 1.0) > tol:
         raise ValueError("conjugation requires a 2x2 matrix of determinant 1")
     raw = []
-    for u in g.lift:
+    for u in g.lift.tolist():
         v = m @ np.array([math.cos(u * math.pi), math.sin(u * math.pi)])
         raw.append(math.atan2(v[1], v[0]) / math.pi % 1.0)
-    return LagrangianLinePath(g.times, tuple(_continuous_lift(raw)))
+    return LagrangianLinePath(g.times, _continuous_lift(raw))
 
 
 def intersection_dim(g: LagrangianLinePath, g2: LagrangianLinePath, t: float,

@@ -64,7 +64,9 @@ before it became two one-step dilations of C.
 
 ``oracle_crossings``, ``oracle_continuous_lift`` and ``oracle_maslov`` are the
 Maslov crossing search and angle lift with one Python step per breakpoint, as
-``qmdkit.maslov`` had them before they became numpy passes.
+``qmdkit.maslov`` had them before they became numpy passes, and
+``oracle_refine`` and ``oracle_concat`` the path subdivision and concatenation
+loops over tuples of floats from before a path held its breakpoints as arrays.
 """
 
 from __future__ import annotations
@@ -1280,3 +1282,30 @@ def oracle_crossings(g: LagrangianLinePath, g2: LagrangianLinePath,
 def oracle_maslov(g: LagrangianLinePath, g2: LagrangianLinePath,
                   tol: float = 1e-9) -> Fraction:
     return sum((r.contribution for r in oracle_crossings(g, g2, tol)), Fraction(0))
+
+
+def oracle_refine(g: LagrangianLinePath, k: int) -> LagrangianLinePath:
+    """Subdivide each segment into k equal pieces, one Python step per piece."""
+    t, u = g.times.tolist(), g.lift.tolist()
+    times: List[float] = []
+    lift: List[float] = []
+    for i in range(len(t) - 1):
+        for j in range(k):
+            s = j / k
+            times.append(t[i] * (1 - s) + t[i + 1] * s)
+            lift.append(u[i] * (1 - s) + u[i + 1] * s)
+    times.append(t[-1])
+    lift.append(u[-1])
+    return LagrangianLinePath(tuple(times), tuple(lift))
+
+
+def oracle_concat(g1: LagrangianLinePath, g2: LagrangianLinePath,
+                  tol: float = 1e-9) -> LagrangianLinePath:
+    """Time-rescaled concatenation over lists of Python floats."""
+    gap = float(g1.lift[-1]) - float(g2.lift[0])
+    k = round(gap)
+    if abs(gap - k) > tol:
+        raise PathError("concatenation endpoints are distinct lines")
+    times = [0.5 * t for t in g1.times.tolist()] + [0.5 + 0.5 * t for t in g2.times[1:].tolist()]
+    lift = g1.lift.tolist() + [u + k for u in g2.lift[1:].tolist()]
+    return LagrangianLinePath(tuple(times), tuple(lift))

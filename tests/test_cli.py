@@ -328,6 +328,8 @@ MALFORMED_FIELDS = {
     "dims-fraction": _with(_bowl([1.0, 1.0], n=3), dims=[3.5, 3]),
     "periodic-string": _with(_bowl([1.0, 1.0], n=3), periodic="00"),
     "periodic-two": _with(_bowl([1.0, 1.0], n=3), periodic=[2, 0]),
+    # float() of an integer beyond the float range raises OverflowError
+    "spacing-huge-int": _with(_bowl([1.0, 1.0], n=3), spacing=[10 ** 400, 1.0]),
 }
 
 
@@ -365,6 +367,46 @@ def test_malformed_path_file_is_usage_error(case, tmp_path, capsys):
     assert main(["maslov", "--path-a", a, "--path-b", b]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
+
+
+# per subcommand: its argv around the file under test, what the message
+# calls that file, and a JSON object lacking the key named
+_VALID_PATH = {"times": [0.0, 1.0], "angles": [0.0, 0.0]}
+INPUT_FILES = {
+    "analyze": (["analyze", "--field", "{}"], "field file",
+                {"spacing": [1.0], "periodic": [0], "values": [0.0]}, "dims"),
+    "flatten": (["flatten", "--field", "{}", "--delta", "0.08"], "field file",
+                {"dims": [1], "periodic": [0], "values": [0.0]}, "spacing"),
+    "specseq": (["specseq", "--descriptor", "{}"], "descriptor file", {}, "pieces"),
+    "maslov-a": (["maslov", "--path-a", "{}", "--path-b", "valid"], "--path-a file",
+                 {"times": [0.0, 1.0]}, "angles"),
+    "maslov-b": (["maslov", "--path-a", "valid", "--path-b", "{}"], "--path-b file",
+                 {"angles": [0.0, 0.0]}, "times"),
+}
+
+
+@pytest.mark.parametrize("shape", ["top-level-list", "missing-key", "not-utf8", "too-deep"])
+@pytest.mark.parametrize("command", sorted(INPUT_FILES))
+def test_input_file_of_the_wrong_shape_is_named(command, shape, tmp_path, capsys):
+    template, what, lacking, key = INPUT_FILES[command]
+    path = tmp_path / "in.json"
+    if shape == "not-utf8":
+        path.write_bytes(b"\xff\xfe")
+    elif shape == "too-deep":
+        path.write_text("[" * 100_000 + "]" * 100_000)
+    else:
+        path.write_text(json.dumps([1, 2] if shape == "top-level-list" else lacking))
+    valid = _write(tmp_path, "valid.json", _VALID_PATH)
+    argv = [{"{}": str(path), "valid": valid}.get(a, a) for a in template]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if shape in ("not-utf8", "too-deep"):
+        assert captured.err.startswith(f"error: cannot read {path}: ")
+    elif shape == "top-level-list":
+        assert captured.err == f"error: bad {what} {path}: expected a JSON object\n"
+    else:
+        assert captured.err == f"error: bad {what} {path}: missing key '{key}'\n"
 
 
 def test_analyze_tau_on_another_grid_is_usage_error(saddle_file, tmp_path, capsys):

@@ -12,7 +12,8 @@ from qmdkit.maslov import (CrossingRecord, LagrangianLinePath,
                            intersection_dim, maslov)
 from qmdkit.maslov import _continuous_lift, _merged_difference
 
-from _oracles import oracle_continuous_lift, oracle_crossings, oracle_maslov
+from _oracles import (oracle_concat, oracle_continuous_lift, oracle_crossings,
+                      oracle_maslov, oracle_refine)
 
 SEED = int(os.environ.get("QMD_SEED", "0"))
 
@@ -206,6 +207,40 @@ def test_crossings_match_per_breakpoint_oracle():
     assert 0 < raised < 900
 
 
+def test_maslov_builds_no_records(monkeypatch):
+    built = []
+    init = CrossingRecord.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(CrossingRecord, "__init__", counting_init)
+    rng = np.random.default_rng(SEED + 12)
+    regular = 0
+    for trial in range(600):
+        tol = float(rng.choice([1e-9, 1e-3, 0.13, 0.4]))
+        if trial % 3 == 2:
+            ta, ua, tb, ub = _near_level_pair(rng, tol)
+        else:
+            ta, ua, tb, ub = (_grid_pair if trial % 3 else _walk_pair)(rng)
+        a = LagrangianLinePath.from_pi_units(ta, ua)
+        b = LagrangianLinePath.from_pi_units(tb, ub)
+        before = len(built)
+        try:
+            index = maslov(a, b, tol)
+        except (ArithmeticError, ValueError) as exc:
+            index = type(exc), str(exc)
+        assert len(built) == before
+        if isinstance(index, tuple):  # raised as crossings raises
+            assert _outcome(crossings, a, b, tol) == index
+            continue
+        records = crossings(a, b, tol)
+        assert index == oracle_maslov(a, b, tol)
+        assert index == sum((r.contribution for r in records), Fraction(0))
+        regular += 1
+    assert regular > 0 and built    # the count sees the records crossings builds
+
+
 def test_non_finite_difference_is_path_error():
     # the difference overflows to inf at t = 1; a lift spanning the float
     # range makes it nan at t = 0 (an inf slope times a zero step); the
@@ -219,7 +254,7 @@ def test_non_finite_difference_is_path_error():
 
 
 def test_continuous_lift_matches_step_rule():
-    assert _continuous_lift([0.75, 0.0, 0.5]) == [0.75, 1.0, 0.5]
+    assert _continuous_lift([0.75, 0.0, 0.5]).tolist() == [0.75, 1.0, 0.5]
     assert oracle_continuous_lift([0.75, 0.0, 0.5]) == [0.75, 1.0, 0.5]
     rng = np.random.default_rng(SEED + 11)
     for _ in range(300):
@@ -229,8 +264,8 @@ def test_continuous_lift_matches_step_rule():
         else:  # angles read mod pi, as from_angles gets them
             raw = (rng.uniform(-40.0, 40.0, n) % 1.0).tolist()
         got = _continuous_lift(raw)
-        assert got == oracle_continuous_lift(raw)
-        assert all(type(u) is float for u in got)
+        assert got.dtype == np.float64
+        assert got.tolist() == oracle_continuous_lift(raw)
 
 
 def test_tiny_time_step_warns_nothing():
@@ -393,7 +428,62 @@ def test_index_shift_integrality_on_coherent_inputs():
 def test_path_json_roundtrip():
     g = LagrangianLinePath.from_pi_units((0.0, 0.25, 1.0), (0.1, 0.45, 0.8))
     h = LagrangianLinePath.from_json(g.to_json())
-    assert np.allclose(h.lift, g.lift) and h.times == g.times
+    assert np.allclose(h.lift, g.lift) and np.array_equal(h.times, g.times)
+
+
+def test_path_holds_read_only_float64_copies():
+    times, lift = np.array([0.0, 0.5, 1.0]), np.array([0.1, 0.4, 0.9])
+    paths = [LagrangianLinePath(times, lift), LagrangianLinePath.from_pi_units(times, lift)]
+    for a in (array for g in paths for array in (g.times, g.lift)):
+        assert a.dtype == np.float64 and a.ndim == 1 and not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 2.0
+    times[1], lift[1] = 0.25, 7.0  # the caller's arrays, after the fact
+    for g in paths:
+        assert g.times.tolist() == [0.0, 0.5, 1.0] and g.lift.tolist() == [0.1, 0.4, 0.9]
+    with pytest.raises(PathError, match="1-D"):
+        LagrangianLinePath([[0.0, 1.0], [0.0, 1.0]], [[0.0, 1.0], [0.0, 1.0]])
+
+
+def test_path_equality_and_hash_ignore_container_and_sign_of_zero():
+    as_list = LagrangianLinePath([0.0, 0.5, 1.0], [0.0, 0.25, -1.5])
+    as_tuple = LagrangianLinePath((-0.0, 0.5, 1.0), (-0.0, 0.25, -1.5))
+    as_array = LagrangianLinePath(np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.25, -1.5]))
+    assert as_list == as_tuple == as_array
+    assert hash(as_list) == hash(as_tuple) == hash(as_array)
+    assert {as_list, as_tuple, as_array} == {as_array} and as_tuple in {as_list}
+    other = LagrangianLinePath((0.0, 0.5, 1.0), (0.0, 0.25, -1.0))
+    assert other != as_list and other not in {as_list, as_tuple}
+    assert as_list != as_list.to_json()
+
+
+def test_to_json_emits_python_floats_that_from_json_reads():
+    rng = np.random.default_rng(SEED + 14)
+    g = LagrangianLinePath.from_pi_units(_random_times(rng, 20), rng.normal(0.0, 3.0, 22))
+    data = g.to_json()
+    assert all(type(v) is float for v in data["times"] + data["angles"])
+    h = LagrangianLinePath.from_json(data)  # passes the number-type check
+    assert h.times.tobytes() == g.times.tobytes() and np.allclose(h.lift % 1.0, g.lift % 1.0)
+
+
+def _bits(g):
+    return g.times.tobytes(), g.lift.tobytes()
+
+
+def test_refine_and_concat_match_their_loops():
+    rng = np.random.default_rng(SEED + 13)
+    for _ in range(150):
+        ta, ua, tb, ub = _walk_pair(rng)
+        a = LagrangianLinePath.from_pi_units(ta, ua)
+        for k in range(1, 6):
+            assert _bits(a.refine(k)) == _bits(oracle_refine(a, k))
+        # b starts on a's final line, whole half-turns away in the lift
+        b = LagrangianLinePath.from_pi_units(tb, ub - ub[0] + a.lift[-1] + rng.integers(-3, 4))
+        assert _bits(concat(a, b)) == _bits(oracle_concat(a, b))
+        unaligned = LagrangianLinePath.from_pi_units(tb, ub + 0.5 - (ub[0] - a.lift[-1]) % 1.0)
+        for fn in (concat, oracle_concat):
+            with pytest.raises(PathError, match="distinct lines"):
+                fn(a, unaligned)
 
 
 def test_index_is_exact_rational():
