@@ -14,20 +14,25 @@ identifications are index arithmetic, never ghost cells, and the square
 of the boundary operator vanishes exactly.  The faces of a k-cell are its
 two neighbours along each of its k odd axes.
 
-``build_complex`` works in whole-array passes, one per cell type: the
+``build_complex`` first crops every axis to ``axis_interval``, the smallest
+run of slabs that covers the mask, so the cost follows the mask and not the
+grid: an open axis to its bounding interval, and a periodic axis with an
+empty slab cut open at its largest run of empty slabs.  No cell of the
+closure lies inside an empty slab, and a cell inside the run finds both
+neighbours of each odd coordinate there too, so the open build gives the
+same cells and faces; a full periodic axis stays whole and periodic.  The
+build then works in whole-array passes, one per cell type: the
 cells whose odd axes are those where tau in {0,1}^d is 1 are the set
 entries of the strided view ``grid[tau_0::2, tau_1::2, ...]``, and their
 faces along an odd axis are the entries of the row-number grid (each
 cell's row within its dimension) on the even views just below and just
 above it on that axis, the upper one rolled by one on a periodic axis.
 Each type's face rows are scattered to its cells' own rows, so a cell's
-faces keep the order lower neighbour first, odd axes ascending.  Open
-axes are first cropped to the mask's bounding box, so the cost follows
-the mask and not the grid; the cell indices are then translated back to
-the full doubled grid, which keeps their sorted order.  Periodic axes are
-not cropped there, but ``betti_of_mask`` first cuts each periodic axis
-open at an empty slab of the mask, which gives an isomorphic complex that
-the build does crop.
+faces keep the order lower neighbour first, odd axes ascending.  The cell
+indices are translated back to the full doubled grid, which keeps their
+sorted order unless a cut axis's run reaches the seam (start + length >= n:
+its last hyperplane lands on 0); then each level is numbered in full-grid
+order as it is found, so the face rows need no renumbering.
 
 Homology is taken over GF(2), and a boundary is reduced only where its
 pivots are needed.  Three exact facts give the other ranks:
@@ -172,21 +177,50 @@ def _along(axis: int, step: slice, at: Sequence[slice]) -> Tuple[slice, ...]:
     return tuple(step if a == axis else s for a, s in enumerate(at))
 
 
+def axis_interval(present: np.ndarray, periodic: bool, margin: int) -> Tuple[int, int]:
+    """The smallest run of slabs, circular on a periodic axis, that covers
+    the set entries of `present`, widened by `margin` slabs on each side
+    and clipped to the axis: (start, length) with 0 <= start < n, and
+    (0, n) for the whole axis.
+
+    On a periodic axis the run is the complement of the largest run of
+    unset entries (the last such run on ties), whole once the margin
+    makes it cover the axis."""
+    n = len(present)
+    idx = np.flatnonzero(present)
+    if len(idx) == n:
+        return 0, n
+    if not periodic:
+        start = max(0, int(idx[0]) - margin)
+        return start, min(n, int(idx[-1]) + margin + 1) - start
+    # gaps[i] is the step from idx[i] to the next set entry
+    gaps = np.diff(idx, append=idx[0] + n)
+    gi = len(gaps) - 1 - int(np.argmax(gaps[::-1]))
+    length = n - int(gaps[gi]) + 1 + 2 * margin
+    if length >= n:
+        return 0, n
+    return (int(idx[(gi + 1) % len(idx)]) - margin) % n, length
+
+
 def build_complex(mask: GridMask) -> CubicalComplex:
-    """Closure of the included top cells, with sparse face arrays."""
+    """Closure of the included top cells, with sparse face arrays, built on
+    each axis's ``axis_interval`` of the mask and indexed in the full grid."""
     if not mask.cells.any():
         raise EmptyMaskError("mask contains no cells")
-    d, periodic = mask.ndim, mask.periodic
-    crop = []
-    for a in range(d):
-        if periodic[a]:
-            crop.append(slice(None))
-        else:
-            hit = np.flatnonzero(mask.cells.any(axis=tuple(b for b in range(d) if b != a)))
-            crop.append(slice(int(hit[0]), int(hit[-1]) + 1))
-    cells = mask.cells[tuple(crop)]
-    shape = _grid_shape(cells.shape, periodic)
+    d, cells = mask.ndim, mask.cells
     whole = (slice(None),) * d
+    start, periodic, seam = [], [], False
+    for a, n in enumerate(mask.dims):
+        s, m = axis_interval(cells.any(axis=tuple(b for b in range(d) if b != a)),
+                             mask.periodic[a], 0)
+        start.append(s)
+        periodic.append(m == n and mask.periodic[a])
+        seam |= mask.periodic[a] and m < n and s + m >= n
+        if s + m > n:
+            cells = cells.take(np.arange(s, s + m), axis=a, mode="wrap")
+        elif m < n:
+            cells = cells[_along(a, slice(s, s + m), whole)]
+    shape = _grid_shape(cells.shape, periodic)
     grid = np.zeros(shape, dtype=bool)
     grid[tuple(slice(1, None, 2) for _ in shape)] = cells
     for a in range(d):
@@ -203,12 +237,21 @@ def build_complex(mask: GridMask) -> CubicalComplex:
     for a in range(d):
         level[_along(a, slice(1, None, 2), whole)] += 1
     level[~grid] = -1
+    full = _grid_shape(mask.dims, mask.periodic)
     row = np.empty(shape, dtype=np.int64)
     cells_by_dim = []
     for k in range(d + 1):
-        at = np.flatnonzero(level == k)
+        at = found = np.flatnonzero(level == k)
+        if shape != full:
+            # back to the full grid: a translation, which keeps each level
+            # sorted unless it wraps across the seam of a cut axis
+            found = np.ravel_multi_index(tuple(c + 2 * s for c, s in zip(
+                np.unravel_index(at, shape), start)), full, mode="wrap" if seam else "raise")
+            if seam:
+                order = np.argsort(found)
+                at, found = at[order], found[order]
         row.reshape(-1)[at] = np.arange(len(at))
-        cells_by_dim.append(at)
+        cells_by_dim.append(found)
     boundary = {k: np.empty((len(c), 2 * k), dtype=np.int64) for k, c in enumerate(cells_by_dim)}
 
     for tau in itertools.product((0, 1), repeat=d):
@@ -226,26 +269,7 @@ def build_complex(mask: GridMask) -> CubicalComplex:
             else:
                 upper = row[_along(a, slice(2, None, 2), at)]
             faces[:, 2 * j + 1][own] = upper[sel]
-
-    if cells.shape != mask.dims:
-        # back to the full grid: a translation, so each level stays sorted
-        full = _grid_shape(mask.dims, periodic)
-        cells_by_dim = [np.ravel_multi_index(tuple(c + 2 * (s.start or 0) for c, s in
-                                                   zip(np.unravel_index(at, shape), crop)), full)
-                        for at in cells_by_dim]
-    return CubicalComplex(mask.dims, periodic, tuple(cells_by_dim), boundary)
-
-
-def validate_boundary(cx: CubicalComplex) -> None:
-    """Assert boundary(k-1) @ boundary(k) == 0 for every k: every (k-2)-face
-    of a k-cell's faces is reached an even number of times."""
-    for k in range(2, len(cx.cells_by_dim)):
-        n_k, n_low = cx.n_cells(k), cx.n_cells(k - 2)
-        twice = cx.boundary[k - 1][cx.boundary[k]].reshape(n_k, -1)
-        keys = (np.arange(n_k)[:, None] * n_low + twice).ravel()
-        _, counts = np.unique(keys, return_counts=True)
-        if np.any(counts % 2):
-            raise AssertionError(f"boundary squared is nonzero between dims {k} and {k-2}")
+    return CubicalComplex(mask.dims, mask.periodic, tuple(cells_by_dim), boundary)
 
 
 def join(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -300,30 +324,7 @@ def betti(cx: CubicalComplex) -> Tuple[int, ...]:
 
 
 def betti_of_mask(mask: GridMask) -> Tuple[int, ...]:
-    """Betti numbers of the mask's complex, with each periodic axis that the
-    mask leaves an empty slab on cut open there first.
-
-    No cell of the closure lies inside an empty top slab, and the two
-    hyperplanes that bound it carry only faces of the slab on their far
-    side, so no face joins the two sides of the gap.  Rolling the axis
-    until the gap sits at index 0 and calling it open therefore gives an
-    isomorphic complex, which ``build_complex`` crops to the mask like any
-    open axis; the roll starts the largest run of empty slabs (the first
-    on ties) at 0, so the crop drops all of it.
-    """
-    cells, periodic = mask.cells, list(mask.periodic)
-    for a, n in enumerate(mask.dims):
-        if not periodic[a]:
-            continue
-        present = np.flatnonzero(cells.any(axis=tuple(b for b in range(mask.ndim) if b != a)))
-        if len(present) in (0, n):
-            continue
-        # gaps[i] is the step from present[i] to the next present slab
-        gaps = np.diff(present, append=present[0] + n)
-        cells = np.roll(cells, -int(present[np.argmax(gaps)] + 1), axis=a)
-        periodic[a] = False
-    if tuple(periodic) != mask.periodic:
-        mask = GridMask(mask.dims, tuple(periodic), cells)
+    """Betti numbers of the mask's complex, built on its crop."""
     return betti(build_complex(mask))
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 # gradient is unused here but the benchmark tracer patches it by this name
 # (ROADMAP item 1b retires that patching)
-from .fields import ScalarField, gradient, gradient_at_nodes, stencil_mask  # noqa: F401
+from .fields import ScalarField, gradient, gradient_at_nodes, norms, stencil_mask  # noqa: F401
 from .morse import CriticalSet, SubmanifoldChart, detect_critical_set
 
 
@@ -72,12 +72,6 @@ STEP_BLOCK = 1 << 16
 UNDERFLOW_SLACK = 1e-150
 
 
-def _norms(g: np.ndarray) -> np.ndarray:
-    """Euclidean norms along the last axis, summed as the whole-grid
-    `gradient_magnitude` sums them."""
-    return np.sqrt((g ** 2).sum(axis=-1))
-
-
 def isolation_scan(f: ScalarField, tau: ScalarField, crit: CriticalSet,
                    chart: SubmanifoldChart, steps: int = 64,
                    component: int = 0) -> IsolationReport:
@@ -118,14 +112,14 @@ def isolation_scan(f: ScalarField, tau: ScalarField, crit: CriticalSet,
     ts = [j / steps for j in range(steps)]
     if c_inside and ts:
         with np.errstate(over="ignore", invalid="ignore"):
-            a, b = _norms(grad_f), _norms(grad_tau)
+            a, b = norms(grad_f), norms(grad_tau)
             never = a - ts[-1] * b > tol + 1e-9 * (a + b + tol) + UNDERFLOW_SLACK
         keep = on_c | ~never
         gf, gt, want = grad_f[keep], grad_tau[keep], on_c[keep]
         block = max(1, STEP_BLOCK // max(1, gf.size))
         for j0 in range(0, steps, block):
             t = np.array(ts[j0:j0 + block])[:, None, None]
-            ok = ((_norms(gf - t * gt) < tol) == want).all(axis=1)
+            ok = ((norms(gf - t * gt) < tol) == want).all(axis=1)
             report.per_t.extend(zip(ts[j0:j0 + block], ok.tolist()))
     else:
         report.per_t = [(t, False) for t in ts]
@@ -133,7 +127,7 @@ def isolation_scan(f: ScalarField, tau: ScalarField, crit: CriticalSet,
     if bad:
         report.first_violation = bad[0]
         report.isolated_on_scan = False
-    near_end = _norms(grad_f - grad_tau) < tol
+    near_end = norms(grad_f - grad_tau) < tol
     report.t1_contained_in_chart = bool(
         (near_end <= chart.slice_mask(f.dims)[region]).all())
     return report

@@ -289,6 +289,8 @@ def conjugate(g: LagrangianLinePath, m: np.ndarray,
 
 def intersection_dim(g: LagrangianLinePath, g2: LagrangianLinePath, t: float,
                      tol: float = 1e-9) -> int:
+    """dim of the intersection of the two lines at time t (1 or 0), the
+    term of the endpoint parity axiom 2 mu = dim(0) - dim(1) mod 2."""
     d = g.value_at(t) - g2.value_at(t)
     return 1 if abs(d - round(d)) <= tol else 0
 

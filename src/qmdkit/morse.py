@@ -60,10 +60,10 @@ from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cubical import GridMask, betti_of_mask, join
+from .cubical import GridMask, axis_interval, betti_of_mask, join
 # hessian_at/eig_sym serve the per-node functions; the benchmark tracer patches them here
 from .fields import (ScalarField, eig_sym, gradient_at_nodes, gradient_magnitude,
-                     hessian_at, hessian_at_nodes, stencil_mask)
+                     hessian_at, hessian_at_nodes, norms, stencil_mask)
 
 
 class NoCriticalPointsError(ValueError):
@@ -236,33 +236,18 @@ def detect_critical_set(f: ScalarField, grad_tol: float) -> CriticalSet:
                        float(grad_tol))
 
 
-def _axis_interval(indices: np.ndarray, n: int, periodic: bool):
-    """Smallest (circular) index interval covering `indices`, inflated."""
-    present = np.zeros(n, dtype=bool)
-    present[indices] = True
-    idx = np.flatnonzero(present)
-    out = np.zeros(n, dtype=bool)
-    if not periodic:
-        out[max(0, idx[0] - BOX_MARGIN):idx[-1] + BOX_MARGIN + 1] = True
-        return out
-    # periodic: cover the complement of the largest circular run of absences
-    # (the last such run on ties); gaps[i] is the step from idx[i] to the next
-    gaps = np.diff(idx, append=idx[0] + n)
-    gi = len(gaps) - 1 - int(np.argmax(gaps[::-1]))
-    covered = min(n, n - int(gaps[gi]) + 1 + 2 * BOX_MARGIN)
-    out[(idx[(gi + 1) % len(idx)] - BOX_MARGIN + np.arange(covered)) % n] = True
-    return out
-
-
 def isolating_box(component: GridMask) -> np.ndarray:
     """Bounding box of a component inflated by BOX_MARGIN cells, as a node mask."""
-    nodes = np.argwhere(component.cells)
-    if nodes.size == 0:
+    cells, d = component.cells, component.ndim
+    if not cells.any():
         raise ValueError("empty component")
     box = np.ones(component.dims, dtype=bool)
     for a, n in enumerate(component.dims):
-        keep = _axis_interval(nodes[:, a], n, component.periodic[a])
-        shape = [1] * len(component.dims)
+        start, length = axis_interval(cells.any(axis=tuple(b for b in range(d) if b != a)),
+                                      component.periodic[a], BOX_MARGIN)
+        keep = np.zeros(n, dtype=bool)
+        keep[(start + np.arange(length)) % n] = True
+        shape = [1] * d
         shape[a] = n
         box &= keep.reshape(shape)
     return box
@@ -683,7 +668,7 @@ def _regular_delta(g: ScalarField, region: np.ndarray, delta: float,
     region within (locally) one cell of the level has |grad g| <= grad_tol.
     |grad g| is gathered at those nodes alone."""
     nodes = region & stencil_mask(g)
-    mag = np.sqrt((gradient_at_nodes(g, np.argwhere(nodes)) ** 2).sum(axis=-1))
+    mag = norms(gradient_at_nodes(g, np.argwhere(nodes)))
     values = g.values[nodes]
     hmax = max(g.spacing)
     d = float(delta)

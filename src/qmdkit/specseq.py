@@ -284,19 +284,6 @@ def _page_from_pairs(pairs: List[Tuple[Generator, Generator]],
     return Page(k, entries, differentials)
 
 
-def page_dims_via_differential(pg: Page) -> Dict[Tuple[int, int], int]:
-    """E^{k+1} dimensions predicted from page k's differential (kernel/image):
-    each d_k pair removes its source's class and its target's."""
-    out: Dict[Tuple[int, int], int] = {}
-    k = pg.k
-    for (p, q), dim in pg.entries.items():
-        dim -= (len(pg.differentials[(p, q)])
-                + len(pg.differentials.get((p + k, q - k + 1), ())))
-        if dim:
-            out[(p, q)] = dim
-    return out
-
-
 def converge(fc: FilteredComplex) -> Tuple[int, Page]:
     """Smallest k with E^k = E^{k+1} = ... and the stable page.
 
@@ -317,11 +304,12 @@ def converge(fc: FilteredComplex) -> Tuple[int, Page]:
 class QMDPiece:
     """One piece of a descriptor: a string name, a finite real action (not
     a bool), an integer iota, and Betti numbers (at most MAX_GENERATORS in
-    all) or a local complex with string generator names.  The walk that
-    validates it also fills `generators`, its (name, total degree) pairs,
-    and `boundary`, its local differential: names take the prefix
-    ``<piece>/`` (b_m gives ``h<m>.0``, ``h<m>.1``, ...) and degrees shift
-    by iota.  Neither takes part in construction, equality or repr."""
+    all) or a local complex, whose generators are an array of objects
+    with string names.  The walk that validates it also fills
+    `generators`, its (name, total degree) pairs, and `boundary`, its
+    local differential: names take the prefix ``<piece>/`` (b_m gives
+    ``h<m>.0``, ``h<m>.1``, ...) and degrees shift by iota.  Neither takes
+    part in construction, equality or repr."""
 
     name: str
     action: float
@@ -360,7 +348,9 @@ class QMDPiece:
                 raise DescriptorError(f"piece {self.name}: complex must be an object "
                                       f"whose boundary maps names to lists")
             rename, gens = {}, []
-            for g in frag["generators"]:
+            for i, g in enumerate(_require_list(frag["generators"],
+                                                f"piece {self.name}: generators")):
+                _require_object(g, f"piece {self.name}: generator {i}")
                 _require_str(g["name"], f"piece {self.name}: generator name")
                 degree = _require_int(g["degree"], f"piece {self.name}: degree of {g['name']}")
                 rename[g["name"]] = f"{self.name}/{g['name']}"
@@ -370,6 +360,7 @@ class QMDPiece:
                     raise DescriptorError(f"piece {self.name}: boundary of {src} must be "
                                           f"a list of generator names, got {targets!r}")
                 for name in (src, *targets):
+                    _require_str(name, f"piece {self.name}: boundary name")
                     if name not in rename:
                         raise DescriptorError(f"piece {self.name}: boundary names "
                                               f"unknown generator {name}")
@@ -387,6 +378,17 @@ def _require_int(value, what: str) -> int:
 def _require_str(value, what: str) -> None:
     if not isinstance(value, str):
         raise DescriptorError(f"{what} must be a string, got {value!r}")
+
+
+def _require_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise DescriptorError(f"{what} must be an array, got {value!r}")
+    return value
+
+
+def _require_object(value, what: str) -> None:
+    if not isinstance(value, dict):
+        raise DescriptorError(f"{what} must be an object, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -422,17 +424,21 @@ class QMDDescriptor:
     @classmethod
     def from_json(cls, data: dict) -> "QMDDescriptor":
         pieces = []
-        for entry in data["pieces"]:
+        for i, entry in enumerate(_require_list(data["pieces"], "pieces")):
+            _require_object(entry, f"piece {i}")
             pieces.append(QMDPiece(
                 name=entry["name"],
                 action=entry["action"],
                 iota=entry["iota"],
-                betti=tuple(entry["betti"]) if "betti" in entry else None,
+                betti=(tuple(_require_list(entry["betti"], f"piece {i}: betti"))
+                       if "betti" in entry else None),
                 local_complex=entry.get("complex"),
             ))
-        cross = tuple((c["from"], c["to"])
-                      for c in data.get("cross_terms", ()))
-        return cls(tuple(pieces), cross)
+        cross = []
+        for i, term in enumerate(_require_list(data.get("cross_terms", []), "cross_terms")):
+            _require_object(term, f"cross term {i}")
+            cross.append((term["from"], term["to"]))
+        return cls(tuple(pieces), tuple(cross))
 
 
 def build_from_qmd(descriptor: QMDDescriptor) -> FilteredComplex:

@@ -12,7 +12,8 @@ formula, with the subspace sums, quotients and row solves of
 ``GF2Matrix`` in the basis of the chosen class representatives.  The
 production ``qmdkit.specseq.page`` reads pages off a persistence pairing
 and holds d_k as generator pairs; ``differential_ranks`` counts those
-pairs and ``oracle_differential_ranks`` takes the matrices' ranks.
+pairs, ``oracle_differential_ranks`` takes the matrices' ranks, and
+``page_dims_via_differential`` predicts E^{k+1}'s dimensions from page k's pairs.
 ``oracle_differential`` is d_n of a ``FilteredComplex`` as a dense
 ``GF2Matrix``, which the complex itself no longer builds.
 
@@ -27,7 +28,8 @@ boundaries that ``qmdkit.cubical`` used before its doubled-grid engine:
 cells are (anchor, extent) pairs and ``oracle_betti`` takes dense ranks.
 ``oracle_doubled_grid_complex`` is ``qmdkit.cubical.build_complex`` before its
 passes per cell type, with per-cell index arithmetic over the full doubled
-grid: the exact reference for the arrays the builder returns.
+grid and no crop: the exact reference for the arrays the builder returns.
+``validate_boundary`` checks d^2 = 0 on a ``CubicalComplex``'s face arrays.
 ``oracle_reduction_betti`` is ``qmdkit.cubical.betti`` before it read the
 bottom rank off a union-find and the top rank off the fundamental class:
 every boundary reduced with ``reduce_faces`` from the top down, with
@@ -54,8 +56,8 @@ gathers of ``qmdkit.fields`` before they read the values by flat index: one
 
 ``oracle_connected_components`` is the depth-first labelling that
 ``qmdkit.morse.connected_components`` ran before its union-find, and
-``oracle_axis_interval`` the per-index loop over a periodic axis that
-``qmdkit.morse._axis_interval`` ran before it became numpy passes.
+``oracle_axis_interval`` the per-index loop over a periodic axis that the
+isolating box ran before ``qmdkit.cubical.axis_interval`` made it numpy passes.
 
 ``oracle_verify_thickening`` is ``verify_thickening`` with one Python
 ``_steepest_descent`` walk per sigma node, and
@@ -482,6 +484,19 @@ def oracle_differential_ranks(pg: Page) -> Dict[Tuple[int, int], int]:
     return {pq: r for pq, r in ranks.items() if r}
 
 
+def page_dims_via_differential(pg: Page) -> Dict[Tuple[int, int], int]:
+    """E^{k+1} dimensions predicted from page k's differential (kernel/image):
+    each d_k pair removes its source's class and its target's."""
+    out: Dict[Tuple[int, int], int] = {}
+    k = pg.k
+    for (p, q), dim in pg.entries.items():
+        dim -= (len(pg.differentials[(p, q)])
+                + len(pg.differentials.get((p + k, q - k + 1), ())))
+        if dim:
+            out[(p, q)] = dim
+    return out
+
+
 # -- cubical homology by dense boundary matrices ----------------------------------
 
 Cell = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (anchor per axis, extent bit per axis)
@@ -588,6 +603,18 @@ def oracle_doubled_grid_complex(mask: GridMask) -> CubicalComplex:
         cells_by_dim.append(cells)
         boundary[k] = faces
     return CubicalComplex(mask.dims, mask.periodic, tuple(cells_by_dim), boundary)
+
+
+def validate_boundary(cx: CubicalComplex) -> None:
+    """Assert boundary(k-1) @ boundary(k) == 0 for every k: every (k-2)-face
+    of a k-cell's faces is reached an even number of times."""
+    for k in range(2, len(cx.cells_by_dim)):
+        n_k, n_low = cx.n_cells(k), cx.n_cells(k - 2)
+        twice = cx.boundary[k - 1][cx.boundary[k]].reshape(n_k, -1)
+        keys = (np.arange(n_k)[:, None] * n_low + twice).ravel()
+        _, counts = np.unique(keys, return_counts=True)
+        if np.any(counts % 2):
+            raise AssertionError(f"boundary squared is nonzero between dims {k} and {k-2}")
 
 
 # -- Betti numbers by reducing every boundary -------------------------------------

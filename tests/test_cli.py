@@ -204,6 +204,33 @@ def test_specseq_rejects_malformed_descriptor(case, tmp_path, capsys):
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
+# a container that is not an array, or an entry of one that is not an
+# object: the whole descriptor, and the words that name the entry
+MALFORMED_ENTRIES = {
+    "piece-not-object": ({"pieces": [[1]]}, "piece 0 must be an object"),
+    "pieces-not-array": ({"pieces": 5}, "pieces must be an array"),
+    "cross-term-not-object": ({"pieces": [_piece("a", 0.0, betti=[1])], "cross_terms": [1]},
+                              "cross term 0 must be an object"),
+    "generator-not-object": ({"pieces": [_piece("a", 0.0, complex={
+        "generators": [_V, 5], "boundary": {}})]}, "piece a: generator 1 must be an object"),
+    "betti-not-array": ({"pieces": [_piece("a", 0.0, betti=5)]}, "piece 0: betti must be an array"),
+    "boundary-target-not-name": ({"pieces": [_piece("a", 0.0, complex={
+        "generators": [_V, _E], "boundary": {"e": [["v"]]}})]},
+        "piece a: boundary name must be a string"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ENTRIES))
+def test_specseq_names_the_malformed_entry(case, tmp_path, capsys):
+    descriptor, named = MALFORMED_ENTRIES[case]
+    path = _write(tmp_path, "d.json", descriptor)
+    assert main(["specseq", "--descriptor", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert named in captured.err
+
+
 def _named_descriptor(position, name):
     """A valid descriptor, cross term a/e -> b/h0.0 included, with `name`
     put in one of its four name positions."""

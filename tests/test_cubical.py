@@ -7,12 +7,11 @@ import hypothesis.strategies as st
 
 from qmdkit import cubical
 from qmdkit.cubical import (EmptyMaskError, GridMask, betti, betti_of_mask,
-                            betti_product_check, build_complex, join,
-                            validate_boundary)
+                            betti_product_check, build_complex, join)
 from qmdkit.gf2 import apparent_pivots, reduce_columns, reduce_faces
 
 from _oracles import (oracle_betti, oracle_build_complex, oracle_doubled_grid_complex,
-                      oracle_reduction_betti)
+                      oracle_reduction_betti, validate_boundary)
 
 SEED = int(os.environ.get("QMD_SEED", "0"))
 
@@ -234,6 +233,21 @@ def test_per_type_builder_matches_per_cell_builder():
         small[n // 2 - 1:n // 2 + 2, n // 2, n // 2 - 2:n // 2 + 1] = True
         masks.append(GridMask(small.shape, (False,) * 3, small))
         masks.append(GridMask(small.shape, (False, True, False), small))
+    # the crop of a periodic axis at its seam: cells in the last slab(s)
+    # only, so the run ends at n - 1; runs that straddle the seam; one slab
+    # on an axis of 2; and the empty run at every position of the axis
+    for n in (2, 3, 7):
+        for p0 in (False, True):
+            for first in range(n):
+                for size in range(1, n + 1):
+                    cells = np.zeros((n, 3), bool)
+                    cells[(first + np.arange(size)) % n, 1] = True
+                    masks.append(GridMask((n, 3), (True, p0), cells))
+                    masks.append(GridMask((3, n), (p0, True), cells.T))
+    for cells in (np.zeros((5, 6, 4), bool), np.zeros((4, 4, 4, 3), bool)):
+        cells[(-1, 0) + (slice(1, 3),) * (cells.ndim - 2)] = True
+        cells[-2, (-1,) * (cells.ndim - 1)] = True
+        masks.append(GridMask(cells.shape, (True,) * cells.ndim, cells))
     for mask in masks:
         _assert_same_arrays(mask)
 
@@ -406,9 +420,10 @@ def test_torus_with_one_hole_at_128_squared():
 
 
 def test_betti_of_mask_cuts_periodic_axes_open_at_a_gap():
-    """``betti_of_mask`` equals ``betti`` of the periodic complex and the
-    reduction oracle on random 1-D to 4-D masks whose periodic axes have
-    runs of empty slabs (some across the seam) or none."""
+    """``betti_of_mask``, built on the cut, equals ``betti`` of the uncropped
+    periodic complex and the reduction oracle on random 1-D to 4-D masks
+    whose periodic axes have runs of empty slabs (some across the seam) or
+    none."""
     rng = np.random.default_rng(SEED + 43)
     max_side = {1: 9, 2: 7, 3: 5, 4: 3}
     seen = set()
@@ -426,20 +441,26 @@ def test_betti_of_mask_cuts_periodic_axes_open_at_a_gap():
         gaps = [p and not cells.any(axis=tuple(b for b in range(ndim) if b != a)).all()
                 for a, p in enumerate(periodic)]
         seen.add(any(gaps))
-        cx = build_complex(mask)
+        cx = oracle_doubled_grid_complex(mask)
         assert betti_of_mask(mask) == betti(cx) == oracle_reduction_betti(cx), mask
     assert seen == {False, True}
 
 
 def test_small_mask_in_a_large_torus_is_cut_open(monkeypatch):
-    """A 3x5 ring across the seam of a 256^2 torus is built on open axes."""
-    cells = np.zeros((256, 256), dtype=bool)
-    cells[np.ix_([255, 0, 1], range(100, 105))] = True
-    cells[0, 102] = False
-    mask = GridMask((256, 256), (True, True), cells)
+    """A 3x5 ring on a 256^2 torus, across the seam and in the middle of
+    the grid, is built on open axes of its own size."""
     built = []
-    monkeypatch.setattr(cubical, "build_complex",
-                        lambda m: built.append(m.periodic) or build_complex(m))
-    cx = build_complex(mask)
-    assert betti_of_mask(mask) == betti(cx) == oracle_reduction_betti(cx) == (1, 1, 0)
-    assert built == [(False, False)]
+    grid_shape = cubical._grid_shape
+    monkeypatch.setattr(cubical, "_grid_shape",
+                        lambda dims, periodic: built.append((tuple(dims), tuple(periodic)))
+                        or grid_shape(dims, periodic))
+    for rows in ([255, 0, 1], [127, 128, 129]):
+        cells = np.zeros((256, 256), dtype=bool)
+        cells[np.ix_(rows, range(100, 105))] = True
+        cells[rows[1], 102] = False
+        mask = GridMask((256, 256), (True, True), cells)
+        built.clear()
+        cx = build_complex(mask)
+        assert built[0] == ((3, 5), (False, False))
+        assert betti_of_mask(mask) == betti(cx) == oracle_reduction_betti(cx) == (1, 1, 0)
+        _assert_same_arrays(mask)

@@ -9,11 +9,11 @@ from qmdkit.catalog import (TOLS, field_1d_quadratic, field_1d_quartic,
                             field_figure8_perturbed, field_saddle,
                             field_torus_height, tau_1d_quartic, tau_saddle,
                             torus_circle_indices)
-from qmdkit.cubical import GridMask, betti_of_mask
+from qmdkit.cubical import GridMask, axis_interval, betti_of_mask
 from qmdkit.fields import ScalarField, c1_distance
-from qmdkit.morse import (ChartError, ConstructionError, CriticalSet,
+from qmdkit.morse import (BOX_MARGIN, ChartError, ConstructionError, CriticalSet,
                           NoCriticalPointsError, SubmanifoldChart, Tolerances,
-                          _axis_interval, _dilate, _kernel_spans_axes,
+                          _dilate, _kernel_spans_axes,
                           _kernel_transverse, build_rho,
                           check_flattened_degenerate,
                           check_minimally_degenerate, check_qmd, classify,
@@ -104,9 +104,10 @@ def test_isolating_box_wraps_periodic_axis():
 
 
 def test_axis_interval_matches_loop_oracle():
-    """The numpy interval equals the per-index loop on open and periodic
-    axes of 1-40 cells: random index sets, one index, full axes, runs
-    across the seam and evenly spaced sets, whose largest gaps tie."""
+    """The shared crop rule, ``cubical.axis_interval`` at the box's margin,
+    equals the per-index loop on open and periodic axes of 1-40 cells:
+    random index sets, one index, full axes, runs across the seam and
+    evenly spaced sets, whose largest gaps tie."""
     rng = np.random.default_rng(SEED + 7)
     for trial in range(2000):
         n = int(rng.integers(1, 41))
@@ -122,9 +123,14 @@ def test_axis_interval_matches_loop_oracle():
         else:
             step = int(rng.integers(1, n + 1))
             idx = (np.arange(0, n, step) + int(rng.integers(0, n))) % n
+        present = np.zeros(n, dtype=bool)
+        present[idx] = True
         for periodic in (False, True):
-            assert np.array_equal(_axis_interval(idx, n, periodic),
-                                  oracle_axis_interval(idx, n, periodic)), (idx, n, periodic)
+            start, length = axis_interval(present, periodic, BOX_MARGIN)
+            assert 0 <= start < n and 1 <= length <= n
+            box = np.zeros(n, dtype=bool)
+            box[(start + np.arange(length)) % n] = True
+            assert np.array_equal(box, oracle_axis_interval(idx, n, periodic)), (idx, n, periodic)
 
 
 def test_critical_set_keeps_each_box_read_only():

@@ -9,11 +9,11 @@ from qmdkit.catalog import (CATALOG_DESCRIPTORS, descriptor_annulus_kunneth,
 from qmdkit.specseq import (BoundaryError, CrossTermError, DescriptorError,
                             FilteredComplex, FiltrationError, Generator,
                             QMDDescriptor, QMDPiece, build_from_qmd, converge,
-                            directed_limit_check, page,
-                            page_dims_via_differential, truncate_by_action)
+                            directed_limit_check, page, truncate_by_action)
 
 from _oracles import (differential_ranks, naive_homology_dims,
                       oracle_differential_ranks, oracle_page, oracle_validate,
+                      page_dims_via_differential,
                       random_filtered_complex, random_raw_complex,
                       random_shifted_sum)
 
