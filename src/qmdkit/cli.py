@@ -6,6 +6,14 @@ classification, broken filtration, non-regular crossing, failed
 expectation), 2 on usage or I/O errors.  Output JSON is byte-stable for
 identical inputs: keys are sorted and no timestamps are emitted.
 
+Every JSON document the CLI writes, on stdout or to an ``--out`` file, is
+byte for byte ``json.dumps(payload, indent=2, sort_keys=True)`` plus a
+newline: two-space indent, keys sorted, non-ASCII and control characters
+written as ``\\uXXXX`` escapes, and nan and infinities as ``NaN``,
+``Infinity`` and ``-Infinity``, as Python's json module writes them.
+``_dumps`` writes it in one recursive pass, because ``json.dumps`` with an
+indent runs the library's pure-Python encoder.
+
 ``main`` builds the argument parser on its first call and reuses it, which
 saves in-process callers (scripts, notebooks, the test suite) rebuilding
 it on every call; a one-shot ``qmdkit`` process builds it once either way.
@@ -19,6 +27,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -81,8 +90,86 @@ def _load_field(path: str) -> ScalarField:
     return _read_input(path, "field file", _parse_field)
 
 
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_key(k) -> str:
+    """A dict key as json converts it, before it is quoted."""
+    if isinstance(k, str):
+        return k
+    if isinstance(k, float):
+        return _json_float(k)
+    if k is True:
+        return "true"
+    if k is False:
+        return "false"
+    if k is None:
+        return "null"
+    if isinstance(k, int):
+        return int.__repr__(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
 def _dumps(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, byte for byte,
+    in one pass that appends to a list and joins once.  ``pad`` is the
+    newline and indent of the current depth."""
+    out = []
+    put = out.append
+
+    def write(o, pad):
+        # containers come first, as most of a payload; the order of the tests
+        # matters only for bool, an int that is tested before int
+        if isinstance(o, dict):
+            if not o:
+                put("{}")
+                return
+            inner = pad + "  "
+            sep = "{" + inner
+            for k, v in sorted(o.items()):
+                put(sep + _quote(_json_key(k)) + ": ")
+                sep = "," + inner
+                if type(v) is int:
+                    put(int.__repr__(v))
+                else:
+                    write(v, inner)
+            put(pad + "}")
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                put("[]")
+                return
+            inner = pad + "  "
+            sep = "[" + inner
+            for item in o:
+                put(sep)
+                sep = "," + inner
+                write(item, inner)
+            put(pad + "]")
+        elif isinstance(o, str):
+            put(_quote(o))
+        elif o is None:
+            put("null")
+        elif o is True:
+            put("true")
+        elif o is False:
+            put("false")
+        elif isinstance(o, int):
+            put(int.__repr__(o))
+        elif isinstance(o, float):
+            put(_json_float(o))
+        else:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+    write(payload, "\n")
+    put("\n")
+    return "".join(out)
 
 
 def _emit(payload: dict, out: Optional[str]) -> None:
@@ -258,7 +345,9 @@ def cmd_specseq(args) -> int:
             raise UsageFailure("--cutoff must be a finite action")
         desc = truncate_by_action(desc, args.cutoff)
     if not desc.pieces:
-        _emit({"pages": [], "stable_page": 1, "total_homology": {},
+        # the keys of a non-empty run; einf is what converge gives an empty complex
+        _emit({"pages": [], "stable_page": 1, "einf": {"entries": [], "page": 1},
+               "total_homology": {}, "graded_sum_matches_homology": True,
                "grading": _GRADING_NOTE}, args.out)
         return EXIT_OK
     try:

@@ -69,11 +69,15 @@ Maslov crossing search and angle lift with one Python step per breakpoint, as
 ``qmdkit.maslov`` had them before they became numpy passes, and
 ``oracle_refine`` and ``oracle_concat`` the path subdivision and concatenation
 loops over tuples of floats from before a path held its breakpoints as arrays.
+
+``oracle_dumps`` is ``qmdkit.cli._dumps`` before it wrote its JSON in one pass:
+``json.dumps`` with an indent, which runs the json module's pure-Python encoder.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -1336,3 +1340,8 @@ def oracle_concat(g1: LagrangianLinePath, g2: LagrangianLinePath,
     times = [0.5 * t for t in g1.times.tolist()] + [0.5 + 0.5 * t for t in g2.times[1:].tolist()]
     lift = g1.lift.tolist() + [u + k for u in g2.lift[1:].tolist()]
     return LagrangianLinePath(tuple(times), tuple(lift))
+
+
+def oracle_dumps(payload) -> str:
+    """The CLI's JSON text of ``payload``, as ``json.dumps`` writes it."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -140,6 +140,10 @@ def test_specseq_cutoff_below_all_actions(tmp_path, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["pages"] == [] and payload["total_homology"] == {}
+    assert payload["einf"] == {"entries": [], "page": 1}
+    assert payload["graded_sum_matches_homology"] is True
+    assert main(["specseq", "--descriptor", desc]) == 0
+    assert set(payload) == set(json.loads(capsys.readouterr().out))
 
 
 def test_specseq_rejects_filtration_violation(tmp_path):
@@ -539,6 +543,20 @@ OUT_FLAGS = {
     "specseq-out": ["specseq", "--descriptor", "{descriptor}", "--out"],
     "example-out": ["example", "monodromy", "--out"],
 }
+
+
+@pytest.mark.parametrize("case", ["analyze-out", "specseq-out", "example-out"])
+def test_out_file_holds_what_stdout_prints(case, tmp_path, capsys):
+    inputs = {"field": _write(tmp_path, "f.json", field_saddle().to_json()),
+              "descriptor": _write(tmp_path, "d.json",
+                                   descriptor_five_piece().to_json())}
+    argv = [arg.format(**inputs) for arg in OUT_FLAGS[case][:-1]]  # all but --out
+    out = tmp_path / "out.json"
+    code = main(argv)
+    printed = capsys.readouterr().out
+    assert main(argv + ["--out", str(out)]) == code
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == printed
 
 
 @pytest.mark.parametrize("target", ["missing-directory", "directory"])
