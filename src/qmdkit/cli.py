@@ -359,7 +359,8 @@ def cmd_specseq(args) -> int:
     homology = fc.homology_dims()
     graded = einf.total_dims()
     payload = {
-        "pages": [page(fc, k).to_json() for k in ks],
+        # the stable page is converge's; it is not built twice
+        "pages": [(einf if k == einf.k else page(fc, k)).to_json() for k in ks],
         "stable_page": stable,
         "einf": einf.to_json(),
         "total_homology": {str(n): d for n, d in sorted(homology.items())},

@@ -245,11 +245,16 @@ def hessian_at(field: ScalarField, node: Sequence[int]) -> np.ndarray:
     Raises BoundaryNodeError when the node sits on a non-periodic
     boundary (one-sided stencils are not trusted).
     """
+    return hessian_at_nodes(field, stencil_node(field, node))[0]
+
+
+def stencil_node(field: ScalarField, node: Sequence[int]) -> np.ndarray:
+    """The node as a (1, d) array; BoundaryNodeError on a non-periodic boundary."""
     node = tuple(int(i) for i in node)
     for i, n, p in zip(node, field.dims, field.periodic):
         if not p and not 1 <= i <= n - 2:
             raise BoundaryNodeError(f"stencil leaves the grid at node {node}")
-    return hessian_at_nodes(field, np.array([node], dtype=np.intp))[0]
+    return np.array([node], dtype=np.intp)
 
 
 def eig_sym(m: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -40,7 +40,7 @@ with the chart is one SVD over the stack of kernel vectors, and
 transversality one matrix_rank per distinct kernel dimension.  The chart
 terms of tau are built from per-axis arrays, and the thickening's descent
 walks advance together by pointer doubling.  `transverse_negative_index`
-stays per node; `negative_index` is its point-chart case.
+shares `index_preserved`'s batched body; `negative_index` is its point chart.
 
 A full chart (every axis a chart axis) settles three checks by exact
 facts, so they sample or scan nothing.  tau's Hessian kernel is
@@ -61,9 +61,9 @@ from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .cubical import GridMask, axis_interval, betti_of_mask, join
-# hessian_at/eig_sym serve the per-node functions; the benchmark tracer patches them here
-from .fields import (ScalarField, eig_sym, gradient_at_nodes, gradient_magnitude,
-                     hessian_at, hessian_at_nodes, norms, stencil_mask)
+# hessian_at and eig_sym are unused here but the benchmark tracer patches them by these names
+from .fields import (ScalarField, eig_sym, gradient_at_nodes, gradient_magnitude,  # noqa: F401
+                     hessian_at, hessian_at_nodes, norms, stencil_mask, stencil_node)
 
 
 class NoCriticalPointsError(ValueError):
@@ -288,13 +288,18 @@ def negative_index(f: ScalarField, node: Sequence[int], eig_tol: float) -> int:
 
 def transverse_negative_index(f: ScalarField, node: Sequence[int],
                               chart: SubmanifoldChart, eig_tol: float) -> int:
-    off = chart.off_axes(f.ndim)
+    off = list(chart.off_axes(f.ndim))
     if not off:
         return 0
-    H = hessian_at(f, node)
-    sub = H[np.ix_(off, off)]
-    w, _ = eig_sym(sub)
-    return int(np.sum(w < -_kernel_threshold(w, eig_tol, default_hessian_floor(f))))
+    return int(_transverse_indices(f, stencil_node(f, node), off, eig_tol)[0])
+
+
+def _transverse_indices(g: ScalarField, nodes: np.ndarray, off: List[int],
+                        eig_tol: float) -> np.ndarray:
+    """Negative eigenvalues of g's Hessian block on the off-axes at each
+    stencil-valid node, from one gather and one batched np.linalg.eigh."""
+    w = np.linalg.eigh(hessian_at_nodes(g, nodes)[:, off][:, :, off])[0]
+    return np.sum(w < -_kernel_threshold(w, eig_tol, default_hessian_floor(g))[:, None], axis=1)
 
 
 def index_preserved(f: ScalarField, f_check: ScalarField, crit: CriticalSet,
@@ -307,13 +312,8 @@ def index_preserved(f: ScalarField, f_check: ScalarField, crit: CriticalSet,
     if not off:
         return True
     nodes = np.argwhere(crit.components[component].cells & stencil_mask(f))
-    floor = default_hessian_floor(f)
-
-    def transverse_indices(g: ScalarField) -> np.ndarray:
-        w = np.linalg.eigh(hessian_at_nodes(g, nodes)[:, off][:, :, off])[0]
-        return np.sum(w < -_kernel_threshold(w, eig_tol, floor)[:, None], axis=1)
-
-    return bool(np.array_equal(transverse_indices(f), transverse_indices(f_check)))
+    return bool(np.array_equal(_transverse_indices(f, nodes, off, eig_tol),
+                               _transverse_indices(f_check, nodes, off, eig_tol)))
 
 
 # -- degeneracy checkers -------------------------------------------------

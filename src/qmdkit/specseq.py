@@ -3,7 +3,8 @@
 A FilteredComplex is a finite chain complex whose basis elements carry a
 homological degree and a filtration level p in 1..r, with the differential
 preserving the filtration (the boundary of a level-p generator lies in the
-span of levels <= p).  Page k is defined by the cycle/boundary formula
+span of levels <= p); construction checks that and d^2 = 0, once, so its
+pages never fail.  Page k is defined by the cycle/boundary formula
 
     Z^k_{p,q} = {x in F_p C_{p+q} : dx in F_{p-k}}
     E^k_{p,q} = Z^k_{p,q} / (Z^{k-1}_{p-1,q+1} + d Z^{k-1}_{p+k-1,q-k+2})
@@ -74,7 +75,8 @@ class Generator:
 
 
 class FilteredComplex:
-    """Finite GF(2) chain complex with a filtration adapted to its basis."""
+    """Finite GF(2) chain complex with a filtration adapted to its basis;
+    construction checks names, degrees, the filtration and d^2 = 0, once."""
 
     def __init__(self, generators: Sequence[Generator],
                  boundary: Dict[str, Iterable[str]]):
@@ -82,22 +84,37 @@ class FilteredComplex:
         names = [g.name for g in self.generators]
         if len(set(names)) != len(names):
             raise ValueError("generator names must be unique")
-        self._gen_by_name = {g.name: g for g in self.generators}
+        by_name = {g.name: g for g in self.generators}
         boundary_names: Dict[str, Tuple[str, ...]] = {}
+        raises_level = None     # the first entry that raises the level, in generator order
         for g in self.generators:
             targets = tuple(boundary.get(g.name, ()))
             boundary_names[g.name] = targets
             for tname in targets:
-                tgt = self._gen_by_name.get(tname)
+                tgt = by_name.get(tname)
                 if tgt is None:
                     raise BoundaryError(f"boundary of {g.name} names unknown "
                                         f"generator {tname}")
                 if tgt.degree != g.degree - 1:
                     raise BoundaryError(f"boundary of {g.name} (degree {g.degree}) hits "
                                         f"{tname} of degree {tgt.degree}")
+                if raises_level is None and tgt.filtration > g.filtration:
+                    raises_level = FiltrationError(
+                        f"differential raises filtration: {g.name} (p={g.filtration}) "
+                        f"-> {tname} (p={tgt.filtration})")
         for name in boundary:
-            if name not in self._gen_by_name:
+            if name not in by_name:
                 raise BoundaryError(f"boundary given for unknown generator {name}")
+        if raises_level is not None:
+            raise raises_level
+        for g in sorted(self.generators, key=lambda g: g.degree):
+            # d(d g) counts each path g -> t -> s once, mod 2
+            twice: set = set()
+            for tname in boundary_names[g.name]:
+                for sname in boundary_names[tname]:
+                    twice ^= {sname}
+            if twice:
+                raise BoundaryError(f"d^2 != 0 out of degree {g.degree}")
         # read-only, since persistence() keeps its pairing once computed
         self.boundary_names: Mapping[str, Tuple[str, ...]] = MappingProxyType(boundary_names)
         self._persistence = None    # (pairs, unpaired) as tuples, once reduced
@@ -122,31 +139,6 @@ class FilteredComplex:
 
     def is_empty(self) -> bool:
         return not self.generators
-
-    # -- validation -------------------------------------------------------
-
-    def validate(self) -> None:
-        """Assert d*d = 0 and that d never raises the filtration level."""
-        self._check_filtration(self.generators)
-        for g in sorted(self.generators, key=lambda g: g.degree):
-            # d(d g) counts each path g -> t -> s once, mod 2
-            twice: set = set()
-            for tname in self.boundary_names[g.name]:
-                for sname in self.boundary_names[tname]:
-                    twice ^= {sname}
-            if twice:
-                raise BoundaryError(f"d^2 != 0 out of degree {g.degree}")
-
-    def _check_filtration(self, order: Iterable[Generator]) -> None:
-        """FiltrationError at the first boundary entry, walking `order`,
-        whose target sits at a higher level than its source."""
-        for g in order:
-            for tname in self.boundary_names[g.name]:
-                tgt = self._gen_by_name[tname]
-                if tgt.filtration > g.filtration:
-                    raise FiltrationError(
-                        f"differential raises filtration: {g.name} (p={g.filtration}) "
-                        f"-> {tname} (p={tgt.filtration})")
 
     def _pivots(self, order: Sequence[Generator]) -> List[Optional[int]]:
         """``reduce_columns`` over the boundary columns of `order`, each
@@ -179,13 +171,13 @@ class FilteredComplex:
         the unpaired generators (Edelsbrunner-Letscher-Zomorodian 2002).
 
         Generators are sorted by (filtration, degree); a boundary target
-        sits one degree lower, so every prefix spans a subcomplex unless an
-        entry raises the level, and the first such entry in that order
-        raises FiltrationError.  Each boundary column lists its targets'
-        positions in that order and goes through ``reduce_columns``; a
-        column's pivot is its latest generator after reduction.  The first
-        call that succeeds stores the result, so ``page`` and ``converge``
-        share one reduction per complex; every call returns fresh lists.
+        sits one degree lower at no higher level, which construction has
+        checked, so every prefix spans a subcomplex.  Each boundary column
+        lists its targets' positions in that order and goes through
+        ``reduce_columns``; a column's pivot is its latest generator after
+        reduction.  The first call stores the result, so ``page`` and
+        ``converge`` share one reduction per complex; every call returns
+        fresh lists.
         """
         if self._persistence is None:
             self._persistence = self._reduce()
@@ -194,7 +186,6 @@ class FilteredComplex:
 
     def _reduce(self) -> Tuple[Tuple[Tuple[Generator, Generator], ...], Tuple[Generator, ...]]:
         order = sorted(self.generators, key=lambda g: (g.filtration, g.degree))
-        self._check_filtration(order)
         pairs, paired = [], set()
         for y, x in enumerate(self._pivots(order)):
             if x is not None:
@@ -214,13 +205,17 @@ class FilteredComplex:
 
     @classmethod
     def from_json(cls, data: dict) -> "FilteredComplex":
-        gens = [Generator(d["name"], int(d["degree"]), int(d.get("filtration", 1)))
-                for d in data["generators"]]
+        gens = []
+        for i, d in enumerate(_require_list(data["generators"], "generators")):
+            _require_object(d, f"generator {i}")
+            _require_str(d["name"], f"generator {i}: name")
+            gens.append(Generator(d["name"], _require_int(d["degree"], f"degree of {d['name']}"),
+                                  _require_int(d.get("filtration", 1),
+                                               f"filtration of {d['name']}")))
         boundary = data.get("boundary", {})
+        _require_object(boundary, "boundary")
         for name, targets in boundary.items():
-            if not isinstance(targets, list):
-                raise DescriptorError(f"boundary of {name} must be a list of "
-                                      f"generator names, got {targets!r}")
+            _require_list(targets, f"boundary of {name}")
         return cls(gens, boundary)
 
 
@@ -466,9 +461,7 @@ def build_from_qmd(descriptor: QMDDescriptor) -> FilteredComplex:
         if gen_degree[dst] != gen_degree[src] - 1:
             raise CrossTermError(f"cross term {src} -> {dst} must drop degree by 1")
         boundary[src] = (*boundary.get(src, ()), dst)
-    fc = FilteredComplex(generators, boundary)
-    fc.validate()
-    return fc
+    return FilteredComplex(generators, boundary)
 
 
 def truncate_by_action(descriptor: QMDDescriptor, cutoff: float) -> QMDDescriptor:

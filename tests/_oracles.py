@@ -17,11 +17,12 @@ pairs, ``oracle_differential_ranks`` takes the matrices' ranks, and
 ``oracle_differential`` is d_n of a ``FilteredComplex`` as a dense
 ``GF2Matrix``, which the complex itself no longer builds.
 
-``oracle_validate`` is ``FilteredComplex.validate`` as it was before it
-counted boundary-of-boundary names: d^2 = 0 by dense ``GF2Matrix``
-products.  ``random_shifted_sum`` and ``random_raw_complex`` draw complexes
-with negative degrees and degree gaps, with and without d^2 = 0, for the
-cross-checks of ``validate``, ``homology_dims`` and the stored pairing.
+``oracle_validate`` is the filtration and d^2 = 0 checks of ``FilteredComplex``
+construction as they were before it counted boundary-of-boundary names:
+d^2 = 0 by dense ``GF2Matrix`` products, on raw (generators, boundary) data.
+``random_shifted_sum`` and ``random_raw_complex`` draw such raw data with
+negative degrees and degree gaps, with and without d^2 = 0, for the
+cross-checks of construction, ``homology_dims`` and the stored pairing.
 
 ``oracle_build_complex`` is the tuple-cell closure with dense ``GF2Matrix``
 boundaries that ``qmdkit.cubical`` used before its doubled-grid engine:
@@ -36,10 +37,11 @@ every boundary reduced with ``reduce_faces`` from the top down, with
 clearing by the full pivots of the boundary above.
 
 ``oracle_classify``, the ``oracle_check_*`` checkers, ``oracle_index_preserved``,
-``oracle_construct_tau``, ``oracle_flatten_along_chart`` and
-``oracle_isolation_scan`` are the morse/graphlag code before the Hessian was
-taken in one pass per field: one ``hessian_at`` and ``eig_sym`` per node, the
-chart terms from a per-node loop and one ``flow_translate`` per scan step.
+``oracle_transverse_negative_index``, ``oracle_construct_tau``,
+``oracle_flatten_along_chart`` and ``oracle_isolation_scan`` are the
+morse/graphlag code before the Hessian was taken in one pass per field: one
+``hessian_at`` and ``eig_sym`` per node, the chart terms from a per-node loop
+and one ``flow_translate`` per scan step.
 ``oracle_flatten`` is the full-grid flattening body that ``qmdkit.morse.flatten``
 had before it became ``flatten_along_chart`` on the full chart, with its own
 whole-grid nudge loop; both flattening oracles apply ``oracle_rho``, the
@@ -102,7 +104,7 @@ from qmdkit.morse import (ANGLE_TOL, BOX_MARGIN, MAX_NUDGES, ChartError,
                           _check_minimum_on_slice, _component_extent_axes,
                           _kernel_threshold, _require_contained, _smoothstep,
                           critical_node_mask, default_hessian_floor,
-                          isolating_box, transverse_negative_index)
+                          isolating_box)
 from qmdkit.specseq import BoundaryError, FilteredComplex, FiltrationError, Generator, Page
 
 
@@ -168,10 +170,15 @@ def sturm_eigenvalues(A: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 
 def oracle_differential(fc: FilteredComplex, n: int) -> GF2Matrix:
     """d_n as a dense matrix, rows and columns in generator order."""
-    row = {name: i for i, name in enumerate(fc.generator_names(n - 1))}
-    dense = np.zeros((fc.dim(n - 1), fc.dim(n)), dtype=np.uint8)
-    for j, name in enumerate(fc.generator_names(n)):
-        for tname in fc.boundary_names[name]:
+    return _raw_differential(fc.generators, fc.boundary_names, n)
+
+
+def _raw_differential(generators: Sequence[Generator], boundary: dict, n: int) -> GF2Matrix:
+    row = {g.name: i for i, g in enumerate(g for g in generators if g.degree == n - 1)}
+    cols = [g.name for g in generators if g.degree == n]
+    dense = np.zeros((len(row), len(cols)), dtype=np.uint8)
+    for j, name in enumerate(cols):
+        for tname in boundary.get(name, ()):
             dense[row[tname], j] ^= 1
     return GF2Matrix.from_dense(dense)
 
@@ -188,19 +195,21 @@ def naive_homology_dims(fc: FilteredComplex) -> dict:
     return out
 
 
-def oracle_validate(fc: FilteredComplex) -> None:
-    """``FilteredComplex.validate`` by dense products: the filtration check,
-    then d_{n-1} d_n = 0 as a packed ``GF2Matrix`` product, degree by degree."""
-    filtration = {g.name: g.filtration for g in fc.generators}
-    for g in fc.generators:
-        for tname in fc.boundary_names.get(g.name, ()):
+def oracle_validate(generators: Sequence[Generator], boundary: dict) -> None:
+    """The checks ``FilteredComplex`` construction makes after names and
+    degrees, on raw data whose names and degrees are sound, by dense
+    products: the filtration check in generator order, then
+    d_{n-1} d_n = 0 as a packed ``GF2Matrix`` product, degree by degree."""
+    filtration = {g.name: g.filtration for g in generators}
+    for g in generators:
+        for tname in boundary.get(g.name, ()):
             if filtration[tname] > g.filtration:
                 raise FiltrationError(
                     f"differential raises filtration: {g.name} (p={g.filtration}) "
                     f"-> {tname} (p={filtration[tname]})")
-    for n in fc.degrees():
-        lower = oracle_differential(fc, n)
-        lower2 = oracle_differential(fc, n - 1)
+    for n in sorted({g.degree for g in generators}):
+        lower = _raw_differential(generators, boundary, n)
+        lower2 = _raw_differential(generators, boundary, n - 1)
         if lower.rows and lower2.rows:
             if not lower2.mul(lower).is_zero():
                 raise BoundaryError(f"d^2 != 0 out of degree {n}")
@@ -294,29 +303,27 @@ def random_filtered_complex(rng: np.random.Generator, max_gens: int = 40):
             targets = [name_of[(n - 1, i)] for i in range(D.shape[0]) if D[i, j]]
             if targets:
                 boundary[name_of[(n, j)]] = targets
-    fc = FilteredComplex(generators, boundary)
-    fc.validate()
-    return fc, {n: d for n, d in expected.items()}
+    return FilteredComplex(generators, boundary), {n: d for n, d in expected.items()}
 
 
-def random_shifted_sum(rng: np.random.Generator, max_gens: int = 20) -> FilteredComplex:
-    """The direct sum of two ``random_filtered_complex`` draws, one moved to
-    negative degrees and one above a gap of at least one empty degree, so
-    d^2 = 0 and d respects the filtration."""
+def random_shifted_sum(rng: np.random.Generator, max_gens: int = 20):
+    """(generators, boundary) of the direct sum of two ``random_filtered_complex``
+    draws, one moved to negative degrees and one above a gap of at least one
+    empty degree, so d^2 = 0 and d respects the filtration."""
     generators, boundary = [], {}
     for tag, shift in (("lo", int(rng.integers(-7, -3))), ("hi", int(rng.integers(2, 4)))):
         fc, _ = random_filtered_complex(rng, max_gens=max_gens)
         for g in fc.generators:
             generators.append(Generator(f"{tag}.{g.name}", g.degree + shift, g.filtration))
             boundary[f"{tag}.{g.name}"] = [f"{tag}.{t}" for t in fc.boundary_names[g.name]]
-    return FilteredComplex(generators, boundary)
+    return generators, boundary
 
 
-def random_raw_complex(rng: np.random.Generator, max_gens: int = 20) -> FilteredComplex:
-    """Generators in degrees -3..-1 and 1..3 (0 is left empty) with random
-    levels and random boundaries one degree down, a target sometimes listed
-    twice; d^2 = 0 is left to chance.  In about half the draws every
-    boundary stays within its level, otherwise it may raise it."""
+def random_raw_complex(rng: np.random.Generator, max_gens: int = 20):
+    """(generators, boundary) in degrees -3..-1 and 1..3 (0 is left empty)
+    with random levels and random boundaries one degree down, a target
+    sometimes listed twice; d^2 = 0 is left to chance.  In about half the
+    draws every boundary stays within its level, otherwise it may raise it."""
     r = int(rng.integers(1, 5))
     respect = bool(rng.integers(0, 2))
     generators = [Generator(f"g{i}", int(rng.choice([-3, -2, -1, 1, 2, 3])),
@@ -330,7 +337,7 @@ def random_raw_complex(rng: np.random.Generator, max_gens: int = 20) -> Filtered
         if targets and rng.random() < 0.2:
             targets.append(targets[0])
         boundary[g.name] = targets
-    return FilteredComplex(generators, boundary)
+    return generators, boundary
 
 
 # -- spectral-sequence pages by the cycle/boundary formula ---------------
@@ -707,6 +714,19 @@ def _oracle_sample_nodes(f: ScalarField, comp: GridMask) -> List[Tuple[int, ...]
             for idx in np.argwhere(comp.cells & ok)]
 
 
+def oracle_transverse_negative_index(f: ScalarField, node: Sequence[int],
+                                     chart: SubmanifoldChart, eig_tol: float) -> int:
+    """Negative eigenvalues of the off-chart Hessian block at one node, from
+    one ``hessian_at`` and one ``eig_sym``."""
+    off = chart.off_axes(f.ndim)
+    if not off:
+        return 0
+    H = hessian_at(f, node)
+    sub = H[np.ix_(off, off)]
+    w, _ = eig_sym(sub)
+    return int(np.sum(w < -_kernel_threshold(w, eig_tol, default_hessian_floor(f))))
+
+
 def oracle_index_preserved(f: ScalarField, f_check: ScalarField, crit: CriticalSet,
                     chart: SubmanifoldChart, eig_tol: float = 1e-6,
                     component: int = 0) -> bool:
@@ -714,8 +734,8 @@ def oracle_index_preserved(f: ScalarField, f_check: ScalarField, crit: CriticalS
     f.require_same_grid(f_check)
     comp = crit.components[component]
     for node in _oracle_sample_nodes(f, comp):
-        before = transverse_negative_index(f, node, chart, eig_tol)
-        after = transverse_negative_index(f_check, node, chart, eig_tol)
+        before = oracle_transverse_negative_index(f, node, chart, eig_tol)
+        after = oracle_transverse_negative_index(f_check, node, chart, eig_tol)
         if before != after:
             return False
     return True

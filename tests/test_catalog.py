@@ -90,5 +90,5 @@ def test_unknown_example_rejected():
 def test_descriptor_registry_builds():
     from qmdkit.specseq import build_from_qmd
     for name, make in CATALOG_DESCRIPTORS.items():
-        fc = build_from_qmd(make())
-        fc.validate()
+        # construction checks names, degrees, the filtration and d^2 = 0
+        build_from_qmd(make())

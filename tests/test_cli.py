@@ -125,6 +125,28 @@ def test_specseq_cancellation(tmp_path, capsys):
     assert payload["graded_sum_matches_homology"] is True
 
 
+def test_specseq_builds_each_printed_page_once(tmp_path, capsys, monkeypatch):
+    from qmdkit import specseq
+    built = []
+    build = specseq._page_from_pairs
+    monkeypatch.setattr(specseq, "_page_from_pairs",
+                        lambda *args: built.append(args[-1]) or build(*args))
+    desc = _write(tmp_path, "d.json", descriptor_five_piece().to_json())
+    assert main(["specseq", "--descriptor", desc, "--pages", "all"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    # the stable page is the last one listed, and converge's
+    assert built == [6, 1, 2, 3, 4, 5]
+    assert [pg["page"] for pg in payload["pages"]] == [1, 2, 3, 4, 5, 6]
+    assert payload["pages"][-1] == payload["einf"]
+    # an empty complex's stable page is page 1, and page 2 is still listed
+    built.clear()
+    desc = _write(tmp_path, "e.json", {"pieces": [_piece("a", 0.0, betti=[0])]})
+    assert main(["specseq", "--descriptor", desc, "--pages", "all"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert built == [2]
+    assert payload["pages"] == [{"entries": [], "page": 1}, {"entries": [], "page": 2}]
+
+
 def test_specseq_kunneth_ranks(tmp_path, capsys):
     desc = _write(tmp_path, "d.json", descriptor_annulus_kunneth().to_json())
     code = main(["specseq", "--descriptor", desc, "--pages", "1"])
@@ -277,6 +299,18 @@ def test_specseq_rejects_a_huge_betti_number_at_once(tmp_path, capsys):
     assert time.perf_counter() - start < 0.5
     captured = capsys.readouterr()
     assert captured.out == "" and "generators" in captured.err
+
+
+@pytest.mark.parametrize("boundary, message", [
+    ({"e": ["v"], "f": ["e"]}, "d^2 != 0 out of degree 2"),
+    ({"f": ["v"]}, "boundary of a/f (degree 2) hits a/v of degree 0"),
+], ids=["d-squared", "degree-skip"])
+def test_specseq_local_complex_that_is_not_a_chain_complex_fails(boundary, message,
+                                                                 tmp_path, capsys):
+    frag = {"generators": [_V, _E, {"name": "f", "degree": 2}], "boundary": boundary}
+    path = _write(tmp_path, "d.json", {"pieces": [_piece("a", 0.0, complex=frag)]})
+    assert main(["specseq", "--descriptor", path]) == 1
+    assert capsys.readouterr() == ("", f"failed: {message}\n")
 
 
 def _quarter_turn_paths(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 
@@ -29,7 +30,7 @@ from _oracles import (oracle_axis_interval, oracle_check_flattened_degenerate,
                       oracle_flatten_along_chart, oracle_grid_distance_to_component,
                       oracle_index_preserved, oracle_kernel_spans_axes,
                       oracle_kernel_transverse, oracle_rho,
-                      oracle_verify_thickening)
+                      oracle_transverse_negative_index, oracle_verify_thickening)
 
 SEED = int(os.environ.get("QMD_SEED", "0"))
 
@@ -509,6 +510,25 @@ def test_transverse_index_preserved_through_flattening():
     assert transverse_negative_index(f, (16, 16), chart, 1e-6) == 1
     assert transverse_negative_index(f.sub(tau), (16, 16), chart, 1e-6) == 1
     assert index_preserved(f, f.sub(tau), crit, chart)
+
+
+def test_transverse_index_matches_per_node_oracle():
+    """At every node of random 2-, 3- and 4-D fields and every chart, the
+    batched body counts what one `hessian_at` and `eig_sym` count, and a
+    node on an open boundary raises BoundaryNodeError in both."""
+    rng = np.random.default_rng(SEED)
+    seen = set()
+    for n, ndim in ((7, 2), (7, 2), (5, 3), (3, 4)):
+        f = ScalarField((n,) * ndim, rng.uniform(0.2, 0.5, ndim),
+                        rng.integers(0, 2, ndim).astype(bool), rng.normal(size=(n,) * ndim))
+        charts = [SubmanifoldChart(axes, (0,) * ndim) for k in range(ndim + 1)
+                  for axes in itertools.combinations(range(ndim), k)]
+        for node, chart in itertools.product(np.ndindex(f.dims), charts):
+            eig_tol = rng.choice((1e-6, 0.3))
+            got = _outcome(transverse_negative_index, f, node, chart, eig_tol)
+            assert got == _outcome(oracle_transverse_negative_index, f, node, chart, eig_tol)
+            seen.add(got[1] if got[0] == "raised" else got[1] > 0)
+    assert seen == {"BoundaryNodeError", False, True}
 
 
 def test_c1_distance_bound_and_monotonicity():

@@ -27,27 +27,42 @@ def _two_gen_pair():
 
 def test_validate_zero_differential():
     fc = FilteredComplex([Generator("a", 0, 1), Generator("b", 2, 3)], {})
-    fc.validate()
+    assert dict(fc.boundary_names) == {"a": (), "b": ()}
 
 
 def test_validate_action_decreasing_differential():
-    _two_gen_pair().validate()
+    assert dict(_two_gen_pair().boundary_names) == {"x": (), "y": ("x",)}
 
 
 def test_validate_rejects_filtration_raise():
-    fc = FilteredComplex([Generator("x", 0, 2), Generator("y", 1, 1)],
-                         {"y": ["x"]})
     with pytest.raises(FiltrationError) as err:
-        fc.validate()
-    assert "y" in str(err.value) and "x" in str(err.value)
+        FilteredComplex([Generator("x", 0, 2), Generator("y", 1, 1)], {"y": ["x"]})
+    assert str(err.value) == "differential raises filtration: y (p=1) -> x (p=2)"
 
 
 def test_validate_rejects_broken_square():
-    fc = FilteredComplex([Generator("x", 0, 1), Generator("y", 1, 1),
-                          Generator("z", 2, 1)],
-                         {"z": ["y"], "y": ["x"]})
-    with pytest.raises(BoundaryError):
-        fc.validate()
+    # d(d z) = x: no page or Betti number of it may be read, so none is built
+    with pytest.raises(BoundaryError) as err:
+        FilteredComplex([Generator("x", 0, 1), Generator("y", 1, 1),
+                         Generator("z", 2, 1)],
+                        {"z": ["y"], "y": ["x"]})
+    assert str(err.value) == "d^2 != 0 out of degree 2"
+
+
+def test_construction_reports_names_and_degrees_before_the_filtration():
+    gens = [Generator("x", 0, 2), Generator("y", 1, 1), Generator("z", 1, 1),
+            Generator("w", 2, 1)]
+    # y -> x raises the level first in the walk; later bad names or degrees win
+    for boundary, message in (
+            ({"y": ["x"], "z": ["q"]}, "boundary of z names unknown generator q"),
+            ({"y": ["x"], "w": ["x"]}, "boundary of w (degree 2) hits x of degree 0"),
+            ({"y": ["x"], "q": ["x"]}, "boundary given for unknown generator q")):
+        with pytest.raises(BoundaryError) as err:
+            FilteredComplex(gens, boundary)
+        assert str(err.value) == message
+    # and a raised level wins over d^2 != 0
+    with pytest.raises(FiltrationError):
+        FilteredComplex(gens, {"y": ["x"], "w": ["z"], "z": ["x"]})
 
 
 def test_boundary_must_drop_degree():
@@ -80,7 +95,6 @@ def test_length_two_cross_term_fires_on_page_two():
     fc = FilteredComplex([Generator("x", 0, 1), Generator("y", 0, 2),
                           Generator("z", 1, 3)],
                          {"z": ["x"]})
-    fc.validate()
     e1 = page(fc, 1)
     assert e1.dims() == {(1, -1): 1, (2, -2): 1, (3, -2): 1}
     assert e1.differentials[(3, -2)] == []
@@ -92,12 +106,14 @@ def test_length_two_cross_term_fires_on_page_two():
 
 
 def test_page_rejects_filtration_raise():
-    fc = FilteredComplex([Generator("x", 0, 2), Generator("y", 1, 1)],
-                         {"y": ["x"]})
-    with pytest.raises(FiltrationError):
-        page(fc, 1)
-    with pytest.raises(FiltrationError):
-        converge(fc)
+    # there is no complex to take a page of: construction reports the first
+    # raise in generator order, u -> s, not v -> t, the first in the
+    # (filtration, degree) order that the reduction walks
+    gens = [Generator("u", 1, 2), Generator("v", 1, 1), Generator("s", 0, 3),
+            Generator("t", 0, 2)]
+    with pytest.raises(FiltrationError) as err:
+        FilteredComplex(gens, {"u": ["s"], "v": ["t"]})
+    assert str(err.value) == "differential raises filtration: u (p=2) -> s (p=3)"
 
 
 def test_catalog_pages_match_oracle():
@@ -311,7 +327,6 @@ def test_descriptor_json_roundtrip():
 def test_complex_json_roundtrip():
     fc = _two_gen_pair()
     again = FilteredComplex.from_json(fc.to_json())
-    again.validate()
     assert page(again, 1).dims() == page(fc, 1).dims()
 
 
@@ -330,6 +345,23 @@ def test_complex_json_rejects_boundary_of_unknown_generator():
         FilteredComplex.from_json(data)
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"generators": [{"name": "x", "degree": 1.7}]}, "degree of x must be an integer, got 1.7"),
+    ({"generators": [{"name": "x", "degree": True}]}, "degree of x must be an integer, got True"),
+    ({"generators": [{"name": "x", "degree": 0, "filtration": "2"}]},
+     "filtration of x must be an integer, got '2'"),
+    ({"generators": [{"name": 5, "degree": 0}]}, "generator 0: name must be a string, got 5"),
+    ({"generators": ["x"]}, "generator 0 must be an object, got 'x'"),
+    ({"generators": {"x": 0}}, "generators must be an array, got {'x': 0}"),
+    ({"generators": [], "boundary": [["x"]]}, "boundary must be an object, got [['x']]"),
+], ids=["float-degree", "bool-degree", "string-filtration", "int-name", "string-generator",
+        "object-generators", "list-boundary"])
+def test_complex_json_rejects_bad_values(data, message):
+    with pytest.raises(DescriptorError) as err:
+        FilteredComplex.from_json(data)
+    assert str(err.value) == message
+
+
 def test_complex_json_rejects_string_boundary():
     data = {"generators": [{"name": "xx", "degree": 1}, {"name": "y", "degree": 0}],
             "boundary": {"xx": "yy"}}
@@ -340,10 +372,23 @@ def test_complex_json_rejects_string_boundary():
 # -- sparse paths against the dense oracles ----------------------------------------
 
 
-def _random_complexes(count=80):
+def _random_draws(count=80):
+    """Raw (generators, boundary) draws, valid or not."""
     rng = np.random.default_rng(SEED)
     return [random_shifted_sum(rng) if i % 2 else random_raw_complex(rng)
             for i in range(count)]
+
+
+def _random_complexes(count=80):
+    """The complexes of the draws that construct."""
+    out = []
+    for generators, boundary in _random_draws(count):
+        try:
+            out.append(FilteredComplex(generators, boundary))
+        except (BoundaryError, FiltrationError):
+            pass
+    assert out
+    return out
 
 
 def _raised(fn):
@@ -369,9 +414,9 @@ def test_boundary_names_are_read_only():
 
 def test_validate_matches_dense_oracle():
     seen = set()
-    for fc in _random_complexes():
-        got = _raised(fc.validate)
-        assert got == _raised(lambda: oracle_validate(fc))
+    for generators, boundary in _random_draws():
+        got = _raised(lambda: FilteredComplex(generators, boundary))
+        assert got == _raised(lambda: oracle_validate(generators, boundary))
         seen.add(got[0] if got else None)
     assert seen == {None, BoundaryError, FiltrationError}
 
@@ -382,24 +427,14 @@ def test_homology_dims_matches_naive_oracle():
 
 
 def test_pages_after_converge_match_a_fresh_complex():
-    reduced = 0
     for fc in _random_complexes():
-        if _raised(fc.persistence):
-            # a failed reduction stores nothing: every later call fails too
-            for call in (fc.persistence, lambda: converge(fc), lambda: page(fc, 1)):
-                assert _raised(call)[0] is FiltrationError
-            continue
-        reduced += 1
         assert converge(fc) == converge(_copy(fc))
         for k in range(1, fc.max_filtration + 3):
             assert page(fc, k) == page(_copy(fc), k), k
-    assert reduced
 
 
 def test_persistence_returns_fresh_lists():
     for fc in _random_complexes(20):
-        if _raised(fc.persistence):
-            continue
         pairs, unpaired = fc.persistence()
         want = (list(pairs), list(unpaired))
         pairs.clear()
