@@ -60,6 +60,18 @@ class ScalarField:
         object.__setattr__(self, "periodic", periodic)
         object.__setattr__(self, "values", values)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ScalarField):
+            return NotImplemented
+        return (self.dims == other.dims and self.spacing == other.spacing
+                and self.periodic == other.periodic
+                and np.array_equal(self.values, other.values))
+
+    def __hash__(self):
+        # + 0.0 turns -0.0 into 0.0, which it equals
+        return hash((self.dims, self.spacing, self.periodic,
+                     (self.values + 0.0).tobytes()))
+
     @property
     def ndim(self) -> int:
         return len(self.dims)

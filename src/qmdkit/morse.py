@@ -33,7 +33,10 @@ than the grid, takes their eigenpairs with one batched numpy.linalg.eigh
 and each node's kernel threshold.  The flattened and minimally
 degenerate rungs share one body that reads both verdicts off one sample
 of f, and `classify` passes it the sample its Morse rungs read: one
-`classify` samples f once, and `check_qmd` samples tau at most once.
+`classify` samples f once, and `check_qmd` samples tau at most once.  A
+`CriticalSet` keeps each component's last `check_qmd` certificate, so
+`construct_tau` followed by `classify(tau=...)` or `check_qmd` on the tau
+it returned certifies once.
 `index_preserved` gathers only the off-chart blocks of both fields at the
 same nodes.  The kernel tests are batched too: alignment
 with the chart is one SVD over the stack of kernel vectors, and
@@ -143,6 +146,9 @@ class CriticalSet:
     grad_tol: float
     _boxes: Dict[int, np.ndarray] = dc_field(default_factory=dict, init=False,
                                              repr=False, compare=False)
+    # per component, the last (f, tau, chart, tols, strict, report) of check_qmd
+    _certificates: Dict[int, tuple] = dc_field(default_factory=dict, init=False,
+                                               repr=False, compare=False)
 
     def box(self, i: int) -> np.ndarray:
         """Component i's isolating box, built on first use and kept (read-only)."""
@@ -169,6 +175,13 @@ class DegeneracyReport:
     @property
     def passed(self) -> bool:
         return self.classification != "unclassified"
+
+    def _copy(self) -> "DegeneracyReport":
+        """A copy that shares no mutable container with this report."""
+        return DegeneracyReport(self.classification, dict(self.details),
+                                [list(s) for s in self.hessian_spectra],
+                                self.negative_index, list(self.sampled_nodes),
+                                list(self.notes))
 
     def to_json(self) -> dict:
         return {
@@ -465,7 +478,27 @@ def check_qmd(f: ScalarField, tau: ScalarField, crit: CriticalSet,
               strict: bool = False, component: int = 0) -> DegeneracyReport:
     """tau >= 0 vanishing exactly on C, kernel transversality, f - tau
     flattened, each a report detail; ChartError if C leaves the chart.
-    Transversality to a full chart holds without sampling tau."""
+    Transversality to a full chart holds without sampling tau.
+
+    `crit` keeps each component's last result: a call with the very same
+    f and tau objects (by identity, not field equality) and an equal
+    chart, tols and strict returns a fresh copy of it without checking
+    again.  The fields' values are read-only and the entry holds them, so
+    identity settles that nothing changed.  A call that raises keeps
+    nothing."""
+    kept = crit._certificates.get(component)
+    if not (kept and kept[0] is f and kept[1] is tau
+            and kept[2:5] == (chart, tols, strict)):
+        kept = (f, tau, chart, tols, strict,
+                _certify_qmd(f, tau, crit, chart, tols, strict, component))
+        crit._certificates[component] = kept
+    return kept[5]._copy()
+
+
+def _certify_qmd(f: ScalarField, tau: ScalarField, crit: CriticalSet,
+                 chart: SubmanifoldChart, tols: Tolerances, strict: bool,
+                 component: int) -> DegeneracyReport:
+    """The body of `check_qmd`, run on every call it has not kept."""
     f.require_same_grid(tau)
     comp = crit.components[component]
     report = DegeneracyReport("unclassified")

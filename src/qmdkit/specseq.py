@@ -70,6 +70,10 @@ class Generator:
     filtration: int
 
     def __post_init__(self):
+        # plain ints skip the checks, whose messages are formatted up front
+        if type(self.degree) is not int or type(self.filtration) is not int:
+            _require_int(self.degree, f"generator {self.name}: degree")
+            _require_int(self.filtration, f"generator {self.name}: filtration")
         if self.filtration < 1:
             raise FiltrationError(f"generator {self.name}: filtration must be >= 1")
 

@@ -9,6 +9,9 @@ from qmdkit.fields import (BoundaryNodeError, GridMismatchError, ScalarField,
                            gradient_at_nodes, hessian, hessian_at,
                            hessian_at_nodes, stencil_mask)
 
+from qmdkit.cubical import GridMask
+from qmdkit.morse import Tolerances, detect_critical_set, flatten
+
 from _oracles import oracle_gradient_at_nodes, oracle_hessian_at_nodes, sturm_eigenvalues
 
 SEED = int(os.environ.get("QMD_SEED", "0"))
@@ -29,6 +32,33 @@ def test_field_copies_its_source_array():
     for field in (f, view, flat):
         assert field.values.sum() == 0.0
         assert not np.shares_memory(field.values, base)
+
+
+def test_field_equality_and_hash_follow_the_values():
+    f = _plane(lambda x, y: x * y)
+    same = ScalarField(f.dims, f.spacing, f.periodic, f.values.copy())
+    assert f == same and hash(f) == hash(same) and len({f, same}) == 1
+    for other in (f.with_values(f.values + 1e-12),
+                  ScalarField(f.dims, f.spacing, (True, False), f.values),
+                  ScalarField(f.dims, (0.5, f.spacing[1]), f.periodic, f.values),
+                  ScalarField((289,), (0.125,), (False,), f.values)):
+        assert f != other
+    assert f != GridMask(f.dims, f.periodic, np.ones(f.dims, bool)) and f != "f"
+    # -0.0 == 0.0, so the two fields are equal and hash alike
+    zero = ScalarField((3, 2), (1.0, 1.0), (False, True), np.zeros((3, 2)))
+    negative_zero = zero.with_values(-np.zeros((3, 2)))
+    assert np.signbit(negative_zero.values).all()
+    assert zero == negative_zero and hash(zero) == hash(negative_zero)
+
+
+def test_flatten_result_equality_compares_fields():
+    f = ScalarField.sample((33,), (1.0 / 16.0,), (False,), lambda x: x * x,
+                           origin=(-1.0,))
+    crit = detect_critical_set(f, 1e-6)
+    first = flatten(f, 0.02, crit, Tolerances())
+    again = flatten(f, 0.02, crit, Tolerances())
+    assert first == again and hash(first) == hash(again)
+    assert first != flatten(f, 0.2, crit, Tolerances())
 
 
 def test_hessian_exact_for_quadratic():

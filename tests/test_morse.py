@@ -11,7 +11,7 @@ from qmdkit.catalog import (TOLS, field_1d_quadratic, field_1d_quartic,
                             field_torus_height, tau_1d_quartic, tau_saddle,
                             torus_circle_indices)
 from qmdkit.cubical import GridMask, axis_interval, betti_of_mask
-from qmdkit.fields import ScalarField, c1_distance
+from qmdkit.fields import GridMismatchError, ScalarField, c1_distance
 from qmdkit.morse import (BOX_MARGIN, ChartError, ConstructionError, CriticalSet,
                           NoCriticalPointsError, SubmanifoldChart, Tolerances,
                           _dilate, _kernel_spans_axes,
@@ -151,9 +151,10 @@ def test_critical_set_keeps_each_box_read_only():
 
 def test_field_job_builds_its_box_once_and_runs_no_gate(monkeypatch):
     """The call sequence of a benchmark fields job builds the component's
-    box once, and construct_tau runs no minimal-degeneracy check."""
+    box once, certifies tau once (construct_tau's check_qmd, which
+    classify(tau=...) reuses) and runs no minimal-degeneracy check."""
     from qmdkit import graphlag, morse
-    calls = {"isolating_box": 0, "check_minimally_degenerate": 0}
+    calls = {"isolating_box": 0, "check_minimally_degenerate": 0, "_certify_qmd": 0}
     for name in calls:
         def counted(*args, _raw=getattr(morse, name), _name=name, **kwargs):
             calls[_name] += 1
@@ -168,7 +169,7 @@ def test_field_job_builds_its_box_once_and_runs_no_gate(monkeypatch):
     flat = flatten(f, 0.005, crit, TOLS)
     thick = verify_thickening(f, crit, flat.sigma, TOLS)
     assert report.details["qmd"] and scan.passed and thick.passed
-    assert calls == {"isolating_box": 1, "check_minimally_degenerate": 0}
+    assert calls == {"isolating_box": 1, "check_minimally_degenerate": 0, "_certify_qmd": 1}
 
 
 # -- degeneracy checkers --------------------------------------------------
@@ -232,6 +233,124 @@ def test_qmd_reports_negative_tau_without_raising():
     report = check_qmd(f, negative, crit, chart, TOLS)
     assert report.details["tau_nonnegative"] is False
     assert not report.passed
+
+
+def _count_certificates(monkeypatch) -> list:
+    """Patch check_qmd's body to record each run; returns the record."""
+    from qmdkit import morse
+    runs = []
+
+    def counted(*args, _raw=morse._certify_qmd):
+        runs.append(args)
+        return _raw(*args)
+    monkeypatch.setattr(morse, "_certify_qmd", counted)
+    return runs
+
+
+def _tube3(rng, n=13):
+    """b (y - y0)^2 + a (z - z0)^2 over a periodic x axis, y0 and z0 a
+    random interior node: C is the circle through it along x."""
+    h = 2.0 / (n - 1)
+    y0, z0 = (int(v) for v in rng.integers(3, n - 3, 2))
+    a, b = (float(v) for v in rng.uniform(0.8, 2.0, 2))
+    f = ScalarField.sample((n, n, n), (2.0 * math.pi / n, h, h), (True, False, False),
+                           lambda x, y, z: b * (y + 1.0 - y0 * h) ** 2
+                           + a * (z + 1.0 - z0 * h) ** 2, origin=(0.0, -1.0, -1.0))
+    return f, (0, y0, z0)
+
+
+def _certificate_cases():
+    rng = np.random.default_rng(SEED)
+    f, node = _tube3(rng)
+    cases = [("tube3-circle-chart", f, SubmanifoldChart((0,), node)),
+             ("tube3-full-chart", f, SubmanifoldChart((0, 1, 2), node))]
+    n = 17
+    node = tuple(int(v) for v in rng.integers(4, n - 4, 2))
+    a, b = (float(v) for v in rng.uniform(0.8, 2.0, 2))
+    cases.append(("bowl2-full-chart",
+                  _plane(lambda x, y: a * (x + 1.0 - node[0] * 2.0 / (n - 1)) ** 2
+                         + b * (y + 1.0 - node[1] * 2.0 / (n - 1)) ** 2, n),
+                  SubmanifoldChart((0, 1), node)))
+    i_max, _ = torus_circle_indices()
+    cases.append(("torus-max-circle-chart", field_torus_height(),
+                  SubmanifoldChart((1,), (i_max, 0))))
+    return [pytest.param(f, chart, id=name) for name, f, chart in cases]
+
+
+@pytest.mark.parametrize("f,chart", _certificate_cases())
+def test_check_qmd_reuses_construct_tau_certificate(f, chart, monkeypatch):
+    """check_qmd and classify(tau=...) after construct_tau run no second
+    check, and report what a CriticalSet that kept nothing reports."""
+    crit = detect_critical_set(f, TOLS.grad_tol)
+    comp = next(i for i, c in enumerate(crit.components) if c.cells[chart.base])
+    runs = _count_certificates(monkeypatch)
+    tau = construct_tau(f, crit, chart, TOLS, component=comp)
+    warm = check_qmd(f, tau, crit, chart, TOLS, component=comp)
+    warm_ladder = classify(f, crit, chart, tau, TOLS, component=comp)
+    assert warm.passed and warm_ladder.details["qmd"] and len(runs) == 1
+    cold = CriticalSet(crit.components, crit.grad_tol)
+    assert warm.to_json() == check_qmd(f, tau, cold, chart, TOLS, component=comp).to_json()
+    cold = CriticalSet(crit.components, crit.grad_tol)
+    assert (warm_ladder.to_json()
+            == classify(f, cold, chart, tau, TOLS, component=comp).to_json())
+    assert len(runs) == 3
+
+
+def test_check_qmd_returns_a_fresh_report():
+    f, tau = field_saddle(), tau_saddle()
+    crit = detect_critical_set(f, TOLS.grad_tol)
+    chart = SubmanifoldChart((0,), (16, 16))
+    first = check_qmd(f, tau, crit, chart, TOLS)
+    expected = first.to_json()
+    first.details["tau_nonnegative"] = False
+    first.hessian_spectra[0][0] = 99.0
+    first.hessian_spectra.append([1.0])
+    first.sampled_nodes.clear()
+    first.notes.append("changed")
+    second = check_qmd(f, tau, crit, chart, TOLS)
+    assert second.to_json() == expected
+    second.hessian_spectra[0].append(1.0)
+    assert check_qmd(f, tau, crit, chart, TOLS).to_json() == expected
+
+
+def test_check_qmd_checks_again_on_any_other_input(monkeypatch):
+    """The kept result answers the very same f and tau objects with an
+    equal chart, tols and strict; a call that differs in any one of them
+    is checked, and its result replaces the kept one."""
+    f, tau = field_saddle(), tau_saddle()
+    chart = SubmanifoldChart((0,), (16, 16))
+    runs = _count_certificates(monkeypatch)
+    crit = detect_critical_set(f, TOLS.grad_tol)
+    check_qmd(f, tau, crit, chart, TOLS)
+    check_qmd(f, tau, crit, SubmanifoldChart((0,), (16, 16)), Tolerances(), False)
+    assert len(runs) == 1
+    for g, t, c, tols, strict in [(f.with_values(f.values), tau, chart, TOLS, False),
+                                  (f, tau.with_values(tau.values), chart, TOLS, False),
+                                  (f, tau, SubmanifoldChart((), (16, 16)), TOLS, False),
+                                  (f, tau, chart, Tolerances(value_tol=1e-8), False),
+                                  (f, tau, chart, TOLS, True)]:
+        assert g == f and t == tau
+        crit = CriticalSet(crit.components, crit.grad_tol)
+        check_qmd(f, tau, crit, chart, TOLS)
+        before = len(runs)
+        check_qmd(g, t, crit, c, tols, strict)
+        check_qmd(g, t, crit, c, tols, strict)
+        check_qmd(f, tau, crit, chart, TOLS)
+        assert len(runs) == before + 2
+
+
+def test_check_qmd_keeps_no_failure(monkeypatch):
+    f, tau = field_saddle(), tau_saddle()
+    crit = detect_critical_set(f, TOLS.grad_tol)
+    runs = _count_certificates(monkeypatch)
+    off_chart = SubmanifoldChart((), (16, 15))
+    other_grid = ScalarField.sample((9, 9), (0.25, 0.25), (False, False), lambda x, y: x * y)
+    for _ in range(2):
+        with pytest.raises(ChartError):
+            check_qmd(f, tau, crit, off_chart, TOLS)
+        with pytest.raises(GridMismatchError):
+            check_qmd(f, other_grid, crit, off_chart, TOLS)
+    assert len(runs) == 4
 
 
 def test_mindeg_saddle_along_x_axis():

@@ -362,6 +362,20 @@ def test_complex_json_rejects_bad_values(data, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("value", [0.5, 1.7, True, "2"],
+                         ids=["half", "float", "bool", "string"])
+def test_generator_requires_integer_degree_and_filtration(value):
+    with pytest.raises(DescriptorError) as err:
+        Generator("x", value, 1)
+    assert str(err.value) == f"generator x: degree must be an integer, got {value!r}"
+    with pytest.raises(DescriptorError) as err:
+        Generator("x", 0, value)
+    assert str(err.value) == f"generator x: filtration must be an integer, got {value!r}"
+    with pytest.raises(DescriptorError):
+        FilteredComplex([Generator("x", 0.5, 1), Generator("y", 1.5, 2)], {"y": ["x"]})
+    assert Generator("x", np.int64(2), np.int64(3)) == Generator("x", 2, 3)
+
+
 def test_complex_json_rejects_string_boundary():
     data = {"generators": [{"name": "xx", "degree": 1}, {"name": "y", "degree": 0}],
             "boundary": {"xx": "yy"}}
