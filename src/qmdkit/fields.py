@@ -47,6 +47,8 @@ class ScalarField:
         periodic = tuple(bool(p) for p in self.periodic)
         if not (len(dims) == len(spacing) == len(periodic)):
             raise ValueError("dims, spacing, periodic must have equal length")
+        if not dims:
+            raise ValueError("a field needs at least one axis")
         if any(n < 1 for n in dims):
             raise ValueError("all axis sizes must be >= 1")
         if not all(0.0 < h < np.inf for h in spacing):
@@ -119,8 +121,9 @@ class ScalarField:
     @classmethod
     def from_json(cls, data: dict) -> "ScalarField":
         """Read `to_json` output.  Each key must hold a JSON array (a string
-        would be read one character at a time), dims integers and periodic
-        flags 0, 1, true or false."""
+        would be read one character at a time), dims integers, periodic
+        flags 0, 1, true or false, and spacing and values JSON numbers
+        (numpy would read "0.25" and true as numbers)."""
         dims, spacing, periodic, values = (data[k] for k in
                                            ("dims", "spacing", "periodic", "values"))
         if not all(isinstance(v, list) for v in (dims, spacing, periodic, values)):
@@ -129,6 +132,8 @@ class ScalarField:
             raise ValueError(f"axis sizes must be integers: {dims}")
         if not all(isinstance(p, int) and p in (0, 1) for p in periodic):
             raise ValueError(f"periodic flags must be 0, 1, true or false: {periodic}")
+        if not {int, float}.issuperset(map(type, spacing + values)):
+            raise ValueError("spacing and values must be arrays of numbers")
         return cls(tuple(dims), tuple(float(h) for h in spacing),
                    tuple(bool(p) for p in periodic),
                    np.array(values, dtype=float))

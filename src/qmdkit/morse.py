@@ -170,7 +170,6 @@ class DegeneracyReport:
     hessian_spectra: List[List[float]] = dc_field(default_factory=list)
     negative_index: Optional[int] = None
     sampled_nodes: List[Tuple[int, ...]] = dc_field(default_factory=list)
-    notes: List[str] = dc_field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -180,8 +179,7 @@ class DegeneracyReport:
         """A copy that shares no mutable container with this report."""
         return DegeneracyReport(self.classification, dict(self.details),
                                 [list(s) for s in self.hessian_spectra],
-                                self.negative_index, list(self.sampled_nodes),
-                                list(self.notes))
+                                self.negative_index, list(self.sampled_nodes))
 
     def to_json(self) -> dict:
         return {
@@ -190,7 +188,6 @@ class DegeneracyReport:
             "hessian_spectra": [[float(x) for x in spec] for spec in self.hessian_spectra],
             "negative_index": self.negative_index,
             "sampled_nodes": [list(n) for n in self.sampled_nodes],
-            "notes": list(self.notes),
         }
 
 
@@ -249,15 +246,22 @@ def detect_critical_set(f: ScalarField, grad_tol: float) -> CriticalSet:
                        float(grad_tol))
 
 
+def _box_runs(component: GridMask) -> List[Tuple[int, int]]:
+    """Each axis's run (start, length) of the component's isolating box: the
+    ``axis_interval`` of its projection, widened by BOX_MARGIN cells."""
+    cells, d = component.cells, component.ndim
+    return [axis_interval(cells.any(axis=tuple(b for b in range(d) if b != a)),
+                          component.periodic[a], BOX_MARGIN)
+            for a in range(d)]
+
+
 def isolating_box(component: GridMask) -> np.ndarray:
     """Bounding box of a component inflated by BOX_MARGIN cells, as a node mask."""
-    cells, d = component.cells, component.ndim
-    if not cells.any():
+    if not component.cells.any():
         raise ValueError("empty component")
+    d = component.ndim
     box = np.ones(component.dims, dtype=bool)
-    for a, n in enumerate(component.dims):
-        start, length = axis_interval(cells.any(axis=tuple(b for b in range(d) if b != a)),
-                                      component.periodic[a], BOX_MARGIN)
+    for a, (n, (start, length)) in enumerate(zip(component.dims, _box_runs(component))):
         keep = np.zeros(n, dtype=bool)
         keep[(start + np.arange(length)) % n] = True
         shape = [1] * d
@@ -537,21 +541,24 @@ def _smoothstep(t: np.ndarray) -> np.ndarray:
     return t * t * t * (t * (6.0 * t - 15.0) + 10.0)
 
 
-def _box_excess_distance(box: np.ndarray, spacing, periodic) -> np.ndarray:
-    """Physical distance from each node to the box (0 inside)."""
-    dims = box.shape
-    axis_dist = []
-    for a, n in enumerate(dims):
-        others = tuple(i for i in range(len(dims)) if i != a)
-        proj = box.any(axis=others) if others else box
-        inside = np.nonzero(proj)[0]
+def _box_excess_distance(component: GridMask, spacing) -> np.ndarray:
+    """Physical distance from each node to the component's isolating box
+    (0 inside): per axis, the index distance to the box's run, circular on
+    a periodic axis.  The squares are summed in axis order, broadcast from
+    each axis, so only the last sum and the root are full-grid passes."""
+    d = component.ndim
+    square_sum = 0.0
+    for a, (n, (start, length)) in enumerate(zip(component.dims, _box_runs(component))):
         idx = np.arange(n)
-        d = np.abs(idx[:, None] - inside[None, :])
-        if periodic[a]:
-            d = np.minimum(d, n - d)
-        axis_dist.append(d.min(axis=1) * spacing[a])
-    grids = np.meshgrid(*axis_dist, indexing="ij") if len(dims) > 1 else [axis_dist[0]]
-    return np.sqrt(sum(g ** 2 for g in grids))
+        if component.periodic[a]:
+            past = (idx - start) % n    # steps from the run's start, forward
+            steps = np.where(past < length, 0, np.minimum(past - (length - 1), n - past))
+        else:
+            steps = np.maximum(0, np.maximum(start - idx, idx - (start + length - 1)))
+        shape = [1] * d
+        shape[a] = n
+        square_sum = square_sum + ((steps * spacing[a]) ** 2).reshape(shape)
+    return np.sqrt(square_sum)
 
 
 def _chart_terms(f: ScalarField, chart: SubmanifoldChart) -> Tuple[np.ndarray, np.ndarray]:
@@ -592,11 +599,10 @@ def construct_tau(f: ScalarField, crit: CriticalSet, chart: SubmanifoldChart,
     chart.  Minimal degeneracy guarantees a pass but is not checked first.
     """
     comp = crit.components[component]
-    box = crit.box(component)
     fmin = float(f.values[comp.cells].min())
 
     r4, proj_vals = _chart_terms(f, chart)
-    d_box = _box_excess_distance(box, f.spacing, f.periodic)
+    d_box = _box_excess_distance(comp, f.spacing)
     ramp_width = 2.0 * BOX_MARGIN * float(np.mean(f.spacing))
     ramp = 1.0 - _smoothstep(d_box / ramp_width)
     tau_vals = r4 + ramp * (proj_vals - fmin) + d_box ** 4

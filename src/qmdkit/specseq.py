@@ -21,7 +21,11 @@ recover the homology of the underlying complex.
 
 Descriptors bundle local data per critical piece: an action value (which
 orders the filtration), an integer grading offset iota, and a local
-complex (or just its Betti numbers).  The assembled total complex puts
+complex (or just its Betti numbers).  A descriptor is the one serialized
+input, read by ``QMDDescriptor.from_json``; a FilteredComplex has no JSON
+form and is built from a descriptor or in code.  The descriptor's type
+checks take a %-template and its arguments and format the message only
+when they fail.  The assembled total complex puts
 piece p's degree-m homology in total degree m + iota_p, so its first page
 realizes the local-homology dimensions directly.  Action-cutoff
 truncations form a directed system whose first pages agree on every
@@ -70,10 +74,8 @@ class Generator:
     filtration: int
 
     def __post_init__(self):
-        # plain ints skip the checks, whose messages are formatted up front
-        if type(self.degree) is not int or type(self.filtration) is not int:
-            _require_int(self.degree, f"generator {self.name}: degree")
-            _require_int(self.filtration, f"generator {self.name}: filtration")
+        _require_int(self.degree, "generator %s: degree", self.name)
+        _require_int(self.filtration, "generator %s: filtration", self.name)
         if self.filtration < 1:
             raise FiltrationError(f"generator {self.name}: filtration must be >= 1")
 
@@ -134,9 +136,6 @@ class FilteredComplex:
     def filtrations(self, n: int) -> List[int]:
         return [g.filtration for g in self.generators if g.degree == n]
 
-    def generator_names(self, n: int) -> List[str]:
-        return [g.name for g in self.generators if g.degree == n]
-
     @property
     def max_filtration(self) -> int:
         return max((g.filtration for g in self.generators), default=1)
@@ -196,31 +195,6 @@ class FilteredComplex:
                 pairs.append((order[x], order[y]))
                 paired.update((x, y))
         return tuple(pairs), tuple(g for i, g in enumerate(order) if i not in paired)
-
-    # -- serialization ------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "generators": [{"name": g.name, "degree": g.degree,
-                            "filtration": g.filtration} for g in self.generators],
-            "boundary": {name: list(t) for name, t in sorted(self.boundary_names.items())
-                         if t},
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FilteredComplex":
-        gens = []
-        for i, d in enumerate(_require_list(data["generators"], "generators")):
-            _require_object(d, f"generator {i}")
-            _require_str(d["name"], f"generator {i}: name")
-            gens.append(Generator(d["name"], _require_int(d["degree"], f"degree of {d['name']}"),
-                                  _require_int(d.get("filtration", 1),
-                                               f"filtration of {d['name']}")))
-        boundary = data.get("boundary", {})
-        _require_object(boundary, "boundary")
-        for name, targets in boundary.items():
-            _require_list(targets, f"boundary of {name}")
-        return cls(gens, boundary)
 
 
 # -- pages -----------------------------------------------------------------
@@ -327,10 +301,10 @@ class QMDPiece:
                 or not -math.inf < self.action < math.inf):
             raise DescriptorError(f"piece {self.name}: action must be finite, "
                                   f"got {self.action!r}")
-        _require_int(self.iota, f"piece {self.name}: iota")
+        _require_int(self.iota, "piece %s: iota", self.name)
         expanded: Dict[str, Tuple[str, ...]] = {}
         if self.betti is not None:
-            betti = tuple(_require_int(b, f"piece {self.name}: betti") for b in self.betti)
+            betti = tuple(_require_int(b, "piece %s: betti", self.name) for b in self.betti)
             if any(b < 0 for b in betti):
                 raise DescriptorError(f"piece {self.name}: betti numbers must be >= 0, "
                                       f"got {list(betti)}")
@@ -348,10 +322,10 @@ class QMDPiece:
                                       f"whose boundary maps names to lists")
             rename, gens = {}, []
             for i, g in enumerate(_require_list(frag["generators"],
-                                                f"piece {self.name}: generators")):
-                _require_object(g, f"piece {self.name}: generator {i}")
-                _require_str(g["name"], f"piece {self.name}: generator name")
-                degree = _require_int(g["degree"], f"piece {self.name}: degree of {g['name']}")
+                                                "piece %s: generators", self.name)):
+                _require_object(g, "piece %s: generator %s", self.name, i)
+                _require_str(g["name"], "piece %s: generator name", self.name)
+                degree = _require_int(g["degree"], "piece %s: degree of %s", self.name, g["name"])
                 rename[g["name"]] = f"{self.name}/{g['name']}"
                 gens.append((rename[g["name"]], degree + self.iota))
             for src, targets in boundary.items():
@@ -359,7 +333,7 @@ class QMDPiece:
                     raise DescriptorError(f"piece {self.name}: boundary of {src} must be "
                                           f"a list of generator names, got {targets!r}")
                 for name in (src, *targets):
-                    _require_str(name, f"piece {self.name}: boundary name")
+                    _require_str(name, "piece %s: boundary name", self.name)
                     if name not in rename:
                         raise DescriptorError(f"piece {self.name}: boundary names "
                                               f"unknown generator {name}")
@@ -368,26 +342,30 @@ class QMDPiece:
         object.__setattr__(self, "boundary", expanded)
 
 
-def _require_int(value, what: str) -> int:
+# each check takes a %-template and its arguments, formatted into the
+# message only when the check fails
+def _require_int(value, what: str, *args) -> int:
+    if type(value) is int:
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise DescriptorError(f"{what} must be an integer, got {value!r}")
+        raise DescriptorError(f"{what % args} must be an integer, got {value!r}")
     return int(value)
 
 
-def _require_str(value, what: str) -> None:
+def _require_str(value, what: str, *args) -> None:
     if not isinstance(value, str):
-        raise DescriptorError(f"{what} must be a string, got {value!r}")
+        raise DescriptorError(f"{what % args} must be a string, got {value!r}")
 
 
-def _require_list(value, what: str) -> list:
+def _require_list(value, what: str, *args) -> list:
     if not isinstance(value, list):
-        raise DescriptorError(f"{what} must be an array, got {value!r}")
+        raise DescriptorError(f"{what % args} must be an array, got {value!r}")
     return value
 
 
-def _require_object(value, what: str) -> None:
+def _require_object(value, what: str, *args) -> None:
     if not isinstance(value, dict):
-        raise DescriptorError(f"{what} must be an object, got {value!r}")
+        raise DescriptorError(f"{what % args} must be an object, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -424,18 +402,18 @@ class QMDDescriptor:
     def from_json(cls, data: dict) -> "QMDDescriptor":
         pieces = []
         for i, entry in enumerate(_require_list(data["pieces"], "pieces")):
-            _require_object(entry, f"piece {i}")
+            _require_object(entry, "piece %s", i)
             pieces.append(QMDPiece(
                 name=entry["name"],
                 action=entry["action"],
                 iota=entry["iota"],
-                betti=(tuple(_require_list(entry["betti"], f"piece {i}: betti"))
+                betti=(tuple(_require_list(entry["betti"], "piece %s: betti", i))
                        if "betti" in entry else None),
                 local_complex=entry.get("complex"),
             ))
         cross = []
         for i, term in enumerate(_require_list(data.get("cross_terms", []), "cross_terms")):
-            _require_object(term, f"cross term {i}")
+            _require_object(term, "cross term %s", i)
             cross.append((term["from"], term["to"]))
         return cls(tuple(pieces), tuple(cross))
 

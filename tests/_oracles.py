@@ -100,8 +100,7 @@ from qmdkit.morse import (ANGLE_TOL, BOX_MARGIN, MAX_NUDGES, ChartError,
                           ConstructionError, CriticalSet, DegeneracyReport,
                           DescentEscapeError, FlattenResult, RegularValueError,
                           RhoProfile, SubmanifoldChart, ThickeningReport,
-                          Tolerances, _box_excess_distance,
-                          _check_minimum_on_slice, _component_extent_axes,
+                          Tolerances, _check_minimum_on_slice, _component_extent_axes,
                           _kernel_threshold, _require_contained, _smoothstep,
                           critical_node_mask, default_hessian_floor,
                           isolating_box)
@@ -924,6 +923,23 @@ def oracle_classify(f: ScalarField, crit: CriticalSet, chart: Optional[Submanifo
             report.classification = label
             break
     return report
+
+
+def _box_excess_distance(box: np.ndarray, spacing, periodic) -> np.ndarray:
+    """Physical distance from each node to the box (0 inside)."""
+    dims = box.shape
+    axis_dist = []
+    for a, n in enumerate(dims):
+        others = tuple(i for i in range(len(dims)) if i != a)
+        proj = box.any(axis=others) if others else box
+        inside = np.nonzero(proj)[0]
+        idx = np.arange(n)
+        d = np.abs(idx[:, None] - inside[None, :])
+        if periodic[a]:
+            d = np.minimum(d, n - d)
+        axis_dist.append(d.min(axis=1) * spacing[a])
+    grids = np.meshgrid(*axis_dist, indexing="ij") if len(dims) > 1 else [axis_dist[0]]
+    return np.sqrt(sum(g ** 2 for g in grids))
 
 
 def oracle_construct_tau(f: ScalarField, crit: CriticalSet, chart: SubmanifoldChart,

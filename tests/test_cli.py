@@ -395,6 +395,13 @@ MALFORMED_FIELDS = {
     "periodic-two": _with(_bowl([1.0, 1.0], n=3), periodic=[2, 0]),
     # float() of an integer beyond the float range raises OverflowError
     "spacing-huge-int": _with(_bowl([1.0, 1.0], n=3), spacing=[10 ** 400, 1.0]),
+    # numpy reads "0.25" and true as numbers
+    "spacing-string": _with(_bowl([1.0, 1.0], n=3), spacing=["0.25", 1.0]),
+    "spacing-bool": _with(_bowl([1.0, 1.0], n=3), spacing=[True, 1.0]),
+    "values-string": _with(_bowl([1.0, 1.0], n=3), values=["2"] + [0.0] * 8),
+    "values-bool": _with(_bowl([1.0, 1.0], n=3), values=[True] + [0.0] * 8),
+    # one value fills a 0-D grid, which failed only in check_difference_range
+    "dims-empty": {"dims": [], "spacing": [], "periodic": [], "values": [1.0]},
 }
 
 

@@ -239,6 +239,11 @@ def test_field_json_roundtrip():
     assert g.same_grid(f) and np.array_equal(g.values, f.values)
 
 
+def test_field_needs_an_axis():
+    with pytest.raises(ValueError, match="a field needs at least one axis"):
+        ScalarField((), (), (), np.array(1.0))
+
+
 def test_sample_rejects_nonfinite():
     with pytest.raises(ValueError):
         ScalarField((2,), (1.0,), (False,), np.array([1.0, np.inf]))

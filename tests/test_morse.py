@@ -14,7 +14,7 @@ from qmdkit.cubical import GridMask, axis_interval, betti_of_mask
 from qmdkit.fields import GridMismatchError, ScalarField, c1_distance
 from qmdkit.morse import (BOX_MARGIN, ChartError, ConstructionError, CriticalSet,
                           NoCriticalPointsError, SubmanifoldChart, Tolerances,
-                          _dilate, _kernel_spans_axes,
+                          _box_excess_distance, _dilate, _kernel_spans_axes,
                           _kernel_transverse, build_rho,
                           check_flattened_degenerate,
                           check_minimally_degenerate, check_qmd, classify,
@@ -23,7 +23,8 @@ from qmdkit.morse import (BOX_MARGIN, ChartError, ConstructionError, CriticalSet
                           flatten_along_chart, isolating_box, negative_index,
                           transverse_negative_index, verify_thickening)
 
-from _oracles import (oracle_axis_interval, oracle_check_flattened_degenerate,
+from _oracles import (_box_excess_distance as oracle_box_excess_distance,
+                      oracle_axis_interval, oracle_check_flattened_degenerate,
                       oracle_check_minimally_degenerate, oracle_check_qmd,
                       oracle_classify, oracle_connected_components,
                       oracle_construct_tau, oracle_flatten,
@@ -132,6 +133,26 @@ def test_axis_interval_matches_loop_oracle():
             box = np.zeros(n, dtype=bool)
             box[(start + np.arange(length)) % n] = True
             assert np.array_equal(box, oracle_axis_interval(idx, n, periodic)), (idx, n, periodic)
+
+
+def test_box_distance_reads_the_box_runs():
+    """The distance to a component's isolating box, taken from its runs,
+    equals in bytes the distance read off the box mask: 1-3-D components
+    of one node to all nodes, open and periodic axes, runs across the seam
+    and whole axes."""
+    rng = np.random.default_rng(SEED + 8)
+    for trial in range(300):
+        ndim = int(rng.integers(1, 4))
+        dims = tuple(int(n) for n in rng.integers(1, 20 if ndim < 3 else 9, ndim))
+        periodic = tuple(bool(p) for p in rng.integers(0, 2, ndim))
+        cells = rng.random(dims) < rng.choice([0.0, 0.05, 0.3, 1.0])
+        cells[tuple(int(rng.integers(0, n)) for n in dims)] = True
+        comp = GridMask(dims, periodic, cells)
+        spacing = tuple(float(h) for h in rng.uniform(0.1, 2.0, ndim))
+        got = _box_excess_distance(comp, spacing)
+        want = oracle_box_excess_distance(isolating_box(comp), spacing, periodic)
+        assert got.shape == want.shape and got.dtype == want.dtype, (dims, periodic)
+        assert got.tobytes() == want.tobytes(), (dims, periodic)
 
 
 def test_critical_set_keeps_each_box_read_only():
@@ -306,7 +327,6 @@ def test_check_qmd_returns_a_fresh_report():
     first.hessian_spectra[0][0] = 99.0
     first.hessian_spectra.append([1.0])
     first.sampled_nodes.clear()
-    first.notes.append("changed")
     second = check_qmd(f, tau, crit, chart, TOLS)
     assert second.to_json() == expected
     second.hessian_spectra[0].append(1.0)

@@ -238,6 +238,62 @@ def test_descriptor_rejects_bad_values(piece):
         QMDDescriptor.from_json({"pieces": [piece]})
 
 
+def _piece(**changes):
+    """A valid one-class piece whose name would break a %-template."""
+    piece = {"name": "100%s", "action": 0.0, "iota": 0, "betti": [1], **changes}
+    if "complex" in piece:
+        del piece["betti"]
+    return piece
+
+
+def _read(*pieces, **rest):
+    return lambda: QMDDescriptor.from_json({"pieces": list(pieces), **rest})
+
+
+# one input per type check in specseq, each with its full message
+CHECK_MESSAGES = {
+    "piece-name": (_read(_piece(name=5)), "piece name must be a string, got 5"),
+    "iota": (_read(_piece(iota=1.5)), "piece 100%s: iota must be an integer, got 1.5"),
+    "betti-entry": (_read(_piece(betti=[1, "2"])),
+                    "piece 100%s: betti must be an integer, got '2'"),
+    "betti-array": (_read(_piece(), _piece(name="b", betti={"0": 1})),
+                    "piece 1: betti must be an array, got {'0': 1}"),
+    "pieces": (lambda: QMDDescriptor.from_json({"pieces": {"a": 1}}),
+               "pieces must be an array, got {'a': 1}"),
+    "piece-object": (_read(_piece(), "b"), "piece 1 must be an object, got 'b'"),
+    "cross-terms": (_read(_piece(), cross_terms="x"), "cross_terms must be an array, got 'x'"),
+    "generators": (_read(_piece(complex={"generators": {"v": 0}})),
+                   "piece 100%s: generators must be an array, got {'v': 0}"),
+    "generator-object": (_read(_piece(complex={"generators": [{"name": "v", "degree": 0},
+                                                              "w"]})),
+                         "piece 100%s: generator 1 must be an object, got 'w'"),
+    "generator-name": (_read(_piece(complex={"generators": [{"name": 7, "degree": 0}]})),
+                       "piece 100%s: generator name must be a string, got 7"),
+    "generator-degree": (_read(_piece(complex={"generators": [{"name": "v%s",
+                                                               "degree": True}]})),
+                         "piece 100%s: degree of v%s must be an integer, got True"),
+    "boundary-name": (_read(_piece(complex={"generators": [{"name": "v", "degree": 0}],
+                                            "boundary": {"v": [3]}})),
+                      "piece 100%s: boundary name must be a string, got 3"),
+    "cross-term-object": (_read(_piece(), cross_terms=[{"from": "a", "to": "b"}, ["x"]]),
+                          "cross term 1 must be an object, got ['x']"),
+    "cross-term-name": (_read(_piece(), cross_terms=[{"from": "100%s/h0.0", "to": 4}]),
+                        "cross term name must be a string, got 4"),
+    "degree": (lambda: Generator("100%s", 0.5, 1),
+               "generator 100%s: degree must be an integer, got 0.5"),
+    "filtration": (lambda: Generator("100%s", 0, "1"),
+                   "generator 100%s: filtration must be an integer, got '1'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECK_MESSAGES))
+def test_type_checks_give_their_full_message(case):
+    build, message = CHECK_MESSAGES[case]
+    with pytest.raises(DescriptorError) as err:
+        build()
+    assert str(err.value) == message
+
+
 def test_cross_term_must_decrease_action():
     desc = QMDDescriptor(
         pieces=(QMDPiece("a", action=0.0, iota=0, betti=(1,)),
@@ -324,12 +380,6 @@ def test_descriptor_json_roundtrip():
         page(build_from_qmd(desc), 1).dims()
 
 
-def test_complex_json_roundtrip():
-    fc = _two_gen_pair()
-    again = FilteredComplex.from_json(fc.to_json())
-    assert page(again, 1).dims() == page(fc, 1).dims()
-
-
 def test_boundary_of_unknown_generator_rejected():
     with pytest.raises(BoundaryError, match="zz"):
         FilteredComplex([Generator("x", 0, 1)], {"zz": ["x"]})
@@ -337,29 +387,6 @@ def test_boundary_of_unknown_generator_rejected():
     with pytest.raises(BoundaryError, match="names unknown generator w"):
         FilteredComplex([Generator("x", 0, 1), Generator("y", 1, 1)],
                         {"zz": ["x"], "y": ["w"]})
-
-
-def test_complex_json_rejects_boundary_of_unknown_generator():
-    data = {"generators": [{"name": "x", "degree": 0}], "boundary": {"zz": ["x"]}}
-    with pytest.raises(BoundaryError, match="zz"):
-        FilteredComplex.from_json(data)
-
-
-@pytest.mark.parametrize("data, message", [
-    ({"generators": [{"name": "x", "degree": 1.7}]}, "degree of x must be an integer, got 1.7"),
-    ({"generators": [{"name": "x", "degree": True}]}, "degree of x must be an integer, got True"),
-    ({"generators": [{"name": "x", "degree": 0, "filtration": "2"}]},
-     "filtration of x must be an integer, got '2'"),
-    ({"generators": [{"name": 5, "degree": 0}]}, "generator 0: name must be a string, got 5"),
-    ({"generators": ["x"]}, "generator 0 must be an object, got 'x'"),
-    ({"generators": {"x": 0}}, "generators must be an array, got {'x': 0}"),
-    ({"generators": [], "boundary": [["x"]]}, "boundary must be an object, got [['x']]"),
-], ids=["float-degree", "bool-degree", "string-filtration", "int-name", "string-generator",
-        "object-generators", "list-boundary"])
-def test_complex_json_rejects_bad_values(data, message):
-    with pytest.raises(DescriptorError) as err:
-        FilteredComplex.from_json(data)
-    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("value", [0.5, 1.7, True, "2"],
@@ -374,13 +401,6 @@ def test_generator_requires_integer_degree_and_filtration(value):
     with pytest.raises(DescriptorError):
         FilteredComplex([Generator("x", 0.5, 1), Generator("y", 1.5, 2)], {"y": ["x"]})
     assert Generator("x", np.int64(2), np.int64(3)) == Generator("x", 2, 3)
-
-
-def test_complex_json_rejects_string_boundary():
-    data = {"generators": [{"name": "xx", "degree": 1}, {"name": "y", "degree": 0}],
-            "boundary": {"xx": "yy"}}
-    with pytest.raises(DescriptorError):
-        FilteredComplex.from_json(data)
 
 
 # -- sparse paths against the dense oracles ----------------------------------------
