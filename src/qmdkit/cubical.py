@@ -21,21 +21,26 @@ empty slab cut open at its largest run of empty slabs.  No cell of the
 closure lies inside an empty slab, and a cell inside the run finds both
 neighbours of each odd coordinate there too, so the open build gives the
 same cells and faces; a full periodic axis stays whole and periodic.  The
-build then works in whole-array passes, one per cell type: the
-cells whose odd axes are those where tau in {0,1}^d is 1 are the set
-entries of the strided view ``grid[tau_0::2, tau_1::2, ...]``, and their
-faces along an odd axis are the entries of the row-number grid (each
-cell's row within its dimension) on the even views just below and just
-above it on that axis, the upper one rolled by one on a periodic axis.
-Each type's face rows are scattered to its cells' own rows, so a cell's
-faces keep the order lower neighbour first, odd axes ascending.  The cell
-indices are translated back to the full doubled grid, which keeps their
-sorted order unless a cut axis's run reaches the seam (start + length >= n:
-its last hyperplane lands on 0); then each level is numbered in full-grid
-order as it is found, so the face rows need no renumbering.
+build then makes a fixed number of whole-array passes per axis and per
+dimension, not per cell type.  Each periodic axis gets one pad slab past its
+end, at 2n, that stands for slab 0: it holds no cell, and once the cells are
+numbered it takes slab 0's row numbers, so that every face of every cell is
+a fixed flat offset away and the wrap is index arithmetic.  The closure
+widens the crop one axis at a time, each top cell ORed into its two even
+neighbours (the last one's upper face into slab 0 too on a periodic axis).
+A cell's type, the set of its odd axes, gives its dimension and its face
+offsets through small tables; the k-cells are the set entries of dimension
+k in flat order, and their faces come from one gather pair,
+``row[at -/+ stride of each odd axis]`` (each cell's row within its
+dimension), odd axes ascending and the lower neighbour first.  The cell
+indices are translated back to the full doubled grid through a broadcast
+grid of full-grid indices, which keeps their sorted order unless a cut
+axis's run reaches the seam (start + length >= n: its last hyperplane
+lands on 0); then each level is sorted by full-grid index before it is
+numbered, so the face rows need no renumbering.
 
 Homology is taken over GF(2), and a boundary is reduced only where its
-pivots are needed.  Three exact facts give the other ranks:
+pivots are needed.  Four exact facts give the other ranks:
 
 (a) rank boundary_1 = n_0 - b_0 over any field, and b_0 is the number of
     roots after one union-find (``join``) over the (n_1, 2) vertex rows of
@@ -56,13 +61,25 @@ pivots are needed.  Three exact facts give the other ranks:
     pivots of its apparent columns (``gf2.apparent_pivots``), which are
     true pivots, clear boundary_{d-1}.
 
-So a 1-D or 2-D mask needs no column reduction, and a 3-D mask one
-apparent pass on boundary_3 and one reduction of boundary_2.
+(d) An open 3-D complex needs no reduction at all (Alexander duality, as in
+    Delfinado-Edelsbrunner 1995): it lies in R^3, so b_2 is the number of
+    bounded components of its complement and b_3 = 0, and then
+    b_1 = b_0 + b_2 - chi.  Two empty top cells that share a face are
+    joined through it, and a lower cell is outside the complex only when
+    every top cell around it is empty, so the components of the complement
+    are those of the empty top cells under face adjacency.  One ``join``
+    finds them in the bounding box of the complex's top cells padded by one
+    slab, whose connected padding holds the one unbounded component; the
+    box follows the mask's cells, not the grid.
+
+So a 1-D or 2-D mask and an open 3-D mask need no column reduction, and a
+3-D mask with a periodic axis one apparent pass on boundary_3 and one
+reduction of boundary_2.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
@@ -88,7 +105,9 @@ class GridMask:
             raise ValueError("dims and periodic must have equal length")
         if any(n < 1 for n in dims):
             raise ValueError("all axis sizes must be >= 1")
-        cells = np.array(self.cells, dtype=bool).reshape(dims)    # a copy: never a view
+        cells = np.array(self.cells, dtype=bool)    # a copy: never a view
+        if cells.shape != dims:
+            raise ValueError(f"cells of shape {cells.shape} do not match dims {dims}")
         cells.flags.writeable = False
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "periodic", periodic)
@@ -202,6 +221,23 @@ def axis_interval(present: np.ndarray, periodic: bool, margin: int) -> Tuple[int
     return (int(idx[(gi + 1) % len(idx)]) - margin) % n, length
 
 
+@functools.lru_cache(maxsize=None)
+def _odd_axes(d: int) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
+    """Tables indexed by a cell's type t, whose bit a is set when the cell's
+    coordinate on axis a is odd: per k, the k odd axes of each type of
+    dimension k, ascending (0 for the other types), and the dimension of
+    each type."""
+    axes = [np.zeros((2 ** d, k), dtype=np.int64) for k in range(d + 1)]
+    level = np.zeros(2 ** d, dtype=np.int8)
+    for t in range(2 ** d):
+        odd = [a for a in range(d) if t >> a & 1]
+        level[t] = len(odd)
+        axes[len(odd)][t] = odd
+    for table in axes + [level]:
+        table.flags.writeable = False
+    return tuple(axes), level
+
+
 def build_complex(mask: GridMask) -> CubicalComplex:
     """Closure of the included top cells, with sparse face arrays, built on
     each axis's ``axis_interval`` of the mask and indexed in the full grid."""
@@ -220,55 +256,60 @@ def build_complex(mask: GridMask) -> CubicalComplex:
             cells = cells.take(np.arange(s, s + m), axis=a, mode="wrap")
         elif m < n:
             cells = cells[_along(a, slice(s, s + m), whole)]
-    shape = _grid_shape(cells.shape, periodic)
-    grid = np.zeros(shape, dtype=bool)
-    grid[tuple(slice(1, None, 2) for _ in shape)] = cells
+    # the doubled grid of the crop, with one pad slab past the end of each
+    # periodic axis that stands for slab 0
+    shape = tuple(m + p for m, p in zip(_grid_shape(cells.shape, periodic), periodic))
+    wrapped = [a for a in range(d) if periodic[a]]
+    grid = cells
     for a in range(d):
-        # only odd coordinates along `a` are set yet: OR each into its two
-        # even neighbours, the upper one wrapping to 0 on a periodic axis
-        odd = grid[_along(a, slice(1, None, 2), whole)]
-        grid[_along(a, slice(0, -1, 2), whole)] |= odd
-        if periodic[a]:
-            grid[_along(a, slice(0, None, 2), whole)] |= np.roll(odd, 1, a)
-        else:
-            grid[_along(a, slice(2, None, 2), whole)] |= odd
+        # top cell i sits at 2i + 1 on axis a and closes onto 2i and 2i + 2;
+        # slab 0 of a periodic axis also takes the upper face of the last one
+        closed = np.empty(shape[:a + 1] + grid.shape[a + 1:], dtype=bool)
+        closed[_along(a, slice(1, None, 2), whole)] = grid
+        closed[_along(a, slice(2, None, 2), whole)] = grid
+        closed[_along(a, slice(0, 1), whole)] = \
+            grid[_along(a, slice(-1, None), whole)] if periodic[a] else False
+        closed[_along(a, slice(0, -1, 2), whole)] |= grid
+        grid = closed
+    kind = np.zeros(shape, dtype=np.intp)
+    for a in range(d):
+        kind[_along(a, slice(1, None, 2), whole)] += 1 << a
+    for a in wrapped:
+        grid[_along(a, slice(-1, None), whole)] = False
+    odd_axes, level_of = _odd_axes(d)
+    level = np.where(grid, level_of.take(kind), -1)
 
-    level = np.zeros(shape, dtype=np.int8)
-    for a in range(d):
-        level[_along(a, slice(1, None, 2), whole)] += 1
-    level[~grid] = -1
     full = _grid_shape(mask.dims, mask.periodic)
+    if shape != full:
+        # each cell's index in the full grid: a translation, which keeps each
+        # level sorted unless it wraps across the seam of a cut axis
+        in_full = 0
+        for a, (s, m, n) in enumerate(zip(start, shape, full)):
+            in_full = in_full * n + (np.arange(2 * s, 2 * s + m) % n).reshape(
+                (m,) + (1,) * (d - 1 - a))
+        in_full = in_full.reshape(-1)
     row = np.empty(shape, dtype=np.int64)
-    cells_by_dim = []
+    flat_row, flat_kind = row.reshape(-1), kind.reshape(-1)
+    at_by_dim, cells_by_dim = [], []
     for k in range(d + 1):
         at = found = np.flatnonzero(level == k)
         if shape != full:
-            # back to the full grid: a translation, which keeps each level
-            # sorted unless it wraps across the seam of a cut axis
-            found = np.ravel_multi_index(tuple(c + 2 * s for c, s in zip(
-                np.unravel_index(at, shape), start)), full, mode="wrap" if seam else "raise")
+            found = in_full.take(at)
             if seam:
                 order = np.argsort(found)
-                at, found = at[order], found[order]
-        row.reshape(-1)[at] = np.arange(len(at))
+                at, found = at.take(order), found.take(order)
+        flat_row[at] = np.arange(len(at))
+        at_by_dim.append(at)
         cells_by_dim.append(found)
-    boundary = {k: np.empty((len(c), 2 * k), dtype=np.int64) for k, c in enumerate(cells_by_dim)}
-
-    for tau in itertools.product((0, 1), repeat=d):
-        axes = [a for a in range(d) if tau[a]]
-        if not axes:
-            continue
-        at = tuple(slice(t, None, 2) for t in tau)
-        sel = grid[at]
-        own = row[at][sel]
-        faces = boundary[len(axes)]
-        for j, a in enumerate(axes):
-            faces[:, 2 * j][own] = row[_along(a, slice(0, -1, 2), at)][sel]
-            if periodic[a]:
-                upper = np.roll(row[_along(a, slice(0, None, 2), at)], -1, a)
-            else:
-                upper = row[_along(a, slice(2, None, 2), at)]
-            faces[:, 2 * j + 1][own] = upper[sel]
+    for a in wrapped:
+        # the upper face of the last slab's cells is in slab 0
+        row[_along(a, slice(-1, None), whole)] = row[_along(a, slice(0, 1), whole)]
+    # a cell's faces sit at its index less and plus the stride of each odd axis
+    stride = np.array(row.strides, dtype=np.int64) // row.itemsize
+    boundary = {}
+    for k, at in enumerate(at_by_dim):
+        step = (stride[odd_axes[k]][:, :, None] * (-1, 1)).reshape(2 ** d, 2 * k)
+        boundary[k] = flat_row.take(at[:, None] + step.take(flat_kind.take(at), axis=0))
     return CubicalComplex(mask.dims, mask.periodic, tuple(cells_by_dim), boundary)
 
 
@@ -276,32 +317,57 @@ def join(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Root of each of n nodes once u[i] is joined with v[i] for every i:
     the least node of its component.
 
-    A union-find in array passes: every pair that joins two roots hooks the
-    larger to the smaller, then pointer jumping makes each node point at its
-    root; this repeats until no pair joins two roots.  A root only ever
-    moves to a smaller index, so each component ends rooted at its least
-    node.  ``u`` and ``v`` are only read.
+    A union-find in array passes: every pair hooks the larger of its two
+    roots to the smaller (a pair within one tree hooks its root to itself),
+    then pointer jumping, two jumps per check, makes each node point at its
+    root; this repeats until every pair has one root.  Each node starts as
+    its own root, so the first pass hooks the pairs as given.  A root only
+    ever moves to a smaller index, so each component ends rooted at its
+    least node.  ``u`` and ``v`` are only read.
     """
     parent = np.arange(n)
+    ru, rv = u, v
     while True:
-        ru, rv = parent[u], parent[v]
-        split = ru != rv
-        if not split.any():
-            return parent
-        np.minimum.at(parent, np.maximum(ru, rv)[split], np.minimum(ru, rv)[split])
+        np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
         while True:
+            parent = parent[parent]
             jumped = parent[parent]
-            if np.array_equal(jumped, parent):
+            if (jumped == parent).all():
                 break
             parent = jumped
+        ru, rv = parent[u], parent[v]
+        if (ru == rv).all():
+            return parent
+
+
+def _complement_components(cx: CubicalComplex) -> int:
+    """Components of the complement of an open complex, the unbounded one
+    among them: one ``join`` over the face-adjacent empty top cells of the
+    bounding box of its top cells, padded by one slab on each side.
+
+    The box is joined along flat-index strides; a pair that wraps from one
+    line of the box to the next joins two cells of the padding, which is
+    connected anyway."""
+    top = np.unravel_index(cx.cells_by_dim[-1], cx.grid_shape)
+    lo = [int(c.min()) for c in top]
+    box = tuple((int(c.max()) - low) // 2 + 3 for c, low in zip(top, lo))
+    empty = np.ones(box, dtype=bool)
+    empty[tuple((c - low) // 2 + 1 for c, low in zip(top, lo))] = False
+    empty = empty.reshape(-1)
+    strides = np.cumprod((1,) + box[:0:-1])
+    u = [np.flatnonzero(empty[:-s] & empty[s:]) for s in strides]
+    roots = join(empty.size, np.concatenate(u), np.concatenate([w + s for w, s in zip(u, strides)]))
+    return int(np.count_nonzero(roots == np.arange(empty.size))) - len(cx.cells_by_dim[-1])
 
 
 def betti(cx: CubicalComplex) -> Tuple[int, ...]:
     """betti_k = n_k - rank boundary_k - rank boundary_{k+1} over GF(2).
 
     rank boundary_1 = n_0 - b_0, with b_0 the roots of a union-find over the
-    edges; for d >= 2, rank boundary_d = n_d - 1 on a whole torus and n_d
-    otherwise; boundary_{d-1} down to boundary_2 are reduced with clearing,
+    edges.  An open 3-D complex takes b_2 from the components of its
+    complement and b_1 from the Euler characteristic.  Otherwise, for
+    d >= 2, rank boundary_d = n_d - 1 on a whole torus and n_d otherwise;
+    boundary_{d-1} down to boundary_2 are reduced with clearing,
     boundary_{d-1} cleared by the apparent pivots of boundary_d alone.
     """
     d = len(cx.cells_by_dim) - 1
@@ -310,6 +376,9 @@ def betti(cx: CubicalComplex) -> Tuple[int, ...]:
     if d >= 1:
         roots = join(n[0], cx.boundary[1][:, 0], cx.boundary[1][:, 1])
         ranks[1] = n[0] - int(np.count_nonzero(roots == np.arange(n[0])))
+    if d == 3 and not any(cx.periodic):
+        b0, b2 = n[0] - ranks[1], _complement_components(cx) - 1
+        return b0, b0 + b2 - cx.euler_characteristic(), b2, 0
     if d >= 2:
         whole = all(cx.periodic) and n[d] == int(np.prod(cx.dims))
         ranks[d] = n[d] - int(whole)

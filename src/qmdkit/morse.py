@@ -24,7 +24,8 @@ numbers and discrete gradient descent.  `flatten_along_chart` applies
 rho to f|_S; `flatten` is its full-chart case, where S is the whole
 neighbourhood.  The regular-value check and the thickening's descent
 work on the isolating box (and sigma) only, not on the grid; each
-component's box is built once and kept by its `CriticalSet.box`.
+component's box is built once and kept by its `CriticalSet.box`, beside
+the runs it was built from, which `construct_tau` reads.
 
 The Hessian tests visit every stencil-valid node of C.  Every rung reads
 a field's Hessians from one sampler, `_spectra`: it gathers them at those
@@ -144,18 +145,28 @@ class SubmanifoldChart:
 class CriticalSet:
     components: Tuple[GridMask, ...]
     grad_tol: float
-    _boxes: Dict[int, np.ndarray] = dc_field(default_factory=dict, init=False,
-                                             repr=False, compare=False)
+    # per component, the runs of its isolating box and the box
+    _boxes: Dict[int, tuple] = dc_field(default_factory=dict, init=False,
+                                        repr=False, compare=False)
     # per component, the last (f, tau, chart, tols, strict, report) of check_qmd
     _certificates: Dict[int, tuple] = dc_field(default_factory=dict, init=False,
                                                repr=False, compare=False)
 
     def box(self, i: int) -> np.ndarray:
         """Component i's isolating box, built on first use and kept (read-only)."""
+        return self._box(i)[1]
+
+    def box_runs(self, i: int) -> List[Tuple[int, int]]:
+        """Each axis's run (start, length) of component i's isolating box,
+        kept with the box."""
+        return self._box(i)[0]
+
+    def _box(self, i: int) -> tuple:
         if i not in self._boxes:
-            box = isolating_box(self.components[i])
+            runs = _box_runs(self.components[i])
+            box = isolating_box(self.components[i], runs)
             box.flags.writeable = False
-            self._boxes[i] = box
+            self._boxes[i] = runs, box
         return self._boxes[i]
 
     def component_nodes(self, i: int) -> List[Tuple[int, ...]]:
@@ -250,18 +261,22 @@ def _box_runs(component: GridMask) -> List[Tuple[int, int]]:
     """Each axis's run (start, length) of the component's isolating box: the
     ``axis_interval`` of its projection, widened by BOX_MARGIN cells."""
     cells, d = component.cells, component.ndim
+    if not cells.any():
+        raise ValueError("empty component")
     return [axis_interval(cells.any(axis=tuple(b for b in range(d) if b != a)),
                           component.periodic[a], BOX_MARGIN)
             for a in range(d)]
 
 
-def isolating_box(component: GridMask) -> np.ndarray:
-    """Bounding box of a component inflated by BOX_MARGIN cells, as a node mask."""
-    if not component.cells.any():
-        raise ValueError("empty component")
+def isolating_box(component: GridMask, runs: Optional[List[Tuple[int, int]]] = None
+                  ) -> np.ndarray:
+    """Bounding box of a component inflated by BOX_MARGIN cells, as a node
+    mask: the product of its ``_box_runs``, or of `runs` when given."""
+    if runs is None:
+        runs = _box_runs(component)
     d = component.ndim
     box = np.ones(component.dims, dtype=bool)
-    for a, (n, (start, length)) in enumerate(zip(component.dims, _box_runs(component))):
+    for a, (n, (start, length)) in enumerate(zip(component.dims, runs)):
         keep = np.zeros(n, dtype=bool)
         keep[(start + np.arange(length)) % n] = True
         shape = [1] * d
@@ -541,14 +556,15 @@ def _smoothstep(t: np.ndarray) -> np.ndarray:
     return t * t * t * (t * (6.0 * t - 15.0) + 10.0)
 
 
-def _box_excess_distance(component: GridMask, spacing) -> np.ndarray:
+def _box_excess_distance(component: GridMask, runs: Sequence[Tuple[int, int]],
+                         spacing) -> np.ndarray:
     """Physical distance from each node to the component's isolating box
     (0 inside): per axis, the index distance to the box's run, circular on
     a periodic axis.  The squares are summed in axis order, broadcast from
     each axis, so only the last sum and the root are full-grid passes."""
     d = component.ndim
     square_sum = 0.0
-    for a, (n, (start, length)) in enumerate(zip(component.dims, _box_runs(component))):
+    for a, (n, (start, length)) in enumerate(zip(component.dims, runs)):
         idx = np.arange(n)
         if component.periodic[a]:
             past = (idx - start) % n    # steps from the run's start, forward
@@ -602,7 +618,7 @@ def construct_tau(f: ScalarField, crit: CriticalSet, chart: SubmanifoldChart,
     fmin = float(f.values[comp.cells].min())
 
     r4, proj_vals = _chart_terms(f, chart)
-    d_box = _box_excess_distance(comp, f.spacing)
+    d_box = _box_excess_distance(comp, crit.box_runs(component), f.spacing)
     ramp_width = 2.0 * BOX_MARGIN * float(np.mean(f.spacing))
     ramp = 1.0 - _smoothstep(d_box / ramp_width)
     tau_vals = r4 + ramp * (proj_vals - fmin) + d_box ** 4

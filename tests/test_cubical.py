@@ -464,3 +464,117 @@ def test_small_mask_in_a_large_torus_is_cut_open(monkeypatch):
         assert built[0] == ((3, 5), (False, False))
         assert betti_of_mask(mask) == betti(cx) == oracle_reduction_betti(cx) == (1, 1, 0)
         _assert_same_arrays(mask)
+
+
+def _open_3d_masks(seed):
+    """Random open 3-D masks: axes 1-8, fill 0.3-0.95, single cells, masks
+    that touch every face of the grid and masks cut to a box inside it."""
+    rng = np.random.default_rng(seed)
+    masks = [GridMask.full((1, 1, 1), (False,) * 3), GridMask.full((2, 1, 3), (False,) * 3)]
+    for trial in range(90):
+        dims = tuple(int(n) for n in rng.integers(1, 9, 3))
+        cells = rng.random(dims) < rng.uniform(0.3, 0.95)
+        if trial % 5 == 0:
+            cells = np.zeros(dims, bool)
+        elif trial % 5 == 1:
+            # a shell on the grid's boundary with random cavities inside
+            cells = np.ones(dims, bool)
+            cells[1:-1, 1:-1, 1:-1] = rng.random(cells[1:-1, 1:-1, 1:-1].shape) < 0.5
+        elif trial % 5 == 2:
+            lo = [int(rng.integers(0, n)) for n in dims]
+            box = tuple(slice(l, int(rng.integers(l, n)) + 1) for l, n in zip(lo, dims))
+            cells = np.zeros(dims, bool)
+            cells[box] = rng.random(cells[box].shape) < rng.uniform(0.3, 0.95)
+        cells.flat[int(rng.integers(cells.size))] = True
+        masks.append(GridMask(dims, (False,) * 3, cells))
+    return masks
+
+
+def test_open_three_dimensional_betti_by_duality_matches_the_oracles():
+    """An open 3-D mask's Betti numbers, b_2 from the complement and b_1 from
+    the Euler characteristic, equal every boundary reduced with clearing
+    and the dense ranks of the tuple-cell complex."""
+    for mask in _open_3d_masks(SEED + 47):
+        cx = build_complex(mask)
+        assert betti(cx) == oracle_reduction_betti(cx) == \
+            oracle_betti(oracle_build_complex(mask)), mask
+
+
+def test_open_three_dimensional_mask_reduces_no_boundary(monkeypatch):
+    def refuse(faces):
+        raise AssertionError("a boundary was reduced")
+    monkeypatch.setattr(cubical, "reduce_faces", refuse)
+    monkeypatch.setattr(cubical, "apparent_pivots", refuse)
+    mask = _holed((10, 10, 10), (False,) * 3, [np.s_[2:4, 2:4, 2:4], np.s_[6, 6:8, 6]])
+    assert betti_of_mask(mask) == (1, 0, 2, 0)
+    ring = _holed((5, 5, 1), (False,) * 3, [np.s_[2, 2, 0]])
+    assert betti_of_mask(ring) == (1, 1, 0, 0)
+    for mask in _open_3d_masks(SEED + 53)[:20]:
+        betti_of_mask(mask)
+
+
+def test_duality_box_follows_the_mask_not_the_grid(monkeypatch):
+    """One cell on a 64^3 open grid: every union-find runs on at most the
+    27 cells of its box padded by one (8 vertices for b_0)."""
+    sizes = []
+    monkeypatch.setattr(cubical, "join", lambda n, u, v: sizes.append(n) or join(n, u, v))
+    cells = np.zeros((64, 64, 64), dtype=bool)
+    cells[40, 7, 63] = True
+    assert betti_of_mask(GridMask(cells.shape, (False,) * 3, cells)) == (1, 0, 0, 0)
+    assert sizes and max(sizes) <= 27, sizes
+
+
+def _bfs_least_nodes(n, u, v):
+    """The least node of each node's component, by breadth-first search."""
+    neighbours = [[] for _ in range(n)]
+    for a, b in zip(u.tolist(), v.tolist()):
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    least = [-1] * n
+    for s in range(n):
+        if least[s] >= 0:
+            continue
+        least[s], queue = s, [s]
+        for x in queue:
+            for y in neighbours[x]:
+                if least[y] < 0:
+                    least[y] = s
+                    queue.append(y)
+    return least
+
+
+def test_join_roots_each_component_at_its_least_node():
+    """Random edge lists with self-loops, repeated edges and isolated nodes:
+    ``join`` gives each node the least node of its component and leaves
+    ``u`` and ``v`` as they were."""
+    rng = np.random.default_rng(SEED + 59)
+    cases = [(0, np.zeros(0, np.int64), np.zeros(0, np.int64)),
+             (3, np.zeros(0, np.int64), np.zeros(0, np.int64)),
+             (1, np.zeros(2, np.int64), np.zeros(2, np.int64))]
+    for trial in range(200):
+        n = int(rng.integers(1, 60))
+        m = int(rng.integers(0, 2 * n))
+        u = rng.integers(0, n, m)
+        v = rng.integers(0, n, m)
+        loops = rng.random(m) < 0.1
+        v[loops] = u[loops]
+        if m:
+            again = rng.integers(0, m, m // 4)
+            u, v = np.concatenate([u, v[again]]), np.concatenate([v, u[again]])
+        cases.append((n, u, v))
+    for n, u, v in cases:
+        before = u.copy(), v.copy()
+        roots = join(n, u, v)
+        assert roots.tolist() == _bfs_least_nodes(n, u, v), (n, u, v)
+        assert np.array_equal(u, before[0]) and np.array_equal(v, before[1])
+
+
+def test_mask_of_the_wrong_shape_is_refused():
+    cells = np.zeros((3, 4), bool)
+    cells[0, :3] = True
+    with pytest.raises(ValueError, match=r"\(3, 4\).*\(4, 3\)"):
+        GridMask((4, 3), (False, False), cells)
+    with pytest.raises(ValueError, match="shape"):
+        GridMask((12,), (False,), cells)
+    assert GridMask.from_json({"dims": [4, 3], "periodic": [0, 0],
+                               "cells": cells.reshape(-1).tolist()}).cells.shape == (4, 3)

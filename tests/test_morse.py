@@ -149,7 +149,7 @@ def test_box_distance_reads_the_box_runs():
         cells[tuple(int(rng.integers(0, n)) for n in dims)] = True
         comp = GridMask(dims, periodic, cells)
         spacing = tuple(float(h) for h in rng.uniform(0.1, 2.0, ndim))
-        got = _box_excess_distance(comp, spacing)
+        got = _box_excess_distance(comp, CriticalSet((comp,), 1e-6).box_runs(0), spacing)
         want = oracle_box_excess_distance(isolating_box(comp), spacing, periodic)
         assert got.shape == want.shape and got.dtype == want.dtype, (dims, periodic)
         assert got.tobytes() == want.tobytes(), (dims, periodic)
@@ -191,6 +191,21 @@ def test_field_job_builds_its_box_once_and_runs_no_gate(monkeypatch):
     thick = verify_thickening(f, crit, flat.sigma, TOLS)
     assert report.details["qmd"] and scan.passed and thick.passed
     assert calls == {"isolating_box": 1, "check_minimally_degenerate": 0, "_certify_qmd": 1}
+
+
+def test_construct_tau_reads_the_kept_box_runs(monkeypatch):
+    """The box runs are derived once per component: ``construct_tau`` reads
+    the runs its ``CriticalSet`` keeps beside the box that check_qmd uses."""
+    from qmdkit import morse
+    raw, calls = morse._box_runs, []
+    monkeypatch.setattr(morse, "_box_runs", lambda comp: calls.append(comp) or raw(comp))
+    f = field_figure8_min()
+    crit = detect_critical_set(f, TOLS.grad_tol)
+    chart = SubmanifoldChart((0, 1), (16, 16))
+    tau = construct_tau(f, crit, chart, TOLS)
+    assert classify(f, crit, chart=chart, tau=tau, tols=TOLS).details["qmd"]
+    assert calls == [crit.components[0]]
+    assert crit.box_runs(0) == raw(crit.components[0])
 
 
 # -- degeneracy checkers --------------------------------------------------
