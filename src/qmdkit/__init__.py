@@ -2,7 +2,7 @@
 spectral sequences, and Maslov indices on sampled data."""
 
 from .cubical import GridMask, betti, betti_of_mask, betti_product_check, build_complex
-from .fields import ScalarField, c1_distance, eig_sym, gradient, hessian, hessian_at
+from .fields import ScalarField, c1_distance, gradient
 from .graphlag import GraphSection, flow_translate, isolation_scan, zero_section_intersection
 from .maslov import LagrangianLinePath, concat, conjugate, index_shift, maslov
 from .morse import (CriticalSet, DegeneracyReport, SubmanifoldChart, Tolerances,

@@ -67,7 +67,7 @@ pivots are needed.  Four exact facts give the other ranks:
     b_1 = b_0 + b_2 - chi.  Two empty top cells that share a face are
     joined through it, and a lower cell is outside the complex only when
     every top cell around it is empty, so the components of the complement
-    are those of the empty top cells under face adjacency.  One ``join``
+    are those of the empty top cells under face adjacency.  ``mask_roots``
     finds them in the bounding box of the complex's top cells padded by one
     slab, whose connected padding holds the one unbounded component; the
     box follows the mask's cells, not the grid.
@@ -75,6 +75,12 @@ pivots are needed.  Four exact facts give the other ranks:
 So a 1-D or 2-D mask and an open 3-D mask need no column reduction, and a
 3-D mask with a periodic axis one apparent pass on boundary_3 and one
 reduction of boundary_2.
+
+``morse`` takes its boxes, chart slices, distances and components from two
+rules here.  The run rule: a run is (start, length) on one axis, circular on
+a periodic one; ``axis_interval`` covers a set of slabs with one,
+``run_steps`` is each slab's distance to one, ``box_mask`` a product of them.
+The component rule: ``mask_roots``, one ``join`` over set axis neighbours.
 """
 
 from __future__ import annotations
@@ -221,6 +227,27 @@ def axis_interval(present: np.ndarray, periodic: bool, margin: int) -> Tuple[int
     return (int(idx[(gi + 1) % len(idx)]) - margin) % n, length
 
 
+def run_steps(n: int, periodic: bool, run: Tuple[int, int]) -> np.ndarray:
+    """Each slab's step distance to the run (start, length) of an axis of n
+    slabs: 0 inside, circular on a periodic axis."""
+    start, length = run
+    idx = np.arange(n)
+    if not periodic:
+        return np.maximum(0, np.maximum(start - idx, idx - (start + length - 1)))
+    past = (idx - start) % n    # steps from the run's start, forward
+    return np.where(past < length, 0, np.minimum(past - (length - 1), n - past))
+
+
+def box_mask(dims: Sequence[int], periodic: Sequence[bool],
+             runs: Sequence[Tuple[int, int]]) -> np.ndarray:
+    """The product of one run (start, length) per axis, a boolean array."""
+    box = np.ones(tuple(dims), dtype=bool)
+    for a, (n, p, run) in enumerate(zip(dims, periodic, runs)):
+        if run[1] < n:
+            box &= (run_steps(n, p, run) == 0).reshape((n,) + (1,) * (len(dims) - 1 - a))
+    return box
+
+
 @functools.lru_cache(maxsize=None)
 def _odd_axes(d: int) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
     """Tables indexed by a cell's type t, whose bit a is set when the cell's
@@ -340,23 +367,36 @@ def join(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
             return parent
 
 
+def mask_roots(mask: np.ndarray, periodic: Sequence[bool]) -> np.ndarray:
+    """Root of each entry of a boolean array by flat index, after one ``join``
+    of the set entries to their set axis neighbours (wrapping on a periodic
+    axis): the least flat index of its component, itself when unset."""
+    whole = (slice(None),) * mask.ndim
+    index = np.arange(mask.size).reshape(mask.shape)
+    u, v = [], []
+    for a in range(mask.ndim):
+        if periodic[a]:
+            both = mask & np.roll(mask, -1, a)
+            u.append(index[both])
+            v.append(np.roll(index, -1, a)[both])
+        else:
+            lower, upper = _along(a, slice(0, -1), whole), _along(a, slice(1, None), whole)
+            both = mask[lower] & mask[upper]
+            u.append(index[lower][both])
+            v.append(index[upper][both])
+    return join(mask.size, np.concatenate(u), np.concatenate(v))
+
+
 def _complement_components(cx: CubicalComplex) -> int:
     """Components of the complement of an open complex, the unbounded one
-    among them: one ``join`` over the face-adjacent empty top cells of the
-    bounding box of its top cells, padded by one slab on each side.
-
-    The box is joined along flat-index strides; a pair that wraps from one
-    line of the box to the next joins two cells of the padding, which is
-    connected anyway."""
+    among them: the ``mask_roots`` of the empty top cells of the bounding
+    box of its top cells, padded by one slab on each side."""
     top = np.unravel_index(cx.cells_by_dim[-1], cx.grid_shape)
     lo = [int(c.min()) for c in top]
     box = tuple((int(c.max()) - low) // 2 + 3 for c, low in zip(top, lo))
     empty = np.ones(box, dtype=bool)
     empty[tuple((c - low) // 2 + 1 for c, low in zip(top, lo))] = False
-    empty = empty.reshape(-1)
-    strides = np.cumprod((1,) + box[:0:-1])
-    u = [np.flatnonzero(empty[:-s] & empty[s:]) for s in strides]
-    roots = join(empty.size, np.concatenate(u), np.concatenate([w + s for w, s in zip(u, strides)]))
+    roots = mask_roots(empty, (False,) * empty.ndim)
     return int(np.count_nonzero(roots == np.arange(empty.size))) - len(cx.cells_by_dim[-1])
 
 

@@ -9,13 +9,13 @@ gradient/Hessian queries rather than approximated one-sidedly.
 values; `gradient_at_nodes` gathers the same stencil at given nodes only,
 for callers whose work is local to a box.  The Hessian stencil is written
 once, in `hessian_at_nodes`, which gathers it at a given array of nodes
-only; `hessian` is that gather at every stencil-valid node and
-`hessian_at` the gather at one node.  Both gathers read the raveled
-values by flat index: each node's index is computed once, and each
-stencil point is that index plus one flat step per axis and sign (a
+only, and `hessian_at` is the gather at one node.  Both gathers read the
+raveled values by flat index: each node's index is computed once, and
+each stencil point is that index plus one flat step per axis and sign (a
 constant +-stride on an open axis, a per-node wrapped step on a periodic
 one), so no coordinate array is formed per stencil offset.
-`eig_sym` is numpy.linalg.eigh behind square/symmetric checks.
+`eig_sym` is numpy.linalg.eigh behind square/symmetric checks; it and
+`hessian_at` serve the tests' per-node oracles and the benchmark's tracer.
 """
 
 from __future__ import annotations
@@ -223,7 +223,7 @@ def hessian_at_nodes(field: ScalarField, nodes: np.ndarray) -> np.ndarray:
     to (node +- e_a) % dims, so periodic axes wrap and nodes on an open
     boundary must be filtered out by the caller.  Every entry is the same
     expression, in the same order, wherever a Hessian is taken, so
-    `hessian` and `hessian_at` agree with it bit for bit.
+    `hessian_at` agrees with it bit for bit.
     """
     v = field.values.ravel()
     h = field.spacing
@@ -240,20 +240,6 @@ def hessian_at_nodes(field: ScalarField, nodes: np.ndarray) -> np.ndarray:
                    + v[flat + da + db])
             H[:, a, b] = H[:, b, a] = val / (4.0 * h[a] * h[b])
     return H
-
-
-def hessian(field: ScalarField) -> Tuple[np.ndarray, np.ndarray]:
-    """Central-difference Hessian at every node.
-
-    Returns (H, valid) where H has shape dims + (ndim, ndim) and valid is
-    the stencil mask; H is `hessian_at_nodes` at the valid nodes and zero
-    elsewhere.
-    """
-    d = field.ndim
-    valid = stencil_mask(field)
-    H = np.zeros(field.dims + (d, d), dtype=float)
-    H[valid] = hessian_at_nodes(field, np.argwhere(valid))
-    return H, valid
 
 
 def hessian_at(field: ScalarField, node: Sequence[int]) -> np.ndarray:

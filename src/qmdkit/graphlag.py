@@ -93,8 +93,10 @@ def isolation_scan(f: ScalarField, tau: ScalarField, crit: CriticalSet,
     expression as a whole-box pass, in blocks of at most STEP_BLOCK
     entries.  When tau = f - c in the box, as with a full chart, almost
     every node drops out.  The t = 1 containment check is one exact pass
-    over the box.
+    over the box.  ValueError unless steps >= 1.
     """
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
     f.require_same_grid(tau)
     comp = crit.components[component]
     # only stencil-valid nodes of the box can be critical; a node of C
@@ -110,7 +112,7 @@ def isolation_scan(f: ScalarField, tau: ScalarField, crit: CriticalSet,
 
     report = IsolationReport()
     ts = [j / steps for j in range(steps)]
-    if c_inside and ts:
+    if c_inside:
         with np.errstate(over="ignore", invalid="ignore"):
             a, b = norms(grad_f), norms(grad_tau)
             never = a - ts[-1] * b > tol + 1e-9 * (a + b + tol) + UNDERFLOW_SLACK

@@ -14,7 +14,13 @@ The companion submanifold S is restricted to coordinate-aligned charts:
 S = {off-chart coordinates frozen to a base node}.  A minimally
 degenerate pair (C, S) always admits a compliant tau, built here as
 tau = dist(x, S)^4 + f(project_S(x)) - min_C f near C and certified by
-`check_qmd` alone, with no minimal-degeneracy gate.
+`check_qmd` alone.
+
+The geometry follows `cubical`'s two rules.  Runs: an isolating box is the
+`box_mask` of each axis's `axis_interval` widened by BOX_MARGIN, a chart's
+slice the `box_mask` of its `runs` (a chart meets a grid there, so a base
+off the grid is a ChartError), and tau's distances to both are one
+`_box_distance` over `run_steps`.  Components: `mask_roots`, split by root.
 
 The flattening perturbation replaces f by rho(f) where rho vanishes
 below delta/2 and is the identity above delta; the sublevel set
@@ -42,9 +48,10 @@ it returned certifies once.
 same nodes.  The kernel tests are batched too: alignment
 with the chart is one SVD over the stack of kernel vectors, and
 transversality one matrix_rank per distinct kernel dimension.  The chart
-terms of tau are built from per-axis arrays, and the thickening's descent
-walks advance together by pointer doubling.  `transverse_negative_index`
-shares `index_preserved`'s batched body; `negative_index` is its point chart.
+terms of tau are broadcast from per-axis arrays, and the thickening's
+descent walks advance together by pointer doubling.
+`transverse_negative_index` shares `index_preserved`'s batched body;
+`negative_index` is its point chart.
 
 A full chart (every axis a chart axis) settles three checks by exact
 facts, so they sample or scan nothing.  tau's Hessian kernel is
@@ -64,7 +71,7 @@ from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cubical import GridMask, axis_interval, betti_of_mask, join
+from .cubical import GridMask, axis_interval, betti_of_mask, box_mask, mask_roots, run_steps
 # hessian_at and eig_sym are unused here but the benchmark tracer patches them by these names
 from .fields import (ScalarField, eig_sym, gradient_at_nodes, gradient_magnitude,  # noqa: F401
                      hessian_at, hessian_at_nodes, norms, stencil_mask, stencil_node)
@@ -128,17 +135,17 @@ class SubmanifoldChart:
     def off_axes(self, ndim: int) -> Tuple[int, ...]:
         return tuple(a for a in range(ndim) if a not in self.axes)
 
+    def runs(self, dims: Sequence[int]) -> List[Tuple[int, int]]:
+        """Each axis's run of the chart's slice: the whole axis on a chart axis,
+        the base's slab elsewhere.  ChartError unless base is a node of dims."""
+        if len(self.base) != len(dims) or not all(0 <= b < n for b, n in zip(self.base, dims)):
+            raise ChartError(f"chart base {self.base} lies outside the grid {tuple(dims)}")
+        return [(0, n) if a in self.axes else (b, 1)
+                for a, (b, n) in enumerate(zip(self.base, dims))]
+
     def slice_mask(self, dims: Sequence[int]) -> np.ndarray:
-        mask = np.ones(tuple(dims), dtype=bool)
-        for a in range(len(dims)):
-            if a in self.axes:
-                continue
-            sl = [slice(None)] * len(dims)
-            keep = np.zeros(dims[a], dtype=bool)
-            keep[self.base[a]] = True
-            sl[a] = ~keep
-            mask[tuple(sl)] = False
-        return mask
+        # no run of a chart crosses the seam, so every axis reads as open
+        return box_mask(dims, (False,) * len(dims), self.runs(dims))
 
 
 @dataclass(frozen=True)
@@ -215,28 +222,9 @@ def critical_node_mask(f: ScalarField, grad_tol: float) -> np.ndarray:
 
 def connected_components(mask: np.ndarray, periodic: Sequence[bool]) -> List[np.ndarray]:
     """Components of `mask` under axis adjacency (wrapping on periodic axes),
-    each a boolean array, ordered by their least flat index.
-
-    One ``cubical.join`` over the edges between masked axis neighbours
-    roots each component at its least flat index.
-    """
-    dims = mask.shape
-    index = np.arange(mask.size).reshape(dims)
-    u, v = [], []
-    for a in range(mask.ndim):
-        if periodic[a]:
-            both = mask & np.roll(mask, -1, a)
-            u.append(index[both])
-            v.append(np.roll(index, -1, a)[both])
-        else:
-            lower = tuple(slice(0, -1) if b == a else slice(None) for b in range(mask.ndim))
-            upper = tuple(slice(1, None) if b == a else slice(None) for b in range(mask.ndim))
-            both = mask[lower] & mask[upper]
-            u.append(index[lower][both])
-            v.append(index[upper][both])
-    u = np.concatenate(u) if u else np.zeros(0, dtype=np.int64)
-    v = np.concatenate(v) if v else np.zeros(0, dtype=np.int64)
-    parent = join(mask.size, u, v)
+    each a boolean array, ordered by their least flat index: the
+    ``cubical.mask_roots`` of the mask, split by root."""
+    parent = mask_roots(mask, periodic)
     nodes = np.flatnonzero(mask)
     nodes = nodes[np.argsort(parent[nodes], kind="stable")]
     _, starts = np.unique(parent[nodes], return_index=True)
@@ -244,7 +232,7 @@ def connected_components(mask: np.ndarray, periodic: Sequence[bool]) -> List[np.
     for lo, hi in zip(starts, list(starts[1:]) + [len(nodes)]):
         comp = np.zeros(mask.size, dtype=bool)
         comp[nodes[lo:hi]] = True
-        comps.append(comp.reshape(dims))
+        comps.append(comp.reshape(mask.shape))
     return comps
 
 
@@ -271,18 +259,9 @@ def _box_runs(component: GridMask) -> List[Tuple[int, int]]:
 def isolating_box(component: GridMask, runs: Optional[List[Tuple[int, int]]] = None
                   ) -> np.ndarray:
     """Bounding box of a component inflated by BOX_MARGIN cells, as a node
-    mask: the product of its ``_box_runs``, or of `runs` when given."""
-    if runs is None:
-        runs = _box_runs(component)
-    d = component.ndim
-    box = np.ones(component.dims, dtype=bool)
-    for a, (n, (start, length)) in enumerate(zip(component.dims, runs)):
-        keep = np.zeros(n, dtype=bool)
-        keep[(start + np.arange(length)) % n] = True
-        shape = [1] * d
-        shape[a] = n
-        box &= keep.reshape(shape)
-    return box
+    mask: the ``cubical.box_mask`` of its ``_box_runs``, or of `runs`."""
+    return box_mask(component.dims, component.periodic,
+                    _box_runs(component) if runs is None else runs)
 
 
 # -- Hessian sampling helpers -------------------------------------------
@@ -390,6 +369,7 @@ def _check_minimum_on_slice(f: ScalarField, comp: GridMask, chart: SubmanifoldCh
 
 
 def _require_contained(comp: GridMask, chart: SubmanifoldChart):
+    chart.runs(comp.dims)   # ChartError unless the base is a node of the grid
     off = list(chart.off_axes(len(comp.dims)))
     if not off:
         return
@@ -556,49 +536,29 @@ def _smoothstep(t: np.ndarray) -> np.ndarray:
     return t * t * t * (t * (6.0 * t - 15.0) + 10.0)
 
 
-def _box_excess_distance(component: GridMask, runs: Sequence[Tuple[int, int]],
-                         spacing) -> np.ndarray:
-    """Physical distance from each node to the component's isolating box
-    (0 inside): per axis, the index distance to the box's run, circular on
-    a periodic axis.  The squares are summed in axis order, broadcast from
-    each axis, so only the last sum and the root are full-grid passes."""
-    d = component.ndim
-    square_sum = 0.0
-    for a, (n, (start, length)) in enumerate(zip(component.dims, runs)):
-        idx = np.arange(n)
-        if component.periodic[a]:
-            past = (idx - start) % n    # steps from the run's start, forward
-            steps = np.where(past < length, 0, np.minimum(past - (length - 1), n - past))
-        else:
-            steps = np.maximum(0, np.maximum(start - idx, idx - (start + length - 1)))
-        shape = [1] * d
-        shape[a] = n
-        square_sum = square_sum + ((steps * spacing[a]) ** 2).reshape(shape)
+def _box_distance(f: ScalarField, runs: Sequence[Tuple[int, int]]) -> np.ndarray:
+    """Physical distance from each node of f's grid to the box of `runs` (0
+    inside), from each axis's ``run_steps``: the squares are summed in axis
+    order, broadcast, and a whole-axis run adds nothing, so only the last
+    sum and the root can be full-grid passes."""
+    square_sum = np.zeros((1,) * f.ndim)
+    for a, (n, run) in enumerate(zip(f.dims, runs)):
+        if run[1] < n:
+            steps = run_steps(n, f.periodic[a], run) * f.spacing[a]
+            square_sum = square_sum + (steps ** 2).reshape((n,) + (1,) * (f.ndim - 1 - a))
     return np.sqrt(square_sum)
 
 
 def _chart_terms(f: ScalarField, chart: SubmanifoldChart) -> Tuple[np.ndarray, np.ndarray]:
-    """r^4 and f o project_S at every node, with r the distance to the chart.
-
-    r^2 sums the off-chart axes' squared distances in axis order, and
-    each power is taken on Python floats (numpy's vectorized pow may round
-    differently), so the terms match the per-node formulas bit for bit.
-    Both depend on few coordinates and are broadcast views over the grid.
-    """
-    dims = f.dims
-    r2 = np.zeros((1,) * f.ndim)
-    proj = f.values
-    for a in chart.off_axes(f.ndim):
-        d = np.abs(np.arange(dims[a]) - chart.base[a])
-        if f.periodic[a]:
-            d = np.minimum(d, dims[a] - d)
-        shape = [1] * f.ndim
-        shape[a] = dims[a]
-        r2 = r2 + np.array([(int(k) * f.spacing[a]) ** 2 for k in d]).reshape(shape)
-        proj = np.take(proj, [chart.base[a]], axis=a)
-    r = np.sqrt(r2)
+    """r^4 and f o project_S at every node, r the distance to the chart's
+    `runs` and project_S f on them: broadcast views over the grid.  r^4 is
+    taken on Python floats, as the per-node formula takes it (numpy's
+    vectorized pow may round differently)."""
+    runs = chart.runs(f.dims)
+    r = _box_distance(f, runs)
     r4 = np.array([x ** 4 for x in r.ravel().tolist()]).reshape(r.shape)
-    return np.broadcast_to(r4, dims), np.broadcast_to(proj, dims)
+    proj = f.values[tuple(slice(start, start + length) for start, length in runs)]
+    return np.broadcast_to(r4, f.dims), np.broadcast_to(proj, f.dims)
 
 
 def construct_tau(f: ScalarField, crit: CriticalSet, chart: SubmanifoldChart,
@@ -618,7 +578,7 @@ def construct_tau(f: ScalarField, crit: CriticalSet, chart: SubmanifoldChart,
     fmin = float(f.values[comp.cells].min())
 
     r4, proj_vals = _chart_terms(f, chart)
-    d_box = _box_excess_distance(comp, crit.box_runs(component), f.spacing)
+    d_box = _box_distance(f, crit.box_runs(component))
     ramp_width = 2.0 * BOX_MARGIN * float(np.mean(f.spacing))
     ramp = 1.0 - _smoothstep(d_box / ramp_width)
     tau_vals = r4 + ramp * (proj_vals - fmin) + d_box ** 4

@@ -55,6 +55,8 @@ gradient per step, with no filter.
 ``oracle_hessian_at_nodes`` and ``oracle_gradient_at_nodes`` are the node
 gathers of ``qmdkit.fields`` before they read the values by flat index: one
 ((nodes + offset) % dims) coordinate gather per stencil offset.
+``hessian`` is the whole-grid Hessian that ``qmdkit.fields`` exported before
+only the tests read it: ``hessian_at_nodes`` at every stencil-valid node.
 
 ``oracle_connected_components`` is the depth-first labelling that
 ``qmdkit.morse.connected_components`` ran before its union-find, and
@@ -90,7 +92,7 @@ import numpy as np
 from qmdkit.cubical import (CubicalComplex, EmptyMaskError, GridMask, _grid_shape,
                             betti_of_mask)
 from qmdkit.fields import (ScalarField, eig_sym, gradient_magnitude, hessian_at,
-                           stencil_mask)
+                           hessian_at_nodes, stencil_mask)
 from qmdkit.gf2 import (GF2Matrix, Subspace, quotient_dim, reduce_faces,
                         solve_row_combination, subspace_sum)
 from qmdkit.graphlag import GraphSection, IsolationReport, flow_translate
@@ -1130,6 +1132,20 @@ def oracle_gradient_at_nodes(field: ScalarField, nodes: np.ndarray) -> np.ndarra
         grad[:, a] = ((_oracle_at(field, nodes, e) - _oracle_at(field, nodes, -e))
                       / (2.0 * field.spacing[a]))
     return grad
+
+
+def hessian(field: ScalarField) -> Tuple[np.ndarray, np.ndarray]:
+    """Central-difference Hessian at every node.
+
+    Returns (H, valid) where H has shape dims + (ndim, ndim) and valid is
+    the stencil mask; H is `hessian_at_nodes` at the valid nodes and zero
+    elsewhere.
+    """
+    d = field.ndim
+    valid = stencil_mask(field)
+    H = np.zeros(field.dims + (d, d), dtype=float)
+    H[valid] = hessian_at_nodes(field, np.argwhere(valid))
+    return H, valid
 
 
 def oracle_hessian_at_nodes(field: ScalarField, nodes: np.ndarray) -> np.ndarray:

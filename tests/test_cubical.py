@@ -1,3 +1,4 @@
+import itertools
 import os
 
 import numpy as np
@@ -578,3 +579,60 @@ def test_mask_of_the_wrong_shape_is_refused():
         GridMask((12,), (False,), cells)
     assert GridMask.from_json({"dims": [4, 3], "periodic": [0, 0],
                                "cells": cells.reshape(-1).tolist()}).cells.shape == (4, 3)
+
+
+def _loop_run_steps(n, periodic, start, length):
+    """Each slab's least step count to a slab of the run, per slab."""
+    slabs = [(start + k) % n for k in range(length)]
+    return [min(min(abs(i - j), n - abs(i - j)) if periodic else abs(i - j) for j in slabs)
+            for i in range(n)]
+
+
+def _loop_box(dims, runs):
+    """The nodes whose every coordinate lies in its axis's run, node by node."""
+    box = np.zeros(dims, dtype=bool)
+    for node in itertools.product(*map(range, dims)):
+        box[node] = all((i - start) % n < length for i, n, (start, length)
+                        in zip(node, dims, runs))
+    return box
+
+
+def test_run_rule_matches_a_per_node_loop():
+    """``run_steps`` and ``box_mask`` equal a per-node loop on random 1-3-D
+    grids with open and periodic axes, for random runs, runs across the
+    seam, whole-axis runs and one-node runs; ``morse.isolating_box`` and
+    ``SubmanifoldChart.slice_mask``, boxes of the same rule, equal the loop
+    over their runs and their base."""
+    from qmdkit.morse import SubmanifoldChart, _box_runs, isolating_box
+    rng = np.random.default_rng(SEED + 61)
+    seams = 0
+    for trial in range(300):
+        d = 1 + trial % 3
+        dims = tuple(int(n) for n in rng.integers(1, (14 if d < 3 else 7) + 1, d))
+        periodic = tuple(bool(p) for p in rng.integers(0, 2, d))
+        runs = []
+        for n, p in zip(dims, periodic):
+            kind = int(rng.integers(0, 3))    # whole axis, one node, random
+            length = (n, 1, int(rng.integers(1, n + 1)))[kind]
+            # only a periodic run may cross the seam; a whole one starts at 0
+            start = int(rng.integers(0, n if p else n - length + 1)) if length < n else 0
+            seams += start + length > n
+            runs.append((start, length))
+        for n, p, (start, length) in zip(dims, periodic, runs):
+            steps = cubical.run_steps(n, p, (start, length))
+            assert steps.tolist() == _loop_run_steps(n, p, start, length), (n, p, start, length)
+        box = cubical.box_mask(dims, periodic, runs)
+        assert box.shape == dims and box.dtype == bool
+        assert np.array_equal(box, _loop_box(dims, runs)), (dims, periodic, runs)
+
+        comp = GridMask(dims, periodic, rng.random(dims) < rng.choice([0.05, 0.3]))
+        if comp.cells.any():
+            box_runs = _box_runs(comp)
+            assert np.array_equal(isolating_box(comp), _loop_box(dims, box_runs))
+        axes = tuple(a for a in range(d) if rng.random() < 0.5)
+        base = tuple(int(rng.integers(0, n)) for n in dims)
+        want = np.zeros(dims, dtype=bool)
+        for node in itertools.product(*map(range, dims)):
+            want[node] = all(node[a] == base[a] for a in range(d) if a not in axes)
+        assert np.array_equal(SubmanifoldChart(axes, base).slice_mask(dims), want)
+    assert seams

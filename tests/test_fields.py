@@ -6,13 +6,13 @@ import pytest
 
 from qmdkit.fields import (BoundaryNodeError, GridMismatchError, ScalarField,
                            c1_distance, default_grad_tol, eig_sym, gradient,
-                           gradient_at_nodes, hessian, hessian_at,
-                           hessian_at_nodes, stencil_mask)
+                           gradient_at_nodes, hessian_at, hessian_at_nodes, stencil_mask)
 
 from qmdkit.cubical import GridMask
 from qmdkit.morse import Tolerances, detect_critical_set, flatten
 
-from _oracles import oracle_gradient_at_nodes, oracle_hessian_at_nodes, sturm_eigenvalues
+from _oracles import (hessian, oracle_gradient_at_nodes, oracle_hessian_at_nodes,
+                      sturm_eigenvalues)
 
 SEED = int(os.environ.get("QMD_SEED", "0"))
 

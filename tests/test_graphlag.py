@@ -125,6 +125,20 @@ def test_isolation_scan_ignores_outside_critical_points():
     assert report.passed
 
 
+def test_isolation_scan_needs_a_step():
+    """A scan of no step would certify anything: tau = 2f flips the saddle's
+    section at t = 1/2, which 64 steps find, and steps < 1 is refused."""
+    f = field_saddle()
+    crit = detect_critical_set(f, 1e-6)
+    chart = SubmanifoldChart(axes=(0,), base=(16, 16))
+    tau = f.with_values(2.0 * f.values)
+    report = isolation_scan(f, tau, crit, chart, steps=64)
+    assert not report.passed and report.first_violation == 0.5
+    for steps in (0, -3):
+        with pytest.raises(ValueError):
+            isolation_scan(f, tau, crit, chart, steps=steps)
+
+
 def test_isolation_report_json():
     f = field_1d_quartic()
     crit = detect_critical_set(f, 1e-6)
@@ -274,7 +288,7 @@ def test_isolation_scan_matches_per_step_oracle(f, tau, chart, grad_tol, comp):
     crit = detect_critical_set(f, grad_tol)
     components = range(len(crit.components)) if comp is None else [comp]
     for c in components:
-        for steps in (64, 7, 2, 1, 0):
+        for steps in (64, 7, 2, 1):
             fast = isolation_scan(f, tau, crit, chart, steps=steps, component=c)
             slow = oracle_isolation_scan(f, tau, crit, chart, steps=steps, component=c)
             assert fast.to_json() == slow.to_json()

@@ -12,9 +12,10 @@ from qmdkit.catalog import (TOLS, field_1d_quadratic, field_1d_quartic,
                             torus_circle_indices)
 from qmdkit.cubical import GridMask, axis_interval, betti_of_mask
 from qmdkit.fields import GridMismatchError, ScalarField, c1_distance
+from qmdkit.graphlag import isolation_scan
 from qmdkit.morse import (BOX_MARGIN, ChartError, ConstructionError, CriticalSet,
                           NoCriticalPointsError, SubmanifoldChart, Tolerances,
-                          _box_excess_distance, _dilate, _kernel_spans_axes,
+                          _box_distance, _dilate, _kernel_spans_axes,
                           _kernel_transverse, build_rho,
                           check_flattened_degenerate,
                           check_minimally_degenerate, check_qmd, classify,
@@ -149,7 +150,8 @@ def test_box_distance_reads_the_box_runs():
         cells[tuple(int(rng.integers(0, n)) for n in dims)] = True
         comp = GridMask(dims, periodic, cells)
         spacing = tuple(float(h) for h in rng.uniform(0.1, 2.0, ndim))
-        got = _box_excess_distance(comp, CriticalSet((comp,), 1e-6).box_runs(0), spacing)
+        got = np.broadcast_to(_box_distance(ScalarField(dims, spacing, periodic, np.zeros(dims)),
+                                            CriticalSet((comp,), 1e-6).box_runs(0)), dims)
         want = oracle_box_excess_distance(isolating_box(comp), spacing, periodic)
         assert got.shape == want.shape and got.dtype == want.dtype, (dims, periodic)
         assert got.tobytes() == want.tobytes(), (dims, periodic)
@@ -436,6 +438,26 @@ def test_chart_containment_enforced():
     with pytest.raises(ChartError):
         check_flattened_degenerate(
             f, crit, SubmanifoldChart(axes=(0,), base=(16, 10)), TOLS)
+
+
+def test_chart_base_off_the_grid_is_a_chart_error():
+    """A base with too few coordinates, one past the grid or a negative one
+    is refused wherever the chart meets the grid: ChartError from its runs,
+    its slice, tau's construction, the flattening and the scan, and the
+    chart rungs of `classify` read False."""
+    f = field_saddle()
+    crit = detect_critical_set(f, TOLS.grad_tol)
+    tau = tau_saddle()
+    chartless = classify(f, crit, tols=TOLS).to_json()
+    for base in ((16,), (16, 40), (16, -1)):
+        chart = SubmanifoldChart(axes=(0,), base=base)
+        for call in (lambda: chart.runs(f.dims), lambda: chart.slice_mask(f.dims),
+                     lambda: construct_tau(f, crit, chart, TOLS),
+                     lambda: flatten_along_chart(f, 0.02, crit, chart, TOLS),
+                     lambda: isolation_scan(f, tau, crit, chart)):
+            with pytest.raises(ChartError):
+                call()
+        assert classify(f, crit, chart, tau, TOLS).to_json() == chartless, base
 
 
 # -- construct_tau ---------------------------------------------------------
