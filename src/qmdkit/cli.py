@@ -383,6 +383,8 @@ def cmd_maslov(args) -> int:
         idx = maslov(a, b, tol=args.tol)
     except NonRegularCrossingError as exc:
         raise DomainFailure(str(exc)) from exc
+    except ValueError as exc:  # a tol of 0.5 or more, or lifts beyond the float range
+        raise UsageFailure(str(exc)) from exc
     sys.stdout.write(f"{idx}\n")
     return EXIT_OK
 

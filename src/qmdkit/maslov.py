@@ -11,15 +11,24 @@ half, which makes the index additive under concatenation by
 construction.  Crossings with vanishing one-sided relative velocity are
 rejected rather than silently perturbed.
 
+Whether the lines coincide is decided in one place, ``_levels``: a
+difference within ``tol`` of the integer k (0 < tol < 0.5) is on level
+2k, one strictly between k and k + 1 on level 2k + 1.  The difference at
+the merged breakpoints is then an integer walk h, and the index is half
+its net step, (h_end - h_start) / 2.  Refining a path, or moving a
+breakpoint's difference within ``tol`` of its level, leaves the walk's
+ends and so the index as they are; a segment whose two ends lie on one
+level crosses nothing.
+
 All indices are exact fractions with denominator 1 or 2.
 
 Cost: a path holds its breakpoints and lift once, as read-only float64
 arrays, which every pass reads as they are.  A pair with n merged
-breakpoints takes one sort of the merged breakpoints (``np.union1d``), a
-few linear numpy passes over them (the difference, slopes, near-integer
-and tangential tests, the integer levels of each segment) and one sort of
-the crossings found.  ``maslov`` sums the crossing signs from those
-arrays; only ``crossings`` builds one ``CrossingRecord`` per crossing.
+breakpoints takes one sort of the merged breakpoints (``np.union1d``) and
+a few linear numpy passes over them (the difference, its levels, slopes
+and the tangential test); ``maslov`` then reads the walk's two ends.
+``crossings`` adds the integer levels strictly inside each segment, one
+sort of the crossings found and one ``CrossingRecord`` per crossing.
 Building a path from angles is linear too: the lift is a running sum
 checked against the step rule, with a Python step per breakpoint only
 from the first half-turn tie that the sum resolves the other way.
@@ -182,57 +191,45 @@ def _merged_difference(g: LagrangianLinePath, g2: LagrangianLinePath):
     return times, _values_at(g, times) - _values_at(g2, times)
 
 
+def _levels(d, tol: float) -> np.ndarray:
+    """The level of each difference in ``d``: 2k where it lies within ``tol``
+    of the integer k (the two lines coincide there), 2 floor(d) + 1 where it
+    lies strictly between two integers.  Levels are exact integers held as
+    floats (infinite from 2^1023 on).  ValueError unless 0 < tol < 0.5: from
+    0.5 on, a value lies within tol of two integers."""
+    if not 0 < tol < 0.5:
+        raise ValueError(f"tol must lie strictly between 0 and 0.5, got {tol!r}")
+    r = np.round(d)
+    return np.where(np.abs(d - r) <= tol, 2 * r, 2 * np.floor(d) + 1)
+
+
 # inf slopes (from tiny time steps) are valid and compare as the floats did
 @np.errstate(all="ignore")
-def _crossing_arrays(g: LagrangianLinePath, g2: LagrangianLinePath, tol: float):
-    """The pair's crossings as arrays (time, endpoint, sign_in, sign_out),
-    sorted by time, or the error ``crossings`` raises."""
+def _walk(g: LagrangianLinePath, g2: LagrangianLinePath, tol: float):
+    """The merged breakpoints, the lifted difference there, the slopes
+    between them, the difference's level walk h and the breakpoints that
+    are crossings (even h), or the error ``crossings`` and ``maslov`` raise."""
     times, diff = _merged_difference(g, g2)
-    if not np.isfinite(diff).all():
+    h = _levels(diff, tol)
+    if not np.isfinite(h).all():
         raise PathError("the lifted angle difference of the pair is not finite")
-    m = len(times) - 1
     slopes = (diff[1:] - diff[:-1]) / (times[1:] - times[:-1])
-    sign = np.sign(slopes).astype(int)
     flat = np.abs(slopes) <= tol
-
-    near_int = np.abs(diff - np.round(diff)) <= tol
-    if near_int.all() and flat.all():
-        if np.unique(np.round(diff)).size != 1:
+    on = h % 2 == 0
+    if on.all() and flat.all():
+        if (h != h[0]).any():
             raise NonRegularCrossingError("difference hops between integer levels")
-        none = np.zeros(0, int)
-        return times[:0], np.zeros(0, bool), none, none
+        return times, diff, slopes, h, np.zeros(0, int)   # on the diagonal throughout
 
-    # breakpoint crossings, with the one-sided slopes in and out; the ends
-    # of [0, 1] miss one side
-    tangential = near_int & (np.append(False, flat) | np.append(flat, False))
+    # a crossing at a breakpoint needs relative velocity on both sides; the
+    # ends of [0, 1] miss one side
+    tangential = on & (np.append(False, flat) | np.append(flat, False))
     if tangential.any():
         t = float(times[np.argmax(tangential)])
         raise NonRegularCrossingError(
             f"tangential crossing at t={t}: relative angular velocity "
             f"below tolerance; perturb the paths")
-    at = np.flatnonzero(near_int)
-
-    # interior crossings: every integer level k strictly inside a segment,
-    # one entry per (segment, k), in segment order and then k order; the
-    # range test drops levels that float slop in the tol bounds lets in
-    lo, hi = np.minimum(diff[:-1], diff[1:]), np.maximum(diff[:-1], diff[1:])
-    k_first = np.ceil(lo - tol)
-    counts = (np.floor(hi + tol) - k_first + 1).astype(np.int64)
-    seg = np.repeat(np.arange(m), counts)
-    k = k_first[seg] + (np.arange(seg.size) - np.repeat(np.cumsum(counts) - counts, counts))
-    d0, d1, s = diff[seg], diff[seg + 1], slopes[seg]
-    interior = (~((np.abs(d0 - k) <= tol) | (np.abs(d1 - k) <= tol))
-                & (lo[seg] < k) & (k < hi[seg]))
-    seg, k, d0, s = seg[interior], k[interior], d0[interior], s[interior]
-    t_star = times[seg] + (k - d0) / s
-
-    # stable, so equal times keep breakpoint crossings before interior ones
-    time = np.concatenate((times[at], t_star))
-    order = np.argsort(time, kind="stable")
-    endpoint = np.concatenate(((at == 0) | (at == m), np.zeros(len(seg), bool)))
-    sign_in = np.concatenate((np.append(0, sign)[at], sign[seg]))
-    sign_out = np.concatenate((np.append(sign, 0)[at], sign[seg]))
-    return time[order], endpoint[order], sign_in[order], sign_out[order]
+    return times, diff, slopes, h, np.flatnonzero(on)
 
 
 def crossings(g: LagrangianLinePath, g2: LagrangianLinePath,
@@ -240,32 +237,56 @@ def crossings(g: LagrangianLinePath, g2: LagrangianLinePath,
     """Crossing records of the pair, or NonRegularCrossingError.
 
     The pair crosses wherever the lifted angle difference passes through
-    an integer (the lines coincide there).  A path pair whose difference
-    is identically one integer never leaves the diagonal and reports no
+    an integer (the lines coincide there): at each breakpoint on a level,
+    signed in and out by the level walk's step on that side (0 along a
+    segment whose two ends lie on one level), and at every level strictly
+    between a segment's two ends.  A path pair whose difference is
+    identically one integer never leaves the diagonal and reports no
     crossings at all (constant intersection dimension).  A difference that
-    is not finite (lifts near the float range) raises PathError.
+    is not finite, or whose level is not (lifts near the float range),
+    raises PathError.
     """
-    time, endpoint, sign_in, sign_out = _crossing_arrays(g, g2, tol)
+    times, diff, slopes, h, at = _walk(g, g2, tol)
+    m = len(times) - 1
+    step = np.sign(h[1:] - h[:-1]).astype(int)
+
+    # interior crossings: every integer k with 2k strictly between a
+    # segment's two levels, one entry per (segment, k), in segment order
+    # and then k order
+    lo, hi = np.minimum(h[:-1], h[1:]), np.maximum(h[:-1], h[1:])
+    k_first = np.floor(lo / 2) + 1
+    counts = np.maximum(np.ceil(hi / 2) - k_first, 0).astype(np.int64)
+    seg = np.repeat(np.arange(m), counts)
+    k = k_first[seg] + (np.arange(seg.size) - np.repeat(np.cumsum(counts) - counts, counts))
+    t_star = times[seg] + (k - diff[seg]) / slopes[seg]
+
+    # stable, so equal times keep breakpoint crossings before interior ones
+    time = np.concatenate((times[at], t_star))
+    order = np.argsort(time, kind="stable")
+    endpoint = np.concatenate(((at == 0) | (at == m), np.zeros(len(seg), bool)))
+    sign_in = np.concatenate((np.append(0, step)[at], step[seg]))
+    sign_out = np.concatenate((np.append(step, 0)[at], step[seg]))
     return [CrossingRecord(t, e, si, so, _HALVES[si + so]) for t, e, si, so in
-            zip(time.tolist(), endpoint.tolist(), sign_in.tolist(), sign_out.tolist())]
+            zip(time[order].tolist(), endpoint[order].tolist(),
+                sign_in[order].tolist(), sign_out[order].tolist())]
 
 
 def maslov(g: LagrangianLinePath, g2: LagrangianLinePath,
            tol: float = 1e-9) -> Fraction:
-    """Relative index: signed interior crossings plus half endpoint crossings."""
-    _, _, sign_in, sign_out = _crossing_arrays(g, g2, tol)
-    return Fraction(int(sign_in.sum() + sign_out.sum()), 2)
+    """Relative index: signed interior crossings plus half endpoint
+    crossings, which sum to half the net step of the level walk."""
+    _, _, _, h, _ = _walk(g, g2, tol)
+    return Fraction(int(h[-1]) - int(h[0]), 2)
 
 
 def concat(g1: LagrangianLinePath, g2: LagrangianLinePath,
            tol: float = 1e-9) -> LagrangianLinePath:
     """Time-rescaled concatenation; g2 must start on g1's final line."""
-    gap = g1.lift[-1] - g2.lift[0]
-    k = round(gap)
-    if abs(gap - k) > tol:
+    level = _levels(g1.lift[-1] - g2.lift[0], tol)
+    if level % 2:
         raise PathError("concatenation endpoints are distinct lines")
     times = np.concatenate((0.5 * g1.times, 0.5 + 0.5 * g2.times[1:]))
-    lift = np.concatenate((g1.lift, g2.lift[1:] + float(k)))
+    lift = np.concatenate((g1.lift, g2.lift[1:] + level / 2))
     return LagrangianLinePath(times, lift)
 
 
@@ -291,8 +312,7 @@ def intersection_dim(g: LagrangianLinePath, g2: LagrangianLinePath, t: float,
                      tol: float = 1e-9) -> int:
     """dim of the intersection of the two lines at time t (1 or 0), the
     term of the endpoint parity axiom 2 mu = dim(0) - dim(1) mod 2."""
-    d = g.value_at(t) - g2.value_at(t)
-    return 1 if abs(d - round(d)) <= tol else 0
+    return int(_levels(g.value_at(t) - g2.value_at(t), tol) % 2 == 0)
 
 
 def index_shift(i_c, dim_c: int) -> int:

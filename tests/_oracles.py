@@ -70,7 +70,9 @@ before it became two one-step dilations of C.
 
 ``oracle_crossings``, ``oracle_continuous_lift`` and ``oracle_maslov`` are the
 Maslov crossing search and angle lift with one Python step per breakpoint, as
-``qmdkit.maslov`` had them before they became numpy passes, and
+``qmdkit.maslov`` had them before they became numpy passes (the crossing search
+with today's rule that a segment whose two ends lie within tol of one integer
+signs its breakpoints 0), and
 ``oracle_refine`` and ``oracle_concat`` the path subdivision and concatenation
 loops over tuples of floats from before a path held its breakpoints as arrays.
 
@@ -705,7 +707,8 @@ def _distance_to(chart: SubmanifoldChart, node, spacing, periodic, dims) -> floa
         d = abs(node[a] - chart.base[a])
         if periodic[a]:
             d = min(d, dims[a] - d)
-        total += (d * spacing[a]) ** 2
+        x = d * spacing[a]
+        total += x * x    # as numpy squares: Python's ** may round differently
     return float(np.sqrt(total))
 
 
@@ -1342,6 +1345,12 @@ def oracle_crossings(g: LagrangianLinePath, g2: LagrangianLinePath,
                     f"below tolerance; perturb the paths")
         si = int(np.sign(s_in)) if s_in is not None else 0
         so = int(np.sign(s_out)) if s_out is not None else 0
+        # a side whose segment ends within tol of the same integer stays on
+        # that level: it contributes sign 0
+        if j > 0 and near_int[j - 1] and round(diff[j - 1]) == round(d):
+            si = 0
+        if j < m and near_int[j + 1] and round(diff[j + 1]) == round(d):
+            so = 0
         contribution = Fraction(si + so, 2)
         records.append(CrossingRecord(t, j == 0 or j == m, si, so, contribution))
 

@@ -328,6 +328,8 @@ BAD_NUMBERS = {
     "flatten-delta-inf": ("flatten", ["--delta", "inf"]),
     "maslov-tol-nan": ("maslov", ["--tol", "nan"]),
     "maslov-tol-negative": ("maslov", ["--tol", "-1"]),
+    "maslov-tol-half": ("maslov", ["--tol", "0.5"]),
+    "maslov-tol-two": ("maslov", ["--tol", "2"]),
     "analyze-base-beyond-grid": ("analyze", ["--chart", "0", "--base", "16,99"]),
     "analyze-base-negative": ("analyze", ["--chart", "0", "--base", "16,-1"]),
 }
@@ -516,14 +518,34 @@ def test_maslov_tangential_crossing_fails(tmp_path):
 
 
 def test_maslov_flat_stretch_next_to_a_level_crosses_nothing(tmp_path, capsys):
-    # the difference stays at the float just beyond 1 + tol: the bounds
-    # ceil(lo - tol)..floor(hi + tol) admit level 1, which the flat stretch
-    # never reaches
+    # the difference stays at the float just beyond 1 + tol: a window
+    # ceil(lo - tol)..floor(hi + tol) would admit level 1, which the flat
+    # stretch never reaches
     angle = 3.141592656731386
     a = _write(tmp_path, "a.json", {"times": [0, 1], "angles": [angle, angle]})
     b = _write(tmp_path, "b.json", {"times": [0, 1], "angles": [0, 0]})
     assert main(["maslov", "--path-a", a, "--path-b", b]) == 0
     assert capsys.readouterr() == ("0\n", "")
+
+
+def test_maslov_level_beyond_the_float_range_is_a_usage_error(tmp_path, capsys):
+    # the lifted difference, about 1.08e308 half-turns, is finite, but its
+    # level 2k is not
+    a = _write(tmp_path, "a.json", {"times": [0, 1], "angles": [1.7e308, 1.7e308]})
+    b = _write(tmp_path, "b.json", {"times": [0, 1], "angles": [-1.7e308, -1.7e308]})
+    assert main(["maslov", "--path-a", a, "--path-b", b]) == 2
+    assert capsys.readouterr() == (
+        "", "error: the lifted angle difference of the pair is not finite\n")
+
+
+def test_maslov_crossing_between_two_near_level_breakpoints_counts_once(tmp_path, capsys):
+    # the difference passes 1 between t = 0.5 and 0.51, 4e-10 on either side
+    # at both breakpoints: one crossing, not one at each breakpoint
+    a = _write(tmp_path, "a.json", {"times": [0, 0.5, 0.51, 1],
+                                    "angles": [x * math.pi for x in (0.5, 1 - 4e-10, 1 + 4e-10, 1.5)]})
+    b = _write(tmp_path, "b.json", {"times": [0, 1], "angles": [0, 0]})
+    assert main(["maslov", "--path-a", a, "--path-b", b]) == 0
+    assert capsys.readouterr() == ("1\n", "")
 
 
 def test_example_monodromy(capsys):

@@ -284,6 +284,93 @@ def test_tiny_time_step_warns_nothing():
     assert index == oracle_maslov(a, b) == Fraction(3, 2)
 
 
+# -- the level walk: one tolerance rule ----------------------------------------
+
+TOLS = (1e-9, 1e-3, 0.13, 0.4)
+
+
+def test_unusable_tol_is_rejected():
+    # at tol = 2 every value is near three integers: the line from 0.2 to
+    # 3.2 crosses three levels
+    g = LagrangianLinePath.from_pi_units((0.0, 1.0), (0.2, 3.2))
+    h = LagrangianLinePath.constant(0.0)
+    assert maslov(g, h) == 3
+    for tol in (2.0, 0.5, 0.0, -1e-9, float("nan")):
+        for call in (lambda: maslov(g, h, tol), lambda: crossings(g, h, tol),
+                     lambda: intersection_dim(g, h, 0.5, tol),
+                     lambda: concat(g, LagrangianLinePath.constant(0.2 * math.pi), tol)):
+            with pytest.raises(ValueError, match="tol must lie strictly between 0 and 0.5"):
+                call()
+
+
+def test_line_across_one_level_reads_one_at_every_sampling():
+    h = LagrangianLinePath.constant(0.0)
+    for n in (2, 3, 6, 11):
+        g = LagrangianLinePath.from_pi_units(np.linspace(0.0, 1.0, n), np.linspace(0.5, 1.5, n))
+        for tol in TOLS:
+            assert maslov(g, h, tol) == 1
+            assert sum(r.contribution for r in crossings(g, h, tol)) == 1
+
+
+def test_crossing_between_two_near_level_breakpoints_counts_once():
+    g = LagrangianLinePath.from_angles(
+        (0.0, 0.5, 0.51, 1.0), [x * math.pi for x in (0.5, 1 - 4e-10, 1 + 4e-10, 1.5)])
+    h = LagrangianLinePath.constant(0.0)
+    assert maslov(g, h) == 1
+    assert [(r.sign_in, r.sign_out) for r in crossings(g, h)] == [(1, 0), (0, 1)]
+
+
+def _regular_pairs(rng, tol, count):
+    """Pairs whose index exists at ``tol``: 1/8-grid paths on shared
+    breakpoints and random walks on shared or disjoint ones."""
+    found = 0
+    while found < count:
+        if rng.random() < 0.5:
+            a, b = random_path(rng), random_path(rng)
+        else:
+            ta, ua, tb, ub = _walk_pair(rng)
+            a = LagrangianLinePath.from_pi_units(ta, ua)
+            b = LagrangianLinePath.from_pi_units(tb, ub)
+        try:
+            maslov(a, b, tol)
+        except NonRegularCrossingError:
+            continue
+        found += 1
+        yield a, b
+
+
+def test_index_is_invariant_under_refinement():
+    rng = np.random.default_rng(SEED + 15)
+    for tol in TOLS:
+        for a, b in _regular_pairs(rng, tol, 60):
+            index = maslov(a, b, tol)
+            for k in (2, 3, 5):
+                assert maslov(a.refine(k), b, tol) == index
+                assert maslov(a, b.refine(k), tol) == index
+
+
+def test_index_is_invariant_under_nudges_within_a_level():
+    rng = np.random.default_rng(SEED + 16)
+    h = LagrangianLinePath.constant(0.0)
+    for tol in TOLS:
+        nudged = 0
+        while nudged < 150:
+            # breakpoints on levels or halfway between, no segment flat
+            n = int(rng.integers(3, 12))
+            times = np.linspace(0.0, 1.0, n)
+            level = np.cumsum(rng.integers(-1, 2, n)) + (rng.random(n) < 0.2) / 2
+            lift = level + rng.uniform(-0.99, 0.99, n) * tol * (level % 1 == 0)
+            j = int(rng.integers(0, n))
+            moved = lift.copy()
+            moved[j] = level[j] + rng.uniform(-0.99, 0.99) * tol
+            if level[j] % 1 or any((np.abs(np.diff(u) / np.diff(times)) <= tol).any()
+                                   for u in (lift, moved)):
+                continue
+            index = maslov(LagrangianLinePath.from_pi_units(times, lift), h, tol)
+            assert maslov(LagrangianLinePath.from_pi_units(times, moved), h, tol) == index
+            nudged += 1
+
+
 # -- axioms on random pairs --------------------------------------------------
 
 

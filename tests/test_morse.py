@@ -808,6 +808,15 @@ def _plateau_field():
     return ScalarField((33,), (h,), (False,), np.minimum(x * x, 0.01))
 
 
+def _bowl83():
+    """A bowl about node (27, 27) of an 83^2 open grid of spacing 2/82.  With
+    the point chart there, the per-node distance squared with Python's **
+    (libm pow) gave 53 r^4 values off `_chart_terms`' in the last bit."""
+    x = (np.arange(83) - 27) * (2.0 / 82)
+    return ScalarField((83, 83), (2.0 / 82,) * 2, (False, False),
+                       x[:, None] ** 2 + x[None, :] ** 2)
+
+
 def cross_check_cases():
     """(f, tau or None, chart, nudges) over catalog pairs and random valleys;
     `nudges` marks a case whose flattening at delta = 0.02 must nudge."""
@@ -822,7 +831,8 @@ def cross_check_cases():
               SubmanifoldChart((0,), (16, 16))),
              ("corner", field_corner(), None, SubmanifoldChart((0, 1), (16, 16))),
              ("torus", field_torus_height(), None, SubmanifoldChart((0, 1), (0, 0))),
-             ("plateau-nudge", _plateau_field(), None, SubmanifoldChart((0,), (16,)))]
+             ("plateau-nudge", _plateau_field(), None, SubmanifoldChart((0,), (16,))),
+             ("bowl83-point-chart", _bowl83(), None, SubmanifoldChart((), (27, 27)))]
     rng = np.random.default_rng(SEED)
     for i in range(36):
         ndim = 1 + i % 4
