@@ -254,13 +254,9 @@ def cmd_analyze(args) -> int:
         axes = _parse_int_list(args.chart, "chart axes")
         base = _parse_int_list(args.base, "chart base") if args.base \
             else tuple(0 for _ in f.dims)
-        if len(base) != f.ndim:
-            raise UsageFailure("chart base must list one index per axis")
-        if not all(0 <= b < n for b, n in zip(base, f.dims)):
-            raise UsageFailure(f"chart base {list(base)} lies outside the "
-                               f"grid {list(f.dims)}")
         try:
             chart = SubmanifoldChart(axes=axes, base=base)
+            chart.runs(f.dims)
         except ChartError as exc:
             raise UsageFailure(str(exc)) from exc
     crit = _critical_set(f, grad_tol, args.component)

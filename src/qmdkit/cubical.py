@@ -14,30 +14,28 @@ identifications are index arithmetic, never ghost cells, and the square
 of the boundary operator vanishes exactly.  The faces of a k-cell are its
 two neighbours along each of its k odd axes.
 
-``build_complex`` first crops every axis to ``axis_interval``, the smallest
-run of slabs that covers the mask, so the cost follows the mask and not the
-grid: an open axis to its bounding interval, and a periodic axis with an
-empty slab cut open at its largest run of empty slabs.  No cell of the
-closure lies inside an empty slab, and a cell inside the run finds both
-neighbours of each odd coordinate there too, so the open build gives the
-same cells and faces; a full periodic axis stays whole and periodic.  The
-build then makes a fixed number of whole-array passes per axis and per
-dimension, not per cell type.  Each periodic axis gets one pad slab past its
-end, at 2n, that stands for slab 0: it holds no cell, and once the cells are
-numbered it takes slab 0's row numbers, so that every face of every cell is
-a fixed flat offset away and the wrap is index arithmetic.  The closure
-widens the crop one axis at a time, each top cell ORed into its two even
-neighbours (the last one's upper face into slab 0 too on a periodic axis).
-A cell's type, the set of its odd axes, gives its dimension and its face
-offsets through small tables; the k-cells are the set entries of dimension
-k in flat order, and their faces come from one gather pair,
+A complex lives on its mask's crop, so its cost follows the mask and not
+the grid.  ``crop`` cuts every axis to ``axis_interval``, the smallest run of
+slabs that covers the mask: an open axis to its bounding interval, and a
+periodic axis with an empty slab cut open at its largest run of empty slabs.
+No cell of the closure lies inside an empty slab, and a cell inside the run
+finds both neighbours of each odd coordinate there too, so the open build
+gives the same complex; a full periodic axis stays whole and periodic.
+``build_complex`` builds on the crop as if it were the whole grid, and its
+``dims``, ``periodic`` and cell indices are the crop's.  Every axis has 2n+1
+doubled coordinates there: on a periodic axis the last one, 2n, is a pad
+slab that stands for slab 0.  It holds no cell, so it does not change the
+order of the cells, and once the cells are numbered it takes slab 0's row
+numbers, so that every face of every cell is a fixed flat offset away and
+the wrap is index arithmetic.  The build makes a fixed number of whole-array
+passes per axis and per dimension, not per cell type.  The closure widens
+the crop one axis at a time, each top cell ORed into its two even neighbours
+(the last one's upper face into slab 0 too on a periodic axis).  A cell's
+type, the set of its odd axes, gives its dimension and its face offsets
+through small tables; the k-cells are the set entries of dimension k in flat
+order, and their faces come from one gather pair,
 ``row[at -/+ stride of each odd axis]`` (each cell's row within its
-dimension), odd axes ascending and the lower neighbour first.  The cell
-indices are translated back to the full doubled grid through a broadcast
-grid of full-grid indices, which keeps their sorted order unless a cut
-axis's run reaches the seam (start + length >= n: its last hyperplane
-lands on 0); then each level is sorted by full-grid index before it is
-numbered, so the face rows need no renumbering.
+dimension), odd axes ascending and the lower neighbour first.
 
 Homology is taken over GF(2), and a boundary is reduced only where its
 pivots are needed.  Four exact facts give the other ranks:
@@ -61,10 +59,10 @@ pivots are needed.  Four exact facts give the other ranks:
     pivots of its apparent columns (``gf2.apparent_pivots``), which are
     true pivots, clear boundary_{d-1}.
 
-(d) An open 3-D complex needs no reduction at all (Alexander duality, as in
-    Delfinado-Edelsbrunner 1995): it lies in R^3, so b_2 is the number of
-    bounded components of its complement and b_3 = 0, and then
-    b_1 = b_0 + b_2 - chi.  Two empty top cells that share a face are
+(d) A 3-D complex open on its crop needs no reduction at all (Alexander
+    duality, as in Delfinado-Edelsbrunner 1995): it lies in R^3, so b_2 is
+    the number of bounded components of its complement and b_3 = 0, and
+    then b_1 = b_0 + b_2 - chi.  Two empty top cells that share a face are
     joined through it, and a lower cell is outside the complex only when
     every top cell around it is empty, so the components of the complement
     are those of the empty top cells under face adjacency.  ``mask_roots``
@@ -72,9 +70,9 @@ pivots are needed.  Four exact facts give the other ranks:
     slab, whose connected padding holds the one unbounded component; the
     box follows the mask's cells, not the grid.
 
-So a 1-D or 2-D mask and an open 3-D mask need no column reduction, and a
-3-D mask with a periodic axis one apparent pass on boundary_3 and one
-reduction of boundary_2.
+So a 1-D or 2-D mask and a 3-D mask open on its crop need no column
+reduction, and a 3-D mask with a whole periodic axis one apparent pass on
+boundary_3 and one reduction of boundary_2.
 
 ``morse`` takes its boxes, chart slices, distances and components from two
 rules here.  The run rule: a run is (start, length) on one axis, circular on
@@ -168,8 +166,10 @@ class GridMask:
 class CubicalComplex:
     """Cells and boundaries of a closed set of doubled-grid cells.
 
-    ``cells_by_dim[k]`` is the sorted array of flat indices, into the
-    doubled grid of shape ``grid_shape``, of the k-cells; a cell's row in
+    ``dims`` and ``periodic`` are those of the mask's crop, and
+    ``cells_by_dim[k]`` is the sorted array of flat indices, into the crop's
+    doubled grid of shape ``grid_shape`` (2n+1 per axis, the last slab of a
+    periodic axis an empty pad), of the k-cells; a cell's row in
     dimension k is its position in that array.  ``boundary[k]`` is the
     (n_k, 2k) array of face rows of each k-cell, two per odd axis, lower
     neighbour first; a face listed twice (a periodic axis of size 1)
@@ -182,7 +182,7 @@ class CubicalComplex:
 
     @property
     def grid_shape(self) -> Tuple[int, ...]:
-        return _grid_shape(self.dims, self.periodic)
+        return tuple(2 * n + 1 for n in self.dims)
 
     def n_cells(self, k: int) -> int:
         if 0 <= k < len(self.cells_by_dim):
@@ -191,10 +191,6 @@ class CubicalComplex:
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * self.n_cells(k) for k in range(len(self.cells_by_dim)))
-
-
-def _grid_shape(dims, periodic) -> Tuple[int, ...]:
-    return tuple(2 * n if p else 2 * n + 1 for n, p in zip(dims, periodic))
 
 
 def _along(axis: int, step: slice, at: Sequence[slice]) -> Tuple[slice, ...]:
@@ -265,29 +261,31 @@ def _odd_axes(d: int) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
     return tuple(axes), level
 
 
-def build_complex(mask: GridMask) -> CubicalComplex:
-    """Closure of the included top cells, with sparse face arrays, built on
-    each axis's ``axis_interval`` of the mask and indexed in the full grid."""
+def crop(mask: GridMask) -> GridMask:
+    """The mask on each axis's ``axis_interval`` (margin 0): an open axis cut
+    to its bounding run, a periodic axis with an empty slab cut open there,
+    a full periodic axis kept whole."""
     if not mask.cells.any():
         raise EmptyMaskError("mask contains no cells")
-    d, cells = mask.ndim, mask.cells
-    whole = (slice(None),) * d
-    start, periodic, seam = [], [], False
+    d, cells, periodic = mask.ndim, mask.cells, list(mask.periodic)
     for a, n in enumerate(mask.dims):
         s, m = axis_interval(cells.any(axis=tuple(b for b in range(d) if b != a)),
-                             mask.periodic[a], 0)
-        start.append(s)
-        periodic.append(m == n and mask.periodic[a])
-        seam |= mask.periodic[a] and m < n and s + m >= n
-        if s + m > n:
+                             periodic[a], 0)
+        if m < n:
+            periodic[a] = False
             cells = cells.take(np.arange(s, s + m), axis=a, mode="wrap")
-        elif m < n:
-            cells = cells[_along(a, slice(s, s + m), whole)]
-    # the doubled grid of the crop, with one pad slab past the end of each
-    # periodic axis that stands for slab 0
-    shape = tuple(m + p for m, p in zip(_grid_shape(cells.shape, periodic), periodic))
+    return GridMask(cells.shape, tuple(periodic), cells)
+
+
+def build_complex(mask: GridMask) -> CubicalComplex:
+    """Closure of the included top cells, with sparse face arrays, built on
+    ``crop(mask)`` and indexed in the doubled grid of the crop."""
+    mask = crop(mask)
+    d, periodic = mask.ndim, mask.periodic
+    whole = (slice(None),) * d
+    shape = tuple(2 * n + 1 for n in mask.dims)
     wrapped = [a for a in range(d) if periodic[a]]
-    grid = cells
+    grid = mask.cells
     for a in range(d):
         # top cell i sits at 2i + 1 on axis a and closes onto 2i and 2i + 2;
         # slab 0 of a periodic axis also takes the upper face of the last one
@@ -306,38 +304,21 @@ def build_complex(mask: GridMask) -> CubicalComplex:
     odd_axes, level_of = _odd_axes(d)
     level = np.where(grid, level_of.take(kind), -1)
 
-    full = _grid_shape(mask.dims, mask.periodic)
-    if shape != full:
-        # each cell's index in the full grid: a translation, which keeps each
-        # level sorted unless it wraps across the seam of a cut axis
-        in_full = 0
-        for a, (s, m, n) in enumerate(zip(start, shape, full)):
-            in_full = in_full * n + (np.arange(2 * s, 2 * s + m) % n).reshape(
-                (m,) + (1,) * (d - 1 - a))
-        in_full = in_full.reshape(-1)
     row = np.empty(shape, dtype=np.int64)
     flat_row, flat_kind = row.reshape(-1), kind.reshape(-1)
-    at_by_dim, cells_by_dim = [], []
-    for k in range(d + 1):
-        at = found = np.flatnonzero(level == k)
-        if shape != full:
-            found = in_full.take(at)
-            if seam:
-                order = np.argsort(found)
-                at, found = at.take(order), found.take(order)
+    cells_by_dim = tuple(np.flatnonzero(level == k) for k in range(d + 1))
+    for at in cells_by_dim:
         flat_row[at] = np.arange(len(at))
-        at_by_dim.append(at)
-        cells_by_dim.append(found)
     for a in wrapped:
         # the upper face of the last slab's cells is in slab 0
         row[_along(a, slice(-1, None), whole)] = row[_along(a, slice(0, 1), whole)]
     # a cell's faces sit at its index less and plus the stride of each odd axis
     stride = np.array(row.strides, dtype=np.int64) // row.itemsize
     boundary = {}
-    for k, at in enumerate(at_by_dim):
+    for k, at in enumerate(cells_by_dim):
         step = (stride[odd_axes[k]][:, :, None] * (-1, 1)).reshape(2 ** d, 2 * k)
         boundary[k] = flat_row.take(at[:, None] + step.take(flat_kind.take(at), axis=0))
-    return CubicalComplex(mask.dims, mask.periodic, tuple(cells_by_dim), boundary)
+    return CubicalComplex(mask.dims, periodic, cells_by_dim, boundary)
 
 
 def join(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -404,8 +385,8 @@ def betti(cx: CubicalComplex) -> Tuple[int, ...]:
     """betti_k = n_k - rank boundary_k - rank boundary_{k+1} over GF(2).
 
     rank boundary_1 = n_0 - b_0, with b_0 the roots of a union-find over the
-    edges.  An open 3-D complex takes b_2 from the components of its
-    complement and b_1 from the Euler characteristic.  Otherwise, for
+    edges.  A 3-D complex open on its crop takes b_2 from the components of
+    its complement and b_1 from the Euler characteristic.  Otherwise, for
     d >= 2, rank boundary_d = n_d - 1 on a whole torus and n_d otherwise;
     boundary_{d-1} down to boundary_2 are reduced with clearing,
     boundary_{d-1} cleared by the apparent pivots of boundary_d alone.

@@ -28,8 +28,9 @@ cross-checks of construction, ``homology_dims`` and the stored pairing.
 boundaries that ``qmdkit.cubical`` used before its doubled-grid engine:
 cells are (anchor, extent) pairs and ``oracle_betti`` takes dense ranks.
 ``oracle_doubled_grid_complex`` is ``qmdkit.cubical.build_complex`` before its
-passes per cell type, with per-cell index arithmetic over the full doubled
-grid and no crop: the exact reference for the arrays the builder returns.
+passes per cell type, with per-cell index arithmetic over the whole doubled
+grid of the mask it is given and no crop: on ``crop(mask)``, the exact
+reference for the arrays the builder returns.
 ``validate_boundary`` checks d^2 = 0 on a ``CubicalComplex``'s face arrays.
 ``oracle_reduction_betti`` is ``qmdkit.cubical.betti`` before it read the
 bottom rank off a union-find and the top rank off the fundamental class:
@@ -91,8 +92,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from qmdkit.cubical import (CubicalComplex, EmptyMaskError, GridMask, _grid_shape,
-                            betti_of_mask)
+from qmdkit.cubical import CubicalComplex, EmptyMaskError, GridMask, betti_of_mask
 from qmdkit.fields import (ScalarField, eig_sym, gradient_magnitude, hessian_at,
                            hessian_at_nodes, stencil_mask)
 from qmdkit.gf2 import (GF2Matrix, Subspace, quotient_dim, reduce_faces,
@@ -577,7 +577,13 @@ def oracle_betti(cx: OracleComplex) -> Tuple[int, ...]:
 #
 # `qmdkit.cubical.build_complex` before its passes per cell type: one coordinate
 # array over every cell of the full doubled grid, a modulo per axis and a 2-D
-# fancy-index scatter per axis and side.  Its output is the exact reference.
+# fancy-index scatter per axis and side.  Its output is the exact reference,
+# in the unpadded frame of `_grid_shape` (2n coordinates on a periodic axis),
+# not the padded one of `CubicalComplex.grid_shape`.
+
+def _grid_shape(dims, periodic) -> Tuple[int, ...]:
+    return tuple(2 * n if p else 2 * n + 1 for n, p in zip(dims, periodic))
+
 
 def oracle_doubled_grid_complex(mask: GridMask) -> CubicalComplex:
     """Closure of the included top cells, with sparse face arrays."""

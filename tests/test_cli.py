@@ -332,6 +332,8 @@ BAD_NUMBERS = {
     "maslov-tol-two": ("maslov", ["--tol", "2"]),
     "analyze-base-beyond-grid": ("analyze", ["--chart", "0", "--base", "16,99"]),
     "analyze-base-negative": ("analyze", ["--chart", "0", "--base", "16,-1"]),
+    "analyze-base-too-short": ("analyze", ["--chart", "0", "--base", "16"]),
+    "analyze-base-too-long": ("analyze", ["--chart", "0", "--base", "16,16,16"]),
 }
 
 
