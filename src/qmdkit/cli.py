@@ -226,13 +226,9 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _tolerances(args, field: Optional[ScalarField] = None) -> Tolerances:
-    kw = {}
-    if args.grad_tol is not None:
-        kw["grad_tol"] = args.grad_tol
-    elif field is not None:
-        # stencil accuracy is O(h^2); scale by the field's gradient range
-        kw["grad_tol"] = default_grad_tol(field)
+def _tolerances(args, field: ScalarField) -> Tolerances:
+    # stencil accuracy is O(h^2); by default scale by the field's gradient range
+    kw = {"grad_tol": default_grad_tol(field) if args.grad_tol is None else args.grad_tol}
     if args.eig_tol is not None:
         kw["eig_tol"] = args.eig_tol
     if args.value_tol is not None:

@@ -66,26 +66,31 @@ pivots are needed.  Four exact facts give the other ranks:
     joined through it, and a lower cell is outside the complex only when
     every top cell around it is empty, so the components of the complement
     are those of the empty top cells under face adjacency.  ``mask_roots``
-    finds them in the bounding box of the complex's top cells padded by one
-    slab, whose connected padding holds the one unbounded component; the
-    box follows the mask's cells, not the grid.
+    finds them in the crop padded by one slab, whose connected padding holds
+    the one unbounded component: the crop is open, so the top cells reach
+    every face of it, and it follows the mask's cells, not the grid.
 
 So a 1-D or 2-D mask and a 3-D mask open on its crop need no column
 reduction, and a 3-D mask with a whole periodic axis one apparent pass on
 boundary_3 and one reduction of boundary_2.
 
-``morse`` takes its boxes, chart slices, distances and components from two
-rules here.  The run rule: a run is (start, length) on one axis, circular on
-a periodic one; ``axis_interval`` covers a set of slabs with one,
-``run_steps`` is each slab's distance to one, ``box_mask`` a product of them.
-The component rule: ``mask_roots``, one ``join`` over set axis neighbours.
+``morse`` takes its boxes, chart slices, distances, neighbours and
+components from three rules here.  The run rule: a run is (start, length) on
+one axis, circular on a periodic one; ``axis_interval`` covers a set of slabs
+with one, ``mask_runs`` is a mask's extent (one ``axis_interval`` per axis, as
+``crop`` cuts it), ``run_steps`` each slab's distance to a run, ``box_mask`` a
+product of runs.  The step rule: ``step`` moves flat node indices one slab
+along an axis, wrapping on a periodic axis and staying on the node past the
+end of an open one.  The component rule: ``mask_roots``, one ``join`` of set
+nodes to their set upper ``step`` on each axis.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -261,16 +266,24 @@ def _odd_axes(d: int) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
     return tuple(axes), level
 
 
+def mask_runs(mask: GridMask, margin: int) -> List[Tuple[int, int]]:
+    """Each axis's ``axis_interval`` of the mask's set slabs, widened by
+    `margin` slabs on each side: its extent, one run (start, length) per
+    axis."""
+    d = mask.ndim
+    return [axis_interval(mask.cells.any(axis=tuple(b for b in range(d) if b != a)),
+                          mask.periodic[a], margin)
+            for a in range(d)]
+
+
 def crop(mask: GridMask) -> GridMask:
-    """The mask on each axis's ``axis_interval`` (margin 0): an open axis cut
-    to its bounding run, a periodic axis with an empty slab cut open there,
-    a full periodic axis kept whole."""
+    """The mask on its ``mask_runs`` (margin 0): an open axis cut to its
+    bounding run, a periodic axis with an empty slab cut open there, a full
+    periodic axis kept whole."""
     if not mask.cells.any():
         raise EmptyMaskError("mask contains no cells")
-    d, cells, periodic = mask.ndim, mask.cells, list(mask.periodic)
-    for a, n in enumerate(mask.dims):
-        s, m = axis_interval(cells.any(axis=tuple(b for b in range(d) if b != a)),
-                             periodic[a], 0)
+    cells, periodic = mask.cells, list(mask.periodic)
+    for a, (n, (s, m)) in enumerate(zip(mask.dims, mask_runs(mask, 0))):
         if m < n:
             periodic[a] = False
             cells = cells.take(np.arange(s, s + m), axis=a, mode="wrap")
@@ -348,35 +361,40 @@ def join(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
             return parent
 
 
+def step(dims: Sequence[int], periodic: Sequence[bool], flat: np.ndarray,
+         axis: int, sign: int) -> np.ndarray:
+    """Flat index of node + sign * e_axis for each node of a C-order grid of
+    shape `dims` in `flat` (flat indices): wrapped on a periodic axis, the
+    node itself past the end of an open one."""
+    stride, n = math.prod(dims[axis + 1:]), dims[axis]
+    edge = (flat // stride % n) == (n - 1 if sign > 0 else 0)
+    return flat + np.where(edge, -sign * (n - 1) * stride if periodic[axis] else 0,
+                           sign * stride)
+
+
 def mask_roots(mask: np.ndarray, periodic: Sequence[bool]) -> np.ndarray:
     """Root of each entry of a boolean array by flat index, after one ``join``
-    of the set entries to their set axis neighbours (wrapping on a periodic
-    axis): the least flat index of its component, itself when unset."""
-    whole = (slice(None),) * mask.ndim
-    index = np.arange(mask.size).reshape(mask.shape)
+    of each set entry to its upper ``step`` on every axis when that is set:
+    the least flat index of its component, itself when unset.  A step that
+    stays on its node (an open axis's end) joins nothing."""
+    flat, cells = np.flatnonzero(mask), mask.ravel()
     u, v = [], []
     for a in range(mask.ndim):
-        if periodic[a]:
-            both = mask & np.roll(mask, -1, a)
-            u.append(index[both])
-            v.append(np.roll(index, -1, a)[both])
-        else:
-            lower, upper = _along(a, slice(0, -1), whole), _along(a, slice(1, None), whole)
-            both = mask[lower] & mask[upper]
-            u.append(index[lower][both])
-            v.append(index[upper][both])
+        up = step(mask.shape, periodic, flat, a, 1)
+        both = cells[up]
+        u.append(flat[both])
+        v.append(up[both])
     return join(mask.size, np.concatenate(u), np.concatenate(v))
 
 
 def _complement_components(cx: CubicalComplex) -> int:
     """Components of the complement of an open complex, the unbounded one
-    among them: the ``mask_roots`` of the empty top cells of the bounding
-    box of its top cells, padded by one slab on each side."""
-    top = np.unravel_index(cx.cells_by_dim[-1], cx.grid_shape)
-    lo = [int(c.min()) for c in top]
-    box = tuple((int(c.max()) - low) // 2 + 3 for c, low in zip(top, lo))
-    empty = np.ones(box, dtype=bool)
-    empty[tuple((c - low) // 2 + 1 for c, low in zip(top, lo))] = False
+    among them: the ``mask_roots`` of the empty top cells of its crop padded
+    by one slab on each side.  The crop is open, so the complex's top cells
+    reach every face of it."""
+    top = np.zeros(cx.grid_shape, dtype=bool)
+    top.reshape(-1)[cx.cells_by_dim[-1]] = True
+    empty = np.pad(~top[(slice(1, None, 2),) * top.ndim], 1, constant_values=True)
     roots = mask_roots(empty, (False,) * empty.ndim)
     return int(np.count_nonzero(roots == np.arange(empty.size))) - len(cx.cells_by_dim[-1])
 

@@ -13,7 +13,9 @@ only, and `hessian_at` is the gather at one node.  Both gathers read the
 raveled values by flat index: each node's index is computed once, and
 each stencil point is that index plus one flat step per axis and sign (a
 constant +-stride on an open axis, a per-node wrapped step on a periodic
-one), so no coordinate array is formed per stencil offset.
+one), so no coordinate array is formed per stencil offset.  One node is
+read through `stencil_node`, which refuses a node that is not a node of the
+grid (one index per axis, each in [0, n)) or lies on an open boundary.
 `eig_sym` is numpy.linalg.eigh behind square/symmetric checks; it and
 `hessian_at` serve the tests' per-node oracles and the benchmark's tracer.
 """
@@ -177,7 +179,12 @@ def _flat_stencil(field: ScalarField, nodes: np.ndarray):
 
     On an open axis the steps are +-stride, one integer for every node,
     since a stencil-valid node is not on that axis's boundary; on a
-    periodic axis they are per-node arrays that wrap."""
+    periodic axis they are per-node arrays that wrap.  The open-axis step
+    stays a constant rather than a ``cubical.step`` array: only a node at
+    an axis's end would tell the two apart, none is stencil-valid, and the
+    per-node array makes every gather slower (``gradient_at_nodes`` at the
+    stencil-valid box nodes of the 13 jobs of a benchmark fields round took
+    about 380 against 660 us on one Xeon core)."""
     nodes = np.asarray(nodes, dtype=np.intp).reshape(-1, field.ndim) % field.dims
     strides = np.cumprod((1,) + field.dims[:0:-1], dtype=np.intp)[::-1]
     steps = []
@@ -245,15 +252,18 @@ def hessian_at_nodes(field: ScalarField, nodes: np.ndarray) -> np.ndarray:
 def hessian_at(field: ScalarField, node: Sequence[int]) -> np.ndarray:
     """Symmetric central second differences at a grid node.
 
-    Raises BoundaryNodeError when the node sits on a non-periodic
-    boundary (one-sided stencils are not trusted).
+    Raises BoundaryNodeError when the node is not a node of the grid or
+    sits on a non-periodic boundary (one-sided stencils are not trusted).
     """
     return hessian_at_nodes(field, stencil_node(field, node))[0]
 
 
 def stencil_node(field: ScalarField, node: Sequence[int]) -> np.ndarray:
-    """The node as a (1, d) array; BoundaryNodeError on a non-periodic boundary."""
+    """The node as a (1, d) array; BoundaryNodeError unless it is a node of
+    the grid (one index per axis, each in [0, n)) off every open boundary."""
     node = tuple(int(i) for i in node)
+    if len(node) != field.ndim or not all(0 <= i < n for i, n in zip(node, field.dims)):
+        raise BoundaryNodeError(f"node {node} is not a node of the grid {field.dims}")
     for i, n, p in zip(node, field.dims, field.periodic):
         if not p and not 1 <= i <= n - 2:
             raise BoundaryNodeError(f"stencil leaves the grid at node {node}")

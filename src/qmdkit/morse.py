@@ -16,11 +16,14 @@ degenerate pair (C, S) always admits a compliant tau, built here as
 tau = dist(x, S)^4 + f(project_S(x)) - min_C f near C and certified by
 `check_qmd` alone.
 
-The geometry follows `cubical`'s two rules.  Runs: an isolating box is the
-`box_mask` of each axis's `axis_interval` widened by BOX_MARGIN, a chart's
-slice the `box_mask` of its `runs` (a chart meets a grid there, so a base
-off the grid is a ChartError), and tau's distances to both are one
-`_box_distance` over `run_steps`.  Components: `mask_roots`, split by root.
+The geometry follows `cubical`'s three rules.  Runs: an isolating box is
+the `box_mask` of the component's `mask_runs` widened by BOX_MARGIN, a
+chart's slice the `box_mask` of its `runs` (a chart meets a grid there, so a
+base off the grid is a ChartError), tau's distances to both are one
+`_box_distance` over `run_steps`, and the Morse-Bott rung's extent axes are
+those whose margin-0 run is longer than one slab.  Steps: the strict guard
+band's dilation and each descent step read node neighbours through `step`.
+Components: `mask_roots`, split by root.
 
 The flattening perturbation replaces f by rho(f) where rho vanishes
 below delta/2 and is the identity above delta; the sublevel set
@@ -71,7 +74,7 @@ from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cubical import GridMask, axis_interval, betti_of_mask, box_mask, mask_roots, run_steps
+from .cubical import GridMask, betti_of_mask, box_mask, mask_roots, mask_runs, run_steps, step
 # hessian_at and eig_sym are unused here but the benchmark tracer patches them by these names
 from .fields import (ScalarField, eig_sym, gradient_at_nodes, gradient_magnitude,  # noqa: F401
                      hessian_at, hessian_at_nodes, norms, stencil_mask, stencil_node)
@@ -170,8 +173,9 @@ class CriticalSet:
 
     def _box(self, i: int) -> tuple:
         if i not in self._boxes:
-            runs = _box_runs(self.components[i])
-            box = isolating_box(self.components[i], runs)
+            comp = self.components[i]
+            runs = _box_runs(comp)
+            box = box_mask(comp.dims, comp.periodic, runs)
             box.flags.writeable = False
             self._boxes[i] = runs, box
         return self._boxes[i]
@@ -246,22 +250,17 @@ def detect_critical_set(f: ScalarField, grad_tol: float) -> CriticalSet:
 
 
 def _box_runs(component: GridMask) -> List[Tuple[int, int]]:
-    """Each axis's run (start, length) of the component's isolating box: the
-    ``axis_interval`` of its projection, widened by BOX_MARGIN cells."""
-    cells, d = component.cells, component.ndim
-    if not cells.any():
+    """Each axis's run (start, length) of the component's isolating box: its
+    ``cubical.mask_runs`` widened by BOX_MARGIN cells."""
+    if not component.cells.any():
         raise ValueError("empty component")
-    return [axis_interval(cells.any(axis=tuple(b for b in range(d) if b != a)),
-                          component.periodic[a], BOX_MARGIN)
-            for a in range(d)]
+    return mask_runs(component, BOX_MARGIN)
 
 
-def isolating_box(component: GridMask, runs: Optional[List[Tuple[int, int]]] = None
-                  ) -> np.ndarray:
+def isolating_box(component: GridMask) -> np.ndarray:
     """Bounding box of a component inflated by BOX_MARGIN cells, as a node
-    mask: the ``cubical.box_mask`` of its ``_box_runs``, or of `runs`."""
-    return box_mask(component.dims, component.periodic,
-                    _box_runs(component) if runs is None else runs)
+    mask: the ``cubical.box_mask`` of its ``_box_runs``."""
+    return box_mask(component.dims, component.periodic, _box_runs(component))
 
 
 # -- Hessian sampling helpers -------------------------------------------
@@ -331,17 +330,12 @@ def index_preserved(f: ScalarField, f_check: ScalarField, crit: CriticalSet,
 
 
 def _dilate(cells: np.ndarray, periodic: Sequence[bool]) -> np.ndarray:
-    """Nodes within one one-axis step of `cells`, wrapping on periodic axes."""
+    """Nodes within one one-axis ``cubical.step`` of `cells`."""
     out = cells.copy()
-    for a, p in enumerate(periodic):
-        if p:
-            out |= np.roll(cells, 1, axis=a) | np.roll(cells, -1, axis=a)
-            continue
-        lo = [slice(None)] * cells.ndim
-        hi = [slice(None)] * cells.ndim
-        lo[a], hi[a] = slice(None, -1), slice(1, None)
-        out[tuple(hi)] |= cells[tuple(lo)]
-        out[tuple(lo)] |= cells[tuple(hi)]
+    flat = np.flatnonzero(cells)
+    for a in range(cells.ndim):
+        for sign in (-1, 1):
+            out.reshape(-1)[step(cells.shape, periodic, flat, a, sign)] = True
     return out
 
 
@@ -770,18 +764,15 @@ class ThickeningReport:
 
 def _steepest_neighbour(f: ScalarField, flat: np.ndarray) -> np.ndarray:
     """Flat index of the steepest-descent step of each node in `flat` (flat
-    indices): its lowest neighbour if that lies strictly below it (on ties
-    the first such in the order axis 0 down, axis 0 up, axis 1 down, ...),
-    else the node itself.  Open axes have no edge across the boundary: the
-    step there is clipped back onto the node, which is never lower."""
+    indices): its lowest ``cubical.step`` if that lies strictly below it
+    (on ties the first such in the order axis 0 down, axis 0 up, axis 1
+    down, ...), else the node itself.  Past the end of an open axis the step
+    stays on the node, which is never lower."""
     v = f.values.ravel()
-    coords = np.unravel_index(flat, f.dims)
-    strides = np.cumprod((1,) + f.dims[:0:-1])[::-1]
     best, best_val = flat.copy(), v[flat]
-    for a, (n, stride) in enumerate(zip(f.dims, strides)):
-        for d in (-1, 1):
-            c = (coords[a] + d) % n if f.periodic[a] else np.clip(coords[a] + d, 0, n - 1)
-            nb = flat + (c - coords[a]) * stride
+    for a in range(f.ndim):
+        for sign in (-1, 1):
+            nb = step(f.dims, f.periodic, flat, a, sign)
             nb_val = v[nb]
             lower = nb_val < best_val
             best = np.where(lower, nb, best)
@@ -812,10 +803,10 @@ def verify_thickening(f: ScalarField, crit: CriticalSet, sigma: GridMask,
     betti_match = b_c == b_s
 
     nodes = np.flatnonzero(box | sigma.cells)
-    step = _steepest_neighbour(f, nodes)
-    leaves = (step != nodes) & ~box.ravel()[step]
+    down = _steepest_neighbour(f, nodes)
+    leaves = (down != nodes) & ~box.ravel()[down]
     # nodes is sorted, and every step that stays in the box lands in it
-    jump = np.where(leaves, np.arange(len(nodes)), np.searchsorted(nodes, step))
+    jump = np.where(leaves, np.arange(len(nodes)), np.searchsorted(nodes, down))
     starts = np.argwhere(sigma.cells)
     pos = np.searchsorted(nodes, np.ravel_multi_index(tuple(starts.T), f.dims))
     escaped = np.zeros(len(pos), dtype=bool)
@@ -841,12 +832,9 @@ def verify_thickening(f: ScalarField, crit: CriticalSet, sigma: GridMask,
 
 
 def _component_extent_axes(comp: GridMask) -> Tuple[int, ...]:
-    nodes = np.argwhere(comp.cells)
-    axes = []
-    for a in range(len(comp.dims)):
-        if len(np.unique(nodes[:, a])) > 1:
-            axes.append(a)
-    return tuple(axes)
+    """The axes on which the component spans more than one slab: those whose
+    ``cubical.mask_runs`` run (margin 0) is longer than one."""
+    return tuple(a for a, (_, length) in enumerate(mask_runs(comp, 0)) if length > 1)
 
 
 def classify(f: ScalarField, crit: CriticalSet, chart: Optional[SubmanifoldChart] = None,

@@ -104,7 +104,7 @@ from qmdkit.morse import (ANGLE_TOL, BOX_MARGIN, MAX_NUDGES, ChartError,
                           ConstructionError, CriticalSet, DegeneracyReport,
                           DescentEscapeError, FlattenResult, RegularValueError,
                           RhoProfile, SubmanifoldChart, ThickeningReport,
-                          Tolerances, _check_minimum_on_slice, _component_extent_axes,
+                          Tolerances, _check_minimum_on_slice,
                           _kernel_threshold, _require_contained, _smoothstep,
                           critical_node_mask, default_hessian_floor,
                           isolating_box)
@@ -869,6 +869,17 @@ def oracle_check_qmd(f: ScalarField, tau: ScalarField, crit: CriticalSet,
     return report
 
 
+def _oracle_extent_axes(comp: GridMask) -> Tuple[int, ...]:
+    """The axes on which the component's nodes take more than one distinct
+    coordinate."""
+    nodes = np.argwhere(comp.cells)
+    axes = []
+    for a in range(len(comp.dims)):
+        if len(np.unique(nodes[:, a])) > 1:
+            axes.append(a)
+    return tuple(axes)
+
+
 def oracle_classify(f: ScalarField, crit: CriticalSet, chart: Optional[SubmanifoldChart] = None,
              tau: Optional[ScalarField] = None, tols: Tolerances = Tolerances(),
              strict: bool = False, component: int = 0) -> DegeneracyReport:
@@ -879,7 +890,7 @@ def oracle_classify(f: ScalarField, crit: CriticalSet, chart: Optional[Submanifo
 
     is_singleton = comp.count() == 1
     morse_ok = bool(nodes) and is_singleton
-    bott_axes = _component_extent_axes(comp)
+    bott_axes = _oracle_extent_axes(comp)
     f_on_c = f.values[comp.cells]
     bott_ok = (bool(nodes)
                and float(f_on_c.max() - f_on_c.min()) <= tols.value_tol)

@@ -646,3 +646,70 @@ def test_run_rule_matches_a_per_node_loop():
             want[node] = all(node[a] == base[a] for a in range(d) if a not in axes)
         assert np.array_equal(SubmanifoldChart(axes, base).slice_mask(dims), want)
     assert seams
+
+
+def _loop_step(dims, periodic, flat, axis, sign):
+    """node + sign * e_axis node by node: unravel, step, wrap on a periodic
+    axis or stay past the end of an open one, ravel."""
+    out = []
+    for i in flat.tolist():
+        node = [int(c) for c in np.unravel_index(i, dims)]
+        c = node[axis] + sign
+        if periodic[axis]:
+            node[axis] = c % dims[axis]
+        elif 0 <= c < dims[axis]:
+            node[axis] = c
+        out.append(int(np.ravel_multi_index(node, dims)))
+    return out
+
+
+def test_step_matches_a_per_node_loop():
+    """``step`` equals the per-node loop on random 1-4-D grids with mixed
+    periodicity, axes of size 1 and 2 among them, in both directions."""
+    rng = np.random.default_rng(SEED + 67)
+    seen = set()
+    for trial in range(300):
+        d = 1 + trial % 4
+        dims = tuple(int(n) for n in rng.integers(1, (9 if d < 3 else 5) + 1, d))
+        periodic = tuple(bool(p) for p in rng.integers(0, 2, d))
+        flat = rng.integers(0, int(np.prod(dims)), int(rng.integers(1, 40)))
+        for a in range(d):
+            seen.add((dims[a], periodic[a]))
+            for sign in (-1, 1):
+                got = cubical.step(dims, periodic, flat, a, sign)
+                assert got.tolist() == _loop_step(dims, periodic, flat, a, sign), \
+                    (dims, periodic, a, sign)
+    assert {(1, False), (1, True), (2, False), (2, True)} <= seen
+
+
+def test_mask_runs_are_the_runs_that_crop_cuts():
+    """On random 1-3-D masks, ``mask_runs(mask, 0)`` is on each axis the run
+    that ``crop`` cuts: the crop holds the mask's cells on those runs and
+    stays periodic only on a whole periodic axis.  Each run covers the
+    axis's set slabs and no shorter run (circular on a periodic axis)
+    does."""
+    rng = np.random.default_rng(SEED + 71)
+    cut = 0
+    for trial in range(200):
+        d = 1 + trial % 3
+        dims = tuple(int(n) for n in rng.integers(1, (12 if d < 3 else 6) + 1, d))
+        periodic = tuple(bool(p) for p in rng.integers(0, 2, d))
+        mask = GridMask(dims, periodic, rng.random(dims) < rng.choice([0.05, 0.3, 0.8]))
+        if not mask.cells.any():
+            continue
+        runs = cubical.mask_runs(mask, 0)
+        cropped = crop(mask)
+        assert cropped.dims == tuple(m for _, m in runs)
+        assert cropped.periodic == tuple(p and m == n for n, p, (_, m) in zip(dims, periodic, runs))
+        on_runs = np.ix_(*[(s + np.arange(m)) % n for n, (s, m) in zip(dims, runs)])
+        assert np.array_equal(cropped.cells, mask.cells[on_runs])
+        for a, (n, p, (s, m)) in enumerate(zip(dims, periodic, runs)):
+            present = np.flatnonzero(mask.cells.any(axis=tuple(b for b in range(d) if b != a)))
+
+            def covers(t, length):
+                off = (present - t) % n if p else present - t
+                return bool(((off >= 0) & (off < length)).all())
+            assert covers(s, m)
+            assert not any(covers(t, m - 1) for t in range(n))
+            cut += m < n
+    assert cut

@@ -8,6 +8,7 @@ from qmdkit.fields import (BoundaryNodeError, GridMismatchError, ScalarField,
                            c1_distance, default_grad_tol, eig_sym, gradient,
                            gradient_at_nodes, hessian_at, hessian_at_nodes, stencil_mask)
 
+from qmdkit.catalog import field_torus_height
 from qmdkit.cubical import GridMask
 from qmdkit.morse import Tolerances, detect_critical_set, flatten
 
@@ -247,3 +248,14 @@ def test_field_needs_an_axis():
 def test_sample_rejects_nonfinite():
     with pytest.raises(ValueError):
         ScalarField((2,), (1.0,), (False,), np.array([1.0, np.inf]))
+
+
+def test_node_off_the_grid_rejected():
+    """A node has one index per axis, each in [0, n): on a torus, which has
+    no boundary, a node with more indices or one past an axis's end raises
+    rather than being read modulo the grid."""
+    f = field_torus_height()
+    for node in ((8, 0, 24, 0), (40, 0), (-1, 0), (8,)):
+        with pytest.raises(BoundaryNodeError):
+            hessian_at(f, node)
+    assert hessian_at(f, (8, 0)).shape == (2, 2)

@@ -11,7 +11,7 @@ from qmdkit.catalog import (TOLS, field_1d_quadratic, field_1d_quartic,
                             field_torus_height, tau_1d_quartic, tau_saddle,
                             torus_circle_indices)
 from qmdkit.cubical import GridMask, axis_interval, betti_of_mask
-from qmdkit.fields import GridMismatchError, ScalarField, c1_distance
+from qmdkit.fields import BoundaryNodeError, GridMismatchError, ScalarField, c1_distance
 from qmdkit.graphlag import isolation_scan
 from qmdkit.morse import (BOX_MARGIN, ChartError, ConstructionError, CriticalSet,
                           NoCriticalPointsError, SubmanifoldChart, Tolerances,
@@ -177,7 +177,7 @@ def test_field_job_builds_its_box_once_and_runs_no_gate(monkeypatch):
     box once, certifies tau once (construct_tau's check_qmd, which
     classify(tau=...) reuses) and runs no minimal-degeneracy check."""
     from qmdkit import graphlag, morse
-    calls = {"isolating_box": 0, "check_minimally_degenerate": 0, "_certify_qmd": 0}
+    calls = {"_box_runs": 0, "check_minimally_degenerate": 0, "_certify_qmd": 0}
     for name in calls:
         def counted(*args, _raw=getattr(morse, name), _name=name, **kwargs):
             calls[_name] += 1
@@ -192,7 +192,7 @@ def test_field_job_builds_its_box_once_and_runs_no_gate(monkeypatch):
     flat = flatten(f, 0.005, crit, TOLS)
     thick = verify_thickening(f, crit, flat.sigma, TOLS)
     assert report.details["qmd"] and scan.passed and thick.passed
-    assert calls == {"isolating_box": 1, "check_minimally_degenerate": 0, "_certify_qmd": 1}
+    assert calls == {"_box_runs": 1, "check_minimally_degenerate": 0, "_certify_qmd": 1}
 
 
 def test_construct_tau_reads_the_kept_box_runs(monkeypatch):
@@ -705,6 +705,20 @@ def test_transverse_index_matches_per_node_oracle():
             assert got == _outcome(oracle_transverse_negative_index, f, node, chart, eig_tol)
             seen.add(got[1] if got[0] == "raised" else got[1] > 0)
     assert seen == {"BoundaryNodeError", False, True}
+
+
+def test_index_at_a_node_off_the_grid_raises():
+    """On a torus, which has no boundary, a node with more indices than
+    axes or one past an axis's end raises BoundaryNodeError rather than
+    being read modulo the grid."""
+    f = field_torus_height()
+    chart = SubmanifoldChart((1,), (8, 0))
+    for node in ((8, 0, 24, 0), (40, 0), (-1, 0), (8,)):
+        with pytest.raises(BoundaryNodeError):
+            negative_index(f, node, 1e-6)
+        with pytest.raises(BoundaryNodeError):
+            transverse_negative_index(f, node, chart, 1e-6)
+    assert negative_index(f, (8, 0), 1e-6) == 1
 
 
 def test_c1_distance_bound_and_monotonicity():
