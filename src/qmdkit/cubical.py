@@ -51,28 +51,39 @@ pivots are needed.  Four exact facts give the other ranks:
     axis has none.  The top cells are connected across faces, so the one
     nonzero d-cycle possible is the sum of every top cell of the d-torus,
     its fundamental class.
-(c) The boundaries between, boundary_k for 2 <= k < d, are reduced with
+(c) For d >= 3, b_{d-1} needs no reduction, by duality in the d-torus
+    (Alexander duality in R^3 is Delfinado-Edelsbrunner 1995), and then
+    rank boundary_{d-1} = n_{d-1} - rank boundary_d - b_{d-1}.  Each open
+    axis of the crop is closed up by one empty slab, so the complex K lies
+    in the d-torus T; let U be its complement.  Over GF(2) H_{d-1}(K) is
+    H^1(T, U), and the exact sequence of the pair gives
+    b_{d-1} = c(U) - 1 + d - r, with c(U) the components of U and r the
+    rank of H_1(U) -> H_1(T) = GF(2)^d, the span of the winding parities of
+    the loops in U; the whole torus, U empty, gives d.  Two empty top cells
+    that share a face are joined through it, and a lower cell is outside K
+    only when every top cell around it is empty, so the components of U are
+    those of the empty top cells under face adjacency.  The closing slab of
+    an open axis winds along every other axis, so their windings are in the
+    span whatever the mask: one ``mask_roots`` keeps those axes glued and
+    cuts only the rest at their seam, every axis of a crop with no open
+    axis, the open axis of a crop with one, none otherwise.  Each wrap pair
+    of a cut axis (empty on its last slab and on its first) joins the
+    labels of its ends with winding e_a, in a cover of the labels with one
+    copy per winding: copy g of one end to copy g + e_a of the other, one
+    ``join``, as wrapping clusters are found in percolation (Newman-Ziff
+    2001).  A label's copy g meets its copy 0 exactly when a loop through
+    it winds g, so r is the rank of those g, and c(U) counts the labels
+    whose copy 0 roots their component of the cover.
+(d) The boundaries below, boundary_k for 2 <= k < d - 1, are reduced with
     ``gf2.reduce_faces`` from the top down with clearing (Chen-Kerber
     2011): a k-cell that is the pivot of a reduced (k+1)-column has a
     column that reduces to zero, so it is skipped.  Clearing any subset of
-    the true pivots is sound, so boundary_d is not reduced at all: the
+    the true pivots is sound, so boundary_{d-1} is not reduced at all: the
     pivots of its apparent columns (``gf2.apparent_pivots``), which are
-    true pivots, clear boundary_{d-1}.
+    true pivots, clear boundary_{d-2}.
 
-(d) A 3-D complex open on its crop needs no reduction at all (Alexander
-    duality, as in Delfinado-Edelsbrunner 1995): it lies in R^3, so b_2 is
-    the number of bounded components of its complement and b_3 = 0, and
-    then b_1 = b_0 + b_2 - chi.  Two empty top cells that share a face are
-    joined through it, and a lower cell is outside the complex only when
-    every top cell around it is empty, so the components of the complement
-    are those of the empty top cells under face adjacency.  ``mask_roots``
-    finds them in the crop padded by one slab, whose connected padding holds
-    the one unbounded component: the crop is open, so the top cells reach
-    every face of it, and it follows the mask's cells, not the grid.
-
-So a 1-D or 2-D mask and a 3-D mask open on its crop need no column
-reduction, and a 3-D mask with a whole periodic axis one apparent pass on
-boundary_3 and one reduction of boundary_2.
+So a mask of dimension 3 or less needs no column reduction, and a 4-D mask
+one apparent pass on boundary_3 and one reduction, of boundary_2.
 
 ``morse`` takes its boxes, chart slices, distances, neighbours and
 components from three rules here.  The run rule: a run is (start, length) on
@@ -387,27 +398,59 @@ def mask_roots(mask: np.ndarray, periodic: Sequence[bool]) -> np.ndarray:
     return join(mask.size, np.concatenate(u), np.concatenate(v))
 
 
-def _complement_components(cx: CubicalComplex) -> int:
-    """Components of the complement of an open complex, the unbounded one
-    among them: the ``mask_roots`` of the empty top cells of its crop padded
-    by one slab on each side.  The crop is open, so the complex's top cells
-    reach every face of it."""
+def _torus_duality(cx: CubicalComplex) -> int:
+    """b_{d-1} of a complex of dimension d >= 2 by duality in the d-torus
+    (fact (c)): c(U) - 1 + d - r, and d for the whole torus."""
+    d = len(cx.dims)
     top = np.zeros(cx.grid_shape, dtype=bool)
     top.reshape(-1)[cx.cells_by_dim[-1]] = True
-    empty = np.pad(~top[(slice(1, None, 2),) * top.ndim], 1, constant_values=True)
-    roots = mask_roots(empty, (False,) * empty.ndim)
-    return int(np.count_nonzero(roots == np.arange(empty.size))) - len(cx.cells_by_dim[-1])
+    # each open axis closed up by one empty slab past its last one
+    empty = np.ones(tuple(n + (not p) for n, p in zip(cx.dims, cx.periodic)), dtype=bool)
+    empty[tuple(slice(n) for n in cx.dims)] = ~top[(slice(1, None, 2),) * d]
+    if not empty.any():
+        return d
+    closed = [a for a in range(d) if not cx.periodic[a]]
+    cut = range(d) if not closed else closed if len(closed) == 1 else ()
+    roots = mask_roots(empty, [a not in cut for a in range(d)])
+    components = int(np.count_nonzero(roots == np.arange(empty.size))) - len(cx.cells_by_dim[-1])
+    if not cut:
+        return components - 1
+    # the wrap pairs of each cut axis, empty on its last slab and its first
+    grid, last, first, winding = roots.reshape(empty.shape), [], [], []
+    for bit, a in enumerate(cut):
+        both = empty.take(-1, axis=a) & empty.take(0, axis=a)
+        last.append(grid.take(-1, axis=a)[both])
+        first.append(grid.take(0, axis=a)[both])
+        winding.append(np.full(len(first[-1]), 1 << bit))
+    last, first = np.concatenate(last), np.concatenate(first)
+    label = np.zeros(empty.size, dtype=np.intp)
+    label[last] = label[first] = 1
+    label = np.cumsum(label) - 1    # the roots at wrap pairs, numbered in order
+    # copy g of a label is node label * copies + g; a pair of winding w joins
+    # copy g of its last end to copy g ^ w of its first
+    copies, n_labels = 1 << len(cut), int(label[-1]) + 1
+    g = np.arange(copies)
+    cover = join(n_labels * copies, (label[last][:, None] * copies + g).ravel(),
+                 (label[first][:, None] * copies + (g ^ np.concatenate(winding)[:, None])).ravel())
+    cover = cover.reshape(n_labels, copies)
+    # the least label of each component of U keeps copy 0 as its root, and a
+    # label's copy g meets its copy 0 when a loop through it winds g
+    components -= n_labels - int(np.count_nonzero(cover[:, 0] == np.arange(n_labels) * copies))
+    span = {0}    # the windings of loops in U, of 2^r elements
+    for x in np.flatnonzero((cover == cover[:, :1]).any(axis=0)).tolist():
+        span |= {y ^ x for y in span}
+    return components - 1 + len(cut) - (len(span).bit_length() - 1)
 
 
 def betti(cx: CubicalComplex) -> Tuple[int, ...]:
     """betti_k = n_k - rank boundary_k - rank boundary_{k+1} over GF(2).
 
     rank boundary_1 = n_0 - b_0, with b_0 the roots of a union-find over the
-    edges.  A 3-D complex open on its crop takes b_2 from the components of
-    its complement and b_1 from the Euler characteristic.  Otherwise, for
-    d >= 2, rank boundary_d = n_d - 1 on a whole torus and n_d otherwise;
-    boundary_{d-1} down to boundary_2 are reduced with clearing,
-    boundary_{d-1} cleared by the apparent pivots of boundary_d alone.
+    edges.  For d >= 2, rank boundary_d = n_d - 1 on a whole torus and n_d
+    otherwise.  For d >= 3, rank boundary_{d-1} follows from b_{d-1}, which
+    duality in the d-torus gives without a reduction; boundary_{d-2} down
+    to boundary_2 are reduced with clearing, boundary_{d-2} cleared by the
+    apparent pivots of boundary_{d-1} alone.
     """
     d = len(cx.cells_by_dim) - 1
     n = [cx.n_cells(k) for k in range(d + 1)]
@@ -415,15 +458,14 @@ def betti(cx: CubicalComplex) -> Tuple[int, ...]:
     if d >= 1:
         roots = join(n[0], cx.boundary[1][:, 0], cx.boundary[1][:, 1])
         ranks[1] = n[0] - int(np.count_nonzero(roots == np.arange(n[0])))
-    if d == 3 and not any(cx.periodic):
-        b0, b2 = n[0] - ranks[1], _complement_components(cx) - 1
-        return b0, b0 + b2 - cx.euler_characteristic(), b2, 0
     if d >= 2:
         whole = all(cx.periodic) and n[d] == int(np.prod(cx.dims))
         ranks[d] = n[d] - int(whole)
     if d >= 3:
-        pivots = apparent_pivots(cx.boundary[d])
-        for k in range(d - 1, 1, -1):
+        ranks[d - 1] = n[d - 1] - ranks[d] - _torus_duality(cx)
+    if d >= 4:
+        pivots = apparent_pivots(cx.boundary[d - 1])
+        for k in range(d - 2, 1, -1):
             cleared = np.zeros(n[k], dtype=bool)
             cleared[pivots[pivots >= 0]] = True
             pivots = reduce_faces(cx.boundary[k][~cleared])

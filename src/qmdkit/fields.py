@@ -13,9 +13,11 @@ only, and `hessian_at` is the gather at one node.  Both gathers read the
 raveled values by flat index: each node's index is computed once, and
 each stencil point is that index plus one flat step per axis and sign (a
 constant +-stride on an open axis, a per-node wrapped step on a periodic
-one), so no coordinate array is formed per stencil offset.  One node is
-read through `stencil_node`, which refuses a node that is not a node of the
-grid (one index per axis, each in [0, n)) or lies on an open boundary.
+one), so no coordinate array is formed per stencil offset.  Each gather
+checks its node array once, and one node is read through `stencil_node`
+by the same rule: BoundaryNodeError for an array that is not (n, d) and
+integer, a node that is not a node of the grid (each index in [0, n)) and
+a node on an open boundary; no index is read modulo the grid.
 `eig_sym` is numpy.linalg.eigh behind square/symmetric checks; it and
 `hessian_at` serve the tests' per-node oracles and the benchmark's tracer.
 """
@@ -173,9 +175,30 @@ def gradient(field: ScalarField) -> Tuple[np.ndarray, np.ndarray]:
     return grad, valid
 
 
+def _stencil_nodes(field: ScalarField, nodes) -> np.ndarray:
+    """`nodes` as an (n, d) intp array, checked once: BoundaryNodeError
+    unless it is an (n, d) integer array of nodes of the grid (each index in
+    [0, n)) off every open boundary."""
+    nodes = np.asarray(nodes)
+    if nodes.ndim != 2 or nodes.shape[1] != field.ndim or nodes.dtype.kind not in "iu":
+        raise BoundaryNodeError(f"an array of shape {nodes.shape} and dtype {nodes.dtype} "
+                                f"is not an (n, {field.ndim}) integer array of nodes")
+    dims = np.array(field.dims)
+    edge = np.array([0 if p else 1 for p in field.periodic])
+    inside = (nodes >= edge) & (nodes < dims - edge)
+    if not inside.all():
+        node = nodes[~inside.all(axis=1)][0]
+        if ((node >= 0) & (node < dims)).all():
+            raise BoundaryNodeError(f"stencil leaves the grid at node {tuple(node.tolist())}")
+        raise BoundaryNodeError(f"node {tuple(node.tolist())} is not a node of the grid "
+                                f"{field.dims}")
+    return nodes.astype(np.intp, copy=False)
+
+
 def _flat_stencil(field: ScalarField, nodes: np.ndarray):
-    """Flat index of each of the (n, d) stencil-valid `nodes` into the
-    values, and per axis the flat steps (up, down) to (node +- e_a) % dims.
+    """Flat index of each of the (n, d) `nodes` into the values, and per
+    axis the flat steps (up, down) to node +- e_a, wrapped on a periodic
+    axis; the nodes are checked by `_stencil_nodes`.
 
     On an open axis the steps are +-stride, one integer for every node,
     since a stencil-valid node is not on that axis's boundary; on a
@@ -185,7 +208,7 @@ def _flat_stencil(field: ScalarField, nodes: np.ndarray):
     per-node array makes every gather slower (``gradient_at_nodes`` at the
     stencil-valid box nodes of the 13 jobs of a benchmark fields round took
     about 380 against 660 us on one Xeon core)."""
-    nodes = np.asarray(nodes, dtype=np.intp).reshape(-1, field.ndim) % field.dims
+    nodes = _stencil_nodes(field, nodes)
     strides = np.cumprod((1,) + field.dims[:0:-1], dtype=np.intp)[::-1]
     steps = []
     for c, n, p, stride in zip(nodes.T, field.dims, field.periodic, strides):
@@ -225,12 +248,12 @@ def gradient_magnitude(field: ScalarField) -> Tuple[np.ndarray, np.ndarray]:
 def hessian_at_nodes(field: ScalarField, nodes: np.ndarray) -> np.ndarray:
     """Central-difference Hessians at the given nodes, as an (n, d, d) stack.
 
-    `nodes` is an (n, d) integer array of stencil-valid nodes; stencil
-    values are gathered by flat index, each node's own plus its flat steps
-    to (node +- e_a) % dims, so periodic axes wrap and nodes on an open
-    boundary must be filtered out by the caller.  Every entry is the same
-    expression, in the same order, wherever a Hessian is taken, so
-    `hessian_at` agrees with it bit for bit.
+    `nodes` is an (n, d) integer array of stencil-valid nodes, else
+    BoundaryNodeError, so nodes on an open boundary must be filtered out by
+    the caller; stencil values are gathered by flat index, each node's own
+    plus its flat steps to node +- e_a, wrapped on a periodic axis.  Every
+    entry is the same expression, in the same order, wherever a Hessian is
+    taken, so `hessian_at` agrees with it bit for bit.
     """
     v = field.values.ravel()
     h = field.spacing
@@ -259,15 +282,10 @@ def hessian_at(field: ScalarField, node: Sequence[int]) -> np.ndarray:
 
 
 def stencil_node(field: ScalarField, node: Sequence[int]) -> np.ndarray:
-    """The node as a (1, d) array; BoundaryNodeError unless it is a node of
-    the grid (one index per axis, each in [0, n)) off every open boundary."""
-    node = tuple(int(i) for i in node)
-    if len(node) != field.ndim or not all(0 <= i < n for i, n in zip(node, field.dims)):
-        raise BoundaryNodeError(f"node {node} is not a node of the grid {field.dims}")
-    for i, n, p in zip(node, field.dims, field.periodic):
-        if not p and not 1 <= i <= n - 2:
-            raise BoundaryNodeError(f"stencil leaves the grid at node {node}")
-    return np.array([node], dtype=np.intp)
+    """The node as a (1, d) array, by `_stencil_nodes`' rule:
+    BoundaryNodeError unless it is a node of the grid (one index per axis,
+    each in [0, n)) off every open boundary."""
+    return _stencil_nodes(field, np.array([[int(i) for i in node]]))
 
 
 def eig_sym(m: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -3,9 +3,9 @@
 Two representations share this module.  ``reduce_columns`` is the one
 column-reduction kernel for homology: columns are Python sets of row
 indices, each reduced by its pivot (largest row) against the pivots seen
-so far.  The boundaries that cubical Betti numbers still reduce (those
-strictly between the bottom and the top dimension, with clearing), the
-persistence pairing of filtered complexes and their unfiltered homology
+so far.  The boundaries that cubical Betti numbers still reduce
+(boundary_2 up to boundary_{d-2} with clearing, so only in complexes of
+dimension 4 and more), the persistence pairing of filtered complexes and their unfiltered homology
 all run on it, so complexes of ~1e5 cells and more cost memory in
 proportion to the entries of their reduced columns, not to the square of
 their cell count.

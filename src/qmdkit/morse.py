@@ -298,10 +298,11 @@ def negative_index(f: ScalarField, node: Sequence[int], eig_tol: float) -> int:
 
 def transverse_negative_index(f: ScalarField, node: Sequence[int],
                               chart: SubmanifoldChart, eig_tol: float) -> int:
+    nodes = stencil_node(f, node)
     off = list(chart.off_axes(f.ndim))
     if not off:
         return 0
-    return int(_transverse_indices(f, stencil_node(f, node), off, eig_tol)[0])
+    return int(_transverse_indices(f, nodes, off, eig_tol)[0])
 
 
 def _transverse_indices(g: ScalarField, nodes: np.ndarray, off: List[int],

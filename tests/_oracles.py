@@ -728,10 +728,10 @@ def oracle_transverse_negative_index(f: ScalarField, node: Sequence[int],
                                      chart: SubmanifoldChart, eig_tol: float) -> int:
     """Negative eigenvalues of the off-chart Hessian block at one node, from
     one ``hessian_at`` and one ``eig_sym``."""
+    H = hessian_at(f, node)
     off = chart.off_axes(f.ndim)
     if not off:
         return 0
-    H = hessian_at(f, node)
     sub = H[np.ix_(off, off)]
     w, _ = eig_sym(sub)
     return int(np.sum(w < -_kernel_threshold(w, eig_tol, default_hessian_floor(f))))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from qmdkit import cubical
-from qmdkit.cubical import (EmptyMaskError, GridMask, betti, betti_of_mask,
+from qmdkit.cubical import (CubicalComplex, EmptyMaskError, GridMask, betti, betti_of_mask,
                             betti_product_check, build_complex, crop, join)
 from qmdkit.gf2 import apparent_pivots, reduce_columns, reduce_faces
 
@@ -202,6 +202,17 @@ def _assert_same_arrays(mask):
     for got, want in pairs:
         assert got.dtype == want.dtype and got.shape == want.shape, mask
         assert np.array_equal(got, want), mask
+
+
+def _padded_frame(cx):
+    """The per-cell builder's complex with its cells moved from the unpadded
+    doubled grid to the padded one of ``CubicalComplex.grid_shape``, whose
+    top cells ``betti`` reads: the same coordinates, so the same order and
+    face rows."""
+    unpadded = _grid_shape(cx.dims, cx.periodic)
+    cells = tuple(np.ravel_multi_index(np.unravel_index(c, unpadded), cx.grid_shape)
+                  for c in cx.cells_by_dim)
+    return CubicalComplex(cx.dims, cx.periodic, cells, cx.boundary)
 
 
 def test_per_type_builder_matches_per_cell_builder():
@@ -405,16 +416,42 @@ def test_betti_reduces_no_column_below_three_dimensions(monkeypatch):
     assert betti_of_mask(GridMask.full((8, 10), (True, True))) == (1, 2, 1)
 
 
-def test_betti_reduces_one_boundary_in_three_dimensions(monkeypatch):
+def test_betti_reduces_no_column_in_three_dimensions(monkeypatch):
+    """b_2 comes by duality in the 3-torus, so no 3-D mask, open, mixed or
+    periodic on its crop, reduces a boundary."""
+    def refuse(faces):
+        raise AssertionError("a boundary was reduced")
+    monkeypatch.setattr(cubical, "reduce_faces", refuse)
+    monkeypatch.setattr(cubical, "apparent_pivots", refuse)
+    mask = _holed((10, 10, 10), (False, True, False), [np.s_[2:4, 2:4, 2:4], np.s_[6, 6:8, 6]])
+    assert betti_of_mask(mask) == (1, 1, 2, 0)
+    assert betti_of_mask(GridMask.full((4, 3, 2), (True,) * 3)) == (1, 3, 3, 1)
+    assert betti_of_mask(_holed((4, 3, 2), (True,) * 3, [np.s_[1, 2, 0]])) == (1, 3, 3, 0)
+    slab = np.zeros((24, 24, 24), dtype=bool)
+    slab[:, :, 5] = True    # T^2 x I, its crop one slab thick
+    assert betti_of_mask(GridMask(slab.shape, (True,) * 3, slab)) == (1, 2, 1, 0)
+    for mask in _three_dimensional_masks(SEED + 53)[:40]:
+        betti_of_mask(mask)
+
+
+def test_betti_reduces_one_boundary_in_four_dimensions(monkeypatch):
+    """b_3 comes by duality in the 4-torus: one reduction, of boundary_2
+    (two faces per odd axis, four per column), cleared by the apparent
+    pivots of boundary_3."""
     calls = []
 
     def counted(faces):
-        calls.append(len(faces))
+        calls.append(faces.shape[1])
         return reduce_faces(faces)
     monkeypatch.setattr(cubical, "reduce_faces", counted)
-    mask = _holed((10, 10, 10), (False, True, False), [np.s_[2:4, 2:4, 2:4], np.s_[6, 6:8, 6]])
-    assert betti_of_mask(mask) == (1, 1, 2, 0)
-    assert len(calls) == 1
+    masks = [GridMask.full((2, 3, 2, 2), (True,) * 4),
+             _holed((4, 3, 4, 3), (True, False, True, True), [np.s_[1:3, 1, 1:3, :]])]
+    masks += [mask for mask in _betti_masks(SEED + 79) if mask.ndim == 4][:12]
+    for mask in masks:
+        calls.clear()
+        cx = build_complex(mask)
+        assert betti(cx) == oracle_reduction_betti(cx), mask
+        assert calls == [4], mask
 
 
 def test_whole_torus_at_256_squared():
@@ -451,7 +488,7 @@ def test_betti_of_mask_cuts_periodic_axes_open_at_a_gap():
         gaps = [p and not cells.any(axis=tuple(b for b in range(ndim) if b != a)).all()
                 for a, p in enumerate(periodic)]
         seen.add(any(gaps))
-        cx = oracle_doubled_grid_complex(mask)
+        cx = _padded_frame(oracle_doubled_grid_complex(mask))
         assert betti_of_mask(mask) == betti(cx) == oracle_reduction_betti(cx), mask
     assert seen == {False, True}
 
@@ -470,13 +507,25 @@ def test_small_mask_in_a_large_torus_is_cut_open():
         _assert_same_arrays(mask)
 
 
-def _open_3d_masks(seed):
-    """Random open 3-D masks: axes 1-8, fill 0.3-0.95, single cells, masks
-    that touch every face of the grid and masks cut to a box inside it."""
+def _three_dimensional_masks(seed):
+    """Random 3-D masks, open, mixed and periodic: axes 1-8 (sizes 1 and 2
+    among them), fill 0.3-0.95, single cells, masks that touch every face
+    of the grid and masks cut to a box inside it, whole tori and tori with
+    one empty cell, and a one-slab T^2 x I in a 24^3 torus."""
     rng = np.random.default_rng(seed)
     masks = [GridMask.full((1, 1, 1), (False,) * 3), GridMask.full((2, 1, 3), (False,) * 3)]
+    for dims in ((1, 1, 1), (2, 1, 2), (3, 2, 4), (1, 5, 2)):
+        whole = GridMask.full(dims, (True,) * 3)
+        masks.append(whole)
+        if whole.count() > 1:
+            holed = whole.cells.copy()
+            holed.flat[int(rng.integers(holed.size))] = False
+            masks.append(GridMask(dims, whole.periodic, holed))
     for trial in range(90):
         dims = tuple(int(n) for n in rng.integers(1, 9, 3))
+        if trial % 4 == 3:
+            dims = tuple(int(n) for n in rng.integers(1, 3, 3))
+        periodic = tuple(bool(p) for p in rng.random(3) < (0.0, 0.5, 1.0)[trial % 3])
         cells = rng.random(dims) < rng.uniform(0.3, 0.95)
         if trial % 5 == 0:
             cells = np.zeros(dims, bool)
@@ -490,15 +539,18 @@ def _open_3d_masks(seed):
             cells = np.zeros(dims, bool)
             cells[box] = rng.random(cells[box].shape) < rng.uniform(0.3, 0.95)
         cells.flat[int(rng.integers(cells.size))] = True
-        masks.append(GridMask(dims, (False,) * 3, cells))
+        masks.append(GridMask(dims, periodic, cells))
+    slab = np.zeros((24, 24, 24), dtype=bool)
+    slab[:, :, 5] = True
+    masks.append(GridMask(slab.shape, (True,) * 3, slab))
     return masks
 
 
-def test_open_three_dimensional_betti_by_duality_matches_the_oracles():
-    """An open 3-D mask's Betti numbers, b_2 from the complement and b_1 from
-    the Euler characteristic, equal every boundary reduced with clearing
-    and the dense ranks of the tuple-cell complex."""
-    for mask in _open_3d_masks(SEED + 47):
+def test_three_dimensional_betti_by_duality_matches_the_oracles():
+    """A 3-D mask's Betti numbers, b_2 by duality in the 3-torus and b_1
+    from the Euler characteristic, equal every boundary reduced with
+    clearing and the dense ranks of the tuple-cell complex."""
+    for mask in _three_dimensional_masks(SEED + 47):
         cx = build_complex(mask)
         assert betti(cx) == oracle_reduction_betti(cx) == \
             oracle_betti(oracle_build_complex(mask)), mask
@@ -520,8 +572,6 @@ def test_open_three_dimensional_mask_reduces_no_boundary(monkeypatch):
         assert betti_of_mask(GridMask(rolled.shape, (True,) * 3, rolled)) == (1, 0, 2, 0)
     ring = _holed((5, 5, 1), (False,) * 3, [np.s_[2, 2, 0]])
     assert betti_of_mask(ring) == (1, 1, 0, 0)
-    for mask in _open_3d_masks(SEED + 53)[:20]:
-        betti_of_mask(mask)
 
 
 def test_duality_box_follows_the_mask_not_the_grid(monkeypatch):
@@ -533,6 +583,29 @@ def test_duality_box_follows_the_mask_not_the_grid(monkeypatch):
     cells[40, 7, 63] = True
     assert betti_of_mask(GridMask(cells.shape, (False,) * 3, cells)) == (1, 0, 0, 0)
     assert sizes and max(sizes) <= 27, sizes
+
+
+def test_betti_is_invariant_under_seam_shifts_and_axis_permutations():
+    """Duality cuts the periodic axes of a crop at their seam: rolling a
+    periodic 3-D or 4-D mask along any periodic axis, or permuting its
+    axes, leaves its Betti numbers as they were."""
+    rng = np.random.default_rng(SEED + 73)
+    for trial in range(80):
+        ndim = 3 + trial % 2
+        dims = tuple(int(n) for n in rng.integers(1, (8 if ndim == 3 else 4) + 1, ndim))
+        periodic = (True,) * ndim if trial % 4 < 2 else \
+            tuple(bool(p) for p in rng.random(ndim) < 0.7)
+        cells = rng.random(dims) < rng.uniform(0.3, 0.97)
+        cells.flat[int(rng.integers(cells.size))] = True
+        expected = betti_of_mask(GridMask(dims, periodic, cells))
+        for a in range(ndim):
+            if periodic[a] and dims[a] > 1:
+                rolled = np.roll(cells, int(rng.integers(1, dims[a])), axis=a)
+                assert betti_of_mask(GridMask(dims, periodic, rolled)) == expected, (dims, a)
+        order = [int(a) for a in rng.permutation(ndim)]
+        permuted = GridMask(tuple(dims[a] for a in order), tuple(periodic[a] for a in order),
+                            cells.transpose(order))
+        assert betti_of_mask(permuted) == expected, (dims, periodic, order)
 
 
 def _bfs_least_nodes(n, u, v):

@@ -259,3 +259,24 @@ def test_node_off_the_grid_rejected():
         with pytest.raises(BoundaryNodeError):
             hessian_at(f, node)
     assert hessian_at(f, (8, 0)).shape == (2, 2)
+
+
+def test_gathers_check_their_node_array():
+    """The gathers refuse what `hessian_at` refuses, for the whole array at
+    once: a node past an axis's end is not read modulo the grid, an array
+    that is not (n, d) is not reshaped into nodes, a float array and a node
+    on an open boundary raise too; an empty (0, d) array still works."""
+    f = field_torus_height()
+    for gather in (gradient_at_nodes, hessian_at_nodes):
+        for nodes in (np.array([[40, 0]]), np.array([[8, 0], [8, -1]]),
+                      np.array([[8, 0, 1], [2, 3, 4]]), np.array([8, 0]),
+                      np.array([[8.0, 0.0]])):
+            with pytest.raises(BoundaryNodeError):
+                gather(f, nodes)
+        assert gather(f, np.zeros((0, 2), dtype=int)).shape[0] == 0
+        assert gather(f, np.array([[8, 0], [31, 31]])).shape[0] == 2
+    plane = _plane(lambda x, y: x * y)
+    with pytest.raises(BoundaryNodeError, match="stencil leaves the grid"):
+        hessian_at_nodes(plane, np.array([[4, 4], [0, 4]]))
+    with pytest.raises(BoundaryNodeError, match="not a node of the grid"):
+        gradient_at_nodes(plane, np.array([[4, 4], [4, 17]]))

@@ -721,6 +721,17 @@ def test_index_at_a_node_off_the_grid_raises():
     assert negative_index(f, (8, 0), 1e-6) == 1
 
 
+def test_index_on_a_full_chart_reads_its_node():
+    """A chart with no off-axes has index 0, but only at a node of the
+    grid: the node is read before the empty off-block is."""
+    f = field_torus_height()
+    full = SubmanifoldChart((0, 1), (0, 0))
+    for node in ((40, 0), (-1, 0), (8,)):
+        with pytest.raises(BoundaryNodeError):
+            transverse_negative_index(f, node, full, 1e-6)
+    assert transverse_negative_index(f, (8, 0), full, 1e-6) == 0
+
+
 def test_c1_distance_bound_and_monotonicity():
     f = field_1d_quadratic()
     crit = detect_critical_set(f, 1e-6)
