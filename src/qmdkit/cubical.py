@@ -33,9 +33,11 @@ the crop one axis at a time, each top cell ORed into its two even neighbours
 (the last one's upper face into slab 0 too on a periodic axis).  A cell's
 type, the set of its odd axes, gives its dimension and its face offsets
 through small tables; the k-cells are the set entries of dimension k in flat
-order, and their faces come from one gather pair,
-``row[at -/+ stride of each odd axis]`` (each cell's row within its
-dimension), odd axes ascending and the lower neighbour first.
+order.  Their face array is built on the first read of ``boundary[k]`` and
+kept: the (k-1)-cells are numbered in a fresh row array, the pad slabs take
+slab 0's rows, and one gather pair ``row[at -/+ stride of each odd axis]``
+gives each cell's face rows, odd axes ascending and the lower neighbour
+first.  Every cell and face array is read-only, since later readers share it.
 
 Homology is taken over GF(2), and a boundary is reduced only where its
 pivots are needed.  Four exact facts give the other ranks:
@@ -83,7 +85,9 @@ pivots are needed.  Four exact facts give the other ranks:
     true pivots, clear boundary_{d-2}.
 
 So a mask of dimension 3 or less needs no column reduction, and a 4-D mask
-one apparent pass on boundary_3 and one reduction, of boundary_2.
+one apparent pass on boundary_3 and one reduction, of boundary_2.  Below
+4-D ``betti`` reads no face array but boundary_1, so no other is built; a
+4-D mask builds boundary_1 to boundary_3 and never boundary_4.
 
 ``morse`` takes its boxes, chart slices, distances, neighbours and
 components from three rules here.  The run rule: a run is (start, length) on
@@ -100,6 +104,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -189,12 +194,15 @@ class CubicalComplex:
     dimension k is its position in that array.  ``boundary[k]`` is the
     (n_k, 2k) array of face rows of each k-cell, two per odd axis, lower
     neighbour first; a face listed twice (a periodic axis of size 1)
-    cancels mod 2.
+    cancels mod 2.  ``boundary`` is a mapping with keys 0..d.  That of
+    ``build_complex`` is read-only and builds each face array on its first
+    read, so ``betti`` builds only boundary_1 below 4-D, and every array it
+    holds is read-only.
     """
     dims: Tuple[int, ...]
     periodic: Tuple[bool, ...]
     cells_by_dim: Tuple[np.ndarray, ...]
-    boundary: Dict[int, np.ndarray]
+    boundary: Mapping[int, np.ndarray]
 
     @property
     def grid_shape(self) -> Tuple[int, ...]:
@@ -290,11 +298,14 @@ def mask_runs(mask: GridMask, margin: int) -> List[Tuple[int, int]]:
 def crop(mask: GridMask) -> GridMask:
     """The mask on its ``mask_runs`` (margin 0): an open axis cut to its
     bounding run, a periodic axis with an empty slab cut open there, a full
-    periodic axis kept whole."""
+    periodic axis kept whole; the mask itself when no axis is cut."""
     if not mask.cells.any():
         raise EmptyMaskError("mask contains no cells")
+    runs = mask_runs(mask, 0)
+    if all(m == n for n, (_, m) in zip(mask.dims, runs)):
+        return mask
     cells, periodic = mask.cells, list(mask.periodic)
-    for a, (n, (s, m)) in enumerate(zip(mask.dims, mask_runs(mask, 0))):
+    for a, (n, (s, m)) in enumerate(zip(mask.dims, runs)):
         if m < n:
             periodic[a] = False
             cells = cells.take(np.arange(s, s + m), axis=a, mode="wrap")
@@ -302,13 +313,13 @@ def crop(mask: GridMask) -> GridMask:
 
 
 def build_complex(mask: GridMask) -> CubicalComplex:
-    """Closure of the included top cells, with sparse face arrays, built on
-    ``crop(mask)`` and indexed in the doubled grid of the crop."""
+    """Closure of the included top cells, built on ``crop(mask)`` and indexed
+    in the doubled grid of the crop; each face array is built by
+    ``_face_rows`` on its first read."""
     mask = crop(mask)
     d, periodic = mask.ndim, mask.periodic
     whole = (slice(None),) * d
     shape = tuple(2 * n + 1 for n in mask.dims)
-    wrapped = [a for a in range(d) if periodic[a]]
     grid = mask.cells
     for a in range(d):
         # top cell i sits at 2i + 1 on axis a and closes onto 2i and 2i + 2;
@@ -323,26 +334,67 @@ def build_complex(mask: GridMask) -> CubicalComplex:
     kind = np.zeros(shape, dtype=np.intp)
     for a in range(d):
         kind[_along(a, slice(1, None, 2), whole)] += 1 << a
-    for a in wrapped:
-        grid[_along(a, slice(-1, None), whole)] = False
-    odd_axes, level_of = _odd_axes(d)
-    level = np.where(grid, level_of.take(kind), -1)
-
-    row = np.empty(shape, dtype=np.int64)
-    flat_row, flat_kind = row.reshape(-1), kind.reshape(-1)
+        if periodic[a]:
+            grid[_along(a, slice(-1, None), whole)] = False
+    level = np.where(grid, _odd_axes(d)[1].take(kind), -1)
     cells_by_dim = tuple(np.flatnonzero(level == k) for k in range(d + 1))
     for at in cells_by_dim:
-        flat_row[at] = np.arange(len(at))
-    for a in wrapped:
-        # the upper face of the last slab's cells is in slab 0
-        row[_along(a, slice(-1, None), whole)] = row[_along(a, slice(0, 1), whole)]
+        at.flags.writeable = False
+    return CubicalComplex(mask.dims, periodic, cells_by_dim,
+                          _FaceArrays(kind, periodic, cells_by_dim))
+
+
+class _FaceArrays(Mapping):
+    """``CubicalComplex.boundary`` of a built complex, keys 0..d: face array k
+    is built by ``_face_rows`` on its first read and kept.  Two first reads
+    at once may both build it, each on its own row array, and the first one
+    kept is returned to both."""
+
+    def __init__(self, kind: np.ndarray, periodic: Tuple[bool, ...],
+                 cells_by_dim: Tuple[np.ndarray, ...]):
+        self._kind, self._periodic, self._cells = kind, periodic, cells_by_dim
+        self._built: Dict[int, np.ndarray] = {}
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        faces = self._built.get(k)
+        if faces is None:
+            if k not in self:
+                raise KeyError(k)
+            faces = self._built.setdefault(k, _face_rows(self._kind, self._periodic,
+                                                         self._cells, k))
+        return faces
+
+    def __contains__(self, k) -> bool:
+        return k in range(len(self._cells))
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(len(self._cells)))
+
+    def __len__(self) -> int:
+        return len(self._cells)
+
+
+def _face_rows(kind: np.ndarray, periodic: Tuple[bool, ...],
+               cells_by_dim: Tuple[np.ndarray, ...], k: int) -> np.ndarray:
+    """The (n_k, 2k) face rows of the k-cells, a read-only array: the
+    (k-1)-cells numbered in a fresh row array over the grid of cell types
+    `kind`, then one gather pair."""
+    d, whole = kind.ndim, (slice(None),) * kind.ndim
+    row = np.empty(kind.shape, dtype=np.int64)
+    flat_row = row.reshape(-1)
+    if k:
+        flat_row[cells_by_dim[k - 1]] = np.arange(len(cells_by_dim[k - 1]))
+    for a in range(d):
+        if periodic[a]:
+            # the upper face of the last slab's cells is in slab 0
+            row[_along(a, slice(-1, None), whole)] = row[_along(a, slice(0, 1), whole)]
     # a cell's faces sit at its index less and plus the stride of each odd axis
     stride = np.array(row.strides, dtype=np.int64) // row.itemsize
-    boundary = {}
-    for k, at in enumerate(cells_by_dim):
-        step = (stride[odd_axes[k]][:, :, None] * (-1, 1)).reshape(2 ** d, 2 * k)
-        boundary[k] = flat_row.take(at[:, None] + step.take(flat_kind.take(at), axis=0))
-    return CubicalComplex(mask.dims, periodic, cells_by_dim, boundary)
+    step = (stride[_odd_axes(d)[0][k]][:, :, None] * (-1, 1)).reshape(2 ** d, 2 * k)
+    at = cells_by_dim[k]
+    faces = flat_row.take(at[:, None] + step.take(kind.reshape(-1).take(at), axis=0))
+    faces.flags.writeable = False
+    return faces
 
 
 def join(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -29,8 +29,9 @@ boundaries that ``qmdkit.cubical`` used before its doubled-grid engine:
 cells are (anchor, extent) pairs and ``oracle_betti`` takes dense ranks.
 ``oracle_doubled_grid_complex`` is ``qmdkit.cubical.build_complex`` before its
 passes per cell type, with per-cell index arithmetic over the whole doubled
-grid of the mask it is given and no crop: on ``crop(mask)``, the exact
-reference for the arrays the builder returns.
+grid of the mask it is given and no crop, every face array built at once: on
+``crop(mask)``, the exact reference for the arrays the builder returns, in the
+same padded frame.
 ``validate_boundary`` checks d^2 = 0 on a ``CubicalComplex``'s face arrays.
 ``oracle_reduction_betti`` is ``qmdkit.cubical.betti`` before it read the
 bottom rank off a union-find and the top rank off the fundamental class:
@@ -577,22 +578,20 @@ def oracle_betti(cx: OracleComplex) -> Tuple[int, ...]:
 #
 # `qmdkit.cubical.build_complex` before its passes per cell type: one coordinate
 # array over every cell of the full doubled grid, a modulo per axis and a 2-D
-# fancy-index scatter per axis and side.  Its output is the exact reference,
-# in the unpadded frame of `_grid_shape` (2n coordinates on a periodic axis),
-# not the padded one of `CubicalComplex.grid_shape`.
-
-def _grid_shape(dims, periodic) -> Tuple[int, ...]:
-    return tuple(2 * n if p else 2 * n + 1 for n, p in zip(dims, periodic))
-
+# fancy-index scatter per axis and side.  Its output is the exact reference.
+# A periodic axis of n top cells has 2n coordinates, wrapped mod 2n; cells are
+# indexed in the padded frame of `CubicalComplex.grid_shape` (2n + 1 per axis),
+# whose last slab on a periodic axis holds no cell.
 
 def oracle_doubled_grid_complex(mask: GridMask) -> CubicalComplex:
     """Closure of the included top cells, with sparse face arrays."""
     if not mask.cells.any():
         raise EmptyMaskError("mask contains no cells")
     d = mask.ndim
-    shape = _grid_shape(mask.dims, mask.periodic)
-    grid = np.zeros(shape, dtype=bool)
-    grid[tuple(slice(1, None, 2) for _ in shape)] = mask.cells
+    wrap = tuple(2 * n if p else 2 * n + 1 for n, p in zip(mask.dims, mask.periodic))
+    shape = tuple(2 * n + 1 for n in mask.dims)
+    grid = np.zeros(wrap, dtype=bool)
+    grid[tuple(slice(1, None, 2) for _ in wrap)] = mask.cells
     for axis in range(d):
         # before this pass only odd coordinates along `axis` are set, so the
         # rolls fill even positions only; on an open axis the wrapped-in
@@ -600,11 +599,13 @@ def oracle_doubled_grid_complex(mask: GridMask) -> CubicalComplex:
         grid = grid | np.roll(grid, 1, axis) | np.roll(grid, -1, axis)
 
     flat = np.flatnonzero(grid)
-    coords = np.unravel_index(flat, shape) if d else ()
+    coords = np.unravel_index(flat, wrap) if d else ()
+    if d:
+        flat = np.ravel_multi_index(coords, shape)
     odd = [c & 1 for c in coords]
     dim_of = np.sum(odd, axis=0) if d else np.zeros(len(flat), dtype=int)
     strides = [int(np.prod(shape[a + 1:])) for a in range(d)]
-    row = np.empty(grid.size, dtype=np.int64)
+    row = np.empty(math.prod(shape), dtype=np.int64)
     cells_by_dim = []
     boundary: Dict[int, np.ndarray] = {}
     for k in range(d + 1):
@@ -617,7 +618,7 @@ def oracle_doubled_grid_complex(mask: GridMask) -> CubicalComplex:
             has = np.flatnonzero(odd[a][sel])
             c, base = coords[a][sel][has], cells[has]
             for side, step in ((0, -1), (1, 1)):
-                neighbour = base + ((c + step) % shape[a] - c) * strides[a]
+                neighbour = base + ((c + step) % wrap[a] - c) * strides[a]
                 faces[has, 2 * slot[has] + side] = row[neighbour]
             slot[has] += 1
         cells_by_dim.append(cells)

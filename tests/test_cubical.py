@@ -1,5 +1,7 @@
 import itertools
 import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -7,12 +9,12 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from qmdkit import cubical
-from qmdkit.cubical import (CubicalComplex, EmptyMaskError, GridMask, betti, betti_of_mask,
-                            betti_product_check, build_complex, crop, join)
+from qmdkit.cubical import (EmptyMaskError, GridMask, betti, betti_of_mask, betti_product_check,
+                            build_complex, crop, join)
 from qmdkit.gf2 import apparent_pivots, reduce_columns, reduce_faces
 
-from _oracles import (_grid_shape, oracle_betti, oracle_build_complex,
-                      oracle_doubled_grid_complex, oracle_reduction_betti, validate_boundary)
+from _oracles import (oracle_betti, oracle_build_complex, oracle_doubled_grid_complex,
+                      oracle_reduction_betti, validate_boundary)
 
 SEED = int(os.environ.get("QMD_SEED", "0"))
 
@@ -185,34 +187,19 @@ def test_sparse_engine_matches_dense_oracle():
         _assert_matches_oracle(GridMask(dims, periodic, cells))
 
 
-def _assert_same_arrays(mask):
-    """The arrays of the per-cell builder on the crop, its cells moved from
-    the padded doubled grid to the oracle's unpadded one."""
-    cropped = crop(mask)
-    cx, ref = build_complex(mask), oracle_doubled_grid_complex(cropped)
+def _assert_same_arrays(mask, reverse=False):
+    """The arrays of the per-cell builder on the crop, the same dtype, shape
+    and values; the face arrays read from boundary_0 up, or from boundary_d
+    down when `reverse`."""
+    cx, ref = build_complex(mask), oracle_doubled_grid_complex(crop(mask))
     assert len(cx.cells_by_dim) == len(ref.cells_by_dim), mask
     assert cx.boundary.keys() == ref.boundary.keys(), mask
-    cells = cx.cells_by_dim
-    if mask.ndim:
-        unpadded = _grid_shape(cropped.dims, cropped.periodic)
-        cells = [np.ravel_multi_index(np.unravel_index(c, cx.grid_shape), unpadded)
-                 for c in cells]
-    pairs = list(zip(cells, ref.cells_by_dim))
-    pairs += [(cx.boundary[k], ref.boundary[k]) for k in ref.boundary]
+    keys = sorted(ref.boundary, reverse=reverse)
+    pairs = list(zip(cx.cells_by_dim, ref.cells_by_dim))
+    pairs += [(cx.boundary[k], ref.boundary[k]) for k in keys]
     for got, want in pairs:
         assert got.dtype == want.dtype and got.shape == want.shape, mask
         assert np.array_equal(got, want), mask
-
-
-def _padded_frame(cx):
-    """The per-cell builder's complex with its cells moved from the unpadded
-    doubled grid to the padded one of ``CubicalComplex.grid_shape``, whose
-    top cells ``betti`` reads: the same coordinates, so the same order and
-    face rows."""
-    unpadded = _grid_shape(cx.dims, cx.periodic)
-    cells = tuple(np.ravel_multi_index(np.unravel_index(c, unpadded), cx.grid_shape)
-                  for c in cx.cells_by_dim)
-    return CubicalComplex(cx.dims, cx.periodic, cells, cx.boundary)
 
 
 def test_per_type_builder_matches_per_cell_builder():
@@ -271,6 +258,90 @@ def test_per_type_builder_matches_per_cell_builder():
         masks.append(GridMask(cells.shape, (True,) * cells.ndim, cells))
     for mask in masks:
         _assert_same_arrays(mask)
+        _assert_same_arrays(mask, reverse=True)
+
+
+def _recorded_builds(monkeypatch):
+    """The k of every face array built from here on, in build order."""
+    built, face_rows = [], cubical._face_rows
+
+    def recording(*args):
+        built.append(args[-1])
+        return face_rows(*args)
+    monkeypatch.setattr(cubical, "_face_rows", recording)
+    return built
+
+
+def test_betti_builds_only_the_faces_it_reads(monkeypatch):
+    """``build_complex`` builds no face array.  ``betti`` of a 1-, 2- or 3-D
+    mask, open, mixed or periodic, builds boundary_1 alone, of a 4-D mask
+    boundary_1, boundary_2 and boundary_3, each once, and of a 0-D mask
+    none."""
+    built = _recorded_builds(monkeypatch)
+    cx = build_complex(GridMask((), (), True))
+    assert betti(cx) == (1,) and built == []
+    rng = np.random.default_rng(SEED + 79)
+    seen = set()
+    for trial in range(72):
+        d = 1 + trial % 4
+        dims = tuple(int(n) for n in rng.integers(1, (7 if d < 4 else 3) + 1, d))
+        kind = trial // 4 % 3
+        periodic = (tuple(bool(p) for p in rng.random(d) < 0.5), (False,) * d, (True,) * d)[kind]
+        cells = rng.random(dims) < rng.uniform(0.3, 1.0) if trial % 9 else np.ones(dims, bool)
+        cells.flat[int(rng.integers(cells.size))] = True
+        mask = GridMask(dims, periodic, cells)
+        want = oracle_reduction_betti(build_complex(mask))
+        built.clear()
+        cx = build_complex(mask)
+        assert built == [], mask
+        assert betti(cx) == betti(cx) == want, mask
+        assert sorted(built) == ([1] if d < 4 else [1, 2, 3]), mask
+        built.clear()
+        seen.add((d, kind))
+    assert len(seen) == 12
+
+
+def test_shared_arrays_are_read_only():
+    """Every cell array and face array is read-only, and ``boundary`` is a
+    read-only mapping with keys 0..d that builds nothing to answer ``in``."""
+    cx = build_complex(GridMask.full((3, 4, 2), (True, False, True)))
+    assert list(cx.boundary) == [0, 1, 2, 3] and len(cx.boundary) == 4
+    assert 4 not in cx.boundary and -1 not in cx.boundary and "1" not in cx.boundary
+    for k in (4, -1, "1"):
+        with pytest.raises(KeyError):
+            cx.boundary[k]
+    with pytest.raises(TypeError):
+        cx.boundary[1] = cx.boundary[1].copy()
+    with pytest.raises(ValueError):
+        cx.boundary[1][0, 0] = 1
+    for array in cx.cells_by_dim + tuple(cx.boundary.values()):
+        with pytest.raises(ValueError):
+            array[...] = 0
+
+
+def test_first_reads_from_two_threads_agree():
+    """Two threads that first read every face array of one complex at once,
+    in opposite orders, get the same arrays, equal to those of a complex
+    read by one thread."""
+    masks = [GridMask.full((6, 5, 4), (True, False, True)),
+             GridMask.full((3, 2, 3, 2), (True,) * 4)]
+    rng = np.random.default_rng(SEED + 83)
+    for dims in ((40, 37), (9, 8, 10), (4, 3, 4, 3)):
+        masks.append(GridMask(dims, tuple(rng.random(len(dims)) < 0.5), rng.random(dims) < 0.7))
+    for mask in masks:
+        want = build_complex(mask).boundary
+        for _ in range(4):
+            cx, barrier = build_complex(mask), threading.Barrier(2)
+
+            def read(keys):
+                barrier.wait()
+                return {k: cx.boundary[k] for k in keys}
+            keys = list(cx.boundary)
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                first, second = pool.map(read, (keys, keys[::-1]))
+            for k in keys:
+                assert first[k] is second[k], (mask, k)
+                assert first[k].dtype == want[k].dtype and np.array_equal(first[k], want[k])
 
 
 def test_square_with_three_holes_at_128():
@@ -488,7 +559,7 @@ def test_betti_of_mask_cuts_periodic_axes_open_at_a_gap():
         gaps = [p and not cells.any(axis=tuple(b for b in range(ndim) if b != a)).all()
                 for a, p in enumerate(periodic)]
         seen.add(any(gaps))
-        cx = _padded_frame(oracle_doubled_grid_complex(mask))
+        cx = oracle_doubled_grid_complex(mask)
         assert betti_of_mask(mask) == betti(cx) == oracle_reduction_betti(cx), mask
     assert seen == {False, True}
 
@@ -773,6 +844,7 @@ def test_mask_runs_are_the_runs_that_crop_cuts():
         runs = cubical.mask_runs(mask, 0)
         cropped = crop(mask)
         assert cropped.dims == tuple(m for _, m in runs)
+        assert (cropped is mask) == (cropped.dims == dims)
         assert cropped.periodic == tuple(p and m == n for n, p, (_, m) in zip(dims, periodic, runs))
         on_runs = np.ix_(*[(s + np.arange(m)) % n for n, (s, m) in zip(dims, runs)])
         assert np.array_equal(cropped.cells, mask.cells[on_runs])
