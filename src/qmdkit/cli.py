@@ -12,7 +12,13 @@ newline: two-space indent, keys sorted, non-ASCII and control characters
 written as ``\\uXXXX`` escapes, and nan and infinities as ``NaN``,
 ``Infinity`` and ``-Infinity``, as Python's json module writes them.
 ``_dumps`` writes it in one recursive pass, because ``json.dumps`` with an
-indent runs the library's pure-Python encoder.
+indent runs the library's pure-Python encoder.  Every key is a str: the
+writer raises ``TypeError`` on any other key, where json would coerce an
+int, float, bool or None key to a string.
+
+The CLI restates no library rule: a component's box is its
+``cubical.mask_runs``, ``--expect`` takes the rung names of
+``morse.LADDER``, and ``specseq`` builds one payload for every descriptor.
 
 ``main`` builds the argument parser on its first call and reuses it, which
 saves in-process callers (scripts, notebooks, the test suite) rebuilding
@@ -30,13 +36,12 @@ import sys
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional, Sequence, Tuple
 
-import numpy as np
-
 from . import catalog
+from .cubical import mask_runs
 from .fields import (GridMismatchError, ScalarField, c1_distance,
                      check_difference_range, default_grad_tol)
 from .maslov import LagrangianLinePath, NonRegularCrossingError, maslov
-from .morse import (ChartError, DescentEscapeError, NoCriticalPointsError,
+from .morse import (LADDER, ChartError, DescentEscapeError, NoCriticalPointsError,
                     RegularValueError, SubmanifoldChart, Tolerances,
                     classify, detect_critical_set, flatten, verify_thickening)
 from .specseq import (BoundaryError, CrossTermError, FiltrationError,
@@ -46,9 +51,6 @@ from .specseq import (BoundaryError, CrossTermError, FiltrationError,
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
-
-CLASSIFICATIONS = ("morse", "morse_bott", "flattened_degenerate",
-                   "minimally_degenerate", "qmd")
 
 
 class UsageFailure(Exception):
@@ -100,23 +102,6 @@ def _json_float(x: float) -> str:
     return float.__repr__(x)
 
 
-def _json_key(k) -> str:
-    """A dict key as json converts it, before it is quoted."""
-    if isinstance(k, str):
-        return k
-    if isinstance(k, float):
-        return _json_float(k)
-    if k is True:
-        return "true"
-    if k is False:
-        return "false"
-    if k is None:
-        return "null"
-    if isinstance(k, int):
-        return int.__repr__(k)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
-
-
 def _dumps(payload: dict) -> str:
     """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, byte for byte,
     in one pass that appends to a list and joins once.  ``pad`` is the
@@ -134,7 +119,9 @@ def _dumps(payload: dict) -> str:
             inner = pad + "  "
             sep = "{" + inner
             for k, v in sorted(o.items()):
-                put(sep + _quote(_json_key(k)) + ": ")
+                if not isinstance(k, str):
+                    raise TypeError(f"keys must be str, not {type(k).__name__}")
+                put(sep + _quote(k) + ": ")
                 sep = "," + inner
                 if type(v) is int:
                     put(int.__repr__(v))
@@ -283,12 +270,15 @@ def _critical_set(f: ScalarField, grad_tol: float, component: int):
 
 
 def _component_boxes(crit) -> list:
+    """Each component's extent, its ``mask_runs``: per axis the first slab
+    ``lo`` and the last ``hi`` of its run, so ``hi < lo`` on an axis whose
+    run crosses a periodic seam."""
     out = []
     for comp in crit.components:
-        nodes = np.argwhere(comp.cells)
-        out.append({"lo": [int(v) for v in nodes.min(axis=0)],
-                    "hi": [int(v) for v in nodes.max(axis=0)],
-                    "size": int(comp.count())})
+        runs = mask_runs(comp, 0)
+        out.append({"lo": [start for start, _ in runs],
+                    "hi": [(start + length - 1) % n for n, (start, length) in zip(comp.dims, runs)],
+                    "size": comp.count()})
     return out
 
 
@@ -336,18 +326,13 @@ def cmd_specseq(args) -> int:
         if not math.isfinite(args.cutoff):
             raise UsageFailure("--cutoff must be a finite action")
         desc = truncate_by_action(desc, args.cutoff)
-    if not desc.pieces:
-        # the keys of a non-empty run; einf is what converge gives an empty complex
-        _emit({"pages": [], "stable_page": 1, "einf": {"entries": [], "page": 1},
-               "total_homology": {}, "graded_sum_matches_homology": True,
-               "grading": _GRADING_NOTE}, args.out)
-        return EXIT_OK
     try:
         fc = build_from_qmd(desc)
     except (FiltrationError, BoundaryError, CrossTermError) as exc:
         raise DomainFailure(str(exc)) from exc
     stable, einf = converge(fc)
-    ks = [only] if only else list(range(1, fc.max_filtration + 2))
+    # a descriptor with no piece lists no page
+    ks = [] if not desc.pieces else [only] if only else list(range(1, fc.max_filtration + 2))
     homology = fc.homology_dims()
     graded = einf.total_dims()
     payload = {
@@ -419,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--component", type=int, default=0)
     p.add_argument("--strict", action="store_true",
                    help="require a strict minimum away from C")
-    p.add_argument("--expect", choices=CLASSIFICATIONS, default=None)
+    p.add_argument("--expect", choices=LADDER, default=None)
     p.add_argument("--out", default=None)
     _add_tol_flags(p)
     p.set_defaults(func=cmd_analyze)

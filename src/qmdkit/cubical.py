@@ -93,10 +93,10 @@ one apparent pass on boundary_3 and one reduction, of boundary_2.  Below
 components from three rules here.  The run rule: a run is (start, length) on
 one axis, circular on a periodic one; ``axis_interval`` covers a set of slabs
 with one, ``mask_runs`` is a mask's extent (one ``axis_interval`` per axis, as
-``crop`` cuts it), ``run_steps`` each slab's distance to a run, ``box_mask`` a
-product of runs.  The step rule: ``step`` moves flat node indices one slab
-along an axis, wrapping on a periodic axis and staying on the node past the
-end of an open one.  The component rule: ``mask_roots``, one ``join`` of set
+``crop`` cuts it), ``box_mask`` a product of runs and ``run_steps`` each
+slab's distance to a run.  The step rule: ``step`` moves flat node indices
+one slab along an axis, wrapping on a periodic axis and staying on the node
+past the end of an open one.  The component rule: ``mask_roots``, one ``join`` of set
 nodes to their set upper ``step`` on each axis.
 """
 
@@ -258,13 +258,14 @@ def run_steps(n: int, periodic: bool, run: Tuple[int, int]) -> np.ndarray:
     return np.where(past < length, 0, np.minimum(past - (length - 1), n - past))
 
 
-def box_mask(dims: Sequence[int], periodic: Sequence[bool],
-             runs: Sequence[Tuple[int, int]]) -> np.ndarray:
-    """The product of one run (start, length) per axis, a boolean array."""
+def box_mask(dims: Sequence[int], runs: Sequence[Tuple[int, int]]) -> np.ndarray:
+    """The product of one run (start, length) per axis, a boolean array.
+    Slab i is in a run when (i - start) mod n < length, one test for an open
+    run and for one that crosses a periodic seam."""
     box = np.ones(tuple(dims), dtype=bool)
-    for a, (n, p, run) in enumerate(zip(dims, periodic, runs)):
-        if run[1] < n:
-            box &= (run_steps(n, p, run) == 0).reshape((n,) + (1,) * (len(dims) - 1 - a))
+    for a, (n, (start, length)) in enumerate(zip(dims, runs)):
+        if length < n:
+            box &= ((np.arange(n) - start) % n < length).reshape((n,) + (1,) * (len(dims) - 1 - a))
     return box
 
 

@@ -25,7 +25,7 @@ a node on an open boundary; no index is read modulo the grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -143,18 +143,18 @@ class ScalarField:
                    np.array(values, dtype=float))
 
 
+def _stencil_runs(field: ScalarField) -> List[Tuple[int, int]]:
+    """Each axis's run (start, length) of the nodes where central differences
+    are available: the whole axis when periodic, all but its two ends when
+    open.  No run wraps."""
+    return [(0, n) if p else (1, max(n - 2, 0)) for n, p in zip(field.dims, field.periodic)]
+
+
 def stencil_mask(field: ScalarField) -> np.ndarray:
-    """Nodes where central differences are available on every axis."""
-    ok = np.ones(field.dims, dtype=bool)
-    for a in range(field.ndim):
-        if field.periodic[a]:
-            continue
-        sl_lo = [slice(None)] * field.ndim
-        sl_hi = [slice(None)] * field.ndim
-        sl_lo[a] = 0
-        sl_hi[a] = field.dims[a] - 1
-        ok[tuple(sl_lo)] = False
-        ok[tuple(sl_hi)] = False
+    """Nodes where central differences are available on every axis: the box
+    of the ``_stencil_runs``."""
+    ok = np.zeros(field.dims, dtype=bool)
+    ok[tuple(slice(s, s + m) for s, m in _stencil_runs(field))] = True
     return ok
 
 
@@ -178,14 +178,14 @@ def gradient(field: ScalarField) -> Tuple[np.ndarray, np.ndarray]:
 def _stencil_nodes(field: ScalarField, nodes) -> np.ndarray:
     """`nodes` as an (n, d) intp array, checked once: BoundaryNodeError
     unless it is an (n, d) integer array of nodes of the grid (each index in
-    [0, n)) off every open boundary."""
+    [0, n)) inside every axis's ``_stencil_runs`` run."""
     nodes = np.asarray(nodes)
     if nodes.ndim != 2 or nodes.shape[1] != field.ndim or nodes.dtype.kind not in "iu":
         raise BoundaryNodeError(f"an array of shape {nodes.shape} and dtype {nodes.dtype} "
                                 f"is not an (n, {field.ndim}) integer array of nodes")
     dims = np.array(field.dims)
-    edge = np.array([0 if p else 1 for p in field.periodic])
-    inside = (nodes >= edge) & (nodes < dims - edge)
+    start, length = np.array(_stencil_runs(field)).T
+    inside = (nodes >= start) & (nodes < start + length)
     if not inside.all():
         node = nodes[~inside.all(axis=1)][0]
         if ((node >= 0) & (node < dims)).all():

@@ -1,6 +1,6 @@
 """Critical-set degeneracy analysis for sampled functions.
 
-The degeneracy ladder, from most to least rigid:
+The degeneracy ladder, `LADDER`, from most to least rigid:
 
   morse            isolated nondegenerate critical points
   morse_bott       critical submanifold, Hessian kernel = its tangent space
@@ -100,6 +100,9 @@ class ConstructionError(RuntimeError):
     pass
 
 
+# the degeneracy ladder's rungs, most rigid first
+LADDER = ("morse", "morse_bott", "flattened_degenerate", "minimally_degenerate", "qmd")
+
 BOX_MARGIN = 3      # cells added on each side of a component's bounding box
 ANGLE_TOL = 1e-6    # radians, Hessian kernel vs chart alignment
 MAX_NUDGES = 10     # 1% raises of delta tried before RegularValueError
@@ -147,8 +150,7 @@ class SubmanifoldChart:
                 for a, (b, n) in enumerate(zip(self.base, dims))]
 
     def slice_mask(self, dims: Sequence[int]) -> np.ndarray:
-        # no run of a chart crosses the seam, so every axis reads as open
-        return box_mask(dims, (False,) * len(dims), self.runs(dims))
+        return box_mask(dims, self.runs(dims))
 
 
 @dataclass(frozen=True)
@@ -175,7 +177,7 @@ class CriticalSet:
         if i not in self._boxes:
             comp = self.components[i]
             runs = _box_runs(comp)
-            box = box_mask(comp.dims, comp.periodic, runs)
+            box = box_mask(comp.dims, runs)
             box.flags.writeable = False
             self._boxes[i] = runs, box
         return self._boxes[i]
@@ -260,7 +262,7 @@ def _box_runs(component: GridMask) -> List[Tuple[int, int]]:
 def isolating_box(component: GridMask) -> np.ndarray:
     """Bounding box of a component inflated by BOX_MARGIN cells, as a node
     mask: the ``cubical.box_mask`` of its ``_box_runs``."""
-    return box_mask(component.dims, component.periodic, _box_runs(component))
+    return box_mask(component.dims, _box_runs(component))
 
 
 # -- Hessian sampling helpers -------------------------------------------
@@ -846,25 +848,21 @@ def classify(f: ScalarField, crit: CriticalSet, chart: Optional[SubmanifoldChart
     sample = _spectra(f, comp, tols.eig_tol)
     nodes, _, w, V, thresh = sample
     kernel = np.abs(w) < thresh[:, None]
-    report = DegeneracyReport("unclassified")
 
     morse_ok = bool(nodes) and comp.count() == 1 and not kernel.any()
     f_on_c = f.values[comp.cells]
     bott_ok = (bool(nodes)
                and float(f_on_c.max() - f_on_c.min()) <= tols.value_tol
                and _kernel_spans_axes(kernel, V, _component_extent_axes(comp)))
-    report.hessian_spectra = w.tolist()
-    report.sampled_nodes = nodes
-    report.details["morse"] = morse_ok
-    report.details["morse_bott"] = bott_ok
 
     flat_ok = mindeg_ok = qmd_ok = False
+    index = None
     if chart is not None:
         try:
             flat, mindeg = _chart_rungs(f, crit, chart, tols, strict, component,
                                         sample)
             flat_ok, mindeg_ok = flat.passed, mindeg.passed
-            report.negative_index = mindeg.negative_index
+            index = mindeg.negative_index
         except ChartError:
             pass
         if tau is not None:
@@ -873,9 +871,7 @@ def classify(f: ScalarField, crit: CriticalSet, chart: Optional[SubmanifoldChart
                                    component).passed
             except ChartError:
                 pass
-    report.details.update(flattened_degenerate=flat_ok, minimally_degenerate=mindeg_ok,
-                          qmd=qmd_ok)
-    # details holds the rungs in ladder order: the first that passes is the finest
-    report.classification = next((rung for rung, ok in report.details.items() if ok),
-                                 "unclassified")
-    return report
+    details = dict(zip(LADDER, (morse_ok, bott_ok, flat_ok, mindeg_ok, qmd_ok)))
+    # the first rung that passes is the finest
+    return DegeneracyReport(next((rung for rung, ok in details.items() if ok), "unclassified"),
+                            details, w.tolist(), index, nodes)

@@ -13,6 +13,10 @@ from qmdkit.catalog import (CATALOG_DESCRIPTORS, descriptor_annulus_kunneth,
                             descriptor_cancellation_pair, descriptor_five_piece,
                             field_1d_quadratic, field_saddle, tau_saddle)
 from qmdkit.cli import main
+from qmdkit.fields import ScalarField, gradient_magnitude
+from qmdkit.morse import detect_critical_set
+
+SEED = int(os.environ.get("QMD_SEED", "0"))
 
 
 @pytest.fixture
@@ -57,6 +61,40 @@ def test_analyze_wrong_expectation_fails(saddle_file, capsys):
     assert code == 1
 
 
+def test_analyze_boxes_cross_the_seam_of_a_torus(tmp_path, capsys):
+    """f = cos(theta) on the periodic 32^2 torus: the max circle's rows 30, 31,
+    0, 1, 2 print as theta 30..2, the min circle's as theta 14..18."""
+    h = 2 * math.pi / 32
+    f = ScalarField.sample((32, 32), (h, h), (True, True), lambda t, p: np.cos(t))
+    main(["analyze", "--field", _write(tmp_path, "torus.json", f.to_json())])
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["n_components"] == 2
+    assert payload["component_boxes"] == [{"lo": [30, 0], "hi": [2, 31], "size": 160},
+                                          {"lo": [14, 0], "hi": [18, 31], "size": 160}]
+
+
+def test_analyze_boxes_on_open_grids_are_the_bounding_boxes(tmp_path, capsys):
+    """On open grids no run wraps, so each component's box is the min and max
+    of its nodes; seeded random 1-3-D fields, the third of the stencil-valid
+    nodes of least gradient taken as critical."""
+    rng = np.random.default_rng(SEED)
+    for _ in range(12):
+        dims = tuple(int(n) for n in rng.integers(4, 10, size=rng.integers(1, 4)))
+        f = ScalarField(dims, (0.5,) * len(dims), (False,) * len(dims), rng.normal(size=dims))
+        mag, valid = gradient_magnitude(f)
+        tol = float(np.sort(mag[valid])[valid.sum() // 3]) * (1 + 1e-9)
+        code = main(["analyze", "--field", _write(tmp_path, "f.json", f.to_json()),
+                     "--grad-tol", repr(tol)])
+        assert code in (0, 1)
+        payload = json.loads(capsys.readouterr().out)
+        comps = detect_critical_set(f, tol).components
+        assert payload["n_components"] == len(comps)
+        want = [{"lo": np.argwhere(c.cells).min(axis=0).tolist(),
+                 "hi": np.argwhere(c.cells).max(axis=0).tolist(), "size": c.count()}
+                for c in comps]
+        assert payload["component_boxes"] == want, dims
+
+
 def test_analyze_malformed_json(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{this is not json")
@@ -77,9 +115,11 @@ def test_flatten_writes_mask_and_field(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["betti_c"] == [1, 0] and report["betti_sigma"] == [1, 0]
     assert report["thickening_verified"] is True
-    sigma = json.loads(open(sigma_out).read())
+    with open(sigma_out) as fh:
+        sigma = json.load(fh)
     assert sum(sigma["cells"]) == 7
-    fcheck = json.loads(open(fcheck_out).read())
+    with open(fcheck_out) as fh:
+        fcheck = json.load(fh)
     assert min(fcheck["values"]) == 0.0
 
 

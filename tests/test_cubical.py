@@ -775,7 +775,7 @@ def test_run_rule_matches_a_per_node_loop():
         for n, p, (start, length) in zip(dims, periodic, runs):
             steps = cubical.run_steps(n, p, (start, length))
             assert steps.tolist() == _loop_run_steps(n, p, start, length), (n, p, start, length)
-        box = cubical.box_mask(dims, periodic, runs)
+        box = cubical.box_mask(dims, runs)
         assert box.shape == dims and box.dtype == bool
         assert np.array_equal(box, _loop_box(dims, runs)), (dims, periodic, runs)
 
