@@ -331,8 +331,8 @@ def cmd_specseq(args) -> int:
     except (FiltrationError, BoundaryError, CrossTermError) as exc:
         raise DomainFailure(str(exc)) from exc
     stable, einf = converge(fc)
-    # a descriptor with no piece lists no page
-    ks = [] if not desc.pieces else [only] if only else list(range(1, fc.max_filtration + 2))
+    # a complex with no generator lists no page
+    ks = [] if fc.is_empty() else [only] if only else list(range(1, fc.max_filtration + 2))
     homology = fc.homology_dims()
     graded = einf.total_dims()
     payload = {

@@ -5,19 +5,27 @@ stencils: exact for quadratics, O(h^2) otherwise.  Nodes on a
 non-periodic boundary have no trustworthy stencil and are excluded from
 gradient/Hessian queries rather than approximated one-sidedly.
 
-`gradient` takes every node at once from np.roll-shifted copies of the
-values; `gradient_at_nodes` gathers the same stencil at given nodes only,
-for callers whose work is local to a box.  The Hessian stencil is written
-once, in `hessian_at_nodes`, which gathers it at a given array of nodes
-only, and `hessian_at` is the gather at one node.  Both gathers read the
-raveled values by flat index: each node's index is computed once, and
-each stencil point is that index plus one flat step per axis and sign (a
-constant +-stride on an open axis, a per-node wrapped step on a periodic
-one), so no coordinate array is formed per stencil offset.  Each gather
-checks its node array once, and one node is read through `stencil_node`
-by the same rule: BoundaryNodeError for an array that is not (n, d) and
-integer, a node that is not a node of the grid (each index in [0, n)) and
-a node on an open boundary; no index is read modulo the grid.
+The whole-grid calculus has one rule, `_central_differences`: each axis's
+difference over the stencil box is one contiguous array, read by slices
+from the values (wrapped by one layer on each periodic axis).  Norms add
+the squared components in axis order, so `gradient_magnitude`,
+`default_grad_tol` and `c1_distance` never form the (n, d) gradient;
+`gradient` writes the components into its dims + (d,) array.
+`gradient_at_nodes` gathers the same stencil at given nodes only, for
+callers whose work is local to a box, and `norms` adds its columns by the
+same rule.
+
+The Hessian stencil is written once, in `hessian_at_nodes`, which gathers
+it at a given array of nodes only, and `hessian_at` is the gather at one
+node.  Both gathers read the raveled values by flat index: each node's
+index is computed once, and each stencil point is that index plus one
+flat step per axis and sign (a constant +-stride on an open axis, a
+per-node wrapped step on a periodic one), so no coordinate array is
+formed per stencil offset.  Each gather checks its node array once, and
+one node is read through `stencil_node` by the same rule:
+BoundaryNodeError for an array that is not (n, d) and integer, a node
+that is not a node of the grid (each index in [0, n)) and a node on an
+open boundary; no index is read modulo the grid.
 `eig_sym` is numpy.linalg.eigh behind square/symmetric checks; it and
 `hessian_at` serve the tests' per-node oracles and the benchmark's tracer.
 """
@@ -158,21 +166,59 @@ def stencil_mask(field: ScalarField) -> np.ndarray:
     return ok
 
 
+def _wrapped(field: ScalarField) -> np.ndarray:
+    """The values with one wrapped layer added at both ends of every
+    periodic axis, so that every stencil box node's neighbours x +- e_a are
+    slices: the box starts at index 1 on every axis, in the pad on a
+    periodic axis and past the boundary node on an open one."""
+    v = field.values
+    if not any(field.periodic):
+        return v
+    w = np.empty(tuple(n + 2 if p else n for n, p in zip(field.dims, field.periodic)))
+    w[tuple(slice(1, -1) if p else slice(None) for p in field.periodic)] = v
+    for a, (n, p) in enumerate(zip(field.dims, field.periodic)):
+        if p:
+            # whole slabs, so the corners of earlier axes' pads wrap too
+            w[(slice(None),) * a + (0,)] = w[(slice(None),) * a + (n,)]
+            w[(slice(None),) * a + (n + 1,)] = w[(slice(None),) * a + (1,)]
+    return w
+
+
+def _central_differences(field: ScalarField) -> Tuple[List[np.ndarray], Tuple[slice, ...]]:
+    """Each axis's central difference (v[x + e_a] - v[x - e_a]) / (2 h_a)
+    at every node of the stencil box, as d contiguous arrays of the box's
+    shape, and the box as one slice per axis."""
+    w = _wrapped(field)
+    runs = _stencil_runs(field)
+    box = [slice(1, 1 + m) for _, m in runs]
+    parts = []
+    for a, ((_, m), h) in enumerate(zip(runs, field.spacing)):
+        up, down = list(box), list(box)
+        up[a], down[a] = slice(2, 2 + m), slice(0, m)
+        parts.append((w[tuple(up)] - w[tuple(down)]) / (2.0 * h))
+    return parts, tuple(slice(s, s + m) for s, m in runs)
+
+
+def _root_sum_squares(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """sqrt(p_0 ** 2 + p_1 ** 2 + ...), added in axis order: the operations,
+    in order, of ``(v ** 2).sum(axis=-1)`` over d < 8 components."""
+    total = parts[0] ** 2
+    for p in parts[1:]:
+        total += p ** 2
+    return np.sqrt(total)
+
+
 def gradient(field: ScalarField) -> Tuple[np.ndarray, np.ndarray]:
     """Central-difference gradient.
 
     Returns (grad, valid) where grad has shape dims + (ndim,) and valid
     marks nodes whose full stencil exists; grad is zero-filled elsewhere.
     """
-    v = field.values
+    parts, box = _central_differences(field)
     grad = np.zeros(field.dims + (field.ndim,), dtype=float)
-    for a in range(field.ndim):
-        fwd = np.roll(v, -1, axis=a)
-        bwd = np.roll(v, 1, axis=a)
-        grad[..., a] = (fwd - bwd) / (2.0 * field.spacing[a])
-    valid = stencil_mask(field)
-    grad[~valid] = 0.0
-    return grad, valid
+    for a, part in enumerate(parts):
+        grad[box + (a,)] = part
+    return grad, stencil_mask(field)
 
 
 def _stencil_nodes(field: ScalarField, nodes) -> np.ndarray:
@@ -234,15 +280,20 @@ def gradient_at_nodes(field: ScalarField, nodes: np.ndarray) -> np.ndarray:
 
 
 def norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norms along the last axis.  Every gradient norm in the
-    package is taken here, so a norm gathered at a few nodes equals the
+    """Euclidean norms along the last axis, its squares added in axis order
+    as every whole-grid norm adds them.  Every gradient norm in the package
+    is taken by that one rule, so a norm gathered at a few nodes equals the
     whole-grid one bit for bit."""
-    return np.sqrt((v ** 2).sum(axis=-1))
+    return _root_sum_squares([v[..., a] for a in range(v.shape[-1])])
 
 
 def gradient_magnitude(field: ScalarField) -> Tuple[np.ndarray, np.ndarray]:
-    grad, valid = gradient(field)
-    return norms(grad), valid
+    """|grad f| and the stencil mask, as `gradient`'s norms, zero off the
+    mask; the (n, d) gradient is never formed."""
+    parts, box = _central_differences(field)
+    mag = np.zeros(field.dims, dtype=float)
+    mag[box] = _root_sum_squares(parts)
+    return mag, stencil_mask(field)
 
 
 def hessian_at_nodes(field: ScalarField, nodes: np.ndarray) -> np.ndarray:
@@ -332,8 +383,8 @@ def check_difference_range(field: ScalarField) -> None:
 
 def default_grad_tol(field: ScalarField) -> float:
     """O(h^2) stencil accuracy scaled by the field's gradient range."""
-    mag, valid = gradient_magnitude(field)
-    grange = float(mag[valid].max()) if valid.any() else 1.0
+    mag = _root_sum_squares(_central_differences(field)[0])
+    grange = float(mag.max()) if mag.size else 1.0
     hbar = float(np.mean(field.spacing))
     return 10.0 * hbar * hbar * max(grange, 1e-12)
 
@@ -342,8 +393,7 @@ def c1_distance(f: ScalarField, g: ScalarField) -> float:
     """max |f - g| plus max |grad f - grad g| over stencil-valid nodes."""
     f.require_same_grid(g)
     d0 = float(np.abs(f.values - g.values).max())
-    gf, valid = gradient(f)
-    gg, _ = gradient(g)
-    diff = norms(gf - gg)
-    d1 = float(diff[valid].max()) if valid.any() else 0.0
+    diff = _root_sum_squares([a - b for a, b in zip(_central_differences(f)[0],
+                                                    _central_differences(g)[0])])
+    d1 = float(diff.max()) if diff.size else 0.0
     return d0 + d1

@@ -59,6 +59,13 @@ gathers of ``qmdkit.fields`` before they read the values by flat index: one
 ((nodes + offset) % dims) coordinate gather per stencil offset.
 ``hessian`` is the whole-grid Hessian that ``qmdkit.fields`` exported before
 only the tests read it: ``hessian_at_nodes`` at every stencil-valid node.
+``oracle_gradient`` and ``oracle_norms`` are the whole-grid calculus of
+``qmdkit.fields`` before each axis's difference became its own contiguous
+array: every axis from two np.roll-shifted copies of the values, written into
+a strided dims + (d,) array and zeroed off the stencil mask, and norms as
+``(v ** 2).sum(axis=-1)``.  ``oracle_gradient_magnitude``,
+``oracle_default_grad_tol`` and ``oracle_c1_distance`` are the formulas that
+read them; the flattening oracles take their |grad f| from them too.
 
 ``oracle_connected_components`` is the depth-first labelling that
 ``qmdkit.morse.connected_components`` ran before its union-find, and
@@ -94,8 +101,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from qmdkit.cubical import CubicalComplex, EmptyMaskError, GridMask, betti_of_mask
-from qmdkit.fields import (ScalarField, eig_sym, gradient_magnitude, hessian_at,
-                           hessian_at_nodes, stencil_mask)
+from qmdkit.fields import ScalarField, eig_sym, hessian_at, hessian_at_nodes, stencil_mask
 from qmdkit.gf2 import (GF2Matrix, Subspace, quotient_dim, reduce_faces,
                         solve_row_combination, subspace_sum)
 from qmdkit.graphlag import GraphSection, IsolationReport, flow_translate
@@ -1039,7 +1045,7 @@ def oracle_flatten(f: ScalarField, delta: float, crit: CriticalSet, tols: Tolera
     if float(f.values[box].min()) < -tols.value_tol:
         raise ValueError("f must be nonnegative on the chart slice near C")
 
-    mag, valid = gradient_magnitude(f)
+    mag, valid = oracle_gradient_magnitude(f)
     hmax = max(f.spacing)
     d = float(delta)
     for _ in range(MAX_NUDGES + 1):
@@ -1090,7 +1096,7 @@ def oracle_flatten_along_chart(f: ScalarField, delta: float, crit: CriticalSet,
         r4[node] = _distance_to(chart, node, f.spacing, f.periodic, dims) ** 4
 
     restricted = f.with_values(proj_vals)
-    mag, valid = gradient_magnitude(restricted)
+    mag, valid = oracle_gradient_magnitude(restricted)
     hmax = max(f.spacing)
     d = float(delta)
     for _ in range(MAX_NUDGES + 1):
@@ -1153,6 +1159,47 @@ def oracle_gradient_at_nodes(field: ScalarField, nodes: np.ndarray) -> np.ndarra
         grad[:, a] = ((_oracle_at(field, nodes, e) - _oracle_at(field, nodes, -e))
                       / (2.0 * field.spacing[a]))
     return grad
+
+
+# -- whole-grid calculus by np.roll ----------------------------------------------------
+
+
+def oracle_gradient(field: ScalarField) -> Tuple[np.ndarray, np.ndarray]:
+    v = field.values
+    grad = np.zeros(field.dims + (field.ndim,), dtype=float)
+    for a in range(field.ndim):
+        fwd = np.roll(v, -1, axis=a)
+        bwd = np.roll(v, 1, axis=a)
+        grad[..., a] = (fwd - bwd) / (2.0 * field.spacing[a])
+    valid = stencil_mask(field)
+    grad[~valid] = 0.0
+    return grad, valid
+
+
+def oracle_norms(v: np.ndarray) -> np.ndarray:
+    return np.sqrt((v ** 2).sum(axis=-1))
+
+
+def oracle_gradient_magnitude(field: ScalarField) -> Tuple[np.ndarray, np.ndarray]:
+    grad, valid = oracle_gradient(field)
+    return oracle_norms(grad), valid
+
+
+def oracle_default_grad_tol(field: ScalarField) -> float:
+    mag, valid = oracle_gradient_magnitude(field)
+    grange = float(mag[valid].max()) if valid.any() else 1.0
+    hbar = float(np.mean(field.spacing))
+    return 10.0 * hbar * hbar * max(grange, 1e-12)
+
+
+def oracle_c1_distance(f: ScalarField, g: ScalarField) -> float:
+    f.require_same_grid(g)
+    d0 = float(np.abs(f.values - g.values).max())
+    gf, valid = oracle_gradient(f)
+    gg, _ = oracle_gradient(g)
+    diff = oracle_norms(gf - gg)
+    d1 = float(diff[valid].max()) if valid.any() else 0.0
+    return d0 + d1
 
 
 def hessian(field: ScalarField) -> Tuple[np.ndarray, np.ndarray]:

@@ -178,13 +178,15 @@ def test_specseq_builds_each_printed_page_once(tmp_path, capsys, monkeypatch):
     assert built == [6, 1, 2, 3, 4, 5]
     assert [pg["page"] for pg in payload["pages"]] == [1, 2, 3, 4, 5, 6]
     assert payload["pages"][-1] == payload["einf"]
-    # an empty complex's stable page is page 1, and page 2 is still listed
+    # a complex with no generator lists no page and builds none; its stable
+    # page is page 1
     built.clear()
     desc = _write(tmp_path, "e.json", {"pieces": [_piece("a", 0.0, betti=[0])]})
     assert main(["specseq", "--descriptor", desc, "--pages", "all"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert built == [2]
-    assert payload["pages"] == [{"entries": [], "page": 1}, {"entries": [], "page": 2}]
+    assert built == []
+    assert payload["pages"] == []
+    assert payload["stable_page"] == 1 and payload["einf"] == {"entries": [], "page": 1}
 
 
 def test_specseq_kunneth_ranks(tmp_path, capsys):
@@ -206,6 +208,25 @@ def test_specseq_cutoff_below_all_actions(tmp_path, capsys):
     assert payload["graded_sum_matches_homology"] is True
     assert main(["specseq", "--descriptor", desc]) == 0
     assert set(payload) == set(json.loads(capsys.readouterr().out))
+
+
+def test_specseq_empty_complex_lists_no_page(tmp_path, capsys):
+    """A descriptor with no piece and one whose pieces have no generator
+    both describe the empty complex, and print the same stdout, with no
+    page listed, for every --pages choice."""
+    outs = set()
+    for i, desc in enumerate(({"pieces": []},
+                              {"pieces": [_piece("A", 1.0, betti=[])]},
+                              {"pieces": [_piece("A", 0.0, betti=[0]),
+                                          _piece("B", 1.0, betti=[0, 0])]})):
+        path = _write(tmp_path, f"e{i}.json", desc)
+        for pages in ("all", "1", "3"):
+            assert main(["specseq", "--descriptor", path, "--pages", pages]) == 0
+            outs.add(capsys.readouterr().out)
+    assert len(outs) == 1
+    payload = json.loads(outs.pop())
+    assert payload["pages"] == [] and payload["stable_page"] == 1
+    assert payload["einf"] == {"entries": [], "page": 1}
 
 
 def test_specseq_rejects_filtration_violation(tmp_path):

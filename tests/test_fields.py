@@ -1,19 +1,22 @@
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 from qmdkit.fields import (BoundaryNodeError, GridMismatchError, ScalarField,
                            c1_distance, default_grad_tol, eig_sym, gradient,
-                           gradient_at_nodes, hessian_at, hessian_at_nodes, stencil_mask)
+                           gradient_at_nodes, gradient_magnitude, hessian_at,
+                           hessian_at_nodes, norms, stencil_mask)
 
 from qmdkit.catalog import field_torus_height
 from qmdkit.cubical import GridMask
 from qmdkit.morse import Tolerances, detect_critical_set, flatten
 
-from _oracles import (hessian, oracle_gradient_at_nodes, oracle_hessian_at_nodes,
-                      sturm_eigenvalues)
+from _oracles import (hessian, oracle_c1_distance, oracle_default_grad_tol,
+                      oracle_gradient, oracle_gradient_at_nodes, oracle_gradient_magnitude,
+                      oracle_hessian_at_nodes, oracle_norms, sturm_eigenvalues)
 
 SEED = int(os.environ.get("QMD_SEED", "0"))
 
@@ -215,6 +218,92 @@ def test_gradient_at_nodes_matches_gradient_bit_for_bit():
         assert G.tobytes() == oracle_gradient_at_nodes(f, nodes).tobytes()
         assert gradient_at_nodes(f, nodes[::-1]).tobytes() == G[::-1].tobytes()
         assert gradient_at_nodes(f, np.zeros((0, f.ndim), dtype=int)).shape == (0, f.ndim)
+
+
+def _calculus_fields(rng, scales):
+    """Pairs (f, g) of random 1-D to 4-D fields on one grid: axes of size 1
+    to 9 (every third grid of size 1 to 3 only), open, periodic or mixed,
+    with values of the given scales.  Asserts that every size, kind of grid
+    and scale occurs."""
+    seen = set()
+    for i in range(240):
+        d = 1 + i % 4
+        periodic = tuple(bool(p) for p in rng.integers(0, 2, d))
+        dims = tuple(int(n) for n in rng.integers(1, 4 if i % 3 == 0 else 10, d))
+        spacing = tuple(float(h) for h in rng.uniform(0.1, 2.0, d))
+        scale = scales[i % len(scales)]
+        f = ScalarField(dims, spacing, periodic, scale * rng.normal(size=dims))
+        g = f.with_values(f.values + scale * rng.uniform(0.0, 0.5) * rng.normal(size=dims))
+        seen.update(min(n, 4) for n in dims)
+        seen.update({scale, ("periodic" if all(periodic) else
+                             "open" if not any(periodic) else "mixed", d)})
+        yield f, g
+    assert {1, 2, 3, 4} | set(scales) <= seen
+    assert {(kind, d) for kind in ("open", "periodic", "mixed")
+            for d in range(1, 5) if d > 1 or kind != "mixed"} <= seen
+
+
+def _same_bytes(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def _calculus_matches_oracles(f, g):
+    grad, valid = gradient(f)
+    grad_0, valid_0 = oracle_gradient(f)
+    assert _same_bytes(grad, grad_0) and np.array_equal(valid, valid_0)
+    mag, valid = gradient_magnitude(f)
+    mag_0, _ = oracle_gradient_magnitude(f)
+    assert _same_bytes(mag, mag_0) and np.array_equal(valid, valid_0)
+    assert _same_bytes(norms(grad_0), oracle_norms(grad_0))
+    # isolation_scan's per-step norms of a (steps, n, d) stack
+    sections = grad_0[valid] - np.array([0.0, 0.5, 1.0])[:, None, None] * gradient(g)[0][valid]
+    assert _same_bytes(norms(sections), oracle_norms(sections))
+    assert _same_bytes(c1_distance(f, g), oracle_c1_distance(f, g))
+    assert _same_bytes(default_grad_tol(f), oracle_default_grad_tol(f))
+
+
+def test_whole_grid_calculus_matches_the_roll_oracles_bit_for_bit():
+    """`gradient`, `gradient_magnitude`, `norms`, `c1_distance` and
+    `default_grad_tol` equal the np.roll gradient and the
+    (v ** 2).sum(axis=-1) norm they replaced, byte for byte."""
+    for f, g in _calculus_fields(np.random.default_rng(SEED + 3),
+                                 (1e-5, 1e-2, 1.0, 1e2, 1e5)):
+        _calculus_matches_oracles(f, g)
+
+
+def test_whole_grid_calculus_warns_as_the_oracles_when_squares_overflow():
+    """Values near 1e154: squared components overflow to inf.  The results
+    still equal the oracles' byte for byte, and each function warns with the
+    same categories as its oracle (the messages may differ)."""
+    overflowed = 0
+    for f, g in _calculus_fields(np.random.default_rng(SEED + 4), (1e154, 3e154)):
+        pairs = ((lambda: gradient_magnitude(f)[0], lambda: oracle_gradient_magnitude(f)[0]),
+                 (lambda: norms(gradient(f)[0]), lambda: oracle_norms(oracle_gradient(f)[0])),
+                 (lambda: c1_distance(f, g), lambda: oracle_c1_distance(f, g)),
+                 (lambda: default_grad_tol(f), lambda: oracle_default_grad_tol(f)))
+        for pair in pairs:
+            results, categories = [], []
+            for call in pair:
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    results.append(call())
+                categories.append({w.category for w in caught})
+            assert _same_bytes(*results)
+            assert categories[0] == categories[1]
+            overflowed += RuntimeWarning in categories[1]
+    assert overflowed
+
+
+def test_gathered_norms_equal_the_whole_grid_ones_bit_for_bit():
+    """`norms` of `gradient_at_nodes` at every stencil-valid node is
+    `gradient_magnitude` there, byte for byte; an empty node array gives an
+    empty norm array."""
+    for f, _ in _calculus_fields(np.random.default_rng(SEED + 5), (1e-5, 1.0, 1e5)):
+        mag, valid = gradient_magnitude(f)
+        nodes = np.argwhere(valid)
+        assert norms(gradient_at_nodes(f, nodes)).tobytes() == mag[valid].tobytes()
+        empty = norms(gradient_at_nodes(f, np.zeros((0, f.ndim), dtype=int)))
+        assert empty.shape == (0,) and empty.dtype == float
 
 
 def test_c1_distance_to_self_is_zero():
